@@ -30,26 +30,24 @@ from .synth import make_world, generate as synth_generate
 
 def _load_config(args) -> RunConfig:
     config = RunConfig.load(args.config) if args.config else RunConfig()
-    if getattr(args, "seed", None) is not None:
-        config = replace(config, seed=args.seed)
-    if getattr(args, "method", None) is not None:
-        config = replace(config, method=args.method)
-    if getattr(args, "lam", None) is not None:
-        config = replace(config, lam=args.lam)
-    if getattr(args, "sigma", None) is not None:
-        config = replace(config, noise=replace(config.noise, sigma=args.sigma))
-    if getattr(args, "k", None) is not None:
-        config = replace(config, noise=replace(config.noise, k1=args.k, k2=args.k))
-    if getattr(args, "iou_threshold", None) is not None:
-        config = replace(config, nms=replace(config.nms, iou_threshold=args.iou_threshold))
-    if getattr(args, "score_threshold", None) is not None:
-        config = replace(config, score_threshold=args.score_threshold)
-    paths = config.paths
-    for field in ("annotations", "detections", "regions", "output_dir"):
-        value = getattr(args, field, None)
-        if value is not None:
-            paths = replace(paths, **{field: value})
-    return replace(config, paths=paths)
+    flag = vars(args).get
+    overrides = {
+        "seed": flag("seed"),
+        "method": flag("method"),
+        "lambda": flag("lam"),
+        "score_threshold": flag("score_threshold"),
+        "noise": {"sigma": flag("sigma"), "k1": flag("k"), "k2": flag("k")},
+        "nms": {"iou_threshold": flag("iou_threshold")},
+        "paths": {key: flag(key)
+                  for key in ("annotations", "detections", "regions", "output_dir")},
+    }
+    return config.merge(_given(overrides))
+
+
+def _given(overrides: dict) -> dict:
+    """The overrides without unset flags (None) and sections left empty."""
+    nested = {k: _given(v) if isinstance(v, dict) else v for k, v in overrides.items()}
+    return {k: v for k, v in nested.items() if v is not None and v != {}}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -7,20 +7,31 @@ perturb the region noise draws.
 
 from __future__ import annotations
 
-import json
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, SchemaError
+from .fileio import dump_json, load_json
 from .imaging import CameraModel
 from .nms import NmsConfig
 from .sim_regions import NoiseParams
 from .synth import SynthParams
 
-METHODS = ("baseline", "method1", "method2", "method1+cnms", "method2+cnms")
+# Per method: where each image's candidates come from ("detector",
+# "revised" detector output, or region "proposals"), and the constrained
+# NMS mode, which is also the region association mode (None: plain NMS).
+METHOD_STEPS: dict[str, tuple[str, str | None]] = {
+    "baseline": ("detector", None),
+    "method1": ("revised", None),
+    "method2": ("proposals", None),
+    "method1+cnms": ("revised", "one_stage"),
+    "method2+cnms": ("proposals", "two_stage"),
+}
+METHODS = tuple(METHOD_STEPS)
 
 
 @dataclass(frozen=True)
@@ -48,11 +59,10 @@ class RunPaths:
     annotations: str | None = None
     detections: str | None = None
     regions: str | None = None
-    csi: str | None = None
     output_dir: str = "out"
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Everything a pipeline run needs besides the input files themselves."""
 
@@ -70,7 +80,6 @@ class RunConfig:
         fov_h=64.0, fov_v=52.0))
     radio: RadioParams = field(default_factory=RadioParams)
     synth: SynthParams = field(default_factory=SynthParams)
-    image_size: tuple[float, float] = (1280.0, 720.0)
     paths: RunPaths = field(default_factory=RunPaths)
 
     def __post_init__(self) -> None:
@@ -95,129 +104,73 @@ class RunConfig:
         """Stable integer seed for components that take a seed, not a generator."""
         return int(self.substream(name).integers(0, 2**31 - 1))
 
+    @property
+    def image_size(self) -> tuple[float, float]:
+        """Image width and height in pixels, as the camera sees them."""
+        return (self.camera.image_width, self.camera.image_height)
+
+    def merge(self, patch: dict) -> "RunConfig":
+        """This config with a partial document (same keys as the file) applied."""
+        return _merge(self, patch, "config")
+
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "lambda": self.lam,
-            "mode": self.mode,
-            "method": self.method,
-            "score_threshold": self.score_threshold,
-            "gt_filter": self.gt_filter,
-            "count_constrained": self.count_constrained,
-            "image_size": list(self.image_size),
-            "noise": {"sigma": self.noise.sigma, "k1": self.noise.k1,
-                      "k2": self.noise.k2, "seed": self.noise.seed},
-            "nms": {
-                "iou_threshold": self.nms.iou_threshold,
-                "mode": self.nms.mode,
-                "enable_fallback_loop": self.nms.enable_fallback_loop,
-                "fallback_floor_score": self.nms.fallback_floor_score,
-                "require_region": self.nms.require_region,
-            },
-            "camera": {
-                "focal_length_px": self.camera.focal_length_px,
-                "image_width": self.camera.image_width,
-                "image_height": self.camera.image_height,
-                "fov_h": self.camera.fov_h,
-                "fov_v": self.camera.fov_v,
-            },
-            "radio": {
-                "aoa_step_deg": self.radio.aoa_step_deg,
-                "num_tof_bins": self.radio.num_tof_bins,
-                "peak_threshold": self.radio.peak_threshold,
-                "tof_tolerance": self.radio.tof_tolerance,
-                "round_trip_factor": self.radio.round_trip_factor,
-                "person_extent_m": self.radio.person_extent_m,
-            },
-            "synth": {
-                "jitter_std": self.synth.jitter_std,
-                "fp_per_image": self.synth.fp_per_image,
-                "fn_rate": self.synth.fn_rate,
-                "duplicate_rate": self.synth.duplicate_rate,
-                "duplicate_jitter_std": self.synth.duplicate_jitter_std,
-                "score_model": list(self.synth.score_model),
-                "seed": self.synth.seed,
-            },
-            "paths": {
-                "annotations": self.paths.annotations,
-                "detections": self.paths.detections,
-                "regions": self.paths.regions,
-                "csi": self.paths.csi,
-                "output_dir": self.paths.output_dir,
-            },
-        }
+        return _to_json(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        noise = data.get("noise", {})
-        nms = data.get("nms", {})
-        camera = data.get("camera", {})
-        radio = data.get("radio", {})
-        synth = data.get("synth", {})
-        paths = data.get("paths", {})
-        return cls(
-            seed=int(data.get("seed", 1234)),
-            lam=float(data.get("lambda", data.get("lam", 0.5))),
-            mode=data.get("mode", "two_stage"),
-            method=data.get("method", "baseline"),
-            score_threshold=float(data.get("score_threshold", 0.3)),
-            gt_filter=data.get("gt_filter", "none"),
-            count_constrained=bool(data.get("count_constrained", False)),
-            image_size=tuple(data.get("image_size", (1280.0, 720.0))),
-            noise=NoiseParams(
-                sigma=float(noise.get("sigma", 0.2)),
-                k1=float(noise.get("k1", 0.1)),
-                k2=float(noise.get("k2", 0.1)),
-                seed=int(noise.get("seed", 0)),
-            ),
-            nms=NmsConfig(
-                iou_threshold=float(nms.get("iou_threshold", 0.5)),
-                mode=nms.get("mode", "two_stage"),
-                enable_fallback_loop=bool(nms.get("enable_fallback_loop", True)),
-                fallback_floor_score=float(nms.get("fallback_floor_score", 0.01)),
-                require_region=bool(nms.get("require_region", True)),
-            ),
-            camera=CameraModel(
-                focal_length_px=float(camera.get("focal_length_px", 3000.0)),
-                image_width=float(camera.get("image_width", 1280.0)),
-                image_height=float(camera.get("image_height", 720.0)),
-                fov_h=float(camera.get("fov_h", 64.0)),
-                fov_v=float(camera.get("fov_v", 52.0)),
-            ),
-            radio=RadioParams(
-                aoa_step_deg=float(radio.get("aoa_step_deg", 1.0)),
-                num_tof_bins=int(radio.get("num_tof_bins", 64)),
-                peak_threshold=float(radio.get("peak_threshold", 0.5)),
-                tof_tolerance=(float(radio["tof_tolerance"])
-                               if radio.get("tof_tolerance") is not None else None),
-                round_trip_factor=float(radio.get("round_trip_factor", 1.0)),
-                person_extent_m=float(radio.get("person_extent_m", 1.0)),
-            ),
-            synth=SynthParams(
-                jitter_std=float(synth.get("jitter_std", 0.05)),
-                fp_per_image=float(synth.get("fp_per_image", 1.0)),
-                fn_rate=float(synth.get("fn_rate", 0.1)),
-                duplicate_rate=float(synth.get("duplicate_rate", 0.2)),
-                duplicate_jitter_std=float(synth.get("duplicate_jitter_std", 0.35)),
-                score_model=tuple(synth.get("score_model", (0.8, 0.4, 0.15))),
-                seed=int(synth.get("seed", 0)),
-            ),
-            paths=RunPaths(
-                annotations=paths.get("annotations"),
-                detections=paths.get("detections"),
-                regions=paths.get("regions"),
-                csi=paths.get("csi"),
-                output_dir=paths.get("output_dir", "out"),
-            ),
-        )
+        return cls().merge(data)
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(load_json(path))
 
     def save(self, path: str | Path) -> None:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        dump_json(path, self.to_dict())
+
+
+# Document keys that differ from field names: ``lambda`` is a Python keyword.
+_KEYS = {"lam": "lambda"}
+
+
+def _to_json(value):
+    if is_dataclass(value):
+        return {_KEYS.get(f.name, f.name): _to_json(getattr(value, f.name))
+                for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value
+
+
+def _merge(base, patch, where: str):
+    """``base`` with every key of ``patch`` coerced by its field type and set."""
+    if not isinstance(patch, dict):
+        raise SchemaError(f"{where}: expected an object, got {type(patch).__name__}")
+    names = {_KEYS.get(f.name, f.name): f.name for f in fields(base)}
+    unknown = sorted(set(patch) - set(names))
+    if unknown:
+        raise SchemaError(f"{where}: unknown keys {unknown}")
+    hints = get_type_hints(type(base))
+    changes = {}
+    for key, value in patch.items():
+        name = names[key]
+        changes[name] = _coerce(hints[name], value, getattr(base, name), f"{where}.{key}")
+    return replace(base, **changes)
+
+
+def _coerce(hint, value, current, where: str):
+    if is_dataclass(hint):
+        return _merge(current, value, where)
+    args = get_args(hint)
+    if type(None) in args:  # X | None
+        (inner,) = [a for a in args if a is not type(None)]
+        return None if value is None else _coerce(inner, value, current, where)
+    try:
+        if get_origin(hint) is tuple:
+            if not isinstance(value, (list, tuple)) or len(value) != len(args):
+                raise TypeError(f"expected {len(args)} values")
+            return tuple(_coerce(a, v, None, where) for a, v in zip(args, value))
+        if hint in (bool, str) and not isinstance(value, hint):
+            raise TypeError(f"not a {hint.__name__}")
+        return hint(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{where}: cannot read {value!r} ({exc})") from exc

@@ -27,14 +27,13 @@ DETECTIONS_SCHEMA = "detections/1"
 ESTIMATES_SCHEMA = "estimates/1"
 
 
-def _load_json(path: str | Path, expected_schema: str | None = None) -> dict:
+def load_json(path: str | Path, expected_schema: str | None = None) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed JSON or not UTF-8
             raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(data, dict):
-        raise SchemaError(f"{path}: top level must be an object")
+    _expect(data, dict, f"{path}: top level")
     if expected_schema is not None and data.get("schema") != expected_schema:
         raise SchemaError(
             f"{path}: expected schema {expected_schema!r}, got {data.get('schema')!r}"
@@ -42,15 +41,22 @@ def _load_json(path: str | Path, expected_schema: str | None = None) -> dict:
     return data
 
 
-def _dump_json(path: str | Path, payload: dict) -> None:
+def dump_json(path: str | Path, payload: dict) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
+def _expect(value, kind: type, context: str):
+    if not isinstance(value, kind):
+        kind_name = "an object" if kind is dict else f"a {kind.__name__}"
+        raise SchemaError(f"{context}: expected {kind_name}, got {type(value).__name__}")
+    return value
+
+
 def _require(record: dict, key: str, context: str):
-    if key not in record:
+    if key not in _expect(record, dict, context):
         raise SchemaError(f"{context}: missing required field {key!r}")
     return record[key]
 
@@ -81,12 +87,12 @@ def write_csi_frame(path: str | Path, frame: CsiFrame, image_id: str | None = No
     }
     if image_id is not None:
         payload["image_id"] = str(image_id)
-    _dump_json(path, payload)
+    dump_json(path, payload)
 
 
 def read_csi_frame(path: str | Path) -> tuple[CsiFrame, str | None]:
     """Load one CSI frame; returns the frame and its optional image id."""
-    data = _load_json(path, CSI_SCHEMA)
+    data = load_json(path, CSI_SCHEMA)
     geo = _require(data, "geometry", str(path))
     geometry = ArrayGeometry(
         num_antennas=int(_require(geo, "num_antennas", str(path))),
@@ -96,7 +102,7 @@ def read_csi_frame(path: str | Path) -> tuple[CsiFrame, str | None]:
         frequency_interval=float(_require(geo, "frequency_interval", str(path))),
         orientation=geo.get("orientation", "horizontal"),
     )
-    pairs = _require(data, "samples", str(path))
+    pairs = _expect(_require(data, "samples", str(path)), list, f"{path}: samples")
     expected = geometry.num_antennas * geometry.num_subcarriers
     if len(pairs) != expected:
         raise SchemaError(f"{path}: expected {expected} samples, got {len(pairs)}")
@@ -134,17 +140,17 @@ def write_annotations(path: str | Path, image_ids: list[str],
             for ann in annotations
         ],
     }
-    _dump_json(path, payload)
+    dump_json(path, payload)
 
 
 def read_annotations(path: str | Path) -> tuple[list[str], list[Annotation]]:
     """Load a COCO-style annotation file: (image ids, annotations)."""
-    data = _load_json(path, ANNOTATIONS_SCHEMA)
-    image_ids = [str(_require(img, "id", str(path))) for img in data.get("images", [])]
+    data = load_json(path, ANNOTATIONS_SCHEMA)
+    images = _expect(data.get("images", []), list, f"{path}: images")
+    image_ids = [str(_require(img, "id", str(path))) for img in images]
     annotations = []
-    for record in data.get("annotations", []):
-        ignore = record.get("ignore", False)
-        if ignore:
+    for record in _expect(data.get("annotations", []), list, f"{path}: annotations"):
+        if _expect(record, dict, f"{path}: annotation").get("ignore", False):
             continue
         annotations.append(
             Annotation(
@@ -179,22 +185,26 @@ def write_regions(path: str | Path, regions_by_image: dict[str, list[RadioRegion
             for image_id, regions in regions_by_image.items()
         },
     }
-    _dump_json(path, payload)
+    dump_json(path, payload)
 
 
 def read_regions(path: str | Path) -> dict[str, list[RadioRegion]]:
-    data = _load_json(path, REGIONS_SCHEMA)
+    data = load_json(path, REGIONS_SCHEMA)
     regions_by_image: dict[str, list[RadioRegion]] = {}
-    for image_id, records in _require(data, "images", str(path)).items():
-        regions_by_image[str(image_id)] = [
+    images = _expect(_require(data, "images", str(path)), dict, f"{path}: images")
+    for image_id, records in images.items():
+        regions = [
             RadioRegion(
                 center_x=float(_require(r, "center_x", str(path))),
                 center_y=float(_require(r, "center_y", str(path))),
                 edge=float(_require(r, "edge", str(path))),
                 identifier=str(_require(r, "id", str(path))),
             )
-            for r in records
+            for r in _expect(records, list, f"{path}: image {image_id!r}")
         ]
+        if len({region.identifier for region in regions}) != len(regions):
+            raise SchemaError(f"{path}: image {image_id!r} repeats a region id")
+        regions_by_image[str(image_id)] = regions
     return regions_by_image
 
 
@@ -214,13 +224,14 @@ def write_detections(path: str | Path, detections: list[Detection]) -> None:
             for det in detections
         ],
     }
-    _dump_json(path, payload)
+    dump_json(path, payload)
 
 
 def read_detections(path: str | Path) -> list[Detection]:
-    data = _load_json(path, DETECTIONS_SCHEMA)
+    data = load_json(path, DETECTIONS_SCHEMA)
     detections = []
-    for record in _require(data, "detections", str(path)):
+    records = _expect(_require(data, "detections", str(path)), list, f"{path}: detections")
+    for record in records:
         detections.append(
             Detection(
                 image_id=str(_require(record, "image_id", str(path))),
@@ -253,13 +264,14 @@ def write_estimates(path: str | Path,
             for image_id, estimates in estimates_by_image.items()
         },
     }
-    _dump_json(path, payload)
+    dump_json(path, payload)
 
 
 def read_estimates(path: str | Path) -> dict[str, list[RadioEstimate]]:
-    data = _load_json(path, ESTIMATES_SCHEMA)
+    data = load_json(path, ESTIMATES_SCHEMA)
     estimates_by_image: dict[str, list[RadioEstimate]] = {}
-    for image_id, records in _require(data, "images", str(path)).items():
+    images = _expect(_require(data, "images", str(path)), dict, f"{path}: images")
+    for image_id, records in images.items():
         estimates_by_image[str(image_id)] = [
             RadioEstimate(
                 aoa_h=float(_require(r, "aoa_h", str(path))),
@@ -268,7 +280,7 @@ def read_estimates(path: str | Path) -> dict[str, list[RadioEstimate]]:
                 magnitude=float(r.get("magnitude", 0.0)),
                 identifier=str(_require(r, "id", str(path))),
             )
-            for r in records
+            for r in _expect(records, list, f"{path}: image {image_id!r}")
         ]
     return estimates_by_image
 
@@ -291,8 +303,8 @@ def read_curve_csv(path: str | Path) -> list[tuple[float, float]]:
 
 
 def write_report(path: str | Path, report_dict: dict) -> None:
-    _dump_json(path, report_dict)
+    dump_json(path, report_dict)
 
 
 def read_report(path: str | Path) -> dict:
-    return _load_json(path)
+    return load_json(path)

@@ -38,6 +38,11 @@ class Detection:
             raise InvalidInputError(f"bbox extents must be >= 0, got {self.bbox}")
 
 
+def score_order(scores: list[float]) -> list[int]:
+    """Indices by descending score, stable on the input position."""
+    return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+
+
 @dataclass(frozen=True)
 class Proposal:
     """One anchor box generated from a radio region."""

@@ -14,14 +14,14 @@ samples spaced evenly in log space over [0.01, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .fusion import Detection
+from .fusion import Detection, score_order
 from .geometry import iou, rect_area
-from .sim_regions import Annotation
+from .sim_regions import Annotation, group_by_image
 
 COCO_IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 SMALL_AREA_MAX = 32.0 ** 2
@@ -64,23 +64,9 @@ class MetricsReport:
     runtime_s: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "ap": self.ap,
-            "ap50": self.ap50,
-            "ap75": self.ap75,
-            "ap_s": self.ap_s,
-            "ap_m": self.ap_m,
-            "ap_l": self.ap_l,
-            "log_avg_miss_rate": self.log_avg_miss_rate,
-            "mr_fppi_curve": [[f, m] for f, m in self.mr_fppi_curve],
-            "fp_fn_per_image": self.fp_fn_per_image,
-            "true_detection_ratio": self.true_detection_ratio,
-            "runtime_s": self.runtime_s,
-        }
-
-
-def _score_order(detections: list[Detection]) -> list[int]:
-    return sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
+        report = asdict(self)
+        report["mr_fppi_curve"] = [[f, m] for f, m in self.mr_fppi_curve]
+        return report
 
 
 def _greedy_match(
@@ -100,7 +86,9 @@ def _greedy_match(
     """
     if gt_ignore is None:
         gt_ignore = [False] * len(gts)
-    order = _score_order(detections) if sorted_by_score else range(len(detections))
+    order = range(len(detections))
+    if sorted_by_score:
+        order = score_order([det.score for det in detections])
     taken = [False] * len(gts)
     tp = [False] * len(detections)
     ignored = [False] * len(detections)
@@ -149,7 +137,7 @@ def average_precision(scored_matches: list[tuple[float, bool]], num_gt: int) -> 
     """
     if num_gt <= 0 or not scored_matches:
         return 0.0
-    order = sorted(range(len(scored_matches)), key=lambda i: (-scored_matches[i][0], i))
+    order = score_order([score for score, _ in scored_matches])
     tp = np.array([1.0 if scored_matches[i][1] else 0.0 for i in order])
     cum_tp = np.cumsum(tp)
     ranks = np.arange(1, tp.size + 1)
@@ -161,13 +149,6 @@ def average_precision(scored_matches: list[tuple[float, bool]], num_gt: int) -> 
     sample_idx = np.searchsorted(recall, np.linspace(0.0, 1.0, 101), side="left")
     total = float(np.sum(precision[sample_idx[sample_idx < precision.size]]))
     return total / 101.0
-
-
-def _group_by_image(items) -> dict[str, list]:
-    grouped: dict[str, list] = {}
-    for item in items:
-        grouped.setdefault(item.image_id, []).append(item)
-    return grouped
 
 
 def _bucket_contains(area: float, bucket: str) -> bool:
@@ -211,8 +192,8 @@ def coco_map(detections: list[Detection], gts: list[Annotation]) -> CocoMapResul
     between 32^2 and 96^2 inclusive, large above 96^2. A bucket with no
     ground truth reports 0.
     """
-    dets_by_image = _group_by_image(detections)
-    gts_by_image = _group_by_image(gts)
+    dets_by_image = group_by_image(detections)
+    gts_by_image = group_by_image(gts)
     image_ids = sorted(set(dets_by_image) | set(gts_by_image))
 
     per_threshold = {
@@ -252,8 +233,8 @@ def mr_fppi(
     sample points. With no ground truth at all the miss rate is defined
     as 0.
     """
-    dets_by_image = _group_by_image(detections)
-    gts_by_image = _group_by_image(gts)
+    dets_by_image = group_by_image(detections)
+    gts_by_image = group_by_image(gts)
     if image_ids is None:
         image_ids = sorted(set(dets_by_image) | set(gts_by_image))
     else:
@@ -266,7 +247,7 @@ def mr_fppi(
         dets = dets_by_image.get(image_id, [])
         tp, _, _ = _greedy_match(dets, gts_by_image.get(image_id, []), iou_t, True)
         scored.extend((det.score, tp[i]) for i, det in enumerate(dets))
-    order = sorted(range(len(scored)), key=lambda i: (-scored[i][0], i))
+    order = score_order([score for score, _ in scored])
 
     curve: list[tuple[float, float]] = [(0.0, 1.0 if total_gt > 0 else 0.0)]
     cum_tp = 0
@@ -300,8 +281,8 @@ def visual_metrics(
     displayed box counts the same. The ratio is 1 for a run with no boxes
     and no people at all.
     """
-    dets_by_image = _group_by_image(detections)
-    gts_by_image = _group_by_image(gts)
+    dets_by_image = group_by_image(detections)
+    gts_by_image = group_by_image(gts)
     if image_ids is None:
         image_ids = sorted(set(dets_by_image) | set(gts_by_image))
     else:
@@ -335,14 +316,11 @@ def truncate_to_gt_count(
     their original input order is preserved. Used for count-constrained
     evaluation runs.
     """
-    gts_by_image = _group_by_image(gts)
-    dets_by_image: dict[str, list[int]] = {}
-    for i, det in enumerate(detections):
-        dets_by_image.setdefault(det.image_id, []).append(i)
-
+    budget = {image_id: len(anns) for image_id, anns in group_by_image(gts).items()}
     keep: set[int] = set()
-    for image_id, indices in dets_by_image.items():
-        budget = len(gts_by_image.get(image_id, []))
-        ranked = sorted(indices, key=lambda i: (-detections[i].score, i))
-        keep.update(ranked[:budget])
+    for i in score_order([det.score for det in detections]):
+        image_id = detections[i].image_id
+        if budget.get(image_id, 0) > 0:
+            budget[image_id] -= 1
+            keep.add(i)
     return [det for i, det in enumerate(detections) if i in keep]

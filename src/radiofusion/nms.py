@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import InvalidInputError
-from .fusion import Detection
+from .fusion import Detection, score_order
 from .geometry import iou
 from .imaging import RadioRegion
 
@@ -49,16 +49,11 @@ class NmsConfig:
             raise InvalidInputError("fallback_floor_score must be in [0, 1]")
 
 
-def _score_order(detections: list[Detection]) -> list[int]:
-    """Indices by descending score, stable on the input position."""
-    return sorted(range(len(detections)), key=lambda i: (-detections[i].score, i))
-
-
 def standard_nms(detections: list[Detection], iou_threshold: float) -> list[Detection]:
     """Plain greedy suppression: keep a box iff it overlaps every kept box
     below the threshold. Output is in descending-score order."""
     kept: list[Detection] = []
-    for i in _score_order(detections):
+    for i in score_order([det.score for det in detections]):
         candidate = detections[i]
         if all(iou(candidate.bbox, k.bbox) < iou_threshold for k in kept):
             kept.append(candidate)
@@ -127,7 +122,7 @@ def constrained_nms(
     used: set[str] = set()
     kept: list[Detection] = []
     kept_idx: set[int] = set()
-    for i in _score_order(detections):
+    for i in score_order([det.score for det in detections]):
         candidate = detections[i]
         if any(iou(candidate.bbox, k.bbox) >= cfg.iou_threshold for k in kept):
             continue

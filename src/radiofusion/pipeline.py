@@ -28,7 +28,7 @@ import time
 from dataclasses import replace
 
 from . import fileio
-from .config import RunConfig
+from .config import METHOD_STEPS, RunConfig
 from .errors import InvalidInputError
 from .fusion import Detection, proposals_to_detections, revise_detections
 from .imaging import CameraModel, RadioRegion, batch_project
@@ -42,17 +42,10 @@ from .metrics import (
 from .nms import associate_regions, constrained_nms, standard_nms
 from .radio import CsiFrame, RadioEstimate, compute_spectrum, default_aoa_grid, \
     default_tof_grid, fuse_axes, pick_peaks
-from .sim_regions import GT_FILTERS, Annotation, build_simulative_set
+from .sim_regions import GT_FILTERS, Annotation, build_simulative_set, group_by_image
 from .synth import generate as synth_generate
 
 EVAL_IOU = 0.5
-
-
-def _group_detections(detections: list[Detection]) -> dict[str, list[Detection]]:
-    grouped: dict[str, list[Detection]] = {}
-    for det in detections:
-        grouped.setdefault(det.image_id, []).append(det)
-    return grouped
 
 
 def load_world(config: RunConfig) -> tuple[list[str], list[Annotation]]:
@@ -92,36 +85,22 @@ def apply_method(
     regions_by_image: dict[str, list[RadioRegion]],
 ) -> list[Detection]:
     """Run the configured method image by image; returns the full output."""
-    dets_by_image = _group_detections(detections)
-    nms_cfg = config.nms
+    source, cnms = METHOD_STEPS[config.method]
+    nms_cfg = replace(config.nms, mode=cnms) if cnms else config.nms
+    dets_by_image = group_by_image(detections)
     output: list[Detection] = []
     for image_id in sorted(set(image_ids) | set(dets_by_image) | set(regions_by_image)):
         dets = dets_by_image.get(image_id, [])
         regions = regions_by_image.get(image_id, [])
-        method = config.method
-
-        if method == "baseline":
-            output.extend(standard_nms(dets, nms_cfg.iou_threshold))
-            continue
-
-        if method in ("method1", "method1+cnms"):
+        if source == "revised":
             dets = revise_detections(dets, regions, config.lam, mode=config.mode)
-            if method == "method1":
-                output.extend(standard_nms(dets, nms_cfg.iou_threshold))
-            else:
-                dets = associate_regions(dets, regions, mode="one_stage")
-                cfg = replace(nms_cfg, mode="one_stage")
-                output.extend(constrained_nms(dets, regions, cfg, image_id=image_id))
-            continue
-
-        # method2 variants: the regions themselves spawn the detections.
-        dets = proposals_to_detections(regions, image_id)
-        if method == "method2":
+        elif source == "proposals":
+            dets = proposals_to_detections(regions, image_id)
+        if cnms is None:
             output.extend(standard_nms(dets, nms_cfg.iou_threshold))
         else:
-            dets = associate_regions(dets, regions, mode="two_stage")
-            cfg = replace(nms_cfg, mode="two_stage")
-            output.extend(constrained_nms(dets, regions, cfg, image_id=image_id))
+            dets = associate_regions(dets, regions, mode=cnms)
+            output.extend(constrained_nms(dets, regions, nms_cfg, image_id=image_id))
     return output
 
 
@@ -143,7 +122,7 @@ def evaluate(
     if config.count_constrained:
         ranked = truncate_to_gt_count(ranked, gts)
         display = ranked
-    elif config.method.endswith("+cnms"):
+    elif METHOD_STEPS[config.method][1] is not None:
         display = ranked
     else:
         display = [d for d in ranked if d.score >= config.score_threshold]
@@ -182,7 +161,15 @@ def run(config: RunConfig) -> tuple[MetricsReport, list[Detection]]:
     return report, display
 
 
-SWEEP_PARAMS = ("sigma", "k", "k1", "k2", "lambda")
+# Per sweep parameter: the config keys one value sets.
+SWEEP_PATCHES = {
+    "sigma": lambda v: {"noise": {"sigma": v}},
+    "k": lambda v: {"noise": {"k1": v, "k2": v}},
+    "k1": lambda v: {"noise": {"k1": v}},
+    "k2": lambda v: {"noise": {"k2": v}},
+    "lambda": lambda v: {"lambda": v},
+}
+SWEEP_PARAMS = tuple(SWEEP_PATCHES)
 
 
 def sweep(
@@ -203,17 +190,7 @@ def sweep(
 
     rows = []
     for value in values:
-        cfg = config
-        if param == "sigma":
-            cfg = replace(config, noise=replace(config.noise, sigma=value))
-        elif param == "k":
-            cfg = replace(config, noise=replace(config.noise, k1=value, k2=value))
-        elif param == "k1":
-            cfg = replace(config, noise=replace(config.noise, k1=value))
-        elif param == "k2":
-            cfg = replace(config, noise=replace(config.noise, k2=value))
-        else:
-            cfg = replace(config, lam=value)
+        cfg = config.merge(SWEEP_PATCHES[param](value))
         regions_by_image = build_regions(cfg, gts)
         report, _ = evaluate(cfg, image_ids, gts, detections, regions_by_image)
         row = {"param": param, "value": value}

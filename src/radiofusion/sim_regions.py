@@ -11,7 +11,9 @@ touching the shift model.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import TypeVar
 
 import numpy as np
 
@@ -20,6 +22,7 @@ from .geometry import Rect
 from .imaging import RadioRegion
 
 MIN_EDGE_SCALE = 0.05
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -45,6 +48,14 @@ class Annotation:
     @property
     def occlusion(self) -> float:
         return self.occlusion_fraction if self.occlusion_fraction is not None else 0.0
+
+
+def group_by_image(items: Iterable[T]) -> dict[str, list[T]]:
+    """Records (anything with an ``image_id``) per image, in input order."""
+    grouped: dict[str, list[T]] = {}
+    for item in items:
+        grouped.setdefault(item.image_id, []).append(item)
+    return grouped
 
 
 @dataclass(frozen=True)
@@ -118,12 +129,7 @@ def build_simulative_set(
     input order within each image, so a fixed ``noise.seed`` reproduces the
     exact same regions. Region identifiers are unique within each image.
     """
-    per_image: dict[str, list[Annotation]] = {}
-    for ann in annotations:
-        if ann.category != category:
-            continue
-        per_image.setdefault(ann.image_id, []).append(ann)
-
+    per_image = group_by_image(ann for ann in annotations if ann.category == category)
     rng = np.random.default_rng(noise.seed)
     regions: dict[str, list[RadioRegion]] = {}
     for image_id in sorted(per_image):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .fusion import Detection
-from .sim_regions import Annotation
+from .sim_regions import Annotation, group_by_image
 
 
 @dataclass(frozen=True)
@@ -117,9 +117,7 @@ def generate(
     tp_mean, fp_mean, score_std = params.score_model
     rng = np.random.default_rng(params.seed)
 
-    gts_by_image: dict[str, list[Annotation]] = {}
-    for ann in gts:
-        gts_by_image.setdefault(ann.image_id, []).append(ann)
+    gts_by_image = group_by_image(gts)
     if image_ids is None:
         image_ids = sorted(gts_by_image)
     else:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from radiofusion import fileio
 from radiofusion.cli import main
 from radiofusion.config import RunConfig
@@ -101,4 +103,28 @@ def test_schema_violation_exit_code(tmp_path):
 def test_missing_file_exit_code(tmp_path):
     code = main(["run", "--annotations", str(tmp_path / "absent.json"),
                  "--output-dir", str(tmp_path)])
+    assert code == 2
+
+
+_REGION = {"center_x": 100.0, "center_y": 100.0, "edge": 40.0}
+
+
+@pytest.mark.parametrize("flag, content", [
+    ("--config", "[1]"),
+    ("--config", '{"lambda": "abc"}'),
+    ("--config", "{nope"),
+    ("--config", '{"lamda": 0.9}'),
+    ("--detections", json.dumps({"schema": "detections/1", "detections": [5]})),
+    ("--detections", json.dumps({"schema": "detections/1", "detections": 5})),
+    ("--regions", json.dumps({"schema": "regions/1", "images": [1]})),
+    ("--regions", json.dumps({"schema": "regions/1", "images": {
+        "img00000": [{"id": "p", **_REGION}, {"id": "p", **_REGION}]}})),
+])
+def test_malformed_input_exit_code(tmp_path, flag, content):
+    out = str(tmp_path)
+    assert main(["synth", "--num-images", "3", "--seed", "5", "--output-dir", out]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    code = main(["run", "--method", "method1+cnms", "--annotations",
+                 str(tmp_path / "annotations.json"), flag, str(bad), "--output-dir", out])
     assert code == 2
