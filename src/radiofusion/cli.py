@@ -18,14 +18,12 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import fileio, pipeline
 from .config import METHODS, RunConfig
 from .errors import SchemaError, InvalidInputError
-from .sim_regions import build_simulative_set
-from .synth import make_world, generate as synth_generate
+from .synth import make_world
 
 
 def _load_config(args) -> RunConfig:
@@ -70,9 +68,9 @@ def cmd_synth(args) -> int:
         fileio.write_annotations(out / "annotations.json", image_ids, gts,
                                  image_size=config.image_size)
         print(f"wrote {out / 'annotations.json'} ({len(gts)} people, {len(image_ids)} images)")
-    synth = replace(config.synth, seed=config.substream_seed("synth"))
-    detections = synth_generate(gts, synth, image_size=config.image_size,
-                                image_ids=image_ids)
+    # Always emulate, even when the config names a detections file.
+    detections = pipeline.build_detections(config.merge({"paths": {"detections": None}}),
+                                           gts, image_ids)
     fileio.write_detections(out / "detections.json", detections)
     print(f"wrote {out / 'detections.json'} ({len(detections)} detections)")
     return 0
@@ -81,8 +79,8 @@ def cmd_synth(args) -> int:
 def cmd_simulate_regions(args) -> int:
     config = _load_config(args)
     _, gts = pipeline.load_world(config)
-    noise = replace(config.noise, seed=config.substream_seed("regions"))
-    regions = build_simulative_set(gts, noise)
+    # Always simulate, even when the config names a regions file.
+    regions = pipeline.build_regions(config.merge({"paths": {"regions": None}}), gts)
     out = args.out or str(Path(config.paths.output_dir) / "regions.json")
     fileio.write_regions(out, regions)
     total = sum(len(v) for v in regions.values())

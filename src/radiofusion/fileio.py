@@ -1,21 +1,28 @@
 """Readers and writers for the JSON/CSV interchange files.
 
 All structured files are JSON with a ``schema`` tag; exact field layouts
-are documented in docs/SCHEMAS.md. Image ids are normalized to strings at
-ingest so map keys round-trip. Writers sort object keys, which together
-with seeded generation makes whole runs byte-reproducible.
+are documented in docs/SCHEMAS.md. Records are read and written by one
+codec whose keys and value readers derive from the record dataclasses.
+Image ids are normalized to strings at ingest so map keys round-trip.
+Writers sort object keys, which together with seeded generation makes
+whole runs byte-reproducible.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
+from dataclasses import MISSING, fields
+from functools import partial
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from .errors import SchemaError
 from .fusion import Detection
+from .geometry import Rect
 from .imaging import RadioRegion
 from .radio import ArrayGeometry, CsiFrame, RadioEstimate
 from .sim_regions import Annotation
@@ -61,57 +68,108 @@ def _require(record: dict, key: str, context: str):
     return record[key]
 
 
-def _as_bbox(value, context: str) -> tuple[float, float, float, float]:
+def _number(kind: type, value):
+    """``kind(value)`` for ``float`` or ``int``; it must coerce and be finite."""
+    try:
+        number = kind(value)
+        if math.isfinite(number):
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise SchemaError(f"expected a finite number, got {value!r}")
+
+
+_float = partial(_number, float)
+
+
+def _as_bbox(value) -> Rect:
     if not isinstance(value, (list, tuple)) or len(value) != 4:
-        raise SchemaError(f"{context}: bbox must be a 4-element [x, y, w, h] list")
-    return tuple(float(v) for v in value)
+        raise SchemaError("expected a 4-element [x, y, w, h] list")
+    return tuple(map(_float, value))
+
+
+# -- Record codec --------------------------------------------------------
+# Per record type, one (field name, file key, value reader, default) entry
+# per field. A MISSING default makes the key required; null reads as absent,
+# so an ``X | None`` field uses the reader of ``X``.
+
+_KEYS = {"identifier": "id", "height_px": "height", "occlusion_fraction": "occlusion"}
+_READERS = {str: str, float: _float, int: partial(_number, int), Rect: _as_bbox}
+_READERS.update({hint | None: read for hint, read in _READERS.items()})
+
+
+def _spec(cls: type, **defaults) -> tuple:
+    """The entries of one record dataclass; ``defaults`` adds file-only defaults."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, _KEYS.get(f.name, f.name), _READERS[hints[f.name]],
+                  defaults.get(f.name, f.default)) for f in fields(cls))
+
+
+_SPECS = {cls: _spec(cls) for cls in (Detection, Annotation, RadioRegion, ArrayGeometry)}
+_SPECS[RadioEstimate] = _spec(RadioEstimate, magnitude=0.0)
+
+
+def _to_record(obj) -> dict:
+    """The fields of ``obj`` under their file keys, leaving out ``None``."""
+    return {key: value for name, key, _, _ in _SPECS[type(obj)]
+            if (value := getattr(obj, name)) is not None}
+
+
+def _field(record: dict, key: str, read, default, context: str):
+    """One value of a JSON object: read, else the default when null or absent."""
+    value = record.get(key)
+    if value is None:
+        if default is MISSING:
+            raise SchemaError(f"{context}: missing required field {key!r}")
+        return default
+    try:
+        return read(value)
+    except SchemaError as exc:
+        raise SchemaError(f"{context}: {key}: {exc}") from None
+
+
+def _from_record(record, cls: type, context: str):
+    """One ``cls`` record from its JSON object."""
+    _expect(record, dict, context)
+    return cls(**{name: _field(record, key, read, default, context)
+                  for name, key, read, default in _SPECS[cls]})
 
 
 # -- CSI frames ---------------------------------------------------------
 
 def write_csi_frame(path: str | Path, frame: CsiFrame, image_id: str | None = None) -> None:
-    geometry = frame.geometry
     flat = frame.samples.reshape(-1)
-    payload = {
+    dump_json(path, {
         "schema": CSI_SCHEMA,
-        "geometry": {
-            "num_antennas": geometry.num_antennas,
-            "element_spacing": geometry.element_spacing,
-            "num_subcarriers": geometry.num_subcarriers,
-            "base_frequency": geometry.base_frequency,
-            "frequency_interval": geometry.frequency_interval,
-            "orientation": geometry.orientation,
-        },
+        "geometry": _to_record(frame.geometry),
         "timestamp": frame.timestamp,
-        "samples": [[float(s.real), float(s.imag)] for s in flat],
-    }
-    if image_id is not None:
-        payload["image_id"] = str(image_id)
-    dump_json(path, payload)
+        "samples": np.column_stack([flat.real, flat.imag]).tolist(),
+        **({} if image_id is None else {"image_id": str(image_id)}),
+    })
 
 
 def read_csi_frame(path: str | Path) -> tuple[CsiFrame, str | None]:
     """Load one CSI frame; returns the frame and its optional image id."""
     data = load_json(path, CSI_SCHEMA)
-    geo = _require(data, "geometry", str(path))
-    geometry = ArrayGeometry(
-        num_antennas=int(_require(geo, "num_antennas", str(path))),
-        element_spacing=float(_require(geo, "element_spacing", str(path))),
-        num_subcarriers=int(_require(geo, "num_subcarriers", str(path))),
-        base_frequency=float(_require(geo, "base_frequency", str(path))),
-        frequency_interval=float(_require(geo, "frequency_interval", str(path))),
-        orientation=geo.get("orientation", "horizontal"),
-    )
-    pairs = _expect(_require(data, "samples", str(path)), list, f"{path}: samples")
-    expected = geometry.num_antennas * geometry.num_subcarriers
-    if len(pairs) != expected:
-        raise SchemaError(f"{path}: expected {expected} samples, got {len(pairs)}")
-    flat = np.array([complex(re, im) for re, im in pairs])
-    samples = flat.reshape(geometry.num_antennas, geometry.num_subcarriers)
-    frame = CsiFrame(samples=samples, geometry=geometry,
-                     timestamp=float(data.get("timestamp", 0.0)))
-    image_id = data.get("image_id")
-    return frame, (str(image_id) if image_id is not None else None)
+    geometry = _from_record(_require(data, "geometry", str(path)),
+                            ArrayGeometry, f"{path}: geometry")
+    samples = _field(data, "samples", partial(_as_samples, geometry), MISSING, str(path))
+    timestamp = _field(data, "timestamp", _float, 0.0, str(path))
+    return CsiFrame(samples, geometry, timestamp), _field(data, "image_id", str, None, str(path))
+
+
+def _as_samples(geometry: ArrayGeometry, value) -> np.ndarray:
+    """Row-major [real, imag] pairs as an antennas x subcarriers complex array."""
+    count = geometry.num_antennas * geometry.num_subcarriers
+    try:
+        pairs = np.array(value)
+        valid = (np.issubdtype(pairs.dtype, np.number) and pairs.shape == (count, 2)
+                 and np.isfinite(pairs).all())
+    except ValueError:  # ragged nesting
+        valid = False
+    if not valid:
+        raise SchemaError(f"expected {count} [real, imag] pairs of finite numbers")
+    return pairs.astype(np.float64).view(np.complex128).reshape(geometry.num_antennas, -1)
 
 
 # -- Annotations --------------------------------------------------------
@@ -119,28 +177,10 @@ def read_csi_frame(path: str | Path) -> tuple[CsiFrame, str | None]:
 def write_annotations(path: str | Path, image_ids: list[str],
                       annotations: list[Annotation],
                       image_size: tuple[float, float] | None = None) -> None:
-    images = []
-    for image_id in image_ids:
-        record: dict = {"id": str(image_id)}
-        if image_size is not None:
-            record["width"], record["height"] = image_size
-        images.append(record)
-    payload = {
-        "schema": ANNOTATIONS_SCHEMA,
-        "images": images,
-        "annotations": [
-            {
-                "image_id": ann.image_id,
-                "category": ann.category,
-                "bbox": list(ann.bbox),
-                **({"height": ann.height_px} if ann.height_px is not None else {}),
-                **({"occlusion": ann.occlusion_fraction}
-                   if ann.occlusion_fraction is not None else {}),
-            }
-            for ann in annotations
-        ],
-    }
-    dump_json(path, payload)
+    size = {} if image_size is None else dict(zip(("width", "height"), image_size))
+    images = [{"id": str(image_id), **size} for image_id in image_ids]
+    dump_json(path, {"schema": ANNOTATIONS_SCHEMA, "images": images,
+                     "annotations": [_to_record(ann) for ann in annotations]})
 
 
 def read_annotations(path: str | Path) -> tuple[list[str], list[Annotation]]:
@@ -148,141 +188,67 @@ def read_annotations(path: str | Path) -> tuple[list[str], list[Annotation]]:
     data = load_json(path, ANNOTATIONS_SCHEMA)
     images = _expect(data.get("images", []), list, f"{path}: images")
     image_ids = [str(_require(img, "id", str(path))) for img in images]
-    annotations = []
-    for record in _expect(data.get("annotations", []), list, f"{path}: annotations"):
-        if _expect(record, dict, f"{path}: annotation").get("ignore", False):
-            continue
-        annotations.append(
-            Annotation(
-                image_id=str(_require(record, "image_id", str(path))),
-                bbox=_as_bbox(_require(record, "bbox", str(path)), str(path)),
-                category=str(record.get("category", "person")),
-                height_px=(float(record["height"]) if "height" in record else None),
-                occlusion_fraction=(float(record["occlusion"])
-                                    if "occlusion" in record else None),
-            )
-        )
+    records = _expect(data.get("annotations", []), list, f"{path}: annotations")
+    annotations = [
+        _from_record(record, Annotation, str(path)) for record in records
+        if not _expect(record, dict, f"{path}: annotation").get("ignore", False)
+    ]
     if not image_ids:
         image_ids = sorted({ann.image_id for ann in annotations})
     return image_ids, annotations
 
 
-# -- Regions ------------------------------------------------------------
-
-def write_regions(path: str | Path, regions_by_image: dict[str, list[RadioRegion]]) -> None:
-    payload = {
-        "schema": REGIONS_SCHEMA,
-        "images": {
-            str(image_id): [
-                {
-                    "id": region.identifier,
-                    "center_x": region.center_x,
-                    "center_y": region.center_y,
-                    "edge": region.edge,
-                }
-                for region in regions
-            ]
-            for image_id, regions in regions_by_image.items()
-        },
-    }
-    dump_json(path, payload)
-
-
-def read_regions(path: str | Path) -> dict[str, list[RadioRegion]]:
-    data = load_json(path, REGIONS_SCHEMA)
-    regions_by_image: dict[str, list[RadioRegion]] = {}
-    images = _expect(_require(data, "images", str(path)), dict, f"{path}: images")
-    for image_id, records in images.items():
-        regions = [
-            RadioRegion(
-                center_x=float(_require(r, "center_x", str(path))),
-                center_y=float(_require(r, "center_y", str(path))),
-                edge=float(_require(r, "edge", str(path))),
-                identifier=str(_require(r, "id", str(path))),
-            )
-            for r in _expect(records, list, f"{path}: image {image_id!r}")
-        ]
-        if len({region.identifier for region in regions}) != len(regions):
-            raise SchemaError(f"{path}: image {image_id!r} repeats a region id")
-        regions_by_image[str(image_id)] = regions
-    return regions_by_image
-
-
 # -- Detections ---------------------------------------------------------
 
 def write_detections(path: str | Path, detections: list[Detection]) -> None:
-    payload = {
-        "schema": DETECTIONS_SCHEMA,
-        "detections": [
-            {
-                "image_id": det.image_id,
-                "bbox": list(det.bbox),
-                "score": det.score,
-                **({"region_id": det.region_id} if det.region_id is not None else {}),
-                **({"cell": list(det.cell)} if det.cell is not None else {}),
-            }
-            for det in detections
-        ],
-    }
-    dump_json(path, payload)
+    dump_json(path, {"schema": DETECTIONS_SCHEMA,
+                     "detections": [_to_record(det) for det in detections]})
 
 
 def read_detections(path: str | Path) -> list[Detection]:
     data = load_json(path, DETECTIONS_SCHEMA)
-    detections = []
     records = _expect(_require(data, "detections", str(path)), list, f"{path}: detections")
-    for record in records:
-        detections.append(
-            Detection(
-                image_id=str(_require(record, "image_id", str(path))),
-                bbox=_as_bbox(_require(record, "bbox", str(path)), str(path)),
-                score=float(_require(record, "score", str(path))),
-                region_id=(str(record["region_id"]) if "region_id" in record else None),
-                cell=(_as_bbox(record["cell"], str(path)) if "cell" in record else None),
-            )
-        )
-    return detections
+    return [_from_record(record, Detection, str(path)) for record in records]
 
 
-# -- Estimates ----------------------------------------------------------
+# -- Per-image maps: regions and estimates ------------------------------
+
+def _write_by_image(path: str | Path, schema: str, by_image: dict[str, list]) -> None:
+    images = {str(image_id): [_to_record(item) for item in items]
+              for image_id, items in by_image.items()}
+    dump_json(path, {"schema": schema, "images": images})
+
+
+def _read_by_image(path: str | Path, schema: str, record_type: type) -> dict[str, list]:
+    """A per-image map of records whose ``identifier`` is unique per image."""
+    data = load_json(path, schema)
+    images = _expect(_require(data, "images", str(path)), dict, f"{path}: images")
+    by_image: dict[str, list] = {}
+    for image_id, records in images.items():
+        context = f"{path}: image {image_id!r}"
+        items = [_from_record(record, record_type, context)
+                 for record in _expect(records, list, context)]
+        if len({item.identifier for item in items}) != len(items):
+            raise SchemaError(f"{context} repeats an id")
+        by_image[str(image_id)] = items
+    return by_image
+
+
+def write_regions(path: str | Path, regions_by_image: dict[str, list[RadioRegion]]) -> None:
+    _write_by_image(path, REGIONS_SCHEMA, regions_by_image)
+
+
+def read_regions(path: str | Path) -> dict[str, list[RadioRegion]]:
+    return _read_by_image(path, REGIONS_SCHEMA, RadioRegion)
+
 
 def write_estimates(path: str | Path,
                     estimates_by_image: dict[str, list[RadioEstimate]]) -> None:
-    payload = {
-        "schema": ESTIMATES_SCHEMA,
-        "images": {
-            str(image_id): [
-                {
-                    "id": est.identifier,
-                    "aoa_h": est.aoa_h,
-                    "aoa_v": est.aoa_v,
-                    "tof": est.tof,
-                    "magnitude": est.magnitude,
-                }
-                for est in estimates
-            ]
-            for image_id, estimates in estimates_by_image.items()
-        },
-    }
-    dump_json(path, payload)
+    _write_by_image(path, ESTIMATES_SCHEMA, estimates_by_image)
 
 
 def read_estimates(path: str | Path) -> dict[str, list[RadioEstimate]]:
-    data = load_json(path, ESTIMATES_SCHEMA)
-    estimates_by_image: dict[str, list[RadioEstimate]] = {}
-    images = _expect(_require(data, "images", str(path)), dict, f"{path}: images")
-    for image_id, records in images.items():
-        estimates_by_image[str(image_id)] = [
-            RadioEstimate(
-                aoa_h=float(_require(r, "aoa_h", str(path))),
-                aoa_v=float(_require(r, "aoa_v", str(path))),
-                tof=float(_require(r, "tof", str(path))),
-                magnitude=float(r.get("magnitude", 0.0)),
-                identifier=str(_require(r, "id", str(path))),
-            )
-            for r in _expect(records, list, f"{path}: image {image_id!r}")
-        ]
-    return estimates_by_image
+    return _read_by_image(path, ESTIMATES_SCHEMA, RadioEstimate)
 
 
 # -- Curves and reports --------------------------------------------------
@@ -299,7 +265,7 @@ def write_curve_csv(path: str | Path, curve: list[tuple[float, float]],
 def read_curve_csv(path: str | Path) -> list[tuple[float, float]]:
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
-    return [(float(a), float(b)) for a, b in rows[1:]]
+    return [(_float(a), _float(b)) for a, b in rows[1:]]
 
 
 def write_report(path: str | Path, report_dict: dict) -> None:

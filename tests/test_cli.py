@@ -6,7 +6,7 @@ import pytest
 
 from radiofusion import fileio
 from radiofusion.cli import main
-from radiofusion.config import RunConfig
+from radiofusion.config import RunConfig, RunPaths
 from radiofusion.radio import ArrayGeometry, synthesize_csi
 
 
@@ -119,6 +119,14 @@ _REGION = {"center_x": 100.0, "center_y": 100.0, "edge": 40.0}
     ("--regions", json.dumps({"schema": "regions/1", "images": [1]})),
     ("--regions", json.dumps({"schema": "regions/1", "images": {
         "img00000": [{"id": "p", **_REGION}, {"id": "p", **_REGION}]}})),
+    ("--detections", json.dumps({"schema": "detections/1", "detections": [
+        {"image_id": "img00000", "bbox": [0, 0, 10, 10], "score": "abc"}]})),
+    ("--detections", json.dumps({"schema": "detections/1", "detections": [
+        {"image_id": "img00000", "bbox": ["0", "0", "ten", "ten"], "score": 0.5}]})),
+    ("--detections", json.dumps({"schema": "detections/1", "detections": [
+        {"image_id": "img00000", "bbox": [0, 0, float("nan"), 10], "score": 0.5}]})),
+    ("--regions", json.dumps({"schema": "regions/1", "images": {
+        "img00000": [{"id": "p", **_REGION, "edge": float("inf")}]}})),
 ])
 def test_malformed_input_exit_code(tmp_path, flag, content):
     out = str(tmp_path)
@@ -128,3 +136,39 @@ def test_malformed_input_exit_code(tmp_path, flag, content):
     code = main(["run", "--method", "method1+cnms", "--annotations",
                  str(tmp_path / "annotations.json"), flag, str(bad), "--output-dir", out])
     assert code == 2
+
+
+@pytest.mark.parametrize("sample", [[1.0], ["a", "b"]])
+def test_malformed_csi_sample_exit_code(tmp_path, sample):
+    geo = ArrayGeometry(num_antennas=4, element_spacing=0.0258, num_subcarriers=8,
+                        base_frequency=5.8e9, frequency_interval=312.5e3)
+    path = tmp_path / "h.json"
+    fileio.write_csi_frame(path, synthesize_csi([(93.0, 40e-9, 1.0)], geo), image_id="f0")
+    doc = json.loads(path.read_text())
+    doc["samples"][0] = sample
+    path.write_text(json.dumps(doc))
+    code = main(["localize", "--csi", str(path), "--output-dir", str(tmp_path)])
+    assert code == 2
+
+
+def test_synth_and_simulate_ignore_input_paths_in_config(tmp_path):
+    """synth always emulates and simulate-regions always simulates."""
+    out = str(tmp_path)
+    assert main(["synth", "--num-images", "6", "--seed", "4", "--output-dir", out]) == 0
+    emulated = (tmp_path / "detections.json").read_text()
+    assert main(["simulate-regions", "--seed", "4", "--annotations",
+                 str(tmp_path / "annotations.json"), "--out", str(tmp_path / "regions.json"),
+                 "--output-dir", out]) == 0
+    simulated = (tmp_path / "regions.json").read_text()
+    config = tmp_path / "config.json"
+    stale = tmp_path / "stale.json"
+    stale.write_text("not read")
+    RunConfig(seed=4, paths=RunPaths(detections=str(stale), regions=str(stale))).save(config)
+    again = tmp_path / "again"
+    assert main(["synth", "--config", str(config), "--annotations",
+                 str(tmp_path / "annotations.json"), "--output-dir", str(again)]) == 0
+    assert (again / "detections.json").read_text() == emulated
+    assert main(["simulate-regions", "--config", str(config), "--annotations",
+                 str(tmp_path / "annotations.json"), "--out", str(again / "regions.json"),
+                 "--output-dir", str(again)]) == 0
+    assert (again / "regions.json").read_text() == simulated
