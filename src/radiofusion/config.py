@@ -15,7 +15,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .errors import InvalidInputError, SchemaError
-from .fileio import dump_json, load_json
+from .fileio import _number, dump_json, load_json
 from .imaging import CameraModel
 from .nms import NmsConfig
 from .sim_regions import NoiseParams
@@ -171,6 +171,6 @@ def _coerce(hint, value, current, where: str):
             return tuple(_coerce(a, v, None, where) for a, v in zip(args, value))
         if hint in (bool, str) and not isinstance(value, hint):
             raise TypeError(f"not a {hint.__name__}")
-        return hint(value)
+        return _number(hint, value) if hint in (float, int) else hint(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{where}: cannot read {value!r} ({exc})") from exc

@@ -194,7 +194,9 @@ def read_annotations(path: str | Path) -> tuple[list[str], list[Annotation]]:
         if not _expect(record, dict, f"{path}: annotation").get("ignore", False)
     ]
     if not image_ids:
-        image_ids = sorted({ann.image_id for ann in annotations})
+        return sorted({ann.image_id for ann in annotations}), annotations
+    if stray := {ann.image_id for ann in annotations} - set(image_ids):
+        raise SchemaError(f"{path}: annotations on images not in images: {sorted(stray)[:3]}")
     return image_ids, annotations
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_finite
 from .geometry import Rect, intersect_area, rect_area
 from .imaging import RadioRegion
 
@@ -31,6 +31,7 @@ class Detection:
     cell: Rect | None = None
 
     def __post_init__(self) -> None:
+        require_finite("detection", self.score, *self.bbox, *(self.cell or ()))
         if not 0.0 <= self.score <= 1.0:
             raise InvalidInputError(f"score {self.score} outside [0, 1]")
         _, _, w, h = self.bbox

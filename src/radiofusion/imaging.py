@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BehindCameraError, InvalidInputError
+from .errors import BehindCameraError, InvalidInputError, require_finite
 from .geometry import Rect, square
 from .radio import SPEED_OF_LIGHT, RadioEstimate
 
@@ -50,6 +50,7 @@ class RadioRegion:
     identifier: str
 
     def __post_init__(self) -> None:
+        require_finite("region", self.center_x, self.center_y, self.edge)
         if self.edge <= 0:
             raise InvalidInputError(f"region edge must be > 0, got {self.edge}")
 

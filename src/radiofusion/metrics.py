@@ -10,15 +10,23 @@ ignore regions and discard unmatched detections whose own area falls
 outside the bucket, so boxes are never penalized for people that the
 bucket excludes. The miss-rate summary averages the curve at nine FPPI
 samples spaced evenly in log space over [0.01, 1].
+
+Every metric evaluates one image universe: the given ``image_ids`` (a run
+passes the annotation image list), else every image a record names. A
+record on an image outside a given list is an input error. Each image's
+IoU table and score order are computed once and shared by every threshold
+and size bucket.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import asdict, dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
+from .errors import InvalidInputError
 from .fusion import Detection, score_order
 from .geometry import iou, rect_area
 from .sim_regions import Annotation, group_by_image
@@ -69,63 +77,84 @@ class MetricsReport:
         return report
 
 
-def _greedy_match(
-    detections: list[Detection],
-    gts: list[Annotation],
-    iou_t: float,
-    sorted_by_score: bool,
-    gt_ignore: list[bool] | None = None,
-    det_in_bucket: Callable[[Detection], bool] | None = None,
-) -> tuple[list[bool], list[bool], int]:
-    """One-to-one greedy matching with optional ignore handling.
+SIZE_BUCKETS: dict[str, Callable[[float], bool]] = {
+    "all": lambda area: True,
+    "small": lambda area: area < SMALL_AREA_MAX,
+    "medium": lambda area: SMALL_AREA_MAX <= area <= MEDIUM_AREA_MAX,
+    "large": lambda area: area > MEDIUM_AREA_MAX,
+}
+
+
+class _Image(NamedTuple):
+    """One evaluated image: what every threshold and bucket matches on."""
+
+    scores: list[float]
+    order: Sequence[int]  # visiting order of the detections
+    ious: list[list[float]]  # [detection][ground truth]
+    det_areas: list[float]
+    gt_areas: list[float]
+
+
+def _image(detections: list[Detection], gts: list[Annotation], by_score: bool) -> _Image:
+    scores = [det.score for det in detections]
+    order = score_order(scores) if by_score else range(len(scores))
+    return _Image(scores, order, [[iou(det.bbox, gt.bbox) for gt in gts] for det in detections],
+                  [rect_area(det.bbox) for det in detections], [rect_area(gt.bbox) for gt in gts])
+
+
+def check_image_ids(image_ids: Iterable[str], **ids_by_kind: Iterable[str]) -> None:
+    """Raise InvalidInputError for any record id outside ``image_ids``."""
+    universe = set(image_ids)
+    for kind, ids in ids_by_kind.items():
+        if stray := sorted(set(ids) - universe):
+            raise InvalidInputError(f"{kind} on images outside the image list: {stray[:3]}")
+
+
+def _images(detections: list[Detection], gts: list[Annotation],
+            image_ids: Iterable[str] | None, by_score: bool = True) -> list[_Image]:
+    """The evaluated images in id order: ``image_ids``, else every image seen."""
+    dets_by_image = group_by_image(detections)
+    gts_by_image = group_by_image(gts)
+    universe = set(dets_by_image) | set(gts_by_image) if image_ids is None else set(image_ids)
+    check_image_ids(universe, detections=dets_by_image, annotations=gts_by_image)
+    return [_image(dets_by_image.get(i, []), gts_by_image.get(i, []), by_score)
+            for i in sorted(universe)]
+
+
+def _greedy_match(image: _Image, iou_t: float, bucket: str) -> tuple[list[bool], list[bool], int]:
+    """One-to-one greedy matching of one image inside one size bucket.
 
     Returns (tp flags, ignored flags, fn count), flags aligned to the input
-    detection order. A detection first tries the best real ground truth; if
-    none reaches the threshold it may absorb an ignored ground truth or, if
-    its own area is outside the evaluated bucket, be ignored outright.
+    detection order. Ground truth outside the bucket is an ignore region. A
+    detection first tries the best real ground truth; if none reaches the
+    threshold it may absorb an ignored ground truth or, if its own area is
+    outside the bucket, be ignored outright.
     """
-    if gt_ignore is None:
-        gt_ignore = [False] * len(gts)
-    order = range(len(detections))
-    if sorted_by_score:
-        order = score_order([det.score for det in detections])
-    taken = [False] * len(gts)
-    tp = [False] * len(detections)
-    ignored = [False] * len(detections)
-    for i in order:
-        det = detections[i]
-        matched = False
-        for pick_ignored in (False, True):
-            best_j = None
-            best_iou = 0.0
-            for j, gt in enumerate(gts):
-                if taken[j] or gt_ignore[j] != pick_ignored:
-                    continue
-                overlap = iou(det.bbox, gt.bbox)
-                if overlap > best_iou:
+    inside = SIZE_BUCKETS[bucket]
+    real = [inside(area) for area in image.gt_areas]
+    taken = [False] * len(real)
+    tp = [False] * len(image.scores)
+    ignored = [False] * len(image.scores)
+    for i in image.order:
+        for pick_real in (True, False):
+            best_j, best_iou = None, 0.0
+            for j, overlap in enumerate(image.ious[i]):
+                if not taken[j] and real[j] == pick_real and overlap > best_iou:
                     best_j, best_iou = j, overlap
             if best_j is not None and best_iou >= iou_t:
                 taken[best_j] = True
-                if pick_ignored:
-                    ignored[i] = True
-                else:
-                    tp[i] = True
-                matched = True
+                (tp if pick_real else ignored)[i] = True
                 break
-        if not matched and det_in_bucket is not None and not det_in_bucket(det):
-            ignored[i] = True
-    fn = sum(1 for j in range(len(gts)) if not taken[j] and not gt_ignore[j])
+        else:
+            ignored[i] = not inside(image.det_areas[i])
+    fn = sum(1 for j in range(len(real)) if real[j] and not taken[j])
     return tp, ignored, fn
 
 
-def match(
-    detections: list[Detection],
-    gts: list[Annotation],
-    iou_t: float,
-    sorted_by_score: bool = True,
-) -> MatchResult:
+def match(detections: list[Detection], gts: list[Annotation], iou_t: float,
+          sorted_by_score: bool = True) -> MatchResult:
     """Match one image's detections against its ground truth."""
-    tp, _, fn = _greedy_match(detections, gts, iou_t, sorted_by_score)
+    tp, _, fn = _greedy_match(_image(detections, gts, sorted_by_score), iou_t, "all")
     return MatchResult(tp=tuple(tp), fp=tuple(not f for f in tp), fn=fn)
 
 
@@ -151,70 +180,38 @@ def average_precision(scored_matches: list[tuple[float, bool]], num_gt: int) -> 
     return total / 101.0
 
 
-def _bucket_contains(area: float, bucket: str) -> bool:
-    if bucket == "all":
-        return True
-    if bucket == "small":
-        return area < SMALL_AREA_MAX
-    if bucket == "medium":
-        return SMALL_AREA_MAX <= area <= MEDIUM_AREA_MAX
-    return area > MEDIUM_AREA_MAX
-
-
-def _pooled_ap(
-    dets_by_image: dict[str, list[Detection]],
-    gts_by_image: dict[str, list[Annotation]],
-    image_ids: list[str],
-    iou_t: float,
-    bucket: str,
-) -> float:
+def _pooled(images: list[_Image], iou_t: float, bucket: str) -> tuple[list, int]:
+    """(score, is_tp) of every detection the bucket keeps, and the real ground truth count."""
     scored: list[tuple[float, bool]] = []
     num_gt = 0
-    for image_id in image_ids:
-        dets = dets_by_image.get(image_id, [])
-        gts = gts_by_image.get(image_id, [])
-        gt_ignore = [not _bucket_contains(rect_area(gt.bbox), bucket) for gt in gts]
-        det_pred = None
-        if bucket != "all":
-            det_pred = lambda det: _bucket_contains(rect_area(det.bbox), bucket)
-        tp, ignored, _ = _greedy_match(dets, gts, iou_t, True, gt_ignore, det_pred)
-        num_gt += gt_ignore.count(False)
-        for i, det in enumerate(dets):
-            if not ignored[i]:
-                scored.append((det.score, tp[i]))
-    return average_precision(scored, num_gt)
+    for image in images:
+        tp, ignored, fn = _greedy_match(image, iou_t, bucket)
+        num_gt += fn + sum(tp)
+        scored.extend((score, is_tp) for score, is_tp, skip
+                      in zip(image.scores, tp, ignored) if not skip)
+    return scored, num_gt
 
 
-def coco_map(detections: list[Detection], gts: list[Annotation]) -> CocoMapResult:
+def coco_map(
+    detections: list[Detection],
+    gts: list[Annotation],
+    image_ids: list[str] | None = None,
+) -> CocoMapResult:
     """AP summary: mean over IoU 0.50:0.05:0.95 plus fixed-IoU and size APs.
 
     Size buckets follow ground-truth box area: small below 32^2, medium
     between 32^2 and 96^2 inclusive, large above 96^2. A bucket with no
     ground truth reports 0.
     """
-    dets_by_image = group_by_image(detections)
-    gts_by_image = group_by_image(gts)
-    image_ids = sorted(set(dets_by_image) | set(gts_by_image))
+    images = _images(detections, gts, image_ids)
+    ap = {(t, bucket): average_precision(*_pooled(images, t, bucket))
+          for bucket in SIZE_BUCKETS for t in COCO_IOU_THRESHOLDS}
 
-    per_threshold = {
-        t: _pooled_ap(dets_by_image, gts_by_image, image_ids, t, "all")
-        for t in COCO_IOU_THRESHOLDS
-    }
-    size_aps = {}
-    for bucket in ("small", "medium", "large"):
-        values = [
-            _pooled_ap(dets_by_image, gts_by_image, image_ids, t, bucket)
-            for t in COCO_IOU_THRESHOLDS
-        ]
-        size_aps[bucket] = sum(values) / len(values)
-    return CocoMapResult(
-        ap=sum(per_threshold.values()) / len(per_threshold),
-        ap50=per_threshold[0.5],
-        ap75=per_threshold[0.75],
-        ap_s=size_aps["small"],
-        ap_m=size_aps["medium"],
-        ap_l=size_aps["large"],
-    )
+    def mean(bucket: str) -> float:
+        return sum(ap[t, bucket] for t in COCO_IOU_THRESHOLDS) / len(COCO_IOU_THRESHOLDS)
+
+    return CocoMapResult(ap=mean("all"), ap50=ap[0.5, "all"], ap75=ap[0.75, "all"],
+                         ap_s=mean("small"), ap_m=mean("medium"), ap_l=mean("large"))
 
 
 def mr_fppi(
@@ -233,25 +230,13 @@ def mr_fppi(
     sample points. With no ground truth at all the miss rate is defined
     as 0.
     """
-    dets_by_image = group_by_image(detections)
-    gts_by_image = group_by_image(gts)
-    if image_ids is None:
-        image_ids = sorted(set(dets_by_image) | set(gts_by_image))
-    else:
-        image_ids = sorted(set(image_ids))
-    num_images = max(len(image_ids), 1)
-    total_gt = sum(len(gts_by_image.get(i, [])) for i in image_ids)
-
-    scored: list[tuple[float, bool]] = []
-    for image_id in image_ids:
-        dets = dets_by_image.get(image_id, [])
-        tp, _, _ = _greedy_match(dets, gts_by_image.get(image_id, []), iou_t, True)
-        scored.extend((det.score, tp[i]) for i, det in enumerate(dets))
+    images = _images(detections, gts, image_ids)
+    num_images = max(len(images), 1)
+    scored, total_gt = _pooled(images, iou_t, "all")
     order = score_order([score for score, _ in scored])
 
     curve: list[tuple[float, float]] = [(0.0, 1.0 if total_gt > 0 else 0.0)]
-    cum_tp = 0
-    cum_fp = 0
+    cum_tp = cum_fp = 0
     for pos, i in enumerate(order):
         score, is_tp = scored[i]
         cum_tp += int(is_tp)
@@ -281,26 +266,15 @@ def visual_metrics(
     displayed box counts the same. The ratio is 1 for a run with no boxes
     and no people at all.
     """
-    dets_by_image = group_by_image(detections)
-    gts_by_image = group_by_image(gts)
-    if image_ids is None:
-        image_ids = sorted(set(dets_by_image) | set(gts_by_image))
-    else:
-        image_ids = sorted(set(image_ids))
-
+    images = _images(detections, gts, image_ids, by_score=False)
     total_tp = total_fp = total_fn = 0
-    for image_id in image_ids:
-        result = match(
-            dets_by_image.get(image_id, []),
-            gts_by_image.get(image_id, []),
-            iou_t,
-            sorted_by_score=False,
-        )
-        total_tp += sum(result.tp)
-        total_fp += sum(result.fp)
-        total_fn += result.fn
+    for image in images:
+        tp, _, fn = _greedy_match(image, iou_t, "all")
+        total_tp += sum(tp)
+        total_fp += len(tp) - sum(tp)
+        total_fn += fn
 
-    fp_fn = (total_fp + total_fn) / max(len(image_ids), 1)
+    fp_fn = (total_fp + total_fn) / max(len(images), 1)
     denominator = total_tp + total_fp + total_fn
     ratio = total_tp / denominator if denominator > 0 else 1.0
     return fp_fn, ratio

@@ -34,6 +34,7 @@ from .fusion import Detection, proposals_to_detections, revise_detections
 from .imaging import CameraModel, RadioRegion, batch_project
 from .metrics import (
     MetricsReport,
+    check_image_ids,
     coco_map,
     mr_fppi,
     truncate_to_gt_count,
@@ -89,7 +90,7 @@ def apply_method(
     nms_cfg = replace(config.nms, mode=cnms) if cnms else config.nms
     dets_by_image = group_by_image(detections)
     output: list[Detection] = []
-    for image_id in sorted(set(image_ids) | set(dets_by_image) | set(regions_by_image)):
+    for image_id in sorted(set(image_ids)):
         dets = dets_by_image.get(image_id, [])
         regions = regions_by_image.get(image_id, [])
         if source == "revised":
@@ -115,7 +116,11 @@ def evaluate(
 
     Returns the report and the display set of detections (the boxes a user
     would actually see, which the visual metrics are computed on).
+    ``image_ids`` is the evaluated universe: detections or regions on any
+    other image are an input error.
     """
+    check_image_ids(image_ids, detections=(det.image_id for det in detections),
+                    regions=regions_by_image)
     start = time.perf_counter()
     ranked = apply_method(config, image_ids, detections, regions_by_image)
 
@@ -127,7 +132,7 @@ def evaluate(
     else:
         display = [d for d in ranked if d.score >= config.score_threshold]
 
-    coco = coco_map(ranked, gts)
+    coco = coco_map(ranked, gts, image_ids)
     curve, lamr = mr_fppi(ranked, gts, EVAL_IOU, image_ids)
     fp_fn, ratio = visual_metrics(display, gts, EVAL_IOU, image_ids)
     report = MetricsReport(

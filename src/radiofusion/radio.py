@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidGeometryError, InvalidInputError
+from .errors import InvalidGeometryError, InvalidInputError, require_finite
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -58,11 +58,6 @@ class ArrayGeometry:
         k = np.arange(self.num_subcarriers)
         return self.base_frequency + k * self.frequency_interval
 
-    @property
-    def unambiguous_delay(self) -> float:
-        """Delay span 1/df beyond which the subcarrier phases wrap."""
-        return 1.0 / self.frequency_interval
-
 
 @dataclass(frozen=True)
 class CsiFrame:
@@ -80,6 +75,9 @@ class CsiFrame:
             raise InvalidInputError(
                 f"sample matrix {samples.shape} does not match geometry {expected}"
             )
+        require_finite("CSI frame", self.timestamp)
+        if not np.isfinite(samples).all():
+            raise InvalidInputError("CSI samples must be finite")
 
 
 @dataclass(frozen=True)
@@ -117,6 +115,7 @@ class RadioEstimate:
     identifier: str
 
     def __post_init__(self) -> None:
+        require_finite("estimate", self.aoa_h, self.aoa_v, self.tof, self.magnitude)
         if self.tof <= 0:
             raise InvalidInputError(f"time of flight must be > 0, got {self.tof}")
         for name, angle in (("aoa_h", self.aoa_h), ("aoa_v", self.aoa_v)):

@@ -17,7 +17,7 @@ from typing import TypeVar
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_finite
 from .geometry import Rect
 from .imaging import RadioRegion
 
@@ -36,6 +36,7 @@ class Annotation:
     occlusion_fraction: float | None = None
 
     def __post_init__(self) -> None:
+        require_finite("annotation", *self.bbox, self.height_px, self.occlusion_fraction)
         _, _, w, h = self.bbox
         if w <= 0 or h <= 0:
             raise InvalidInputError(f"annotation bbox must have positive extents, got {self.bbox}")

@@ -127,6 +127,14 @@ _REGION = {"center_x": 100.0, "center_y": 100.0, "edge": 40.0}
         {"image_id": "img00000", "bbox": [0, 0, float("nan"), 10], "score": 0.5}]})),
     ("--regions", json.dumps({"schema": "regions/1", "images": {
         "img00000": [{"id": "p", **_REGION, "edge": float("inf")}]}})),
+    ("--config", '{"synth": {"fp_per_image": Infinity}}'),
+    ("--config", '{"noise": {"sigma": NaN}}'),
+    ("--annotations", json.dumps({"schema": "annotations/1", "images": [{"id": "a"}],
+                                  "annotations": [{"image_id": "b", "bbox": [0, 0, 9, 9]}]})),
+    ("--detections", json.dumps({"schema": "detections/1", "detections": [
+        {"image_id": "elsewhere", "bbox": [0, 0, 10, 10], "score": 0.5}]})),
+    ("--regions", json.dumps({"schema": "regions/1", "images": {"elsewhere": [
+        {"id": "p", **_REGION}]}})),
 ])
 def test_malformed_input_exit_code(tmp_path, flag, content):
     out = str(tmp_path)

@@ -84,6 +84,8 @@ def test_partial_document_merges_onto_defaults():
     {"seed": 1e400},
     {"count_constrained": "false"},
     {"synth": {"score_model": [0.8, 0.4]}},
+    {"synth": {"fp_per_image": float("inf")}},
+    {"noise": {"sigma": float("nan")}},
 ])
 def test_malformed_documents_are_rejected(document):
     with pytest.raises(SchemaError):

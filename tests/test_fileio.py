@@ -1,6 +1,7 @@
 """Round-trip tests for every file schema."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -261,9 +262,18 @@ def test_detections_read_write_property(tmp_path_factory, dets):
     assert fileio.read_detections(path) == dets
 
 
+@st.composite
+def annotated_images(draw):
+    """An image list and annotations on those images only."""
+    image_ids = draw(st.lists(_ids, min_size=1, max_size=3))
+    anns = draw(st.lists(annotations, max_size=5))
+    return image_ids, [replace(ann, image_id=draw(st.sampled_from(image_ids))) for ann in anns]
+
+
 @_round_trip
-@given(st.lists(_ids, min_size=1, max_size=3), st.lists(annotations, max_size=5))
-def test_annotations_read_write_property(tmp_path_factory, image_ids, anns):
+@given(annotated_images())
+def test_annotations_read_write_property(tmp_path_factory, world):
+    image_ids, anns = world
     path = tmp_path_factory.mktemp("prop") / "ann.json"
     fileio.write_annotations(path, image_ids, anns)
     assert fileio.read_annotations(path) == (image_ids, anns)
