@@ -14,7 +14,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import InvalidInputError, SchemaError
+from .errors import InvalidInputError, SchemaError, require_finite
 from .fileio import _number, dump_json, load_json
 from .imaging import CameraModel
 from .nms import NmsConfig
@@ -46,12 +46,16 @@ class RadioParams:
     person_extent_m: float = 1.0
 
     def __post_init__(self) -> None:
+        require_finite("radio", self.aoa_step_deg, self.peak_threshold, self.tof_tolerance,
+                       self.round_trip_factor, self.person_extent_m)
         if self.aoa_step_deg <= 0 or self.num_tof_bins < 1:
             raise InvalidInputError("grid resolution must be positive")
         if not 0.0 < self.peak_threshold <= 1.0:
             raise InvalidInputError("peak_threshold must be in (0, 1]")
         if self.person_extent_m <= 0 or self.round_trip_factor <= 0:
             raise InvalidInputError("projection factors must be > 0")
+        if self.tof_tolerance is not None and self.tof_tolerance <= 0:
+            raise InvalidInputError(f"tof_tolerance must be > 0, got {self.tof_tolerance}")
 
 
 @dataclass(frozen=True)
@@ -154,7 +158,10 @@ def _merge(base, patch, where: str):
     for key, value in patch.items():
         name = names[key]
         changes[name] = _coerce(hints[name], value, getattr(base, name), f"{where}.{key}")
-    return replace(base, **changes)
+    try:
+        return replace(base, **changes)
+    except InvalidInputError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
 
 
 def _coerce(hint, value, current, where: str):

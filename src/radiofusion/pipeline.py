@@ -228,6 +228,7 @@ def localize_frames(
             )
         slot[orientation] = frame
 
+    aoa_grid = default_aoa_grid(radio_params.aoa_step_deg)
     estimates: dict[str, list[RadioEstimate]] = {}
     for key in sorted(groups):
         slot = groups[key]
@@ -236,7 +237,6 @@ def localize_frames(
             continue
         peaks = {}
         for orientation, frame in slot.items():
-            aoa_grid = default_aoa_grid(radio_params.aoa_step_deg)
             tof_grid = default_tof_grid(frame.geometry, radio_params.num_tof_bins)
             spectrum = compute_spectrum(frame, aoa_grid, tof_grid)
             peaks[orientation] = pick_peaks(spectrum, radio_params.peak_threshold)

@@ -13,12 +13,15 @@ whose magnitude peaks at the true (angle, delay); evaluating it over a grid
 yields the 2D spectrum searched here. Synthesis runs the model in reverse
 with conjugate phases, so analysis acts as a matched filter.
 
-All functions are pure and safe to call concurrently.
+All functions are pure and safe to call concurrently. The steering bases
+are built once per array geometry and grid pair and kept in a small bounded
+cache; the cached arrays are read-only, so sharing them between calls and
+threads cannot change a result.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,6 +162,34 @@ def _tof_steering(geometry: ArrayGeometry, tof_grid: np.ndarray) -> np.ndarray:
     return 2.0 * np.pi * geometry.frequency_interval * np.outer(k, tof_grid)
 
 
+def _steering_bases(
+    geometry: ArrayGeometry, aoa_grid: np.ndarray, tof_grid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``exp(1j*phase)`` bases, shapes (I, M, K) and (K, J), cached.
+
+    The key is the geometry's numeric fields and the bytes of the two
+    validated grids. The bases do not depend on the orientation, so both
+    axes of one rig share an entry.
+    """
+    return _cached_bases(
+        geometry.num_antennas, geometry.element_spacing, geometry.num_subcarriers,
+        geometry.base_frequency, geometry.frequency_interval,
+        aoa_grid.tobytes(), tof_grid.tobytes(),
+    )
+
+
+@functools.lru_cache(maxsize=4)
+def _cached_bases(num_antennas, element_spacing, num_subcarriers, base_frequency,
+                  frequency_interval, aoa_bytes, tof_bytes):
+    geometry = ArrayGeometry(num_antennas, element_spacing, num_subcarriers,
+                             base_frequency, frequency_interval)
+    aoa_basis = np.exp(1j * _aoa_steering(geometry, np.frombuffer(aoa_bytes)))
+    tof_basis = np.exp(1j * _tof_steering(geometry, np.frombuffer(tof_bytes)))
+    aoa_basis.flags.writeable = False
+    tof_basis.flags.writeable = False
+    return aoa_basis, tof_basis
+
+
 def synthesize_csi(
     targets: list[tuple[float, float, float]],
     geometry: ArrayGeometry,
@@ -218,9 +249,8 @@ def compute_spectrum(csi: CsiFrame, aoa_grid, tof_grid) -> AoaTofSpectrum:
         raise InvalidInputError("CSI sample matrix does not match its geometry")
 
     # Collapse antennas per angle first, then apply delay phases: O(I*M*K + I*K*J).
-    aoa_basis = np.exp(1j * _aoa_steering(geometry, aoa_grid))
+    aoa_basis, tof_basis = _steering_bases(geometry, aoa_grid, tof_grid)
     per_angle = np.einsum("mk,imk->ik", samples, aoa_basis)
-    tof_basis = np.exp(1j * _tof_steering(geometry, tof_grid))
     response = per_angle @ tof_basis
     return AoaTofSpectrum(np.abs(response), aoa_grid, tof_grid)
 
@@ -242,18 +272,20 @@ def pick_peaks(spectrum: AoaTofSpectrum, relative_threshold: float = 0.5) -> lis
     if global_max <= 0.0:
         return []
 
-    padded = np.pad(mags, 1, constant_values=-np.inf)
-    strict = np.ones_like(mags, dtype=bool)
-    for di, dj in itertools.product((-1, 0, 1), repeat=2):
-        if di == 0 and dj == 0:
-            continue
-        neighbor = padded[1 + di : 1 + di + mags.shape[0], 1 + dj : 1 + dj + mags.shape[1]]
-        strict &= mags > neighbor
+    # Largest of the 8 neighbors, -inf off the grid; max is exact, so
+    # mags > best holds exactly where mags exceeds every neighbor.
+    best = np.full_like(mags, -np.inf)
+    best[:, 1:] = mags[:, :-1]
+    np.maximum(best[:, :-1], mags[:, 1:], out=best[:, :-1])
+    row_max = np.maximum(mags, best)  # each cell and its left/right neighbors
+    np.maximum(best[1:], row_max[:-1], out=best[1:])
+    np.maximum(best[:-1], row_max[1:], out=best[:-1])
+    strict = mags > best
     strict &= mags >= relative_threshold * global_max
 
-    cells = [(int(i), int(j)) for i, j in np.argwhere(strict)]
-    top = np.unravel_index(int(np.argmax(mags)), mags.shape)
-    top = (int(top[0]), int(top[1]))
+    cols = mags.shape[1]
+    cells = [divmod(flat, cols) for flat in np.flatnonzero(strict).tolist()]
+    top = divmod(int(np.argmax(mags)), cols)
     if top not in cells:
         cells.append(top)
     cells.sort(key=lambda ij: (-mags[ij], ij[0], ij[1]))
@@ -276,7 +308,7 @@ def fuse_axes(
     horizontal delay and the weaker of the two magnitudes, and receives a
     fresh sequential identifier.
     """
-    if tof_tolerance <= 0:
+    if not tof_tolerance > 0:  # also rejects NaN
         raise InvalidInputError("tof_tolerance must be > 0")
     order = sorted(range(len(horizontal_peaks)), key=lambda i: (-horizontal_peaks[i][2], i))
     unused = list(range(len(vertical_peaks)))

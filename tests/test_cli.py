@@ -135,6 +135,7 @@ _REGION = {"center_x": 100.0, "center_y": 100.0, "edge": 40.0}
         {"image_id": "elsewhere", "bbox": [0, 0, 10, 10], "score": 0.5}]})),
     ("--regions", json.dumps({"schema": "regions/1", "images": {"elsewhere": [
         {"id": "p", **_REGION}]}})),
+    ("--config", '{"radio": {"tof_tolerance": -1}}'),
 ])
 def test_malformed_input_exit_code(tmp_path, flag, content):
     out = str(tmp_path)
@@ -144,6 +145,32 @@ def test_malformed_input_exit_code(tmp_path, flag, content):
     code = main(["run", "--method", "method1+cnms", "--annotations",
                  str(tmp_path / "annotations.json"), flag, str(bad), "--output-dir", out])
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["synth", "simulate-regions", "localize", "project",
+                                     "run", "sweep"])
+def test_bad_tof_tolerance_exit_code_for_every_command(tmp_path, command):
+    """A config with tof_tolerance <= 0 is refused before any work, whatever the command."""
+    assert main(["synth", "--num-images", "3", "--seed", "5", "--output-dir", str(tmp_path)]) == 0
+    geo = ArrayGeometry(num_antennas=4, element_spacing=0.0258, num_subcarriers=8,
+                        base_frequency=5.8e9, frequency_interval=312.5e3)
+    fileio.write_csi_frame(tmp_path / "h.json", synthesize_csi([(93.0, 40e-9, 1.0)], geo),
+                           image_id="f0")
+    fileio.write_estimates(tmp_path / "estimates.json", {"f0": []})
+    annotations = str(tmp_path / "annotations.json")
+    argv = {
+        "synth": ["--num-images", "3"],
+        "simulate-regions": ["--annotations", annotations],
+        "localize": ["--csi", str(tmp_path / "h.json")],
+        "project": ["--estimates", str(tmp_path / "estimates.json")],
+        "run": ["--annotations", annotations],
+        "sweep": ["--annotations", annotations, "--param", "k", "--values", "0.1"],
+    }[command]
+    for tolerance, expected in ((1e-7, 0), (0, 2), (-1, 2)):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"radio": {"tof_tolerance": tolerance}}))
+        out = str(tmp_path / f"out{tolerance}")
+        assert main([command, *argv, "--config", str(config), "--output-dir", out]) == expected
 
 
 @pytest.mark.parametrize("sample", [[1.0], ["a", "b"]])

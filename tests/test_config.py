@@ -86,6 +86,8 @@ def test_partial_document_merges_onto_defaults():
     {"synth": {"score_model": [0.8, 0.4]}},
     {"synth": {"fp_per_image": float("inf")}},
     {"noise": {"sigma": float("nan")}},
+    {"radio": {"tof_tolerance": -1}},
+    {"radio": {"tof_tolerance": 0}},
 ])
 def test_malformed_documents_are_rejected(document):
     with pytest.raises(SchemaError):

@@ -1,9 +1,12 @@
 """Confidence revision and proposal generation tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radiofusion.errors import InvalidInputError
 from radiofusion.fusion import (
@@ -81,6 +84,33 @@ class TestReviseScore:
             low = revise_score(s, g1, lam)
             high = revise_score(s, g2, lam)
             assert 0.0 <= low <= high <= s <= 1.0
+
+
+_unit = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_unit, _unit, _unit)
+def test_revise_score_never_exceeds_input(score, gamma, lam):
+    assert 0.0 <= revise_score(score, gamma, lam) <= score
+    assert revise_score(score, gamma, 0.0) == score
+
+
+_coord = st.floats(-50.0, 150.0)
+_side = st.floats(0.0, 120.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.builds(Detection, image_id=st.just("i"),
+                          bbox=st.tuples(_coord, _coord, _side, _side), score=_unit,
+                          cell=st.tuples(_coord, _coord, st.floats(1.0, 60.0),
+                                         st.floats(1.0, 60.0))), max_size=8),
+       st.lists(st.builds(region, _coord, _coord, st.floats(1.0, 120.0)), max_size=4),
+       st.sampled_from(("one_stage", "two_stage")))
+def test_lambda_zero_leaves_every_score_unchanged(dets, regions, mode):
+    revised = revise_detections(dets, regions, lam=0.0, mode=mode)
+    assert [d.score for d in revised] == [d.score for d in dets]
+    assert [replace(d, score=0.0) for d in revised] == [replace(d, score=0.0) for d in dets]
 
 
 class TestReviseDetections:

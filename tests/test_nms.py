@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radiofusion.errors import InvalidInputError
 from radiofusion.fusion import Detection
@@ -245,3 +247,51 @@ class TestConstrainedNms:
             NmsConfig(iou_threshold=1.5)
         with pytest.raises(InvalidInputError):
             NmsConfig(mode="three_stage")
+
+
+def _scenes():
+    """Regions r0..r(n-1) and detections tagged with one of them, none, or an unknown id."""
+
+    def scene(num_regions):
+        ids = [f"r{k}" for k in range(num_regions)]
+        coord = st.integers(0, 60).map(float)
+        side = st.integers(1, 30).map(float)
+        score = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0)  # with ties
+        regions = st.tuples(*[
+            st.builds(RadioRegion, center_x=coord, center_y=coord, edge=side,
+                      identifier=st.just(rid))
+            for rid in ids
+        ]).map(list)
+        detections = st.lists(st.builds(
+            det, coord, coord, side, side, score,
+            region_id=st.sampled_from([None, "unknown", *ids])), max_size=10)
+        return st.tuples(regions, detections)
+
+    return st.integers(0, 4).flatmap(scene)
+
+
+_nms_configs = st.builds(NmsConfig, iou_threshold=st.floats(0.0, 1.0),
+                         mode=st.sampled_from(("one_stage", "two_stage")),
+                         enable_fallback_loop=st.booleans(), require_region=st.booleans())
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scenes(), _nms_configs)
+def test_constrained_nms_keeps_at_most_one_box_per_region(scene, cfg):
+    regions, detections = scene
+    kept = constrained_nms(detections, regions, cfg, image_id="i")
+    ids = {region.identifier for region in regions}
+    constrained = [d.region_id for d in kept if d.region_id in ids]
+    assert len(constrained) == len(set(constrained))
+    assert len(constrained) <= len(regions)
+    if cfg.require_region:  # otherwise boxes without a known region may be kept too
+        assert len(kept) == len(constrained)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scenes(), st.floats(0.0, 1.0))
+def test_two_stage_fallback_keeps_exactly_one_box_per_region(scene, iou_threshold):
+    regions, detections = scene
+    cfg = NmsConfig(iou_threshold=iou_threshold, mode="two_stage", enable_fallback_loop=True)
+    kept = constrained_nms(detections, regions, cfg, image_id="i")
+    assert sorted(d.region_id for d in kept) == sorted(r.identifier for r in regions)

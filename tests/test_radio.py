@@ -1,8 +1,13 @@
 """Spectrum estimation tests against scalar-loop oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from radiofusion import radio
 from radiofusion.errors import InvalidGeometryError, InvalidInputError
 from radiofusion.radio import (
     SPEED_OF_LIGHT,
@@ -63,6 +68,120 @@ def peaks_oracle(mags, threshold):
             if all(value > n for n in neighbors):
                 found.append((i, j))
     return found
+
+
+def peak_list_oracle(spectrum, threshold):
+    """pick_peaks' documented result built from the scan: the strict peaks
+    plus the global maximum while nonzero, by magnitude then grid index."""
+    mags = spectrum.magnitudes
+    if mags.max() <= 0:
+        return []
+    cells = peaks_oracle(mags, threshold)
+    top = np.unravel_index(int(np.argmax(mags)), mags.shape)
+    if (top[0], top[1]) not in cells:
+        cells.append((int(top[0]), int(top[1])))
+    cells.sort(key=lambda ij: (-mags[ij], ij[0], ij[1]))
+    return [
+        (float(spectrum.aoa_grid[i]), float(spectrum.tof_grid[j]), float(mags[i, j]))
+        for i, j in cells
+    ]
+
+
+def uncached_spectrum(csi, aoa_grid, tof_grid):
+    """compute_spectrum as it was before the steering bases were cached."""
+    aoa_grid = radio._validate_grid(aoa_grid, "aoa_grid")
+    tof_grid = radio._validate_grid(tof_grid, "tof_grid")
+    geometry = csi.geometry
+    samples = np.asarray(csi.samples, dtype=np.complex128)
+    if samples.shape != (geometry.num_antennas, geometry.num_subcarriers):
+        raise InvalidInputError("CSI sample matrix does not match its geometry")
+
+    # Collapse antennas per angle first, then apply delay phases: O(I*M*K + I*K*J).
+    aoa_basis = np.exp(1j * radio._aoa_steering(geometry, aoa_grid))
+    per_angle = np.einsum("mk,imk->ik", samples, aoa_basis)
+    tof_basis = np.exp(1j * radio._tof_steering(geometry, tof_grid))
+    response = per_angle @ tof_basis
+    return AoaTofSpectrum(np.abs(response), aoa_grid, tof_grid)
+
+
+GEO_V = replace(GEO, orientation="vertical")
+GEO_SMALL = ArrayGeometry(num_antennas=4, element_spacing=0.0125, num_subcarriers=16,
+                          base_frequency=2.4e9, frequency_interval=1.25e6)
+
+
+def noisy_frame(geometry, seed):
+    targets = [(40.0 + 7 * seed % 100, (1 + seed % 5) * 60e-9, 1.0), (120.0, 700e-9, 0.6)]
+    return synthesize_csi(targets, geometry, noise_std=0.4, seed=seed, timestamp=seed)
+
+
+def grids(geometry, case):
+    if case == "default":
+        return default_aoa_grid(1.0), default_tof_grid(geometry, 64)
+    if case == "coarse":
+        return default_aoa_grid(7.5), default_tof_grid(geometry, 9)
+    if case == "custom":
+        return [3.0, 10.5, 44.0, 90.0, 91.0, 170.25], np.linspace(5e-9, 2e-6, 23)
+    # Strided views: the cache keys and rebuilds them from contiguous bytes.
+    return default_aoa_grid(0.5)[::3], default_tof_grid(geometry, 80)[1::4]
+
+
+class TestSteeringCache:
+    """The cached bases give the same magnitudes, bit for bit, as rebuilding them."""
+
+    def setup_method(self):
+        radio._cached_bases.cache_clear()
+
+    @pytest.mark.parametrize("case", ["default", "coarse", "custom", "strided"])
+    @pytest.mark.parametrize("geometry", [GEO, GEO_V, GEO_SMALL], ids=["h", "v", "small"])
+    def test_equals_uncached_oracle(self, geometry, case):
+        aoa_grid, tof_grid = grids(geometry, case)
+        for seed in range(3):
+            frame = noisy_frame(geometry, seed)
+            cached = compute_spectrum(frame, aoa_grid, tof_grid)
+            oracle = uncached_spectrum(frame, aoa_grid, tof_grid)
+            assert cached.magnitudes.dtype == oracle.magnitudes.dtype
+            assert np.array_equal(cached.magnitudes, oracle.magnitudes)
+            assert np.array_equal(cached.aoa_grid, oracle.aoa_grid)
+            assert np.array_equal(cached.tof_grid, oracle.tof_grid)
+
+    def test_repeated_and_interleaved_calls(self):
+        rigs = [(GEO, grids(GEO, "default")), (GEO_V, grids(GEO_V, "default")),
+                (GEO_SMALL, grids(GEO_SMALL, "custom"))]
+        expected = {}
+        for _ in range(3):
+            for seed in range(4):
+                for geometry, (aoa_grid, tof_grid) in rigs:
+                    frame = noisy_frame(geometry, seed)
+                    got = compute_spectrum(frame, aoa_grid, tof_grid).magnitudes
+                    if (geometry, seed) not in expected:
+                        oracle = uncached_spectrum(frame, aoa_grid, tof_grid)
+                        expected[geometry, seed] = oracle.magnitudes
+                    assert np.array_equal(got, expected[geometry, seed])
+        info = radio._cached_bases.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+
+    def test_bases_are_read_only(self):
+        aoa_basis, tof_basis = radio._steering_bases(GEO, *map(np.asarray, grids(GEO, "coarse")))
+        for basis in (aoa_basis, tof_basis):
+            with pytest.raises(ValueError):
+                basis[0] = 0.0
+            with pytest.raises(ValueError):
+                basis *= 2.0
+
+    def test_cache_stays_bounded(self):
+        frame = noisy_frame(GEO_SMALL, 0)
+        for step in np.linspace(5.0, 30.0, 25):
+            compute_spectrum(frame, default_aoa_grid(step), default_tof_grid(GEO_SMALL, 4))
+        info = radio._cached_bases.cache_info()
+        assert info.misses == 25
+        assert 0 < info.currsize <= info.maxsize
+
+    def test_horizontal_and_vertical_share_one_entry(self):
+        aoa_grid, tof_grid = grids(GEO, "default")
+        compute_spectrum(noisy_frame(GEO, 1), aoa_grid, tof_grid)
+        compute_spectrum(noisy_frame(GEO_V, 1), aoa_grid, default_tof_grid(GEO_V, 64))
+        info = radio._cached_bases.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
 class TestComputeSpectrum:
@@ -215,6 +334,37 @@ class TestPickPeaks:
                 assert len(peaks) <= last_count
             last_count = len(peaks)
 
+    @pytest.mark.parametrize("threshold", [0.05, 0.3, 0.5, 0.9, 1.0])
+    def test_equals_oracle_on_seeded_frames(self, threshold):
+        for geometry, case in ((GEO, "default"), (GEO_V, "coarse"), (GEO_SMALL, "custom")):
+            aoa_grid, tof_grid = grids(geometry, case)
+            for seed in range(6):
+                spectrum = compute_spectrum(noisy_frame(geometry, seed), aoa_grid, tof_grid)
+                assert pick_peaks(spectrum, threshold) == peak_list_oracle(spectrum, threshold)
+
+    @pytest.mark.parametrize("mags", [
+        [[0.0, 0.0, 0.0], [0.0, 3.0, 3.0], [0.0, 0.0, 0.0]],  # plateau only
+        [[2.0, 0.0, 0.0, 2.0], [0.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 2.0]],  # tied corners
+        [[1.0, 2.0, 1.0, 2.0, 1.0]],  # one row, tied peaks
+        [[1.0], [3.0], [2.0], [3.0]],  # one column
+        [[5.0]],
+        [[4.0, 4.0], [4.0, 4.0]],  # all equal: no strict peak
+        [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]],  # diagonal ties
+        [[0.0, 3.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 3.0, 3.0], [2.9, 0.0, 0.0, 0.0, 0.0]],
+    ])
+    def test_plateaus_and_ties_equal_oracle(self, mags):
+        spectrum = self._spectrum(mags)
+        for threshold in (0.1, 0.5, 1.0):
+            assert pick_peaks(spectrum, threshold) == peak_list_oracle(spectrum, threshold)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda cols: st.lists(
+        st.lists(st.integers(0, 3).map(float), min_size=cols, max_size=cols),
+        min_size=1, max_size=7)), st.sampled_from([0.2, 0.5, 1.0]))
+    def test_small_integer_grids_equal_oracle(self, mags, threshold):
+        spectrum = self._spectrum(mags)
+        assert pick_peaks(spectrum, threshold) == peak_list_oracle(spectrum, threshold)
+
     def test_rejects_bad_threshold(self):
         with pytest.raises(InvalidInputError):
             pick_peaks(self._spectrum(np.ones((3, 3))), 0.0)
@@ -265,3 +415,5 @@ class TestFuseAxes:
         assert fuse_axes([], [], tof_tolerance=1e-9) == []
         with pytest.raises(InvalidInputError):
             fuse_axes([], [], tof_tolerance=0.0)
+        with pytest.raises(InvalidInputError):
+            fuse_axes([], [], tof_tolerance=float("nan"))

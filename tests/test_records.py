@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from radiofusion.config import RadioParams
 from radiofusion.errors import InvalidInputError
 from radiofusion.fusion import Detection
 from radiofusion.imaging import RadioRegion
@@ -33,6 +34,10 @@ SAMPLES = np.ones((2, 2), dtype=complex)
     lambda: CsiFrame(np.full((2, 2), complex(1.0, NAN)), GEO),
     lambda: CsiFrame(np.full((2, 2), complex(INF, 0.0)), GEO),
     lambda: CsiFrame(SAMPLES, GEO, timestamp=NAN),
+    lambda: RadioParams(aoa_step_deg=NAN),
+    lambda: RadioParams(tof_tolerance=NAN),
+    lambda: RadioParams(tof_tolerance=INF),
+    lambda: RadioParams(person_extent_m=INF),
 ])
 def test_non_finite_values_are_rejected(build):
     with pytest.raises(InvalidInputError):
