@@ -4,7 +4,6 @@ from .config import RadioParams, RunConfig
 from .errors import BehindCameraError, InvalidGeometryError, InvalidInputError, SchemaError
 from .fusion import (
     Detection,
-    Proposal,
     decay_one_stage,
     decay_two_stage,
     generate_proposals,

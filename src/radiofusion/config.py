@@ -87,6 +87,8 @@ class RunConfig:
     paths: RunPaths = field(default_factory=RunPaths)
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.lam <= 1.0:
             raise InvalidInputError("lam must be in [0, 1]")
         if self.method not in METHODS:
@@ -134,12 +136,21 @@ class RunConfig:
 
 # Document keys that differ from field names: ``lambda`` is a Python keyword.
 _KEYS = {"lam": "lambda"}
+# Section fields a run sets itself, so the document has no key for them: the
+# NMS mode comes from the method, the seeds from the run seed's substreams.
+_RUN_SET = {(NmsConfig, "mode"), (NoiseParams, "seed"), (SynthParams, "seed")}
+
+
+def _document_keys(section) -> dict[str, str]:
+    """Document key -> field name, for every field of ``section`` a document sets."""
+    return {_KEYS.get(f.name, f.name): f.name for f in fields(section)
+            if (type(section), f.name) not in _RUN_SET}
 
 
 def _to_json(value):
     if is_dataclass(value):
-        return {_KEYS.get(f.name, f.name): _to_json(getattr(value, f.name))
-                for f in fields(value)}
+        return {key: _to_json(getattr(value, name))
+                for key, name in _document_keys(value).items()}
     if isinstance(value, tuple):
         return [_to_json(v) for v in value]
     return value
@@ -149,7 +160,7 @@ def _merge(base, patch, where: str):
     """``base`` with every key of ``patch`` coerced by its field type and set."""
     if not isinstance(patch, dict):
         raise SchemaError(f"{where}: expected an object, got {type(patch).__name__}")
-    names = {_KEYS.get(f.name, f.name): f.name for f in fields(base)}
+    names = _document_keys(base)
     unknown = sorted(set(patch) - set(names))
     if unknown:
         raise SchemaError(f"{where}: unknown keys {unknown}")

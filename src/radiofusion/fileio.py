@@ -69,14 +69,18 @@ def _require(record: dict, key: str, context: str):
 
 
 def _number(kind: type, value):
-    """``kind(value)`` for ``float`` or ``int``; it must coerce and be finite."""
-    try:
-        number = kind(value)
-        if math.isfinite(number):
-            return number
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise SchemaError(f"expected a finite number, got {value!r}")
+    """``kind(value)`` for ``float`` or ``int``: finite, not a boolean, and for
+    ``int`` integral (``2.0`` reads as 2, ``2.5`` is rejected, not truncated)."""
+    fractional = kind is int and isinstance(value, float) and not value.is_integer()
+    if not isinstance(value, bool) and not fractional:
+        try:
+            number = kind(value)
+            if math.isfinite(number):
+                return number
+        except (TypeError, ValueError, OverflowError):
+            pass
+    noun = "integer" if kind is int else "number"
+    raise SchemaError(f"expected a finite {noun}, got {value!r}")
 
 
 _float = partial(_number, float)
@@ -255,12 +259,11 @@ def read_estimates(path: str | Path) -> dict[str, list[RadioEstimate]]:
 
 # -- Curves and reports --------------------------------------------------
 
-def write_curve_csv(path: str | Path, curve: list[tuple[float, float]],
-                    header: tuple[str, str] = ("fppi", "miss_rate")) -> None:
+def write_curve_csv(path: str | Path, curve: list[tuple[float, float]]) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(("fppi", "miss_rate"))
         writer.writerows([list(point) for point in curve])
 
 

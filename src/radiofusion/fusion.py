@@ -44,20 +44,6 @@ def score_order(scores: list[float]) -> list[int]:
     return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
 
 
-@dataclass(frozen=True)
-class Proposal:
-    """One anchor box generated from a radio region."""
-
-    bbox: Rect
-    region_id: str
-    scale_index: int
-    ratio_index: int
-
-    def __post_init__(self) -> None:
-        if rect_area(self.bbox) <= 0:
-            raise InvalidInputError("proposal bbox must have positive area")
-
-
 def decay_one_stage(region: RadioRegion, cell: Rect) -> float:
     """Overlap of the region with a backbone grid cell, normalized by the cell."""
     cell_area = rect_area(cell)
@@ -119,60 +105,42 @@ def generate_proposals(
     region: RadioRegion,
     scales: list[float],
     ratios: list[float],
-) -> list[Proposal]:
-    """Expand a region into one anchor per (scale, ratio) combination.
+) -> list[Rect]:
+    """Expand a region into one anchor box per (scale, ratio), scale-major.
 
     Every anchor is centered on the region, has area ``(scale * edge)^2``
-    and height/width ratio ``ratio``, and carries the region identifier.
+    and height/width ratio ``ratio``.
     """
     if not scales or not ratios:
         raise InvalidInputError("scales and ratios must be non-empty")
     if any(s <= 0 for s in scales) or any(r <= 0 for r in ratios):
         raise InvalidInputError("scales and ratios must be positive")
-    proposals = []
-    for si, scale in enumerate(scales):
+    boxes = []
+    for scale in scales:
         side = scale * region.edge
-        for ri, ratio in enumerate(ratios):
+        for ratio in ratios:
             w = side / math.sqrt(ratio)
             h = side * math.sqrt(ratio)
-            bbox = (region.center_x - w / 2.0, region.center_y - h / 2.0, w, h)
-            proposals.append(Proposal(bbox=bbox, region_id=region.identifier,
-                                      scale_index=si, ratio_index=ri))
-    return proposals
+            boxes.append((region.center_x - w / 2.0, region.center_y - h / 2.0, w, h))
+    return boxes
 
 
-DEFAULT_SCALES = (0.75, 1.0, 1.25)
-DEFAULT_RATIOS = (1.0, 2.0, 3.0)
+ANCHOR_SCALES = (0.75, 1.0, 1.25)
+ANCHOR_RATIOS = (1.0, 2.0, 3.0)
 
 
-def proposals_to_detections(
-    regions: list[RadioRegion],
-    image_id: str,
-    scales: list[float] = DEFAULT_SCALES,
-    ratios: list[float] = DEFAULT_RATIOS,
-    score_mode: str = "overlap",
-) -> list[Detection]:
+def proposals_to_detections(regions: list[RadioRegion], image_id: str) -> list[Detection]:
     """Emulate the proposal classification head for one image.
 
     With no trained head available, each anchor becomes a detection whose
-    score is its region-normalized overlap with its own birth region
-    (``score_mode="overlap"``), which favors anchors that stay inside the
-    localization; ``score_mode="constant"`` scores every anchor 1.0. The
+    score is its region-normalized overlap with the region it was built
+    from, which favors anchors that stay inside the localization. The
     region identifier rides along so the detections can be suppressed per
     region downstream.
     """
-    if score_mode not in ("overlap", "constant"):
-        raise InvalidInputError(f"unknown score_mode {score_mode!r}")
-    by_id = {region.identifier: region for region in regions}
-    detections = []
-    for region in regions:
-        for prop in generate_proposals(region, list(scales), list(ratios)):
-            if score_mode == "overlap":
-                score = decay_two_stage(prop.bbox, by_id[prop.region_id])
-            else:
-                score = 1.0
-            detections.append(
-                Detection(image_id=image_id, bbox=prop.bbox, score=score,
-                          region_id=prop.region_id)
-            )
-    return detections
+    return [
+        Detection(image_id=image_id, bbox=bbox, score=decay_two_stage(bbox, region),
+                  region_id=region.identifier)
+        for region in regions
+        for bbox in generate_proposals(region, ANCHOR_SCALES, ANCHOR_RATIOS)
+    ]

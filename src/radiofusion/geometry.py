@@ -17,11 +17,6 @@ def rect_area(rect: Sequence[float]) -> float:
     return max(w, 0.0) * max(h, 0.0)
 
 
-def rect_center(rect: Sequence[float]) -> tuple[float, float]:
-    x, y, w, h = rect
-    return x + w / 2.0, y + h / 2.0
-
-
 def square(center_x: float, center_y: float, edge: float) -> Rect:
     """Square of the given edge length centered at ``(center_x, center_y)``."""
     return (center_x - edge / 2.0, center_y - edge / 2.0, edge, edge)

@@ -67,8 +67,8 @@ def associate_regions(
 ) -> list[Detection]:
     """Fill in each detection's region id.
 
-    Proposal-born detections (``two_stage``) already know their region and
-    keep it; missing provenance there is an input error. Otherwise
+    Detections born from region proposals (``two_stage``) know their
+    region and keep it; missing provenance there is an input error. Otherwise
     (``one_stage``) the region with the highest positive IoU against the
     detection box wins, ties going to the smaller region id; a detection
     overlapping no region gets none.

@@ -46,6 +46,8 @@ class ArrayGeometry:
     orientation: str = "horizontal"
 
     def __post_init__(self) -> None:
+        require_finite("geometry", self.num_antennas, self.element_spacing,
+                       self.num_subcarriers, self.base_frequency, self.frequency_interval)
         if self.num_antennas < 2 or self.num_subcarriers < 2:
             raise InvalidGeometryError(
                 f"need at least 2 antennas and 2 subcarriers, got "

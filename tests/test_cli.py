@@ -136,6 +136,15 @@ _REGION = {"center_x": 100.0, "center_y": 100.0, "edge": 40.0}
     ("--regions", json.dumps({"schema": "regions/1", "images": {"elsewhere": [
         {"id": "p", **_REGION}]}})),
     ("--config", '{"radio": {"tof_tolerance": -1}}'),
+    ("--config", '{"seed": -1}'),
+    ("--config", '{"seed": 2.5}'),
+    ("--config", '{"radio": {"num_tof_bins": 64.9}}'),
+    ("--config", '{"lambda": true}'),
+    ("--config", '{"nms": {"mode": "one_stage"}}'),
+    ("--config", '{"noise": {"seed": 1}}'),
+    ("--config", '{"synth": {"seed": 1}}'),
+    ("--detections", json.dumps({"schema": "detections/1", "detections": [
+        {"image_id": "img00000", "bbox": [0, 0, 10, 10], "score": True}]})),
 ])
 def test_malformed_input_exit_code(tmp_path, flag, content):
     out = str(tmp_path)
@@ -184,6 +193,27 @@ def test_malformed_csi_sample_exit_code(tmp_path, sample):
     path.write_text(json.dumps(doc))
     code = main(["localize", "--csi", str(path), "--output-dir", str(tmp_path)])
     assert code == 2
+
+
+@pytest.mark.parametrize("patch", [{"num_subcarriers": 32.9}, {"num_antennas": 4.5},
+                                   {"element_spacing": True}])
+def test_malformed_csi_geometry_exit_code(tmp_path, patch):
+    geo = ArrayGeometry(num_antennas=4, element_spacing=0.0258, num_subcarriers=32,
+                        base_frequency=5.8e9, frequency_interval=312.5e3)
+    path = tmp_path / "h.json"
+    fileio.write_csi_frame(path, synthesize_csi([(93.0, 40e-9, 1.0)], geo), image_id="f0")
+    doc = json.loads(path.read_text())
+    doc["geometry"].update(patch)
+    path.write_text(json.dumps(doc))
+    code = main(["localize", "--csi", str(path), "--output-dir", str(tmp_path)])
+    assert code == 2
+
+
+def test_negative_seed_flag_exit_code(tmp_path):
+    out = str(tmp_path)
+    assert main(["synth", "--num-images", "3", "--seed", "5", "--output-dir", out]) == 0
+    for argv in (["synth"], ["run", "--annotations", str(tmp_path / "annotations.json")]):
+        assert main([*argv, "--seed", "-1", "--output-dir", out]) == 2
 
 
 def test_synth_and_simulate_ignore_input_paths_in_config(tmp_path):

@@ -23,10 +23,9 @@ def test_default_document_is_pinned():
         "score_threshold": 0.3,
         "gt_filter": "none",
         "count_constrained": False,
-        "noise": {"sigma": 0.2, "k1": 0.1, "k2": 0.1, "seed": 0},
+        "noise": {"sigma": 0.2, "k1": 0.1, "k2": 0.1},
         "nms": {
             "iou_threshold": 0.5,
-            "mode": "two_stage",
             "enable_fallback_loop": True,
             "fallback_floor_score": 0.01,
             "require_region": True,
@@ -53,7 +52,6 @@ def test_default_document_is_pinned():
             "duplicate_rate": 0.2,
             "duplicate_jitter_std": 0.35,
             "score_model": [0.8, 0.4, 0.15],
-            "seed": 0,
         },
         "paths": {
             "annotations": None,
@@ -88,10 +86,23 @@ def test_partial_document_merges_onto_defaults():
     {"noise": {"sigma": float("nan")}},
     {"radio": {"tof_tolerance": -1}},
     {"radio": {"tof_tolerance": 0}},
+    {"seed": -1},
+    {"seed": 2.5},
+    {"radio": {"num_tof_bins": 64.9}},
+    {"lambda": True},
+    {"nms": {"mode": "one_stage"}},
+    {"noise": {"seed": 1}},
+    {"synth": {"seed": 1}},
 ])
 def test_malformed_documents_are_rejected(document):
     with pytest.raises(SchemaError):
         RunConfig.from_dict(document)
+
+
+def test_integral_floats_read_as_integers():
+    config = RunConfig.from_dict({"seed": 7.0, "radio": {"num_tof_bins": "32"}})
+    assert (config.seed, config.radio.num_tof_bins) == (7, 32)
+    assert isinstance(config.seed, int)
 
 
 _unit = st.floats(0.0, 1.0)
@@ -113,8 +124,8 @@ configs = st.builds(
     gt_filter=st.sampled_from(("none", "reasonable", "all")),
     count_constrained=st.booleans(),
     noise=st.builds(NoiseParams, sigma=_positive(2.0), k1=_positive(2.0),
-                    k2=_positive(2.0), seed=st.integers(0, 2**31 - 1)),
-    nms=st.builds(NmsConfig, iou_threshold=_unit, mode=_modes,
+                    k2=_positive(2.0)),
+    nms=st.builds(NmsConfig, iou_threshold=_unit,
                   enable_fallback_loop=st.booleans(), fallback_floor_score=_unit,
                   require_region=st.booleans()),
     camera=st.builds(CameraModel, focal_length_px=_positive(1e4),
@@ -126,8 +137,7 @@ configs = st.builds(
                     round_trip_factor=_positive(2.0), person_extent_m=_positive(3.0)),
     synth=st.builds(SynthParams, jitter_std=_unit, fp_per_image=_positive(5.0),
                     fn_rate=_unit, duplicate_rate=_unit, duplicate_jitter_std=_unit,
-                    score_model=st.tuples(_unit, _unit, _unit),
-                    seed=st.integers(0, 2**31 - 1)),
+                    score_model=st.tuples(_unit, _unit, _unit)),
     paths=st.builds(RunPaths, annotations=_paths, detections=_paths, regions=_paths,
                     output_dir=st.text(min_size=1, max_size=12)),
 )

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from radiofusion.errors import InvalidInputError
 from radiofusion.fusion import (
     Detection,
-    Proposal,
     decay_one_stage,
     decay_two_stage,
     generate_proposals,
@@ -177,33 +176,32 @@ class TestReviseDetections:
 
 class TestGenerateProposals:
     def test_identity_anchor(self):
-        props = generate_proposals(region(cx=50, cy=50, edge=100), [1.0], [1.0])
-        assert len(props) == 1
-        assert props[0].bbox == (0.0, 0.0, 100.0, 100.0)
-        assert props[0].region_id == "r0"
+        assert generate_proposals(region(cx=50, cy=50, edge=100), [1.0], [1.0]) == [
+            (0.0, 0.0, 100.0, 100.0)]
 
     def test_cardinality(self):
-        props = generate_proposals(region(), [0.75, 1.0, 1.25], [1.0, 2.0, 3.0])
-        assert len(props) == 9
-        assert {(p.scale_index, p.ratio_index) for p in props} == {
-            (i, j) for i in range(3) for j in range(3)
-        }
+        boxes = generate_proposals(region(), [0.75, 1.0, 1.25], [1.0, 2.0, 3.0])
+        assert len(boxes) == 9
+        for i, scale in enumerate([0.75, 1.0, 1.25]):
+            for j, ratio in enumerate([1.0, 2.0, 3.0]):
+                _, _, w, h = boxes[3 * i + j]
+                assert w * h == pytest.approx((scale * 100.0) ** 2)
+                assert h / w == pytest.approx(ratio)
 
     def test_ratio_two_shape(self):
-        (prop,) = generate_proposals(region(cx=50, cy=50, edge=100), [1.0], [2.0])
-        x, y, w, h = prop.bbox
+        (bbox,) = generate_proposals(region(cx=50, cy=50, edge=100), [1.0], [2.0])
+        x, y, w, h = bbox
         assert w == pytest.approx(100.0 / math.sqrt(2.0))
         assert h == pytest.approx(100.0 * math.sqrt(2.0))
         assert w * h == pytest.approx(100.0 ** 2)
         assert (x + w / 2, y + h / 2) == (pytest.approx(50.0), pytest.approx(50.0))
 
     def test_center_and_id_preserved(self):
-        for prop in generate_proposals(region(cx=20, cy=30, edge=50, identifier="z"),
-                                       [0.5, 1.5], [1.0, 2.5]):
-            x, y, w, h = prop.bbox
+        z = region(cx=20, cy=30, edge=50, identifier="z")
+        for x, y, w, h in generate_proposals(z, [0.5, 1.5], [1.0, 2.5]):
             assert x + w / 2 == pytest.approx(20.0)
             assert y + h / 2 == pytest.approx(30.0)
-            assert prop.region_id == "z"
+        assert {det.region_id for det in proposals_to_detections([z], "img")} == {"z"}
 
     def test_empty_or_negative_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -221,12 +219,13 @@ class TestProposalsToDetections:
         assert best.bbox == (0.0, 0.0, 100.0, 100.0)
         assert all(d.region_id == "r0" for d in dets)
 
-    def test_constant_scoring(self):
-        dets = proposals_to_detections([region()], "img", score_mode="constant")
-        assert all(d.score == 1.0 for d in dets)
+    def test_each_anchor_scored_against_its_own_region(self):
+        far = region(cx=500, cy=500, edge=40, identifier="r1")
+        dets = proposals_to_detections([region(), far], "img")
+        assert [d.region_id for d in dets] == ["r0"] * 9 + ["r1"] * 9
+        assert [d.score for d in dets[9:]] == [decay_two_stage(d.bbox, far) for d in dets[9:]]
+        assert max(d.score for d in dets[9:]) == 1.0
 
     def test_detection_validation(self):
         with pytest.raises(InvalidInputError):
             Detection(image_id="i", bbox=(0, 0, 10, 10), score=1.5)
-        with pytest.raises(InvalidInputError):
-            Proposal(bbox=(0, 0, 0, 10), region_id="r", scale_index=0, ratio_index=0)

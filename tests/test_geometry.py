@@ -2,13 +2,12 @@
 
 import pytest
 
-from radiofusion.geometry import intersect_area, iou, rect_area, rect_center, square
+from radiofusion.geometry import intersect_area, iou, rect_area, square
 
 
-def test_area_and_center():
+def test_area():
     assert rect_area((0, 0, 4, 5)) == 20
     assert rect_area((0, 0, -1, 5)) == 0
-    assert rect_center((2, 2, 4, 6)) == (4.0, 5.0)
 
 
 def test_square():

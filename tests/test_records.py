@@ -1,6 +1,7 @@
 """Record constructors reject non-finite numbers, whoever builds them."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,6 +39,10 @@ SAMPLES = np.ones((2, 2), dtype=complex)
     lambda: RadioParams(tof_tolerance=NAN),
     lambda: RadioParams(tof_tolerance=INF),
     lambda: RadioParams(person_extent_m=INF),
+    lambda: replace(GEO, element_spacing=NAN),
+    lambda: replace(GEO, base_frequency=INF),
+    lambda: replace(GEO, frequency_interval=NAN),
+    lambda: replace(GEO, num_subcarriers=INF),
 ])
 def test_non_finite_values_are_rejected(build):
     with pytest.raises(InvalidInputError):

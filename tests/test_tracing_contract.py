@@ -1,0 +1,56 @@
+"""The benchmark tracer still fits the program: every hook runs clean.
+
+``perfbench/tracing.py`` wraps pipeline and fileio globals and reads
+arguments and record fields in its hooks (``NmsConfig.mode``,
+``CsiFrame.geometry`` ...). Removing or renaming one of those breaks the
+benchmark's traced rounds, so a tiny world is run here under the tracer.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from radiofusion import fileio
+from radiofusion.cli import main
+from radiofusion.config import METHODS
+from radiofusion.radio import ArrayGeometry, synthesize_csi
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    yield tracing
+    sys.modules.pop("tracing", None)
+
+
+def test_every_command_runs_clean_under_the_tracer(tmp_path, tracing):
+    out = str(tmp_path)
+    assert main(["synth", "--num-images", "8", "--seed", "3", "--output-dir", out]) == 0
+    frames = []
+    for orientation, aoa in (("horizontal", 93.0), ("vertical", 88.0)):
+        geo = ArrayGeometry(num_antennas=4, element_spacing=0.0258, num_subcarriers=8,
+                            base_frequency=5.8e9, frequency_interval=312.5e3,
+                            orientation=orientation)
+        path = tmp_path / f"{orientation}.json"
+        fileio.write_csi_frame(path, synthesize_csi([(aoa, 40e-9, 1.0)], geo), image_id="f0")
+        frames.append(str(path))
+
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        for method in METHODS:
+            assert main(["run", "--method", method, "--annotations",
+                         str(tmp_path / "annotations.json"), "--output-dir", out]) == 0
+        assert main(["localize", "--csi", *frames, "--output-dir", out]) == 0
+        assert main(["project", "--estimates", str(tmp_path / "estimates.json"),
+                     "--output-dir", out]) == 0
+
+    assert tracer.violations == []
+    assert tracer.nesting_errors() == []
+    for key in ("nms.in", "fusion.revised", "fusion.proposals", "radio.frames",
+                "radio.estimates", "imaging.regions"):
+        assert tracer.counts.get(key, 0) > 0, key
