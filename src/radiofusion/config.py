@@ -7,6 +7,7 @@ perturb the region noise draws.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -34,6 +35,9 @@ METHOD_STEPS: dict[str, tuple[str, str | None]] = {
 METHODS = tuple(METHOD_STEPS)
 
 
+MAX_GRID_CELLS = 1_000_000  # angle x delay cells of one spectrum (default 181 x 64)
+
+
 @dataclass(frozen=True)
 class RadioParams:
     """Spectrum search and projection knobs."""
@@ -50,6 +54,13 @@ class RadioParams:
                        self.round_trip_factor, self.person_extent_m)
         if self.aoa_step_deg <= 0 or self.num_tof_bins < 1:
             raise InvalidInputError("grid resolution must be positive")
+        # default_aoa_grid holds ceil(span) angles, as np.arange counts them.
+        span = (180.0 + 0.5 * self.aoa_step_deg) / self.aoa_step_deg
+        angles = math.ceil(span) if span <= MAX_GRID_CELLS else span
+        if angles * self.num_tof_bins > MAX_GRID_CELLS:
+            raise InvalidInputError(
+                f"{angles:.6g} angles x {self.num_tof_bins} delays exceeds {MAX_GRID_CELLS} "
+                "grid cells; raise aoa_step_deg or lower num_tof_bins")
         if not 0.0 < self.peak_threshold <= 1.0:
             raise InvalidInputError("peak_threshold must be in (0, 1]")
         if self.person_extent_m <= 0 or self.round_trip_factor <= 0:

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+import numpy as np
+
 Rect = tuple[float, float, float, float]
 
 
@@ -43,3 +45,21 @@ def iou(a: Sequence[float], b: Sequence[float]) -> float:
     if union <= 0.0:
         return 0.0
     return inter / union
+
+
+def rect_areas(boxes: np.ndarray) -> np.ndarray:
+    """``rect_area`` of every ``(..., 4)`` box, bit-equal to the scalar."""
+    return np.maximum(boxes[..., 2], 0.0) * np.maximum(boxes[..., 3], 0.0)
+
+
+def iou_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``iou`` of broadcast ``(..., 4)`` box arrays, bit-equal to the scalar.
+
+    Every min, max, subtraction, product and division runs in ``iou``'s
+    order on the same float64 values, so each entry is the same float.
+    """
+    w = np.minimum(a[..., 0] + a[..., 2], b[..., 0] + b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    h = np.minimum(a[..., 1] + a[..., 3], b[..., 1] + b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    inter = np.where((w > 0.0) & (h > 0.0), w * h, 0.0)
+    union = rect_areas(a) + rect_areas(b) - inter
+    return np.divide(inter, union, out=np.zeros(union.shape), where=union > 0.0)

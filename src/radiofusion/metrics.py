@@ -13,14 +13,28 @@ samples spaced evenly in log space over [0.01, 1].
 
 Every metric evaluates one image universe: the given ``image_ids`` (a run
 passes the annotation image list), else every image a record names. A
-record on an image outside a given list is an input error. Each image's
-IoU table and score order are computed once and shared by every threshold
-and size bucket.
+record on an image outside a given list is an input error.
+
+One batched core does the matching for all three metrics, after
+pycocotools' ``COCOeval.evaluateImg``. Only images with both detections
+and people can match; they are sorted by those two counts and taken
+``CHUNK_IMAGES`` at a time, so a chunk's padding stays small and memory
+grows with the chunk, not the world. A chunk's boxes are padded with zero
+boxes to (image, detection, 4) and (image, person, 4), detections in
+visiting order. The core then walks the detection ranks once. At each rank
+one IoU kernel call (``geometry.iou_arrays``, bit-equal to
+``geometry.iou``) gives the rank's (image, person) IoUs, and every (size
+bucket, IoU threshold, image) takes, in one masked argmax, the free real
+person of highest IoU if that IoU is above 0 and reaches the threshold; a
+detection that took none tries the ignored people the same way. Of equal
+IoUs the argmax takes the first person, the one a scalar scan with a
+strict > keeps. The flags go back to image-id-then-input order, where AP,
+the miss-rate curve and the visual counts read them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
@@ -28,7 +42,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .fusion import Detection, score_order
-from .geometry import iou, rect_area
+from .geometry import iou_arrays, rect_areas
 from .sim_regions import Annotation, group_by_image
 
 COCO_IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
@@ -77,29 +91,17 @@ class MetricsReport:
         return report
 
 
-SIZE_BUCKETS: dict[str, Callable[[float], bool]] = {
-    "all": lambda area: True,
-    "small": lambda area: area < SMALL_AREA_MAX,
-    "medium": lambda area: SMALL_AREA_MAX <= area <= MEDIUM_AREA_MAX,
-    "large": lambda area: area > MEDIUM_AREA_MAX,
-}
+SIZE_BUCKETS = ("all", "small", "medium", "large")
+CHUNK_IMAGES = 128  # images padded and matched together; bounds the padded arrays
+_RECALL_POINTS = np.linspace(0.0, 1.0, 101)
 
 
-class _Image(NamedTuple):
-    """One evaluated image: what every threshold and bucket matches on."""
-
-    scores: list[float]
-    order: Sequence[int]  # visiting order of the detections
-    ious: list[list[float]]  # [detection][ground truth]
-    det_areas: list[float]
-    gt_areas: list[float]
-
-
-def _image(detections: list[Detection], gts: list[Annotation], by_score: bool) -> _Image:
-    scores = [det.score for det in detections]
-    order = score_order(scores) if by_score else range(len(scores))
-    return _Image(scores, order, [[iou(det.bbox, gt.bbox) for gt in gts] for det in detections],
-                  [rect_area(det.bbox) for det in detections], [rect_area(gt.bbox) for gt in gts])
+def _in_buckets(areas: np.ndarray, buckets: Sequence[str]) -> np.ndarray:
+    """``(bucket, *areas.shape)`` membership of each box area."""
+    small, large = areas < SMALL_AREA_MAX, areas > MEDIUM_AREA_MAX
+    inside = {"all": np.ones(areas.shape, bool), "small": small,
+              "medium": ~small & ~large, "large": large}
+    return np.stack([inside[bucket] for bucket in buckets])
 
 
 def check_image_ids(image_ids: Iterable[str], **ids_by_kind: Iterable[str]) -> None:
@@ -110,52 +112,147 @@ def check_image_ids(image_ids: Iterable[str], **ids_by_kind: Iterable[str]) -> N
             raise InvalidInputError(f"{kind} on images outside the image list: {stray[:3]}")
 
 
-def _images(detections: list[Detection], gts: list[Annotation],
-            image_ids: Iterable[str] | None, by_score: bool = True) -> list[_Image]:
-    """The evaluated images in id order: ``image_ids``, else every image seen."""
+def _per_image(
+    detections: list[Detection], gts: list[Annotation], image_ids: Iterable[str] | None,
+) -> tuple[list[list[Detection]], list[list[Annotation]]]:
+    """Detections and ground truth of the evaluated images in id order.
+
+    The images are ``image_ids``, else every image a record names.
+    """
     dets_by_image = group_by_image(detections)
     gts_by_image = group_by_image(gts)
     universe = set(dets_by_image) | set(gts_by_image) if image_ids is None else set(image_ids)
     check_image_ids(universe, detections=dets_by_image, annotations=gts_by_image)
-    return [_image(dets_by_image.get(i, []), gts_by_image.get(i, []), by_score)
-            for i in sorted(universe)]
+    ids = sorted(universe)
+    return [dets_by_image.get(i, []) for i in ids], [gts_by_image.get(i, []) for i in ids]
 
 
-def _greedy_match(image: _Image, iou_t: float, bucket: str) -> tuple[list[bool], list[bool], int]:
-    """One-to-one greedy matching of one image inside one size bucket.
+class _Matches(NamedTuple):
+    """Every detection's match flags, in image-id-then-input order."""
 
-    Returns (tp flags, ignored flags, fn count), flags aligned to the input
-    detection order. Ground truth outside the bucket is an ignore region. A
-    detection first tries the best real ground truth; if none reaches the
-    threshold it may absorb an ignored ground truth or, if its own area is
-    outside the bucket, be ignored outright.
+    scores: np.ndarray  # (N,)
+    tp: np.ndarray  # (bucket, threshold, N): matched a real person
+    ignored: np.ndarray  # (bucket, threshold, N): left out of the bucket's AP
+    num_gt: np.ndarray  # (bucket,): real ground truth in the bucket
+    num_images: int
+
+
+def _flat(groups: list[list]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(N, 4) boxes of every record in group order, each group's size and start."""
+    boxes = np.array([r.bbox for group in groups for r in group], dtype=float).reshape(-1, 4)
+    counts = np.array([len(group) for group in groups], dtype=np.intp)
+    return boxes, counts, np.cumsum(counts) - counts
+
+
+def _slots(counts: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per image, its records padded to the largest count: (index, is real)."""
+    slot = np.arange(counts.max(initial=0))
+    valid = slot < counts[:, None]
+    return np.where(valid, starts[:, None] + slot, 0), valid
+
+
+def _claim(free: np.ndarray, row: np.ndarray, limit: np.ndarray) -> np.ndarray:
+    """Each (bucket, threshold, image) takes its free ground truth of highest IoU.
+
+    ``free`` is (bucket, threshold, image, gt), ``row`` one rank's (image,
+    gt) IoUs and ``limit`` the flat IoU each take must reach. The taken
+    ground truth leaves ``free``. Returns the flat flags of the takes.
     """
-    inside = SIZE_BUCKETS[bucket]
-    real = [inside(area) for area in image.gt_areas]
-    taken = [False] * len(real)
-    tp = [False] * len(image.scores)
-    ignored = [False] * len(image.scores)
-    for i in image.order:
-        for pick_real in (True, False):
-            best_j, best_iou = None, 0.0
-            for j, overlap in enumerate(image.ious[i]):
-                if not taken[j] and real[j] == pick_real and overlap > best_iou:
-                    best_j, best_iou = j, overlap
-            if best_j is not None and best_iou >= iou_t:
-                taken[best_j] = True
-                (tp if pick_real else ignored)[i] = True
-                break
-        else:
-            ignored[i] = not inside(image.det_areas[i])
-    fn = sum(1 for j in range(len(real)) if real[j] and not taken[j])
-    return tp, ignored, fn
+    candidates = np.where(free, row, 0.0).reshape(limit.size, -1)
+    # argmax takes the first of equal maxima, as a scalar strict > would.
+    best = candidates.argmax(axis=1)
+    won = candidates[np.arange(best.size), best] >= limit
+    takers = np.flatnonzero(won)
+    free.reshape(candidates.shape)[takers, best[takers]] = False
+    return won
+
+
+def _greedy(dets: np.ndarray, gts: np.ndarray, real: np.ndarray, ignore: np.ndarray,
+            thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy one-to-one matching of every (bucket, threshold, image) at once.
+
+    ``dets`` is (image, rank, 4) in visiting order and ``gts`` (image, gt,
+    4), both padded with zero boxes, whose IoU with any box is 0;
+    ``real``/``ignore`` are (bucket, image, gt). Returns two (bucket,
+    threshold, image, rank) flags: matched a real person, absorbed an
+    ignored one.
+    """
+    num_images, depth, _ = dets.shape
+    shape = (real.shape[0], thresholds.size, num_images)
+    free_real = np.repeat(real[:, None], thresholds.size, axis=1)
+    free_ignored = np.repeat(ignore[:, None], thresholds.size, axis=1) if ignore.any() else None
+    # An IoU must reach the threshold and be above 0; IoUs are never negative,
+    # so both tests are one >= against the threshold raised to the least float.
+    limit = np.maximum(thresholds, np.nextafter(0.0, 1.0))
+    limit = np.broadcast_to(limit[:, None], shape).ravel()
+    hit = np.zeros((limit.size, depth), bool)
+    absorbed = np.zeros_like(hit)
+    for rank in range(depth):
+        row = iou_arrays(dets[:, rank, None], gts)
+        hit[:, rank] = won = _claim(free_real, row, limit)
+        if free_ignored is not None:  # only a detection no real person took
+            absorbed[:, rank] = _claim(free_ignored, row, np.where(won, np.inf, limit))
+    return hit.reshape(*shape, depth), absorbed.reshape(*shape, depth)
+
+
+def _match(dets_per_image: list[list[Detection]], gts_per_image: list[list[Annotation]],
+           thresholds: Sequence[float], buckets: Sequence[str] = ("all",),
+           by_score: bool = True) -> _Matches:
+    """Match every image at every threshold inside every size bucket."""
+    det_boxes, det_counts, det_starts = _flat(dets_per_image)
+    gt_boxes, gt_counts, gt_starts = _flat(gts_per_image)
+    scores = np.array([det.score for dets in dets_per_image for det in dets], dtype=float)
+    visit = np.arange(scores.size)
+    if by_score:
+        visit = np.lexsort((-scores, np.repeat(np.arange(det_counts.size), det_counts)))
+    det_in = _in_buckets(rect_areas(det_boxes), buckets)
+    gt_in = _in_buckets(rect_areas(gt_boxes), buckets)
+    limits = np.asarray(thresholds, dtype=float)
+    tp = np.zeros((len(buckets), limits.size, scores.size), bool)
+    absorbed = np.zeros_like(tp)
+    # Only images with both detections and people can match anything. Chunks
+    # of images of alike shape keep the padding small.
+    busy = np.flatnonzero((det_counts > 0) & (gt_counts > 0))
+    busy = busy[np.lexsort((gt_counts[busy], det_counts[busy]))]
+    for first in range(0, busy.size, CHUNK_IMAGES):
+        images = busy[first:first + CHUNK_IMAGES]
+        det_slot, det_valid = _slots(det_counts[images], det_starts[images])
+        gt_slot, gt_valid = _slots(gt_counts[images], gt_starts[images])
+        det_slot = visit[det_slot]
+        dets = np.where(det_valid[..., None], det_boxes[det_slot], 0.0)
+        gts = np.where(gt_valid[..., None], gt_boxes[gt_slot], 0.0)
+        inside = gt_in[:, gt_slot]
+        hit, took_ignored = _greedy(dets, gts, inside & gt_valid, ~inside & gt_valid, limits)
+        owners = det_slot[det_valid]
+        tp[..., owners] = hit[..., det_valid]
+        absorbed[..., owners] = took_ignored[..., det_valid]
+    ignored = absorbed | (~tp & ~det_in[:, None])
+    return _Matches(scores, tp, ignored, gt_in.sum(axis=1), len(dets_per_image))
 
 
 def match(detections: list[Detection], gts: list[Annotation], iou_t: float,
           sorted_by_score: bool = True) -> MatchResult:
     """Match one image's detections against its ground truth."""
-    tp, _, fn = _greedy_match(_image(detections, gts, sorted_by_score), iou_t, "all")
-    return MatchResult(tp=tuple(tp), fp=tuple(not f for f in tp), fn=fn)
+    tp = _match([detections], [gts], (iou_t,), by_score=sorted_by_score).tp[0, 0].tolist()
+    return MatchResult(tp=tuple(tp), fp=tuple(not f for f in tp), fn=len(gts) - sum(tp))
+
+
+def _ranked_ap(is_tp: np.ndarray, num_gt: int) -> float:
+    """101-point interpolated AP of tp flags already ranked by score."""
+    if num_gt <= 0 or is_tp.size == 0:
+        return 0.0
+    cum_tp = np.cumsum(is_tp, dtype=float)
+    recall = cum_tp / num_gt
+    precision = cum_tp / np.arange(1, is_tp.size + 1)
+    # Monotone envelope from the right, then sample at 101 recall points.
+    precision = np.maximum.accumulate(precision[::-1])[::-1]
+    sample_idx = np.searchsorted(recall, _RECALL_POINTS, side="left")
+    return float(np.sum(precision[sample_idx[sample_idx < precision.size]])) / 101.0
+
+
+def _rank(scores: np.ndarray) -> np.ndarray:
+    """Indices by descending score, stable on position (as ``score_order``)."""
+    return np.argsort(-scores, kind="stable")
 
 
 def average_precision(scored_matches: list[tuple[float, bool]], num_gt: int) -> float:
@@ -164,32 +261,9 @@ def average_precision(scored_matches: list[tuple[float, bool]], num_gt: int) -> 
     Pairs are ranked by descending score, stable on pooled order. Returns 0
     when there is nothing to rank or no ground truth to recall.
     """
-    if num_gt <= 0 or not scored_matches:
-        return 0.0
-    order = score_order([score for score, _ in scored_matches])
-    tp = np.array([1.0 if scored_matches[i][1] else 0.0 for i in order])
-    cum_tp = np.cumsum(tp)
-    ranks = np.arange(1, tp.size + 1)
-    recall = cum_tp / num_gt
-    precision = cum_tp / ranks
-    # Monotone envelope from the right, then sample at 101 recall points.
-    for i in range(precision.size - 2, -1, -1):
-        precision[i] = max(precision[i], precision[i + 1])
-    sample_idx = np.searchsorted(recall, np.linspace(0.0, 1.0, 101), side="left")
-    total = float(np.sum(precision[sample_idx[sample_idx < precision.size]]))
-    return total / 101.0
-
-
-def _pooled(images: list[_Image], iou_t: float, bucket: str) -> tuple[list, int]:
-    """(score, is_tp) of every detection the bucket keeps, and the real ground truth count."""
-    scored: list[tuple[float, bool]] = []
-    num_gt = 0
-    for image in images:
-        tp, ignored, fn = _greedy_match(image, iou_t, bucket)
-        num_gt += fn + sum(tp)
-        scored.extend((score, is_tp) for score, is_tp, skip
-                      in zip(image.scores, tp, ignored) if not skip)
-    return scored, num_gt
+    scores = np.array([score for score, _ in scored_matches], dtype=float)
+    is_tp = np.array([is_tp for _, is_tp in scored_matches], dtype=bool)
+    return _ranked_ap(is_tp[_rank(scores)], num_gt)
 
 
 def coco_map(
@@ -203,9 +277,11 @@ def coco_map(
     between 32^2 and 96^2 inclusive, large above 96^2. A bucket with no
     ground truth reports 0.
     """
-    images = _images(detections, gts, image_ids)
-    ap = {(t, bucket): average_precision(*_pooled(images, t, bucket))
-          for bucket in SIZE_BUCKETS for t in COCO_IOU_THRESHOLDS}
+    matches = _match(*_per_image(detections, gts, image_ids), COCO_IOU_THRESHOLDS, SIZE_BUCKETS)
+    order = _rank(matches.scores)
+    tp, kept = matches.tp[..., order], ~matches.ignored[..., order]
+    ap = {(t, bucket): _ranked_ap(tp[b, k][kept[b, k]], matches.num_gt[b])
+          for b, bucket in enumerate(SIZE_BUCKETS) for k, t in enumerate(COCO_IOU_THRESHOLDS)}
 
     def mean(bucket: str) -> float:
         return sum(ap[t, bucket] for t in COCO_IOU_THRESHOLDS) / len(COCO_IOU_THRESHOLDS)
@@ -230,27 +306,20 @@ def mr_fppi(
     sample points. With no ground truth at all the miss rate is defined
     as 0.
     """
-    images = _images(detections, gts, image_ids)
-    num_images = max(len(images), 1)
-    scored, total_gt = _pooled(images, iou_t, "all")
-    order = score_order([score for score, _ in scored])
-
-    curve: list[tuple[float, float]] = [(0.0, 1.0 if total_gt > 0 else 0.0)]
-    cum_tp = cum_fp = 0
-    for pos, i in enumerate(order):
-        score, is_tp = scored[i]
-        cum_tp += int(is_tp)
-        cum_fp += int(not is_tp)
-        last = pos + 1 == len(order)
-        if last or scored[order[pos + 1]][0] != score:
-            miss = (total_gt - cum_tp) / total_gt if total_gt > 0 else 0.0
-            curve.append((cum_fp / num_images, miss))
-
-    curve.sort(key=lambda p: p[0])
-    samples = []
-    for ref in MR_FPPI_SAMPLES:
-        eligible = [m for f, m in curve if f <= ref]
-        samples.append(min(eligible) if eligible else curve[0][1])
+    matches = _match(*_per_image(detections, gts, image_ids), (iou_t,))
+    num_images = max(matches.num_images, 1)
+    total_gt = int(matches.num_gt[0])
+    order = _rank(matches.scores)
+    ranked = matches.scores[order]
+    # One point at the last detection of each distinct score.
+    ends = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))[:ranked.size]
+    cum_tp = np.cumsum(matches.tp[0, 0, order])[ends]
+    fppi = np.append(0.0, (ends + 1 - cum_tp) / num_images)
+    miss = np.append(1.0, (total_gt - cum_tp) / total_gt) if total_gt > 0 else np.zeros(fppi.size)
+    curve = list(zip(fppi.tolist(), miss.tolist()))
+    # fppi never falls and the miss rate never rises along the ranking, so the
+    # lowest miss rate at FPPI <= ref is the one at the last such point.
+    samples = miss[np.searchsorted(fppi, MR_FPPI_SAMPLES, side="right") - 1].tolist()
     return curve, float(sum(samples) / len(samples))
 
 
@@ -266,15 +335,12 @@ def visual_metrics(
     displayed box counts the same. The ratio is 1 for a run with no boxes
     and no people at all.
     """
-    images = _images(detections, gts, image_ids, by_score=False)
-    total_tp = total_fp = total_fn = 0
-    for image in images:
-        tp, _, fn = _greedy_match(image, iou_t, "all")
-        total_tp += sum(tp)
-        total_fp += len(tp) - sum(tp)
-        total_fn += fn
+    matches = _match(*_per_image(detections, gts, image_ids), (iou_t,), by_score=False)
+    total_tp = int(matches.tp.sum())
+    total_fp = matches.scores.size - total_tp
+    total_fn = int(matches.num_gt[0]) - total_tp
 
-    fp_fn = (total_fp + total_fn) / max(len(images), 1)
+    fp_fn = (total_fp + total_fn) / max(matches.num_images, 1)
     denominator = total_tp + total_fp + total_fn
     ratio = total_tp / denominator if denominator > 0 else 1.0
     return fp_fn, ratio

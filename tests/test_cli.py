@@ -143,6 +143,8 @@ _REGION = {"center_x": 100.0, "center_y": 100.0, "edge": 40.0}
     ("--config", '{"nms": {"mode": "one_stage"}}'),
     ("--config", '{"noise": {"seed": 1}}'),
     ("--config", '{"synth": {"seed": 1}}'),
+    ("--config", '{"radio": {"num_tof_bins": 100000000000}}'),
+    ("--config", '{"radio": {"aoa_step_deg": 1e-9}}'),
     ("--detections", json.dumps({"schema": "detections/1", "detections": [
         {"image_id": "img00000", "bbox": [0, 0, 10, 10], "score": True}]})),
 ])
@@ -156,10 +158,8 @@ def test_malformed_input_exit_code(tmp_path, flag, content):
     assert code == 2
 
 
-@pytest.mark.parametrize("command", ["synth", "simulate-regions", "localize", "project",
-                                     "run", "sweep"])
-def test_bad_tof_tolerance_exit_code_for_every_command(tmp_path, command):
-    """A config with tof_tolerance <= 0 is refused before any work, whatever the command."""
+def _command_argv(tmp_path, command):
+    """Inputs for one subcommand on a 3-image world and one CSI frame."""
     assert main(["synth", "--num-images", "3", "--seed", "5", "--output-dir", str(tmp_path)]) == 0
     geo = ArrayGeometry(num_antennas=4, element_spacing=0.0258, num_subcarriers=8,
                         base_frequency=5.8e9, frequency_interval=312.5e3)
@@ -167,7 +167,7 @@ def test_bad_tof_tolerance_exit_code_for_every_command(tmp_path, command):
                            image_id="f0")
     fileio.write_estimates(tmp_path / "estimates.json", {"f0": []})
     annotations = str(tmp_path / "annotations.json")
-    argv = {
+    return {
         "synth": ["--num-images", "3"],
         "simulate-regions": ["--annotations", annotations],
         "localize": ["--csi", str(tmp_path / "h.json")],
@@ -175,10 +175,32 @@ def test_bad_tof_tolerance_exit_code_for_every_command(tmp_path, command):
         "run": ["--annotations", annotations],
         "sweep": ["--annotations", annotations, "--param", "k", "--values", "0.1"],
     }[command]
+
+
+COMMANDS = ["synth", "simulate-regions", "localize", "project", "run", "sweep"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_bad_tof_tolerance_exit_code_for_every_command(tmp_path, command):
+    """A config with tof_tolerance <= 0 is refused before any work, whatever the command."""
+    argv = _command_argv(tmp_path, command)
     for tolerance, expected in ((1e-7, 0), (0, 2), (-1, 2)):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"radio": {"tof_tolerance": tolerance}}))
         out = str(tmp_path / f"out{tolerance}")
+        assert main([command, *argv, "--config", str(config), "--output-dir", out]) == expected
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_oversized_radio_grid_exit_code_for_every_command(tmp_path, command):
+    """A config whose angle x delay grid is over the cell cap is refused by every command."""
+    argv = _command_argv(tmp_path, command)
+    cases = (({"num_tof_bins": 5524}, 0), ({"num_tof_bins": 5525}, 2),
+             ({"num_tof_bins": 100000000000}, 2), ({"aoa_step_deg": 1e-9}, 2))
+    for case, (radio, expected) in enumerate(cases):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"radio": radio}))
+        out = str(tmp_path / f"out{case}")
         assert main([command, *argv, "--config", str(config), "--output-dir", out]) == expected
 
 

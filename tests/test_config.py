@@ -93,10 +93,23 @@ def test_partial_document_merges_onto_defaults():
     {"nms": {"mode": "one_stage"}},
     {"noise": {"seed": 1}},
     {"synth": {"seed": 1}},
+    {"radio": {"num_tof_bins": 100000000000}},
+    {"radio": {"num_tof_bins": 5525}},
+    {"radio": {"aoa_step_deg": 1e-9}},
+    {"radio": {"aoa_step_deg": 5e-324}},
+    {"radio": {"aoa_step_deg": 0.018, "num_tof_bins": 100}},
 ])
 def test_malformed_documents_are_rejected(document):
     with pytest.raises(SchemaError):
         RunConfig.from_dict(document)
+
+
+@pytest.mark.parametrize("radio", [
+    {"num_tof_bins": 5524},  # 181 x 5524 = 999,844 cells
+    {"aoa_step_deg": 0.0181, "num_tof_bins": 100},  # 9946 x 100 cells
+])
+def test_radio_grid_up_to_the_cell_cap_is_accepted(radio):
+    assert RunConfig.from_dict({"radio": radio}).radio == RadioParams(**radio)
 
 
 def test_integral_floats_read_as_integers():
@@ -131,7 +144,8 @@ configs = st.builds(
     camera=st.builds(CameraModel, focal_length_px=_positive(1e4),
                      image_width=_positive(1e4), image_height=_positive(1e4),
                      fov_h=st.floats(1.0, 179.0), fov_v=st.floats(1.0, 179.0)),
-    radio=st.builds(RadioParams, aoa_step_deg=_positive(10.0),
+    # A step of 0.2 degrees or more keeps 512 delay bins under the grid cell cap.
+    radio=st.builds(RadioParams, aoa_step_deg=st.floats(0.2, 10.0),
                     num_tof_bins=st.integers(1, 512), peak_threshold=_positive(1.0),
                     tof_tolerance=st.none() | _positive(1.0),
                     round_trip_factor=_positive(2.0), person_extent_m=_positive(3.0)),

@@ -1,8 +1,11 @@
 """Rectangle primitive tests."""
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from radiofusion.geometry import intersect_area, iou, rect_area, square
+from radiofusion.geometry import intersect_area, iou, iou_arrays, rect_area, rect_areas, square
 
 
 def test_area():
@@ -28,3 +31,16 @@ def test_iou_identity_disjoint_partial():
 
 def test_iou_zero_union():
     assert iou((0, 0, 0, 0), (0, 0, 0, 0)) == 0.0
+
+
+_coord = st.floats(-1e3, 1e3) | st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])
+_boxes = st.lists(st.tuples(_coord, _coord, st.floats(0.0, 1e3) | st.just(0.0),
+                            st.floats(0.0, 1e3) | st.just(0.0)), min_size=1, max_size=6)
+
+
+@given(_boxes, _boxes)
+def test_array_kernel_is_bit_equal_to_the_scalar(a, b):
+    """iou_arrays and rect_areas give the scalar floats bit for bit."""
+    table = iou_arrays(np.array(a)[:, None], np.array(b)[None])
+    assert table.tolist() == [[iou(p, q) for q in b] for p in a]
+    assert rect_areas(np.array(a)).tolist() == [rect_area(p) for p in a]
