@@ -52,14 +52,19 @@ def rect_areas(boxes: np.ndarray) -> np.ndarray:
     return np.maximum(boxes[..., 2], 0.0) * np.maximum(boxes[..., 3], 0.0)
 
 
-def iou_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``iou`` of broadcast ``(..., 4)`` box arrays, bit-equal to the scalar.
+def intersect_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``intersect_area`` of broadcast ``(..., 4)`` box arrays, bit-equal to the scalar.
 
-    Every min, max, subtraction, product and division runs in ``iou``'s
+    Every min, max, subtraction and product runs in ``intersect_area``'s
     order on the same float64 values, so each entry is the same float.
     """
     w = np.minimum(a[..., 0] + a[..., 2], b[..., 0] + b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     h = np.minimum(a[..., 1] + a[..., 3], b[..., 1] + b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
-    inter = np.where((w > 0.0) & (h > 0.0), w * h, 0.0)
+    return np.where((w > 0.0) & (h > 0.0), w * h, 0.0)
+
+
+def iou_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``iou`` of broadcast ``(..., 4)`` box arrays, bit-equal to the scalar."""
+    inter = intersect_arrays(a, b)
     union = rect_areas(a) + rect_areas(b) - inter
     return np.divide(inter, union, out=np.zeros(union.shape), where=union > 0.0)

@@ -10,16 +10,32 @@ region's own square at a floor score, guaranteeing exactly one detection
 per region. Skip conditions in pass one are checked in a fixed order
 (overlap, region already used, missing region), which pins down the
 deterministic output.
+
+Every function takes a whole world in one call and works image by image
+in image-id order (``fusion.split_world``); a call on one image is a world
+of one image. The IoU arithmetic is batched across images. Suppression
+walks every image's greedy order in lockstep: each round keeps at most one
+more box per image, and one ``geometry.iou_arrays`` call on the flat
+(box, newly kept box) pairs of the whole world marks what those boxes
+suppress, so only kept rows are computed and memory stays linear in the
+detections. Association stacks the images by region count. The skip
+order, the smaller-region-id tie rule and the fallback pass run image by
+image in Python on the precomputed boolean rows.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from itertools import accumulate
+
+import numpy as np
 
 from .errors import InvalidInputError
-from .fusion import Detection, score_order
-from .geometry import iou
+from .fusion import Detection, Image, per_detection, score_order, split_world
+from .geometry import iou, iou_arrays
 from .imaging import RadioRegion
+from .sim_regions import group_by_image
 
 __all__ = [
     "NmsConfig",
@@ -49,51 +65,131 @@ class NmsConfig:
             raise InvalidInputError("fallback_floor_score must be in [0, 1]")
 
 
+def _greedy(
+    groups: list[list[Detection]],
+    threshold: float,
+    known: list[set[str]] | None = None,
+    require_region: bool = False,
+) -> tuple[list[list[int]], list[set[str]]]:
+    """Pass one on every group (image) at once: per group, the kept indices
+    in score order and the region ids they claimed.
+
+    A box is skipped when it overlaps a kept box of its group at or above
+    the threshold, else when its known region is already used, else when it
+    has no known region and one is required. The walks advance in lockstep:
+    each round keeps at most one more box per group, then one ``iou_arrays``
+    call on the flat (box, newly kept box) pairs of those groups marks the
+    boxes the new ones suppress.
+    """
+    sizes = [len(dets) for dets in groups]
+    starts = list(accumulate(sizes, initial=0))
+    boxes = np.array([det.bbox for dets in groups for det in dets], dtype=float).reshape(-1, 4)
+    suppressed = np.zeros(len(boxes), dtype=bool)
+    orders = [iter(score_order([det.score for det in dets])) for dets in groups]
+    known = known if known is not None else [set()] * len(groups)
+    kept: list[list[int]] = [[] for _ in groups]
+    used: list[set[str]] = [set() for _ in groups]
+    walking = [m for m, size in enumerate(sizes) if size]
+    while walking:
+        fresh = []
+        for m in walking:
+            for i in orders[m]:
+                if suppressed[starts[m] + i]:
+                    continue
+                # An id that names no region in this image constrains nothing.
+                rid = groups[m][i].region_id if groups[m][i].region_id in known[m] else None
+                if rid is not None and rid in used[m]:
+                    continue
+                if rid is None and require_region:
+                    continue
+                kept[m].append(i)
+                if rid is not None:
+                    used[m].add(rid)
+                fresh.append(m)
+                break
+        if fresh:
+            # Every box of each image that kept one this round, against that box.
+            first = np.array([starts[m] for m in fresh])
+            counts = np.array([sizes[m] for m in fresh])
+            targets = np.arange(counts.sum()) + np.repeat(first + counts - np.cumsum(counts), counts)
+            new = np.repeat(first + np.array([kept[m][-1] for m in fresh]), counts)
+            suppressed[targets[iou_arrays(boxes[targets], boxes[new]) >= threshold]] = True
+        walking = fresh
+    return kept, used
+
+
 def standard_nms(detections: list[Detection], iou_threshold: float) -> list[Detection]:
-    """Plain greedy suppression: keep a box iff it overlaps every kept box
-    below the threshold. Output is in descending-score order."""
-    kept: list[Detection] = []
-    for i in score_order([det.score for det in detections]):
-        candidate = detections[i]
-        if all(iou(candidate.bbox, k.bbox) < iou_threshold for k in kept):
-            kept.append(candidate)
-    return kept
+    """Plain greedy suppression within each image: keep a box iff it
+    overlaps every kept box below the threshold. Output is in image-id
+    order, descending score within an image."""
+    groups = [dets for _, dets in sorted(group_by_image(detections).items())]
+    kept, _ = _greedy(groups, iou_threshold)
+    return [dets[i] for dets, chosen in zip(groups, kept) for i in chosen]
 
 
 def associate_regions(
     detections: list[Detection],
     regions: list[RadioRegion],
     mode: str = "one_stage",
+    *,
+    region_images: Sequence[str] | None = None,
 ) -> list[Detection]:
-    """Fill in each detection's region id.
+    """Fill in each detection's region id from the regions of its image.
 
     Detections born from region proposals (``two_stage``) know their
     region and keep it; missing provenance there is an input error. Otherwise
     (``one_stage``) the region with the highest positive IoU against the
     detection box wins, ties going to the smaller region id; a detection
-    overlapping no region gets none.
+    overlapping no region gets none. Output is in image-id order, input
+    order within an image.
     """
     if mode not in ("one_stage", "two_stage"):
         raise InvalidInputError(f"unknown mode {mode!r}")
+    images = split_world(detections, regions, region_images)
     if mode == "two_stage":
-        for det in detections:
-            if det.region_id is None:
-                raise InvalidInputError("two_stage association requires region provenance")
-        return list(detections)
+        if any(det.region_id is None for det in detections):
+            raise InvalidInputError("two_stage association requires region provenance")
+        return [det for image in images for det in image.detections]
 
-    associated = []
-    for det in detections:
-        best_id = None
-        best_iou = 0.0
-        for region in regions:
-            overlap = iou(det.bbox, region.to_bbox())
-            if overlap > best_iou or (
-                overlap == best_iou and overlap > 0.0
-                and best_id is not None and region.identifier < best_id
-            ):
-                best_id, best_iou = region.identifier, overlap
-        associated.append(replace(det, region_id=best_id if best_iou > 0.0 else None))
-    return associated
+    # Regions sorted by id: argmax takes the first of tied IoUs, the smaller id.
+    images = [image._replace(regions=sorted(image.regions, key=lambda r: r.identifier))
+              for image in images]
+
+    def best(dets: list[Detection], region_boxes: np.ndarray) -> np.ndarray:
+        boxes = np.array([det.bbox for det in dets], dtype=float).reshape(-1, 1, 4)
+        overlap = iou_arrays(boxes, region_boxes)
+        return np.where(overlap.max(axis=-1) > 0.0, overlap.argmax(axis=-1), -1)
+
+    return [
+        replace(det, region_id=image.regions[j].identifier if j >= 0 else None)
+        for image, picks in zip(images, per_detection(images, best, -1))
+        for det, j in zip(image.detections, picks)
+    ]
+
+
+def _fallback(image: Image, kept: list[int], used: set[str], floor: float) -> list[Detection]:
+    """Pass two on one image: one box for every region pass one left empty,
+    its best suppressed candidate, else the region's own square at ``floor``."""
+    kept_idx = set(kept)
+    candidates: dict[str | None, list[int]] = {}
+    for i, det in enumerate(image.detections):
+        if i not in kept_idx:
+            candidates.setdefault(det.region_id, []).append(i)
+    revived: list[Detection] = []
+    for region in image.regions:
+        if region.identifier in used:
+            continue
+        if region.identifier in candidates:
+            best = max(candidates[region.identifier],
+                       key=lambda i: (image.detections[i].score, -i))
+            revived.append(image.detections[best])
+        elif image.image_id is None:
+            raise InvalidInputError("a fallback anchor needs an image id; pass image_id")
+        else:
+            revived.append(Detection(image_id=image.image_id, bbox=region.to_bbox(),
+                                     score=floor, region_id=region.identifier))
+        used.add(region.identifier)
+    return revived
 
 
 def constrained_nms(
@@ -101,63 +197,37 @@ def constrained_nms(
     regions: list[RadioRegion] | None,
     cfg: NmsConfig,
     image_id: str | None = None,
+    *,
+    region_images: Sequence[str] | None = None,
 ) -> list[Detection]:
     """Greedy NMS where each radio region may produce at most one box.
 
     ``regions=None`` disables the constraint entirely, reducing to
     ``standard_nms``. With ``require_region`` a detection carrying no
-    region id (or an id naming no region in the list) is dropped, since the
-    radio asserts nobody is there; the permissive setting keeps such
+    region id (or an id naming no region of its image) is dropped, since
+    the radio asserts nobody is there; the permissive setting keeps such
     detections subject only to the overlap test. The fallback pass runs for
     enabled ``two_stage`` configurations and guarantees one detection per
     region.
 
-    ``image_id`` labels fallback anchor boxes for images that produced no
-    detections at all; it defaults to the first detection's image id.
+    ``region_images`` names the image of each region; without it the call
+    is one image, and ``image_id`` labels fallback anchor boxes when that
+    image has no detections (it defaults to the first detection's image
+    id); with neither, an anchor is an input error. Output is in
+    image-id order: pass one's boxes in score order, then the fallback's in
+    region order.
     """
     if regions is None:
         return standard_nms(detections, cfg.iou_threshold)
 
-    known = {region.identifier for region in regions}
-    used: set[str] = set()
-    kept: list[Detection] = []
-    kept_idx: set[int] = set()
-    for i in score_order([det.score for det in detections]):
-        candidate = detections[i]
-        if any(iou(candidate.bbox, k.bbox) >= cfg.iou_threshold for k in kept):
-            continue
-        # An id that names no region in this image constrains nothing.
-        rid = candidate.region_id if candidate.region_id in known else None
-        if rid is not None and rid in used:
-            continue
-        if rid is None and cfg.require_region:
-            continue
-        kept.append(candidate)
-        kept_idx.add(i)
-        if rid is not None:
-            used.add(rid)
-
-    if cfg.mode == "two_stage" and cfg.enable_fallback_loop:
-        if image_id is None:
-            image_id = detections[0].image_id if detections else ""
-        for region in regions:
-            if region.identifier in used:
-                continue
-            candidates = [
-                i for i, det in enumerate(detections)
-                if i not in kept_idx and det.region_id == region.identifier
-            ]
-            if candidates:
-                best = max(candidates, key=lambda i: (detections[i].score, -i))
-                kept.append(detections[best])
-            else:
-                kept.append(
-                    Detection(
-                        image_id=image_id,
-                        bbox=region.to_bbox(),
-                        score=cfg.fallback_floor_score,
-                        region_id=region.identifier,
-                    )
-                )
-            used.add(region.identifier)
-    return kept
+    images = split_world(detections, regions, region_images, image_id)
+    fallback = cfg.mode == "two_stage" and cfg.enable_fallback_loop
+    known = [{region.identifier for region in image.regions} for image in images]
+    kept, used = _greedy([image.detections for image in images], cfg.iou_threshold,
+                         known, cfg.require_region)
+    output: list[Detection] = []
+    for image, chosen, claimed in zip(images, kept, used):
+        output.extend(image.detections[i] for i in chosen)
+        if fallback:
+            output.extend(_fallback(image, chosen, claimed, cfg.fallback_floor_score))
+    return output

@@ -3,7 +3,9 @@
 A run starts from ground truth (file or synthetic world), radio regions
 (file, simulated from ground truth, or projected from CSI), and detections
 (file or the detector emulator). The selected method transforms the
-per-image detections:
+detections of the whole world, each stage in one call that works image by
+image (``fusion.split_world``) with its IoU and overlap arithmetic batched
+across images:
 
   baseline        plain greedy NMS
   method1         confidence revision against the regions, then NMS
@@ -43,7 +45,7 @@ from .metrics import (
 from .nms import associate_regions, constrained_nms, standard_nms
 from .radio import CsiFrame, RadioEstimate, compute_spectrum, default_aoa_grid, \
     default_tof_grid, fuse_axes, pick_peaks
-from .sim_regions import GT_FILTERS, Annotation, build_simulative_set, group_by_image
+from .sim_regions import GT_FILTERS, Annotation, build_simulative_set
 from .synth import generate as synth_generate
 
 EVAL_IOU = 0.5
@@ -85,24 +87,26 @@ def apply_method(
     detections: list[Detection],
     regions_by_image: dict[str, list[RadioRegion]],
 ) -> list[Detection]:
-    """Run the configured method image by image; returns the full output."""
+    """Run the configured method on the whole world; returns the full output.
+
+    Every stage is one world-level call; the regions go in as one flat list
+    in image-id order with the image of each. Every detection must lie in
+    ``image_ids`` (``evaluate`` checks).
+    """
     source, cnms = METHOD_STEPS[config.method]
     nms_cfg = replace(config.nms, mode=cnms) if cnms else config.nms
-    dets_by_image = group_by_image(detections)
-    output: list[Detection] = []
-    for image_id in sorted(set(image_ids)):
-        dets = dets_by_image.get(image_id, [])
-        regions = regions_by_image.get(image_id, [])
-        if source == "revised":
-            dets = revise_detections(dets, regions, config.lam, mode=config.mode)
-        elif source == "proposals":
-            dets = proposals_to_detections(regions, image_id)
-        if cnms is None:
-            output.extend(standard_nms(dets, nms_cfg.iou_threshold))
-        else:
-            dets = associate_regions(dets, regions, mode=cnms)
-            output.extend(constrained_nms(dets, regions, nms_cfg, image_id=image_id))
-    return output
+    universe = sorted(set(image_ids))
+    regions = [region for image_id in universe for region in regions_by_image.get(image_id, [])]
+    owners = [image_id for image_id in universe for _ in regions_by_image.get(image_id, [])]
+    if source == "revised":
+        detections = revise_detections(detections, regions, config.lam, mode=config.mode,
+                                       region_images=owners)
+    elif source == "proposals":
+        detections = proposals_to_detections(regions, region_images=owners)
+    if cnms is None:
+        return standard_nms(detections, nms_cfg.iou_threshold)
+    detections = associate_regions(detections, regions, mode=cnms, region_images=owners)
+    return constrained_nms(detections, regions, nms_cfg, region_images=owners)
 
 
 def evaluate(

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from radiofusion.geometry import intersect_area, iou, iou_arrays, rect_area, rect_areas, square
+from radiofusion.geometry import (
+    intersect_area,
+    intersect_arrays,
+    iou,
+    iou_arrays,
+    rect_area,
+    rect_areas,
+    square,
+)
 
 
 def test_area():
@@ -38,9 +46,34 @@ _boxes = st.lists(st.tuples(_coord, _coord, st.floats(0.0, 1e3) | st.just(0.0),
                             st.floats(0.0, 1e3) | st.just(0.0)), min_size=1, max_size=6)
 
 
+# Touching edges, zero-area boxes (points and lines) and a box inside another.
+_EDGE_CASES = [(0.0, 0.0, 2.0, 2.0), (2.0, 0.0, 2.0, 2.0), (0.0, 2.0, 2.0, 2.0),
+               (1.0, 1.0, 0.0, 0.0), (1.0, 0.0, 0.0, 2.0), (0.0, 1.0, 2.0, 0.0),
+               (0.5, 0.5, 1.0, 1.0), (-1.0, -1.0, 4.0, 4.0), (0.0, 0.0, 2.0, 2.0)]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def _assert_kernels_bit_equal(a, b):
+    table = iou_arrays(np.array(a)[:, None], np.array(b)[None])
+    assert _bits(table) == _bits([[iou(p, q) for q in b] for p in a])
+    inter = intersect_arrays(np.array(a)[:, None], np.array(b)[None])
+    assert _bits(inter) == _bits([[intersect_area(p, q) for q in b] for p in a])
+    assert _bits(rect_areas(np.array(a))) == _bits([rect_area(p) for p in a])
+
+
 @given(_boxes, _boxes)
 def test_array_kernel_is_bit_equal_to_the_scalar(a, b):
-    """iou_arrays and rect_areas give the scalar floats bit for bit."""
-    table = iou_arrays(np.array(a)[:, None], np.array(b)[None])
-    assert table.tolist() == [[iou(p, q) for q in b] for p in a]
-    assert rect_areas(np.array(a)).tolist() == [rect_area(p) for p in a]
+    """iou_arrays, intersect_arrays and rect_areas give the scalar floats bit for bit."""
+    _assert_kernels_bit_equal(a, b)
+
+
+def test_array_kernel_edge_cases():
+    _assert_kernels_bit_equal(_EDGE_CASES, _EDGE_CASES)
+    inter = intersect_arrays(np.array(_EDGE_CASES)[:, None], np.array(_EDGE_CASES)[None])
+    assert inter[0, 1] == inter[0, 2] == 0.0  # touching edges
+    assert inter[3].tolist() == [0.0] * len(_EDGE_CASES)  # a point covers nothing
+    assert inter[0, 6] == 1.0 and inter[7, 0] == 4.0  # contained either way round
+    assert iou_arrays(np.array(_EDGE_CASES[3]), np.array(_EDGE_CASES[3])) == 0.0

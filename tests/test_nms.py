@@ -186,6 +186,17 @@ class TestConstrainedNms:
         assert anchor.region_id == "rB"
         assert anchor.image_id == "img7"
 
+    def test_fallback_anchor_without_an_image_id_is_an_input_error(self):
+        # No detections and no image_id: nothing names the image an anchor
+        # belongs to, so no record with an empty image id is made.
+        regions = [RadioRegion(center_x=10.0, center_y=10.0, edge=8.0, identifier="r0")]
+        cfg = NmsConfig(mode="two_stage", enable_fallback_loop=True)
+        with pytest.raises(InvalidInputError):
+            constrained_nms([], regions, cfg)
+        (anchor,) = constrained_nms([], regions, cfg, image_id="img3")
+        assert anchor.image_id == "img3" and anchor.region_id == "r0"
+        assert constrained_nms([], regions, NmsConfig(enable_fallback_loop=False)) == []
+
     def test_disabled_constraint_equals_standard(self):
         rng = np.random.default_rng(13)
         cfg = NmsConfig(iou_threshold=0.5, mode="one_stage", enable_fallback_loop=False)

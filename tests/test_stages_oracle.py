@@ -1,0 +1,454 @@
+"""World-level stages against the per-image scalar code they replace.
+
+The five stages of ``fusion`` and ``nms`` take a whole world in one call
+and batch their IoU arithmetic across images. The functions below are the
+per-image scalar versions they replaced, kept verbatim as oracles: one
+world-level call must equal the oracle run on every image and joined in
+sorted image-id order, exactly (``==`` on every record, every float bit
+for bit). ``oracle_apply_method`` is the per-image loop the pipeline ran.
+"""
+
+import math
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from radiofusion import fusion, nms
+from radiofusion.config import METHOD_STEPS, RunConfig
+from radiofusion.errors import InvalidInputError
+from radiofusion.fusion import Detection, revise_score, score_order
+from radiofusion.geometry import Rect, intersect_area, iou, rect_area
+from radiofusion.imaging import RadioRegion
+from radiofusion.nms import NmsConfig
+from radiofusion.pipeline import apply_method
+from radiofusion.sim_regions import group_by_image
+
+
+# -- Oracles: the scalar per-image stages, verbatim -------------------------
+
+def standard_nms(detections: list[Detection], iou_threshold: float) -> list[Detection]:
+    """Plain greedy suppression: keep a box iff it overlaps every kept box
+    below the threshold. Output is in descending-score order."""
+    kept: list[Detection] = []
+    for i in score_order([det.score for det in detections]):
+        candidate = detections[i]
+        if all(iou(candidate.bbox, k.bbox) < iou_threshold for k in kept):
+            kept.append(candidate)
+    return kept
+
+
+def associate_regions(
+    detections: list[Detection],
+    regions: list[RadioRegion],
+    mode: str = "one_stage",
+) -> list[Detection]:
+    """Fill in each detection's region id.
+
+    Detections born from region proposals (``two_stage``) know their
+    region and keep it; missing provenance there is an input error. Otherwise
+    (``one_stage``) the region with the highest positive IoU against the
+    detection box wins, ties going to the smaller region id; a detection
+    overlapping no region gets none.
+    """
+    if mode not in ("one_stage", "two_stage"):
+        raise InvalidInputError(f"unknown mode {mode!r}")
+    if mode == "two_stage":
+        for det in detections:
+            if det.region_id is None:
+                raise InvalidInputError("two_stage association requires region provenance")
+        return list(detections)
+
+    associated = []
+    for det in detections:
+        best_id = None
+        best_iou = 0.0
+        for region in regions:
+            overlap = iou(det.bbox, region.to_bbox())
+            if overlap > best_iou or (
+                overlap == best_iou and overlap > 0.0
+                and best_id is not None and region.identifier < best_id
+            ):
+                best_id, best_iou = region.identifier, overlap
+        associated.append(replace(det, region_id=best_id if best_iou > 0.0 else None))
+    return associated
+
+
+def constrained_nms(
+    detections: list[Detection],
+    regions: list[RadioRegion] | None,
+    cfg: NmsConfig,
+    image_id: str | None = None,
+) -> list[Detection]:
+    """Greedy NMS where each radio region may produce at most one box.
+
+    ``regions=None`` disables the constraint entirely, reducing to
+    ``standard_nms``. With ``require_region`` a detection carrying no
+    region id (or an id naming no region in the list) is dropped, since the
+    radio asserts nobody is there; the permissive setting keeps such
+    detections subject only to the overlap test. The fallback pass runs for
+    enabled ``two_stage`` configurations and guarantees one detection per
+    region.
+
+    ``image_id`` labels fallback anchor boxes for images that produced no
+    detections at all; it defaults to the first detection's image id.
+    """
+    if regions is None:
+        return standard_nms(detections, cfg.iou_threshold)
+
+    known = {region.identifier for region in regions}
+    used: set[str] = set()
+    kept: list[Detection] = []
+    kept_idx: set[int] = set()
+    for i in score_order([det.score for det in detections]):
+        candidate = detections[i]
+        if any(iou(candidate.bbox, k.bbox) >= cfg.iou_threshold for k in kept):
+            continue
+        # An id that names no region in this image constrains nothing.
+        rid = candidate.region_id if candidate.region_id in known else None
+        if rid is not None and rid in used:
+            continue
+        if rid is None and cfg.require_region:
+            continue
+        kept.append(candidate)
+        kept_idx.add(i)
+        if rid is not None:
+            used.add(rid)
+
+    if cfg.mode == "two_stage" and cfg.enable_fallback_loop:
+        if image_id is None:
+            image_id = detections[0].image_id if detections else ""
+        for region in regions:
+            if region.identifier in used:
+                continue
+            candidates = [
+                i for i, det in enumerate(detections)
+                if i not in kept_idx and det.region_id == region.identifier
+            ]
+            if candidates:
+                best = max(candidates, key=lambda i: (detections[i].score, -i))
+                kept.append(detections[best])
+            else:
+                kept.append(
+                    Detection(
+                        image_id=image_id,
+                        bbox=region.to_bbox(),
+                        score=cfg.fallback_floor_score,
+                        region_id=region.identifier,
+                    )
+                )
+            used.add(region.identifier)
+    return kept
+
+
+def decay_one_stage(region: RadioRegion, cell: Rect) -> float:
+    """Overlap of the region with a backbone grid cell, normalized by the cell."""
+    cell_area = rect_area(cell)
+    if cell_area <= 0:
+        raise InvalidInputError(f"degenerate cell {cell}")
+    return min(intersect_area(region.to_bbox(), cell) / cell_area, 1.0)
+
+
+def decay_two_stage(bbox: Rect, region: RadioRegion) -> float:
+    """Overlap of a detection box with the region, normalized by the region."""
+    region_area = rect_area(region.to_bbox())
+    if region_area <= 0:
+        raise InvalidInputError(f"degenerate region {region}")
+    return min(intersect_area(bbox, region.to_bbox()) / region_area, 1.0)
+
+
+def revise_detections(
+    detections: list[Detection],
+    regions: list[RadioRegion],
+    lam: float,
+    mode: str = "two_stage",
+) -> list[Detection]:
+    """Apply confidence revision against a set of regions.
+
+    Each detection takes the most favorable decay factor over all regions
+    (0 when there are none, so a detection covered by no region decays to
+    ``(1 - lam) * score``). Input order is preserved; inputs are not
+    mutated. One-stage mode requires every detection to carry its backbone
+    cell rectangle.
+    """
+    if mode not in ("one_stage", "two_stage"):
+        raise InvalidInputError(f"unknown mode {mode!r}")
+    revised = []
+    for det in detections:
+        if mode == "one_stage":
+            if det.cell is None:
+                raise InvalidInputError("one_stage revision requires a cell on every detection")
+            gammas = (decay_one_stage(region, det.cell) for region in regions)
+        else:
+            gammas = (decay_two_stage(det.bbox, region) for region in regions)
+        gamma = max(gammas, default=0.0)
+        revised.append(replace(det, score=revise_score(det.score, gamma, lam)))
+    return revised
+
+
+def generate_proposals(
+    region: RadioRegion,
+    scales: list[float],
+    ratios: list[float],
+) -> list[Rect]:
+    """Expand a region into one anchor box per (scale, ratio), scale-major.
+
+    Every anchor is centered on the region, has area ``(scale * edge)^2``
+    and height/width ratio ``ratio``.
+    """
+    if not scales or not ratios:
+        raise InvalidInputError("scales and ratios must be non-empty")
+    if any(s <= 0 for s in scales) or any(r <= 0 for r in ratios):
+        raise InvalidInputError("scales and ratios must be positive")
+    boxes = []
+    for scale in scales:
+        side = scale * region.edge
+        for ratio in ratios:
+            w = side / math.sqrt(ratio)
+            h = side * math.sqrt(ratio)
+            boxes.append((region.center_x - w / 2.0, region.center_y - h / 2.0, w, h))
+    return boxes
+
+
+ANCHOR_SCALES = (0.75, 1.0, 1.25)
+ANCHOR_RATIOS = (1.0, 2.0, 3.0)
+
+
+def proposals_to_detections(regions: list[RadioRegion], image_id: str) -> list[Detection]:
+    """Emulate the proposal classification head for one image.
+
+    With no trained head available, each anchor becomes a detection whose
+    score is its region-normalized overlap with the region it was built
+    from, which favors anchors that stay inside the localization. The
+    region identifier rides along so the detections can be suppressed per
+    region downstream.
+    """
+    return [
+        Detection(image_id=image_id, bbox=bbox, score=decay_two_stage(bbox, region),
+                  region_id=region.identifier)
+        for region in regions
+        for bbox in generate_proposals(region, ANCHOR_SCALES, ANCHOR_RATIOS)
+    ]
+
+
+def oracle_apply_method(
+    config: RunConfig,
+    image_ids: list[str],
+    detections: list[Detection],
+    regions_by_image: dict[str, list[RadioRegion]],
+) -> list[Detection]:
+    """Run the configured method image by image; returns the full output."""
+    source, cnms = METHOD_STEPS[config.method]
+    nms_cfg = replace(config.nms, mode=cnms) if cnms else config.nms
+    dets_by_image = group_by_image(detections)
+    output: list[Detection] = []
+    for image_id in sorted(set(image_ids)):
+        dets = dets_by_image.get(image_id, [])
+        regions = regions_by_image.get(image_id, [])
+        if source == "revised":
+            dets = revise_detections(dets, regions, config.lam, mode=config.mode)
+        elif source == "proposals":
+            dets = proposals_to_detections(regions, image_id)
+        if cnms is None:
+            output.extend(standard_nms(dets, nms_cfg.iou_threshold))
+        else:
+            dets = associate_regions(dets, regions, mode=cnms)
+            output.extend(constrained_nms(dets, regions, nms_cfg, image_id=image_id))
+    return output
+
+
+# -- Random worlds -----------------------------------------------------------
+
+IMAGES = ("a", "b", "c", "d")
+REGION_IDS = ("r0", "r1", "r2")
+
+_coord = st.integers(0, 40).map(float) | st.floats(-20.0, 80.0)
+_side = st.sampled_from([0.0, 5.0, 10.0, 20.0]) | st.floats(0.0, 40.0)
+_score = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)  # ties
+_cell = st.tuples(_coord, _coord, st.sampled_from([0.0, 8.0]) | st.floats(1.0, 30.0),
+                  st.floats(1.0, 30.0))
+_threshold = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def worlds(draw):
+    """Detections and flat regions with the image of each, in shuffled order.
+
+    Images may hold nothing, only detections or only regions. Detections
+    carry no region id, an id unknown everywhere, or an id of some image's
+    region; some are exact duplicates (same box, same score) of others.
+    Region ids repeat across images and, now and then, within one.
+    """
+    regions, owners = [], []
+    for image in IMAGES:
+        for rid in draw(st.lists(st.sampled_from(REGION_IDS), max_size=4)):
+            regions.append(RadioRegion(center_x=draw(_coord), center_y=draw(_coord),
+                                       edge=draw(st.integers(1, 30).map(float)
+                                                 | st.floats(0.5, 40.0)),
+                                       identifier=rid))
+            owners.append(image)
+    detections = draw(st.lists(st.builds(
+        Detection, image_id=st.sampled_from(IMAGES),
+        bbox=st.tuples(_coord, _coord, _side, _side), score=_score,
+        region_id=st.sampled_from([None, "unknown", *REGION_IDS]),
+        cell=st.none() | _cell), max_size=14))
+    if detections:
+        detections += draw(st.lists(st.sampled_from(detections), max_size=3))
+    detections = draw(st.permutations(detections))
+    order = draw(st.permutations(range(len(regions))))
+    return detections, [regions[i] for i in order], [owners[i] for i in order]
+
+
+def per_image(detections, regions, owners):
+    """(image id, its detections, its regions) in sorted image-id order."""
+    dets = group_by_image(detections)
+    keys = sorted(set(dets) | set(owners))
+    return [(key, dets.get(key, []),
+             [region for region, owner in zip(regions, owners) if owner == key])
+            for key in keys]
+
+
+def outcome(call):
+    """The result of ``call()``, or the input error it raised."""
+    try:
+        return call()
+    except InvalidInputError:
+        return InvalidInputError
+
+
+def joined(call, images):
+    """Oracle outputs of every image joined, or the input error one raised."""
+    def run():
+        return [det for image in images for det in call(*image)]
+    return outcome(run)
+
+
+_cnms_configs = st.builds(NmsConfig, iou_threshold=_threshold,
+                          mode=st.sampled_from(("one_stage", "two_stage")),
+                          enable_fallback_loop=st.booleans(), require_region=st.booleans(),
+                          fallback_floor_score=_score)
+
+
+# -- World call == per-image oracles -----------------------------------------
+
+def check_world(world, cfg, lam, mode):
+    """Each stage's world-level call against its per-image oracles."""
+    detections, regions, owners = world
+    images = per_image(detections, regions, owners)
+    threshold = cfg.iou_threshold
+    assert nms.standard_nms(detections, threshold) == joined(
+        lambda _, dets, __: standard_nms(dets, threshold), per_image(detections, [], []))
+    assert outcome(lambda: nms.associate_regions(
+        detections, regions, mode, region_images=owners)) == joined(
+        lambda _, dets, regs: associate_regions(dets, regs, mode), images)
+    assert outcome(lambda: nms.constrained_nms(
+        detections, regions, cfg, region_images=owners)) == joined(
+        lambda key, dets, regs: constrained_nms(dets, regs, cfg, image_id=key), images)
+    assert outcome(lambda: fusion.revise_detections(
+        detections, regions, lam, mode, region_images=owners)) == joined(
+        lambda _, dets, regs: revise_detections(dets, regs, lam, mode), images)
+    assert fusion.proposals_to_detections(regions, region_images=owners) == joined(
+        lambda key, _, regs: proposals_to_detections(regs, key), per_image([], regions, owners))
+
+
+@settings(max_examples=250, deadline=None)
+@given(worlds(), _cnms_configs, _score, st.sampled_from(("one_stage", "two_stage")))
+def test_world_calls_equal_the_per_image_oracles(world, cfg, lam, mode):
+    check_world(world, cfg, lam, mode)
+
+
+def test_fixed_world_covers_every_case():
+    """One world holding every case, at thresholds 0, 0.5 and 1 and every
+    mode, fallback and require_region setting."""
+
+    def det(image, x, score, region_id=None, cell=(0.0, 0.0, 10.0, 10.0)):
+        return Detection(image_id=image, bbox=(x, 0.0, 10.0, 10.0), score=score,
+                         region_id=region_id, cell=cell)
+
+    def region(x, rid, edge=10.0):
+        return RadioRegion(center_x=x + 5.0, center_y=5.0, edge=edge, identifier=rid)
+
+    detections = [
+        det("a", 0.0, 0.9, "r0"), det("a", 0.0, 0.9, "r0"),  # duplicate box, tied score
+        det("a", 2.0, 0.9, "r1"), det("a", 30.0, 0.5, None),  # no region id
+        det("a", 31.0, 0.5, "unknown"), det("a", 60.0, 0.4, "r2"),  # id of another image
+        det("b", 0.0, 0.7, None, cell=(0.0, 0.0, 20.0, 20.0)),  # image without regions
+        det("a", 100.0, 0.3, "r0", cell=(95.0, 0.0, 10.0, 10.0)),
+    ]
+    regions = [region(0.0, "r1"), region(0.0, "r0"), region(200.0, "r1", 20.0),
+               region(50.0, "r2"), region(5.0, "r0")]
+    owners = ["a", "a", "c", "d", "a"]  # c and d: regions but no detections
+    for threshold in (0.0, 0.5, 1.0):
+        for mode in ("one_stage", "two_stage"):
+            for fallback in (False, True):
+                for require in (False, True):
+                    cfg = NmsConfig(iou_threshold=threshold, mode=mode,
+                                    enable_fallback_loop=fallback, require_region=require)
+                    check_world((detections, regions, owners), cfg, 0.5, mode)
+    associated = nms.associate_regions(detections, regions, region_images=owners)
+    assert [d.region_id for d in associated[:3]] == ["r0", "r0", "r0"]  # tie: smaller id
+
+
+@settings(max_examples=100, deadline=None)
+@given(worlds(), _cnms_configs, _score, st.sampled_from(("one_stage", "two_stage")))
+def test_one_image_calls_equal_the_oracle(world, cfg, lam, mode):
+    """Without region_images a call is one image, whatever the detections' ids."""
+    detections, regions, _ = world
+    assert outcome(lambda: nms.associate_regions(detections, regions, mode)) == outcome(
+        lambda: associate_regions(detections, regions, mode))
+    assert outcome(lambda: fusion.revise_detections(detections, regions, lam, mode)) == outcome(
+        lambda: revise_detections(detections, regions, lam, mode))
+    assert fusion.proposals_to_detections(regions, "a") == proposals_to_detections(regions, "a")
+    assert nms.constrained_nms(detections, regions, cfg, image_id="a") == constrained_nms(
+        detections, regions, cfg, image_id="a")
+    if detections:  # an image id to label fallback anchors with
+        assert nms.constrained_nms(detections, regions, cfg) == constrained_nms(
+            detections, regions, cfg)
+    same_image = [replace(det, image_id="a") for det in detections]
+    threshold = cfg.iou_threshold
+    assert nms.standard_nms(same_image, threshold) == standard_nms(same_image, threshold)
+
+
+@settings(max_examples=100, deadline=None)
+@given(worlds(), st.sampled_from(tuple(METHOD_STEPS)), _cnms_configs, _score)
+def test_apply_method_equals_the_per_image_loop(world, method, cfg, lam):
+    """The pipeline's world-level calls give the old per-image loop's output,
+    including images in the universe that hold nothing."""
+    detections, regions, owners = world
+    if METHOD_STEPS[method][0] == "revised":
+        detections = [replace(det, cell=det.cell or (0.0, 0.0, 10.0, 10.0))
+                      for det in detections]
+    by_image: dict[str, list[RadioRegion]] = {}
+    for region, owner in zip(regions, owners):
+        by_image.setdefault(owner, []).append(region)
+    config = replace(RunConfig(), method=method, nms=cfg, lam=lam)
+    image_ids = [*IMAGES, "empty"]
+    assert outcome(lambda: apply_method(config, image_ids, detections, by_image)) == outcome(
+        lambda: oracle_apply_method(config, image_ids, detections, by_image))
+
+
+@given(st.builds(RadioRegion, center_x=_coord, center_y=_coord, edge=st.floats(0.5, 40.0),
+                 identifier=st.just("r")),
+       st.tuples(_coord, _coord, _side, _side), _cell)
+def test_scalar_decays_and_anchors_equal_the_oracle(region, bbox, cell):
+    assert fusion.decay_two_stage(bbox, region) == decay_two_stage(bbox, region)
+    assert outcome(lambda: fusion.decay_one_stage(region, cell)) == outcome(
+        lambda: decay_one_stage(region, cell))
+    assert fusion.generate_proposals(region, [0.5, 1.0, 2.0], [0.5, 1.0, 3.0]) == \
+        generate_proposals(region, [0.5, 1.0, 2.0], [0.5, 1.0, 3.0])
+
+
+# -- Boundary ----------------------------------------------------------------
+
+def test_region_images_must_name_every_region_and_exclude_image_id():
+    regions = [RadioRegion(center_x=10.0, center_y=10.0, edge=8.0, identifier="r0")]
+    cfg = NmsConfig()
+    with pytest.raises(InvalidInputError):
+        fusion.proposals_to_detections(regions)  # one image with no id
+    with pytest.raises(InvalidInputError):
+        nms.constrained_nms([], regions, cfg, region_images=[])
+    with pytest.raises(InvalidInputError):
+        nms.constrained_nms([], regions, cfg, image_id="a", region_images=["a"])
+    with pytest.raises(InvalidInputError):
+        fusion.revise_detections([], regions, 0.5, region_images=["a", "b"])

@@ -4,8 +4,11 @@
 arguments and record fields in its hooks (``NmsConfig.mode``,
 ``CsiFrame.geometry`` ...). Removing or renaming one of those breaks the
 benchmark's traced rounds, so a tiny world is run here under the tracer.
+The stages are world-level calls, so the hooks' counts must still match
+what a run writes: ``nms.kept`` of a cNMS run is the detections it shows.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -41,10 +44,20 @@ def test_every_command_runs_clean_under_the_tracer(tmp_path, tracing):
         frames.append(str(path))
 
     tracer = tracing.Tracer()
+    annotations = str(tmp_path / "annotations.json")
     with tracing.installed(tracer):
         for method in METHODS:
-            assert main(["run", "--method", method, "--annotations",
-                         str(tmp_path / "annotations.json"), "--output-dir", out]) == 0
+            kept_before = tracer.counts.get("nms.kept", 0)
+            assert main(["run", "--method", method, "--annotations", annotations,
+                         "--output-dir", out]) == 0
+            if method.endswith("+cnms"):
+                written = tmp_path / f"detections_{method.replace('+', '_')}.json"
+                shown = json.loads(written.read_text(encoding="utf-8"))["detections"]
+                assert shown and tracer.counts["nms.kept"] - kept_before == len(shown), method
+        for method in ("method1+cnms", "method2+cnms"):
+            assert main(["sweep", "--method", method, "--annotations", annotations,
+                         "--param", "k", "--values", "0.05", "0.4",
+                         "--output-dir", out]) == 0
         assert main(["localize", "--csi", *frames, "--output-dir", out]) == 0
         assert main(["project", "--estimates", str(tmp_path / "estimates.json"),
                      "--output-dir", out]) == 0
