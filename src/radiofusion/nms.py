@@ -68,8 +68,8 @@ class NmsConfig:
 def _greedy(
     groups: list[list[Detection]],
     threshold: float,
-    known: list[set[str]] | None = None,
-    require_region: bool = False,
+    known: list[set[str]],
+    require_region: bool,
 ) -> tuple[list[list[int]], list[set[str]]]:
     """Pass one on every group (image) at once: per group, the kept indices
     in score order and the region ids they claimed.
@@ -86,7 +86,6 @@ def _greedy(
     boxes = np.array([det.bbox for dets in groups for det in dets], dtype=float).reshape(-1, 4)
     suppressed = np.zeros(len(boxes), dtype=bool)
     orders = [iter(score_order([det.score for det in dets])) for dets in groups]
-    known = known if known is not None else [set()] * len(groups)
     kept: list[list[int]] = [[] for _ in groups]
     used: list[set[str]] = [set() for _ in groups]
     walking = [m for m, size in enumerate(sizes) if size]
@@ -111,7 +110,8 @@ def _greedy(
             # Every box of each image that kept one this round, against that box.
             first = np.array([starts[m] for m in fresh])
             counts = np.array([sizes[m] for m in fresh])
-            targets = np.arange(counts.sum()) + np.repeat(first + counts - np.cumsum(counts), counts)
+            shift = np.repeat(first + counts - np.cumsum(counts), counts)
+            targets = np.arange(shift.size) + shift
             new = np.repeat(first + np.array([kept[m][-1] for m in fresh]), counts)
             suppressed[targets[iou_arrays(boxes[targets], boxes[new]) >= threshold]] = True
         walking = fresh
@@ -123,7 +123,7 @@ def standard_nms(detections: list[Detection], iou_threshold: float) -> list[Dete
     overlaps every kept box below the threshold. Output is in image-id
     order, descending score within an image."""
     groups = [dets for _, dets in sorted(group_by_image(detections).items())]
-    kept, _ = _greedy(groups, iou_threshold)
+    kept, _ = _greedy(groups, iou_threshold, [set()] * len(groups), require_region=False)
     return [dets[i] for dets, chosen in zip(groups, kept) for i in chosen]
 
 
