@@ -4,8 +4,15 @@ All structured files are JSON with a ``schema`` tag; exact field layouts
 are documented in docs/SCHEMAS.md. Records are read and written by one
 codec whose keys and value readers derive from the record dataclasses.
 Image ids are normalized to strings at ingest so map keys round-trip.
-Writers sort object keys, which together with seeded generation makes
-whole runs byte-reproducible.
+
+Every JSON file is written by ``dump_json``, which encodes the whole
+document into one string before it opens the file, so a document that
+cannot be encoded leaves the previous file as it was. Its bytes are those
+of ``json.dumps(payload, indent=1, sort_keys=True)`` plus a newline: one
+space per level, sorted keys, ASCII escapes and floats as ``repr`` spells
+them. Sorted keys and seeded generation make whole runs byte-reproducible.
+Record readers take a finite float as it is and send every other value
+through its field's reader, which gives the same record or error.
 """
 
 from __future__ import annotations
@@ -13,8 +20,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import Counter
 from dataclasses import MISSING, fields
 from functools import partial
+from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 from typing import get_type_hints
 
@@ -49,10 +58,58 @@ def load_json(path: str | Path, expected_schema: str | None = None) -> dict:
 
 
 def dump_json(path: str | Path, payload: dict) -> None:
+    text = _encode(payload, "\n") + "\n"
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
+
+
+_float_repr = float.__repr__
+
+
+def _encode(value, newline: str) -> str:
+    """``value`` as ``json.dumps(value, indent=1, sort_keys=True)`` spells it,
+    where ``newline`` starts each line at the current depth. Anything JSON
+    cannot hold, a non-``str`` key included, raises ``TypeError``.
+
+    Containers are tested first, the order of the most frequent calls; no
+    value is both a container and a scalar, so the order changes no output.
+    Finite floats and (in objects) strings are spelled inline."""
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + " "
+        items = [_escape(k) + ": " + (_float_repr(v) if type(v) is float and v - v == 0
+                                      else _escape(v) if type(v) is str
+                                      else _encode(v, inner))
+                 for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + " "
+        items = [_float_repr(v) if type(v) is float and v - v == 0 else _encode(v, inner)
+                 for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, str):
+        return _escape(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return _float_repr(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _expect(value, kind: type, context: str):
@@ -89,6 +146,10 @@ _float = partial(_number, float)
 def _as_bbox(value) -> Rect:
     if not isinstance(value, (list, tuple)) or len(value) != 4:
         raise SchemaError("expected a 4-element [x, y, w, h] list")
+    x, y, w, h = value
+    if (type(x) is float and type(y) is float and type(w) is float and type(h) is float
+            and x - x + y - y + w - w + h - h == 0):
+        return x, y, w, h
     return tuple(map(_float, value))
 
 
@@ -119,24 +180,31 @@ def _to_record(obj) -> dict:
             if (value := getattr(obj, name)) is not None}
 
 
-def _field(record: dict, key: str, read, default, context: str):
-    """One value of a JSON object: read, else the default when null or absent."""
-    value = record.get(key)
-    if value is None:
-        if default is MISSING:
-            raise SchemaError(f"{context}: missing required field {key!r}")
-        return default
-    try:
-        return read(value)
-    except SchemaError as exc:
-        raise SchemaError(f"{context}: {key}: {exc}") from None
+def _read_fields(record, spec: tuple, context: str) -> list:
+    """The values of ``spec``'s entries in one JSON object, in spec order. A
+    finite float for a float field is taken as it is; null or absent reads
+    as the default, and is an error for a required field."""
+    _expect(record, dict, context)
+    values = []
+    for _, key, read, default in spec:
+        value = record.get(key)
+        if type(value) is float and value - value == 0 and read is _float:
+            values.append(value)
+        elif value is None:
+            if default is MISSING:
+                raise SchemaError(f"{context}: missing required field {key!r}")
+            values.append(default)
+        else:
+            try:
+                values.append(read(value))
+            except SchemaError as exc:
+                raise SchemaError(f"{context}: {key}: {exc}") from None
+    return values
 
 
 def _from_record(record, cls: type, context: str):
     """One ``cls`` record from its JSON object."""
-    _expect(record, dict, context)
-    return cls(**{name: _field(record, key, read, default, context)
-                  for name, key, read, default in _SPECS[cls]})
+    return cls(*_read_fields(record, _SPECS[cls], context))
 
 
 # -- CSI frames ---------------------------------------------------------
@@ -157,9 +225,11 @@ def read_csi_frame(path: str | Path) -> tuple[CsiFrame, str | None]:
     data = load_json(path, CSI_SCHEMA)
     geometry = _from_record(_require(data, "geometry", str(path)),
                             ArrayGeometry, f"{path}: geometry")
-    samples = _field(data, "samples", partial(_as_samples, geometry), MISSING, str(path))
-    timestamp = _field(data, "timestamp", _float, 0.0, str(path))
-    return CsiFrame(samples, geometry, timestamp), _field(data, "image_id", str, None, str(path))
+    samples, timestamp, image_id = _read_fields(data, (
+        ("samples", "samples", partial(_as_samples, geometry), MISSING),
+        ("timestamp", "timestamp", _float, 0.0),
+        ("image_id", "image_id", str, None)), str(path))
+    return CsiFrame(samples, geometry, timestamp), image_id
 
 
 def _as_samples(geometry: ArrayGeometry, value) -> np.ndarray:
@@ -190,12 +260,17 @@ def write_annotations(path: str | Path, image_ids: list[str],
 def read_annotations(path: str | Path) -> tuple[list[str], list[Annotation]]:
     """Load a COCO-style annotation file: (image ids, annotations)."""
     data = load_json(path, ANNOTATIONS_SCHEMA)
+    context = str(path)
     images = _expect(data.get("images", []), list, f"{path}: images")
-    image_ids = [str(_require(img, "id", str(path))) for img in images]
+    image_ids = [str(_require(img, "id", context)) for img in images]
+    if len(set(image_ids)) != len(image_ids):
+        repeated = next(i for i, n in Counter(image_ids).items() if n > 1)
+        raise SchemaError(f"{path}: images lists id {repeated!r} more than once")
     records = _expect(data.get("annotations", []), list, f"{path}: annotations")
+    annotation = f"{path}: annotation"
     annotations = [
-        _from_record(record, Annotation, str(path)) for record in records
-        if not _expect(record, dict, f"{path}: annotation").get("ignore", False)
+        _from_record(record, Annotation, context) for record in records
+        if not _expect(record, dict, annotation).get("ignore", False)
     ]
     if not image_ids:
         return sorted({ann.image_id for ann in annotations}), annotations
@@ -213,8 +288,9 @@ def write_detections(path: str | Path, detections: list[Detection]) -> None:
 
 def read_detections(path: str | Path) -> list[Detection]:
     data = load_json(path, DETECTIONS_SCHEMA)
-    records = _expect(_require(data, "detections", str(path)), list, f"{path}: detections")
-    return [_from_record(record, Detection, str(path)) for record in records]
+    context = str(path)
+    records = _expect(_require(data, "detections", context), list, f"{path}: detections")
+    return [_from_record(record, Detection, context) for record in records]
 
 
 # -- Per-image maps: regions and estimates ------------------------------

@@ -35,7 +35,7 @@ the miss-rate curve and the visual counts read them.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -86,7 +86,7 @@ class MetricsReport:
     runtime_s: float = 0.0
 
     def to_dict(self) -> dict:
-        report = asdict(self)
+        report = {f.name: getattr(self, f.name) for f in fields(self)}
         report["mr_fppi_curve"] = [[f, m] for f, m in self.mr_fppi_curve]
         return report
 

@@ -40,6 +40,11 @@ class Annotation:
         _, _, w, h = self.bbox
         if w <= 0 or h <= 0:
             raise InvalidInputError(f"annotation bbox must have positive extents, got {self.bbox}")
+        if self.height_px is not None and self.height_px <= 0:
+            raise InvalidInputError(f"annotation height must be > 0, got {self.height_px}")
+        if self.occlusion_fraction is not None and not 0.0 <= self.occlusion_fraction <= 1.0:
+            raise InvalidInputError(
+                f"annotation occlusion must be in [0, 1], got {self.occlusion_fraction}")
 
     @property
     def height(self) -> float:

@@ -158,6 +158,19 @@ def test_malformed_input_exit_code(tmp_path, flag, content):
     assert code == 2
 
 
+@pytest.mark.parametrize("images, annotation", [
+    (["img00000", "img00001", "img00000"], {}),
+    (["img00000"], {"occlusion": 5.0}),
+    (["img00000"], {"height": 0.0}),
+], ids=["repeated-image-id", "occlusion", "height"])
+def test_malformed_annotations_exit_code(tmp_path, images, annotation):
+    path = tmp_path / "annotations.json"
+    path.write_text(json.dumps({
+        "schema": "annotations/1", "images": [{"id": image_id} for image_id in images],
+        "annotations": [{"image_id": "img00000", "bbox": [0, 0, 9, 9], **annotation}]}))
+    assert main(["run", "--annotations", str(path), "--output-dir", str(tmp_path)]) == 2
+
+
 def _command_argv(tmp_path, command):
     """Inputs for one subcommand on a 3-image world and one CSI frame."""
     assert main(["synth", "--num-images", "3", "--seed", "5", "--output-dir", str(tmp_path)]) == 0

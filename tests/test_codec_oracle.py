@@ -1,0 +1,205 @@
+"""The record reader against the per-value codec it replaced.
+
+``fileio._read_fields`` inlines the per-field loop and takes a finite float
+as it is. The oracle below is the earlier codec, kept verbatim: one
+``_field`` call and one reader call per value. Both must give the same
+record, or the same exception type and message, for any JSON object.
+"""
+
+import json
+import math
+from dataclasses import MISSING, fields
+from functools import partial
+from typing import get_type_hints
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from radiofusion import fileio
+from radiofusion.errors import SchemaError
+from radiofusion.fusion import Detection
+from radiofusion.geometry import Rect
+from radiofusion.imaging import RadioRegion
+from radiofusion.radio import ArrayGeometry, CsiFrame, RadioEstimate
+from radiofusion.sim_regions import Annotation
+
+
+# -- Oracle: the per-value codec -------------------------------------------
+
+def _expect(value, kind: type, context: str):
+    if not isinstance(value, kind):
+        kind_name = "an object" if kind is dict else f"a {kind.__name__}"
+        raise SchemaError(f"{context}: expected {kind_name}, got {type(value).__name__}")
+    return value
+
+
+def _number(kind: type, value):
+    """``kind(value)`` for ``float`` or ``int``: finite, not a boolean, and for
+    ``int`` integral (``2.0`` reads as 2, ``2.5`` is rejected, not truncated)."""
+    fractional = kind is int and isinstance(value, float) and not value.is_integer()
+    if not isinstance(value, bool) and not fractional:
+        try:
+            number = kind(value)
+            if math.isfinite(number):
+                return number
+        except (TypeError, ValueError, OverflowError):
+            pass
+    noun = "integer" if kind is int else "number"
+    raise SchemaError(f"expected a finite {noun}, got {value!r}")
+
+
+_float = partial(_number, float)
+
+
+def _as_bbox(value) -> Rect:
+    if not isinstance(value, (list, tuple)) or len(value) != 4:
+        raise SchemaError("expected a 4-element [x, y, w, h] list")
+    return tuple(map(_float, value))
+
+
+_KEYS = {"identifier": "id", "height_px": "height", "occlusion_fraction": "occlusion"}
+_READERS = {str: str, float: _float, int: partial(_number, int), Rect: _as_bbox}
+_READERS.update({hint | None: read for hint, read in _READERS.items()})
+
+
+def _spec(cls: type, **defaults) -> tuple:
+    """The entries of one record dataclass; ``defaults`` adds file-only defaults."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, _KEYS.get(f.name, f.name), _READERS[hints[f.name]],
+                  defaults.get(f.name, f.default)) for f in fields(cls))
+
+
+_SPECS = {cls: _spec(cls) for cls in (Detection, Annotation, RadioRegion, ArrayGeometry)}
+_SPECS[RadioEstimate] = _spec(RadioEstimate, magnitude=0.0)
+
+
+def _field(record: dict, key: str, read, default, context: str):
+    """One value of a JSON object: read, else the default when null or absent."""
+    value = record.get(key)
+    if value is None:
+        if default is MISSING:
+            raise SchemaError(f"{context}: missing required field {key!r}")
+        return default
+    try:
+        return read(value)
+    except SchemaError as exc:
+        raise SchemaError(f"{context}: {key}: {exc}") from None
+
+
+def _from_record(record, cls: type, context: str):
+    """One ``cls`` record from its JSON object."""
+    _expect(record, dict, context)
+    return cls(**{name: _field(record, key, read, default, context)
+                  for name, key, read, default in _SPECS[cls]})
+
+
+# -- Generated JSON objects ------------------------------------------------
+
+_numbers = (st.floats() | st.sampled_from([0.0, -0.0, 1.0, math.nan, math.inf, -math.inf])
+            | st.integers() | st.integers(2**63, 2**80))
+_numeric_strings = (st.floats().map(repr) | st.integers().map(str)
+                    | st.sampled_from(["1e400", "nan", "-inf", " 2 ", "0x1"]))
+_boxes = st.lists(st.floats() | st.sampled_from([math.nan, math.inf, -math.inf]),
+                  min_size=3, max_size=5)
+_anything = (_numbers | _numeric_strings | st.booleans() | st.none() | st.text(max_size=3)
+             | st.lists(_numbers | _numeric_strings | st.booleans() | st.none(), max_size=6)
+             | _boxes)
+# Values that each reader accepts and most record constructors keep.
+_PLAUSIBLE = {
+    _float: st.floats(0.0, 1.0, exclude_min=True) | st.floats(0.0, 180.0),
+    _as_bbox: st.lists(st.floats(1.0, 100.0) | st.integers(0, 100), min_size=4, max_size=4),
+    _READERS[int]: st.integers(2, 4) | st.sampled_from([2.0, 3.0]),
+    str: st.sampled_from(["a", "horizontal", "vertical"]),
+}
+
+
+@st.composite
+def objects(draw, cls):
+    """A JSON object for ``cls``: each key absent, plausible or anything."""
+    record = {}
+    for _, key, read, _ in _SPECS[cls]:
+        choice = draw(st.sampled_from(("absent", "anything") + ("plausible",) * 8))
+        if choice != "absent":
+            record[key] = draw(_PLAUSIBLE[read] if choice == "plausible" else _anything)
+    return record
+
+
+def _outcome(read, *args):
+    """What ``read(*args)`` returns, or the type and message of what it raises."""
+    try:
+        return read(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome compared
+        return type(exc), str(exc)
+
+
+_records = settings(max_examples=300, deadline=None)
+
+
+@st.composite
+def cases(draw):
+    """A record type and, mostly, a JSON object for it; else any JSON value."""
+    cls = draw(st.sampled_from(sorted(_SPECS, key=lambda cls: cls.__name__)))
+    return cls, draw(_anything if draw(st.integers(0, 9)) == 0 else objects(cls))
+
+
+@_records
+@given(cases())
+def test_reader_matches_per_value_codec(case):
+    cls, record = case
+    assert _outcome(fileio._from_record, record, cls, "ctx") == _outcome(
+        _from_record, record, cls, "ctx")
+
+
+@_records
+@given(_anything)
+def test_bbox_reader_matches_per_value_codec(value):
+    assert _outcome(fileio._as_bbox, value) == _outcome(_as_bbox, value)
+
+
+def _require(record: dict, key: str, context: str):
+    if key not in _expect(record, dict, context):
+        raise SchemaError(f"{context}: missing required field {key!r}")
+    return record[key]
+
+
+def _read_csi_frame(path):
+    data = fileio.load_json(path, fileio.CSI_SCHEMA)
+    geometry = _from_record(_require(data, "geometry", str(path)),
+                            ArrayGeometry, f"{path}: geometry")
+    samples = _field(data, "samples", partial(fileio._as_samples, geometry), MISSING, str(path))
+    timestamp = _field(data, "timestamp", _float, 0.0, str(path))
+    return CsiFrame(samples, geometry, timestamp), _field(data, "image_id", str, None, str(path))
+
+
+_GEO = {"num_antennas": 2, "element_spacing": 0.0258, "num_subcarriers": 2,
+        "base_frequency": 5.8e9, "frequency_interval": 312.5e3}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.fixed_dictionaries({"schema": st.just(fileio.CSI_SCHEMA)}, optional={
+    "geometry": st.just(_GEO) | objects(ArrayGeometry) | _anything,
+    "samples": st.just([[1.0, 0.0], [0.5, -0.5], [0, 1], [2, 0.0]]) | _anything,
+    "timestamp": st.floats(0.0, 10.0) | _anything,
+    "image_id": st.sampled_from(["img0"]) | _anything,
+}))
+def test_csi_reader_matches_per_value_codec(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("csi") / "frame.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+    def read(reader):
+        frame, image_id = reader(path)
+        return frame.samples.tobytes(), frame.geometry, frame.timestamp, image_id
+
+    assert _outcome(read, fileio.read_csi_frame) == _outcome(read, _read_csi_frame)
+
+
+def test_finite_floats_read_as_themselves():
+    record = {"image_id": "a", "bbox": [0.5, -0.0, 2.0, 3.0], "score": 0.25}
+    det = fileio._from_record(record, Detection, "ctx")
+    assert det.bbox == (0.5, -0.0, 2.0, 3.0) and math.copysign(1.0, det.bbox[1]) == -1.0
+    assert det.score is record["score"]
+    # A float field given an int, a numeric string or a numpy float still converts.
+    loose = {"image_id": 3, "bbox": [0, "1", np.float64(2.0), 3], "score": "0.25"}
+    assert fileio._from_record(loose, Detection, "ctx") == Detection(
+        image_id="3", bbox=(0.0, 1.0, 2.0, 3.0), score=0.25)

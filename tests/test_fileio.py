@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radiofusion import fileio
-from radiofusion.errors import SchemaError
+from radiofusion.errors import InvalidInputError, SchemaError
 from radiofusion.fusion import Detection
 from radiofusion.imaging import RadioRegion
 from radiofusion.radio import ArrayGeometry, CsiFrame, RadioEstimate, synthesize_csi
@@ -188,6 +188,30 @@ def test_malformed_records_raise(tmp_path, read, payload):
         read(path)
 
 
+def test_repeated_image_id_raises(tmp_path):
+    path = tmp_path / "ann.json"
+    path.write_text(json.dumps({
+        "schema": fileio.ANNOTATIONS_SCHEMA,
+        "images": [{"id": "a"}, {"id": 7}, {"id": "b"}, {"id": "7"}],
+        "annotations": [],
+    }))
+    with pytest.raises(SchemaError, match="id '7' more than once"):
+        fileio.read_annotations(path)
+
+
+@pytest.mark.parametrize("field", [
+    {"occlusion": 5.0}, {"occlusion": -1.0}, {"height": 0.0}, {"height": -3.0},
+], ids=["occlusion-above-1", "occlusion-below-0", "zero-height", "negative-height"])
+def test_annotation_out_of_range_raises(tmp_path, field):
+    path = tmp_path / "ann.json"
+    path.write_text(json.dumps({
+        "schema": fileio.ANNOTATIONS_SCHEMA, "images": [{"id": "a"}],
+        "annotations": [{"image_id": "a", "bbox": [0, 0, 4, 8], **field}],
+    }))
+    with pytest.raises(InvalidInputError):
+        fileio.read_annotations(path)
+
+
 @pytest.mark.parametrize("edit", [
     lambda doc: doc["samples"].__setitem__(0, [1.0, float("inf")]),
     lambda doc: doc["samples"].pop(),
@@ -222,8 +246,8 @@ detections = st.builds(Detection, image_id=_ids, bbox=_rects(_extent),
                        score=_unit, region_id=st.none() | _ids,
                        cell=st.none() | _rects(_extent))
 annotations = st.builds(Annotation, image_id=_ids, bbox=_rects(_positive), category=_ids,
-                        height_px=st.none() | _finite,
-                        occlusion_fraction=st.none() | _finite)
+                        height_px=st.none() | _positive,
+                        occlusion_fraction=st.none() | _unit)
 
 
 def _by_image(records):
@@ -264,8 +288,8 @@ def test_detections_read_write_property(tmp_path_factory, dets):
 
 @st.composite
 def annotated_images(draw):
-    """An image list and annotations on those images only."""
-    image_ids = draw(st.lists(_ids, min_size=1, max_size=3))
+    """An image list without repeats and annotations on those images only."""
+    image_ids = draw(st.lists(_ids, min_size=1, max_size=3, unique=True))
     anns = draw(st.lists(annotations, max_size=5))
     return image_ids, [replace(ann, image_id=draw(st.sampled_from(image_ids))) for ann in anns]
 
@@ -304,3 +328,46 @@ def test_csi_read_write_property(tmp_path_factory, frame, image_id):
     assert (loaded.geometry, loaded.timestamp, loaded_id) == (
         frame.geometry, frame.timestamp, image_id)
     assert loaded.samples.tobytes() == frame.samples.tobytes()
+
+
+# -- dump_json bytes == json.dumps(indent=1, sort_keys=True) ----------------
+
+_strings = st.text() | st.sampled_from(["", "\x00\x1f\x7f", "caf\u00e9 \u2603 \U0001f600",
+                                        '"quoted" \\ /', "\ud800"])
+_json_floats = (st.floats() | st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")])
+                | st.floats().map(np.float64))
+_json_scalars = (_strings | st.integers() | st.integers(2**63, 2**90).flatmap(
+    lambda n: st.sampled_from([n, -n])) | _json_floats | st.booleans() | st.none())
+_json_values = st.recursive(
+    _json_scalars,
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(_strings, children, max_size=4)),
+    max_leaves=25)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(_strings, _json_values, max_size=5))
+def test_dump_json_bytes_match_stdlib(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("dump") / "doc.json"
+    fileio.dump_json(path, doc)
+    assert path.read_bytes() == (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize("doc", [
+    {1: "a"}, {"a": {None: 1}}, {"a": [{("t",): 1}]}, {"a": {"b": 1, 2: 3}},
+    {"a": object()}, {"a": np.int64(1)}, {"a": {1.5}},
+], ids=["int-key", "none-key", "tuple-key", "mixed-keys", "object", "numpy-int", "set"])
+def test_dump_json_rejects_what_json_cannot_hold(tmp_path, doc):
+    path = tmp_path / "new" / "doc.json"
+    with pytest.raises(TypeError):
+        fileio.dump_json(path, doc)
+    assert not path.parent.exists()
+
+
+def test_unencodable_report_keeps_previous_file(tmp_path):
+    path = tmp_path / "report.json"
+    fileio.write_report(path, {"a": [1.0, 2.0], "b": "kept"})
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        fileio.write_report(path, {"a": [1.0, 2.0], "b": object()})
+    assert path.read_bytes() == before

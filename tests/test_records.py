@@ -47,3 +47,18 @@ SAMPLES = np.ones((2, 2), dtype=complex)
 def test_non_finite_values_are_rejected(build):
     with pytest.raises(InvalidInputError):
         build()
+
+
+@pytest.mark.parametrize("field", [
+    {"occlusion_fraction": 5.0}, {"occlusion_fraction": -1.0},
+    {"height_px": 0.0}, {"height_px": -3.0},
+], ids=["occlusion-above-1", "occlusion-below-0", "zero-height", "negative-height"])
+def test_annotation_ranges_are_enforced(field):
+    with pytest.raises(InvalidInputError):
+        Annotation(image_id="a", bbox=(0, 0, 1, 1), **field)
+
+
+def test_annotation_range_edges_are_accepted():
+    for occlusion in (0.0, 1.0):
+        assert Annotation(image_id="a", bbox=(0, 0, 1, 1), height_px=1e-9,
+                          occlusion_fraction=occlusion).occlusion == occlusion
