@@ -74,7 +74,9 @@ def _encode(value, newline: str) -> str:
 
     Containers are tested first, the order of the most frequent calls; no
     value is both a container and a scalar, so the order changes no output.
-    Finite floats and (in objects) strings are spelled inline."""
+    Finite floats and (in objects) strings are spelled inline. The brackets
+    join the first and last items, so the one ``join`` that copies the items
+    is the only copy of a large container."""
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -83,14 +85,18 @@ def _encode(value, newline: str) -> str:
                                       else _escape(v) if type(v) is str
                                       else _encode(v, inner))
                  for k, v in sorted(value.items())]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
+        items[0] = "{" + inner + items[0]
+        items[-1] = items[-1] + newline + "}"
+        return ("," + inner).join(items)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         inner = newline + " "
         items = [_float_repr(v) if type(v) is float and v - v == 0 else _encode(v, inner)
                  for v in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+        items[0] = "[" + inner + items[0]
+        items[-1] = items[-1] + newline + "]"
+        return ("," + inner).join(items)
     if isinstance(value, str):
         return _escape(value)
     if value is None:
