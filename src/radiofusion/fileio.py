@@ -72,11 +72,10 @@ def _encode(value, newline: str) -> str:
     where ``newline`` starts each line at the current depth. Anything JSON
     cannot hold, a non-``str`` key included, raises ``TypeError``.
 
-    Containers are tested first, the order of the most frequent calls; no
-    value is both a container and a scalar, so the order changes no output.
-    Finite floats and (in objects) strings are spelled inline. The brackets
-    join the first and last items, so the one ``join`` that copies the items
-    is the only copy of a large container."""
+    Containers are tested first because they are the most frequent calls;
+    no value is both a container and a scalar, so the order changes no
+    output. The brackets go onto the end items, so a large container is
+    copied once, by its ``join``."""
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -266,17 +265,15 @@ def write_annotations(path: str | Path, image_ids: list[str],
 def read_annotations(path: str | Path) -> tuple[list[str], list[Annotation]]:
     """Load a COCO-style annotation file: (image ids, annotations)."""
     data = load_json(path, ANNOTATIONS_SCHEMA)
-    context = str(path)
     images = _expect(data.get("images", []), list, f"{path}: images")
-    image_ids = [str(_require(img, "id", context)) for img in images]
+    image_ids = [str(_require(img, "id", str(path))) for img in images]
     if len(set(image_ids)) != len(image_ids):
         repeated = next(i for i, n in Counter(image_ids).items() if n > 1)
         raise SchemaError(f"{path}: images lists id {repeated!r} more than once")
     records = _expect(data.get("annotations", []), list, f"{path}: annotations")
-    annotation = f"{path}: annotation"
     annotations = [
-        _from_record(record, Annotation, context) for record in records
-        if not _expect(record, dict, annotation).get("ignore", False)
+        _from_record(record, Annotation, str(path)) for record in records
+        if not _expect(record, dict, f"{path}: annotation").get("ignore", False)
     ]
     if not image_ids:
         return sorted({ann.image_id for ann in annotations}), annotations
@@ -294,9 +291,8 @@ def write_detections(path: str | Path, detections: list[Detection]) -> None:
 
 def read_detections(path: str | Path) -> list[Detection]:
     data = load_json(path, DETECTIONS_SCHEMA)
-    context = str(path)
-    records = _expect(_require(data, "detections", context), list, f"{path}: detections")
-    return [_from_record(record, Detection, context) for record in records]
+    records = _expect(_require(data, "detections", str(path)), list, f"{path}: detections")
+    return [_from_record(record, Detection, str(path)) for record in records]
 
 
 # -- Per-image maps: regions and estimates ------------------------------
