@@ -113,7 +113,7 @@ def cmd_project(args) -> int:
 def cmd_run(args) -> int:
     config = _load_config(args)
     report, display = pipeline.run(config)
-    print(f"method={config.method} images_dir={config.paths.output_dir}")
+    print(f"method={config.method} output_dir={config.paths.output_dir}")
     print(f"  AP={report.ap:.4f} AP50={report.ap50:.4f} AP75={report.ap75:.4f}")
     print(f"  log-avg miss rate={report.log_avg_miss_rate:.4f}")
     print(f"  FP&FN per image={report.fp_fn_per_image:.4f} "

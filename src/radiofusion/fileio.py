@@ -3,7 +3,8 @@
 All structured files are JSON with a ``schema`` tag; exact field layouts
 are documented in docs/SCHEMAS.md. Records are read and written by one
 codec whose keys and value readers derive from the record dataclasses.
-Image ids are normalized to strings at ingest so map keys round-trip.
+A text field (ids, category, orientation) takes a JSON string or an
+integer, which is normalized to its decimal string so map keys round-trip.
 
 Every JSON file is written by ``dump_json``, which encodes the whole
 document into one string before it opens the file, so a document that
@@ -11,8 +12,9 @@ cannot be encoded leaves the previous file as it was. Its bytes are those
 of ``json.dumps(payload, indent=1, sort_keys=True)`` plus a newline: one
 space per level, sorted keys, ASCII escapes and floats as ``repr`` spells
 them. Sorted keys and seeded generation make whole runs byte-reproducible.
-Record readers take a finite float as it is and send every other value
-through its field's reader, which gives the same record or error.
+Record readers take a finite float or a string as it is and send every
+other value through its field's reader, which gives the same record or
+error. A record constructor's error keeps its type and names the file.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import InvalidInputError, SchemaError
 from .fusion import Detection
 from .geometry import Rect
 from .imaging import RadioRegion
@@ -148,6 +150,13 @@ def _number(kind: type, value):
 _float = partial(_number, float)
 
 
+def _text(value) -> str:
+    """A JSON string as it is, or an integer as its decimal string."""
+    if isinstance(value, str) or type(value) is int:  # a boolean is not an int here
+        return str(value)
+    raise SchemaError(f"expected a string or an integer, got {value!r}")
+
+
 def _as_bbox(value) -> Rect:
     if not isinstance(value, (list, tuple)) or len(value) != 4:
         raise SchemaError("expected a 4-element [x, y, w, h] list")
@@ -164,7 +173,7 @@ def _as_bbox(value) -> Rect:
 # so an ``X | None`` field uses the reader of ``X``.
 
 _KEYS = {"identifier": "id", "height_px": "height", "occlusion_fraction": "occlusion"}
-_READERS = {str: str, float: _float, int: partial(_number, int), Rect: _as_bbox}
+_READERS = {str: _text, float: _float, int: partial(_number, int), Rect: _as_bbox}
 _READERS.update({hint | None: read for hint, read in _READERS.items()})
 
 
@@ -187,13 +196,16 @@ def _to_record(obj) -> dict:
 
 def _read_fields(record, spec: tuple, context: str) -> list:
     """The values of ``spec``'s entries in one JSON object, in spec order. A
-    finite float for a float field is taken as it is; null or absent reads
-    as the default, and is an error for a required field."""
+    finite float for a float field and a string for a text field are taken
+    as they are; null or absent reads as the default, and is an error for a
+    required field."""
     _expect(record, dict, context)
     values = []
     for _, key, read, default in spec:
         value = record.get(key)
         if type(value) is float and value - value == 0 and read is _float:
+            values.append(value)
+        elif type(value) is str and read is _text:
             values.append(value)
         elif value is None:
             if default is MISSING:
@@ -208,8 +220,13 @@ def _read_fields(record, spec: tuple, context: str) -> list:
 
 
 def _from_record(record, cls: type, context: str):
-    """One ``cls`` record from its JSON object."""
-    return cls(*_read_fields(record, _SPECS[cls], context))
+    """One ``cls`` record from its JSON object. A value the record refuses
+    raises the constructor's error type with ``context`` in front."""
+    values = _read_fields(record, _SPECS[cls], context)
+    try:
+        return cls(*values)
+    except InvalidInputError as exc:
+        raise type(exc)(f"{context}: {exc}") from None
 
 
 # -- CSI frames ---------------------------------------------------------
@@ -233,7 +250,7 @@ def read_csi_frame(path: str | Path) -> tuple[CsiFrame, str | None]:
     samples, timestamp, image_id = _read_fields(data, (
         ("samples", "samples", partial(_as_samples, geometry), MISSING),
         ("timestamp", "timestamp", _float, 0.0),
-        ("image_id", "image_id", str, None)), str(path))
+        ("image_id", "image_id", _text, None)), str(path))
     return CsiFrame(samples, geometry, timestamp), image_id
 
 
@@ -253,6 +270,9 @@ def _as_samples(geometry: ArrayGeometry, value) -> np.ndarray:
 
 # -- Annotations --------------------------------------------------------
 
+_IMAGE = (("id", "id", _text, MISSING),)
+
+
 def write_annotations(path: str | Path, image_ids: list[str],
                       annotations: list[Annotation],
                       image_size: tuple[float, float] | None = None) -> None:
@@ -266,7 +286,7 @@ def read_annotations(path: str | Path) -> tuple[list[str], list[Annotation]]:
     """Load a COCO-style annotation file: (image ids, annotations)."""
     data = load_json(path, ANNOTATIONS_SCHEMA)
     images = _expect(data.get("images", []), list, f"{path}: images")
-    image_ids = [str(_require(img, "id", str(path))) for img in images]
+    image_ids = [_read_fields(img, _IMAGE, f"{path}: images")[0] for img in images]
     if len(set(image_ids)) != len(image_ids):
         repeated = next(i for i, n in Counter(image_ids).items() if n > 1)
         raise SchemaError(f"{path}: images lists id {repeated!r} more than once")

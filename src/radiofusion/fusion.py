@@ -10,11 +10,11 @@ identifier; a lightweight scoring hook stands in for the trained
 classification / regression head that a full detector would apply to them.
 
 Both stages take a whole world in one call: detections name their image,
-and ``region_images`` names the image of each region (without it the call
-is one image). ``split_world`` cuts the world into images in image-id
-order. The overlap arithmetic is batched across images, so a world of tiny
-images costs a few kernel calls, not one per image: revision stacks the
-images with the same number of regions into one
+and ``region_images`` names the image of each region, so a call on one
+image is a world of one image. ``split_world`` cuts the world into images
+in image-id order. The overlap arithmetic is batched across images, so a
+world of tiny images costs a few kernel calls, not one per image: revision
+stacks the images with the same number of regions into one
 ``geometry.intersect_arrays`` call on their detections against their
 regions, and proposals build and score every anchor of the world in one
 call. Every float equals the scalar formula's bit for bit.
@@ -54,15 +54,15 @@ class Detection:
             raise InvalidInputError(f"bbox extents must be >= 0, got {self.bbox}")
 
 
-def score_order(scores: list[float]) -> list[int]:
+def score_order(scores: Sequence[float] | np.ndarray) -> np.ndarray:
     """Indices by descending score, stable on the input position."""
-    return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    return np.argsort(-np.asarray(scores, dtype=float), kind="stable")
 
 
 class Image(NamedTuple):
     """One image of a stage call: its id, detections and regions."""
 
-    image_id: str | None
+    image_id: str
     detections: list[Detection]
     regions: list[RadioRegion]
 
@@ -70,22 +70,13 @@ class Image(NamedTuple):
 def split_world(
     detections: Sequence[Detection],
     regions: Sequence[RadioRegion],
-    region_images: Sequence[str] | None = None,
-    image_id: str | None = None,
+    region_images: Sequence[str],
 ) -> list[Image]:
     """The images of a stage call in image-id order, records in input order.
 
     Detections name their image and ``region_images`` names the image of
-    each region. Without ``region_images`` the call is one image holding
-    every detection and region, named ``image_id`` or else by the first
-    detection.
+    each region, one id per region (any other count is an input error).
     """
-    if region_images is None:
-        if image_id is None and detections:
-            image_id = detections[0].image_id
-        return [Image(image_id, list(detections), list(regions))]
-    if image_id is not None:
-        raise InvalidInputError("image_id names a one-image call, not a world call")
     if len(region_images) != len(regions):
         raise InvalidInputError(f"{len(region_images)} region image ids for {len(regions)} regions")
     dets = group_by_image(detections)
@@ -166,7 +157,7 @@ def revise_detections(
     lam: float,
     mode: str = "two_stage",
     *,
-    region_images: Sequence[str] | None = None,
+    region_images: Sequence[str] = (),
 ) -> list[Detection]:
     """Apply confidence revision against the regions of each image.
 
@@ -235,9 +226,8 @@ ANCHOR_RATIOS = (1.0, 2.0, 3.0)
 
 def proposals_to_detections(
     regions: list[RadioRegion],
-    image_id: str | None = None,
     *,
-    region_images: Sequence[str] | None = None,
+    region_images: Sequence[str] = (),
 ) -> list[Detection]:
     """Emulate the proposal classification head, image by image.
 
@@ -248,9 +238,7 @@ def proposals_to_detections(
     region downstream. Output is in image-id order, region order within an
     image.
     """
-    images = split_world([], regions, region_images, image_id)
-    if any(image.regions and image.image_id is None for image in images):
-        raise InvalidInputError("proposals need the image id of their regions")
+    images = split_world([], regions, region_images)
     owned = [(image.image_id, region) for image in images for region in image.regions]
     world = [region for _, region in owned]
     anchors = anchor_boxes(world, ANCHOR_SCALES, ANCHOR_RATIOS)

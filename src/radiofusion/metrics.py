@@ -250,11 +250,6 @@ def _ranked_ap(is_tp: np.ndarray, num_gt: int) -> float:
     return float(np.sum(precision[sample_idx[sample_idx < precision.size]])) / 101.0
 
 
-def _rank(scores: np.ndarray) -> np.ndarray:
-    """Indices by descending score, stable on position (as ``score_order``)."""
-    return np.argsort(-scores, kind="stable")
-
-
 def average_precision(scored_matches: list[tuple[float, bool]], num_gt: int) -> float:
     """101-point interpolated AP from pooled (score, is_tp) pairs.
 
@@ -263,7 +258,7 @@ def average_precision(scored_matches: list[tuple[float, bool]], num_gt: int) -> 
     """
     scores = np.array([score for score, _ in scored_matches], dtype=float)
     is_tp = np.array([is_tp for _, is_tp in scored_matches], dtype=bool)
-    return _ranked_ap(is_tp[_rank(scores)], num_gt)
+    return _ranked_ap(is_tp[score_order(scores)], num_gt)
 
 
 def coco_map(
@@ -278,7 +273,7 @@ def coco_map(
     ground truth reports 0.
     """
     matches = _match(*_per_image(detections, gts, image_ids), COCO_IOU_THRESHOLDS, SIZE_BUCKETS)
-    order = _rank(matches.scores)
+    order = score_order(matches.scores)
     tp, kept = matches.tp[..., order], ~matches.ignored[..., order]
     ap = {(t, bucket): _ranked_ap(tp[b, k][kept[b, k]], matches.num_gt[b])
           for b, bucket in enumerate(SIZE_BUCKETS) for k, t in enumerate(COCO_IOU_THRESHOLDS)}
@@ -309,7 +304,7 @@ def mr_fppi(
     matches = _match(*_per_image(detections, gts, image_ids), (iou_t,))
     num_images = max(matches.num_images, 1)
     total_gt = int(matches.num_gt[0])
-    order = _rank(matches.scores)
+    order = score_order(matches.scores)
     ranked = matches.scores[order]
     # One point at the last detection of each distinct score.
     ends = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))[:ranked.size]
@@ -358,7 +353,7 @@ def truncate_to_gt_count(
     """
     budget = {image_id: len(anns) for image_id, anns in group_by_image(gts).items()}
     keep: set[int] = set()
-    for i in score_order([det.score for det in detections]):
+    for i in score_order([det.score for det in detections]).tolist():
         image_id = detections[i].image_id
         if budget.get(image_id, 0) > 0:
             budget[image_id] -= 1

@@ -12,15 +12,17 @@ per region. Skip conditions in pass one are checked in a fixed order
 deterministic output.
 
 Every function takes a whole world in one call and works image by image
-in image-id order (``fusion.split_world``); a call on one image is a world
-of one image. The IoU arithmetic is batched across images. Suppression
-walks every image's greedy order in lockstep: each round keeps at most one
-more box per image, and one ``geometry.iou_arrays`` call on the flat
-(box, newly kept box) pairs of the whole world marks what those boxes
-suppress, so only kept rows are computed and memory stays linear in the
-detections. Association stacks the images by region count. The skip
-order, the smaller-region-id tie rule and the fallback pass run image by
-image in Python on the precomputed boolean rows.
+in image-id order (``fusion.split_world``): detections name their image
+and ``region_images`` names the image of each region, so a call on one
+image is a world of one image. The IoU arithmetic is batched across
+images. Suppression walks every image's greedy order in lockstep: each
+round keeps at most one more box per image, and one
+``geometry.iou_arrays`` call on the flat (box, newly kept box) pairs of the
+whole world marks what those boxes suppress, so only kept rows are
+computed and memory stays linear in the detections. Association stacks
+the images by region count. The skip order, the smaller-region-id tie rule
+and the fallback pass run image by image in Python on the precomputed
+boolean rows.
 """
 
 from __future__ import annotations
@@ -33,17 +35,8 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .fusion import Detection, Image, per_detection, score_order, split_world
-from .geometry import iou, iou_arrays
+from .geometry import iou_arrays
 from .imaging import RadioRegion
-from .sim_regions import group_by_image
-
-__all__ = [
-    "NmsConfig",
-    "iou",
-    "standard_nms",
-    "associate_regions",
-    "constrained_nms",
-]
 
 
 @dataclass(frozen=True)
@@ -85,7 +78,12 @@ def _greedy(
     starts = list(accumulate(sizes, initial=0))
     boxes = np.array([det.bbox for dets in groups for det in dets], dtype=float).reshape(-1, 4)
     suppressed = np.zeros(len(boxes), dtype=bool)
-    orders = [iter(score_order([det.score for det in dets])) for dets in groups]
+    # The world's score order, stably regrouped: each group's walk, as group-local indices.
+    owner = np.repeat(np.arange(len(groups)), sizes)
+    ranked = score_order([det.score for dets in groups for det in dets])
+    ranked = ranked[np.argsort(owner[ranked], kind="stable")]
+    local = (ranked - np.repeat(starts[:-1], sizes)).tolist()
+    orders = [iter(local[starts[m]:starts[m + 1]]) for m in range(len(groups))]
     kept: list[list[int]] = [[] for _ in groups]
     used: list[set[str]] = [set() for _ in groups]
     walking = [m for m, size in enumerate(sizes) if size]
@@ -122,7 +120,7 @@ def standard_nms(detections: list[Detection], iou_threshold: float) -> list[Dete
     """Plain greedy suppression within each image: keep a box iff it
     overlaps every kept box below the threshold. Output is in image-id
     order, descending score within an image."""
-    groups = [dets for _, dets in sorted(group_by_image(detections).items())]
+    groups = [image.detections for image in split_world(detections, [], [])]
     kept, _ = _greedy(groups, iou_threshold, [set()] * len(groups), require_region=False)
     return [dets[i] for dets, chosen in zip(groups, kept) for i in chosen]
 
@@ -132,7 +130,7 @@ def associate_regions(
     regions: list[RadioRegion],
     mode: str = "one_stage",
     *,
-    region_images: Sequence[str] | None = None,
+    region_images: Sequence[str] = (),
 ) -> list[Detection]:
     """Fill in each detection's region id from the regions of its image.
 
@@ -183,8 +181,6 @@ def _fallback(image: Image, kept: list[int], used: set[str], floor: float) -> li
             best = max(candidates[region.identifier],
                        key=lambda i: (image.detections[i].score, -i))
             revived.append(image.detections[best])
-        elif image.image_id is None:
-            raise InvalidInputError("a fallback anchor needs an image id; pass image_id")
         else:
             revived.append(Detection(image_id=image.image_id, bbox=region.to_bbox(),
                                      score=floor, region_id=region.identifier))
@@ -196,9 +192,8 @@ def constrained_nms(
     detections: list[Detection],
     regions: list[RadioRegion] | None,
     cfg: NmsConfig,
-    image_id: str | None = None,
     *,
-    region_images: Sequence[str] | None = None,
+    region_images: Sequence[str] = (),
 ) -> list[Detection]:
     """Greedy NMS where each radio region may produce at most one box.
 
@@ -208,19 +203,15 @@ def constrained_nms(
     the radio asserts nobody is there; the permissive setting keeps such
     detections subject only to the overlap test. The fallback pass runs for
     enabled ``two_stage`` configurations and guarantees one detection per
-    region.
+    region; an anchor box is labelled with its region's image.
 
-    ``region_images`` names the image of each region; without it the call
-    is one image, and ``image_id`` labels fallback anchor boxes when that
-    image has no detections (it defaults to the first detection's image
-    id); with neither, an anchor is an input error. Output is in
-    image-id order: pass one's boxes in score order, then the fallback's in
-    region order.
+    Output is in image-id order: pass one's boxes in score order, then the
+    fallback's in region order.
     """
     if regions is None:
         return standard_nms(detections, cfg.iou_threshold)
 
-    images = split_world(detections, regions, region_images, image_id)
+    images = split_world(detections, regions, region_images)
     fallback = cfg.mode == "two_stage" and cfg.enable_fallback_loop
     known = [{region.identifier for region in image.regions} for image in images]
     kept, used = _greedy([image.detections for image in images], cfg.iou_threshold,

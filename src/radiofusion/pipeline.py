@@ -3,9 +3,10 @@
 A run starts from ground truth (file or synthetic world), radio regions
 (file, simulated from ground truth, or projected from CSI), and detections
 (file or the detector emulator). The selected method transforms the
-detections of the whole world, each stage in one call that works image by
-image (``fusion.split_world``) with its IoU and overlap arithmetic batched
-across images:
+detections of the whole world. Every stage call is a world call: the
+detections name their image, ``region_images`` names the image of each
+region, and the stage works image by image (``fusion.split_world``) with
+its IoU and overlap arithmetic batched across images:
 
   baseline        plain greedy NMS
   method1         confidence revision against the regions, then NMS
@@ -89,9 +90,9 @@ def apply_method(
 ) -> list[Detection]:
     """Run the configured method on the whole world; returns the full output.
 
-    Every stage is one world-level call; the regions go in as one flat list
-    in image-id order with the image of each. Every detection must lie in
-    ``image_ids`` (``evaluate`` checks).
+    Every stage is one world call; the regions go in as one flat list in
+    image-id order and ``region_images`` names the image of each. Every
+    detection must lie in ``image_ids`` (``evaluate`` checks).
     """
     source, cnms = METHOD_STEPS[config.method]
     nms_cfg = replace(config.nms, mode=cnms) if cnms else config.nms

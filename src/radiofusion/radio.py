@@ -312,7 +312,8 @@ def fuse_axes(
     """
     if not tof_tolerance > 0:  # also rejects NaN
         raise InvalidInputError("tof_tolerance must be > 0")
-    order = sorted(range(len(horizontal_peaks)), key=lambda i: (-horizontal_peaks[i][2], i))
+    from .fusion import score_order  # fusion imports imaging, which imports radio
+    order = score_order([peak[2] for peak in horizontal_peaks]).tolist()
     unused = list(range(len(vertical_peaks)))
     estimates: list[RadioEstimate] = []
     for hi in order:

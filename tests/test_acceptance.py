@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from conftest import one_image
 from radiofusion import fileio
 from radiofusion.config import RunConfig, RunPaths
 from radiofusion.fusion import Detection
@@ -161,8 +162,9 @@ def test_criterion_3_nms_oracle_equivalence():
                                center_y=float(rng.uniform(10, 90)),
                                edge=float(rng.uniform(10, 40)),
                                identifier=f"r{k}") for k in range(3)]
-        kept = constrained_nms(associate_regions(scene, regions), regions,
-                               unconstrained_cfg)
+        images = one_image(regions)
+        kept = constrained_nms(associate_regions(scene, regions, region_images=images),
+                               regions, unconstrained_cfg, region_images=images)
         ids = [d.region_id for d in kept]
         pairwise_ok = all(
             standard_nms([kept[a], kept[b]], threshold) == [kept[a], kept[b]]
@@ -173,7 +175,7 @@ def test_criterion_3_nms_oracle_equivalence():
             violations += 1
 
         tagged = [replace(d, region_id=f"r{rng.integers(0, 3)}") for d in scene]
-        covered = constrained_nms(tagged, regions, fallback_cfg)
+        covered = constrained_nms(tagged, regions, fallback_cfg, region_images=images)
         if sorted(d.region_id for d in covered) != sorted(r.identifier for r in regions):
             violations += 1
 

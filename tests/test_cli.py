@@ -162,13 +162,15 @@ def test_malformed_input_exit_code(tmp_path, flag, content):
     (["img00000", "img00001", "img00000"], {}),
     (["img00000"], {"occlusion": 5.0}),
     (["img00000"], {"height": 0.0}),
-], ids=["repeated-image-id", "occlusion", "height"])
-def test_malformed_annotations_exit_code(tmp_path, images, annotation):
+    ([], {"image_id": True}),
+], ids=["repeated-image-id", "occlusion", "height", "bool-image-id"])
+def test_malformed_annotations_exit_code(tmp_path, capsys, images, annotation):
     path = tmp_path / "annotations.json"
     path.write_text(json.dumps({
         "schema": "annotations/1", "images": [{"id": image_id} for image_id in images],
         "annotations": [{"image_id": "img00000", "bbox": [0, 0, 9, 9], **annotation}]}))
     assert main(["run", "--annotations", str(path), "--output-dir", str(tmp_path)]) == 2
+    assert f"error: {path}: " in capsys.readouterr().err
 
 
 def _command_argv(tmp_path, command):

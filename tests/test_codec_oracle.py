@@ -1,9 +1,12 @@
 """The record reader against the per-value codec it replaced.
 
 ``fileio._read_fields`` inlines the per-field loop and takes a finite float
-as it is. The oracle below is the earlier codec, kept verbatim: one
-``_field`` call and one reader call per value. Both must give the same
-record, or the same exception type and message, for any JSON object.
+or a string as it is. The oracle below is the earlier codec: one ``_field``
+call and one reader call per value, kept verbatim but for two rules added
+since: a text field takes only a string or an integer (``_text``), and a
+constructor's ``InvalidInputError`` gets the record's context in front.
+Both must give the same record, or the same exception type and message,
+for any JSON object.
 """
 
 import json
@@ -17,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radiofusion import fileio
-from radiofusion.errors import SchemaError
+from radiofusion.errors import InvalidInputError, SchemaError
 from radiofusion.fusion import Detection
 from radiofusion.geometry import Rect
 from radiofusion.imaging import RadioRegion
@@ -52,6 +55,12 @@ def _number(kind: type, value):
 _float = partial(_number, float)
 
 
+def _text(value) -> str:
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise SchemaError(f"expected a string or an integer, got {value!r}")
+    return str(value)
+
+
 def _as_bbox(value) -> Rect:
     if not isinstance(value, (list, tuple)) or len(value) != 4:
         raise SchemaError("expected a 4-element [x, y, w, h] list")
@@ -59,7 +68,7 @@ def _as_bbox(value) -> Rect:
 
 
 _KEYS = {"identifier": "id", "height_px": "height", "occlusion_fraction": "occlusion"}
-_READERS = {str: str, float: _float, int: partial(_number, int), Rect: _as_bbox}
+_READERS = {str: _text, float: _float, int: partial(_number, int), Rect: _as_bbox}
 _READERS.update({hint | None: read for hint, read in _READERS.items()})
 
 
@@ -90,8 +99,12 @@ def _field(record: dict, key: str, read, default, context: str):
 def _from_record(record, cls: type, context: str):
     """One ``cls`` record from its JSON object."""
     _expect(record, dict, context)
-    return cls(**{name: _field(record, key, read, default, context)
-                  for name, key, read, default in _SPECS[cls]})
+    values = {name: _field(record, key, read, default, context)
+              for name, key, read, default in _SPECS[cls]}
+    try:
+        return cls(**values)
+    except InvalidInputError as exc:
+        raise type(exc)(f"{context}: {exc}") from None
 
 
 # -- Generated JSON objects ------------------------------------------------
@@ -110,7 +123,7 @@ _PLAUSIBLE = {
     _float: st.floats(0.0, 1.0, exclude_min=True) | st.floats(0.0, 180.0),
     _as_bbox: st.lists(st.floats(1.0, 100.0) | st.integers(0, 100), min_size=4, max_size=4),
     _READERS[int]: st.integers(2, 4) | st.sampled_from([2.0, 3.0]),
-    str: st.sampled_from(["a", "horizontal", "vertical"]),
+    _text: st.sampled_from(["a", "horizontal", "vertical"]) | st.integers(0, 9),
 }
 
 
@@ -169,7 +182,7 @@ def _read_csi_frame(path):
                             ArrayGeometry, f"{path}: geometry")
     samples = _field(data, "samples", partial(fileio._as_samples, geometry), MISSING, str(path))
     timestamp = _field(data, "timestamp", _float, 0.0, str(path))
-    return CsiFrame(samples, geometry, timestamp), _field(data, "image_id", str, None, str(path))
+    return CsiFrame(samples, geometry, timestamp), _field(data, "image_id", _text, None, str(path))
 
 
 _GEO = {"num_antennas": 2, "element_spacing": 0.0258, "num_subcarriers": 2,

@@ -1,6 +1,7 @@
 """Round-trip tests for every file schema."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -167,6 +168,7 @@ def test_estimate_magnitude_defaults_to_zero(tmp_path):
 
 
 _EST = {"aoa_h": 90.0, "aoa_v": 90.0, "tof": 1e-8}
+_DET = {"bbox": [0, 0, 4, 4], "score": 0.5}
 
 
 @pytest.mark.parametrize("read, payload", [
@@ -180,11 +182,27 @@ _EST = {"aoa_h": 90.0, "aoa_v": 90.0, "tof": 1e-8}
         {"id": "p", **_EST, "magnitude": "loud"}]}}),
     (fileio.read_estimates, {"schema": "estimates/1", "images": {"a": [
         {"id": "p", **_EST}, {"id": "p", **_EST}]}}),
+    # A text field takes a string or an integer, nothing else.
+    (fileio.read_detections, {"schema": "detections/1", "detections": [
+        {"image_id": [1, 2], **_DET}]}),
+    (fileio.read_detections, {"schema": "detections/1", "detections": [
+        {"image_id": True, **_DET}]}),
+    (fileio.read_detections, {"schema": "detections/1", "detections": [
+        {"image_id": 7.0, **_DET}]}),
+    (fileio.read_detections, {"schema": "detections/1", "detections": [
+        {"image_id": "a", "region_id": {"a": 1}, **_DET}]}),
+    (fileio.read_annotations, {"schema": "annotations/1", "images": [{"id": True}]}),
+    (fileio.read_annotations, {"schema": "annotations/1", "annotations": [
+        {"image_id": "a", "bbox": [0, 0, 4, 4], "category": ["person"]}]}),
+    (fileio.read_regions, {"schema": "regions/1", "images": {"a": [
+        {"id": False, "center_x": 1.0, "center_y": 1.0, "edge": 2.0}]}}),
+    (fileio.read_estimates, {"schema": "estimates/1", "images": {"a": [
+        {"id": 0.5, **_EST}]}}),
 ])
 def test_malformed_records_raise(tmp_path, read, payload):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match=re.escape(f"{path}: ")):
         read(path)
 
 
@@ -208,8 +226,23 @@ def test_annotation_out_of_range_raises(tmp_path, field):
         "schema": fileio.ANNOTATIONS_SCHEMA, "images": [{"id": "a"}],
         "annotations": [{"image_id": "a", "bbox": [0, 0, 4, 8], **field}],
     }))
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match=re.escape(f"{path}: annotation")):
         fileio.read_annotations(path)
+
+
+@pytest.mark.parametrize("read, payload", [
+    (fileio.read_detections, {"schema": "detections/1", "detections": [
+        {"image_id": "a", "bbox": [0, 0, 4, 4], "score": 1.5}]}),
+    (fileio.read_regions, {"schema": "regions/1", "images": {"a": [
+        {"id": "r", "center_x": 1.0, "center_y": 1.0, "edge": -2.0}]}}),
+    (fileio.read_estimates, {"schema": "estimates/1", "images": {"a": [
+        {"id": "p", **_EST, "tof": -1e-8}]}}),
+], ids=["detection-score", "region-edge", "estimate-tof"])
+def test_record_constructor_errors_name_the_file(tmp_path, read, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(InvalidInputError, match=re.escape(f"{path}: ")):
+        read(path)
 
 
 @pytest.mark.parametrize("edit", [
@@ -217,7 +250,8 @@ def test_annotation_out_of_range_raises(tmp_path, field):
     lambda doc: doc["samples"].pop(),
     lambda doc: doc.__setitem__("timestamp", "noon"),
     lambda doc: doc["geometry"].__setitem__("num_antennas", "four"),
-], ids=["inf-sample", "missing-pair", "timestamp", "antennas"])
+    lambda doc: doc.__setitem__("image_id", [1]),
+], ids=["inf-sample", "missing-pair", "timestamp", "antennas", "image-id"])
 def test_malformed_csi_frames_raise(tmp_path, edit):
     path = tmp_path / "frame.json"
     fileio.write_csi_frame(path, synthesize_csi([(75.0, 40e-9, 1.0)], GEO))

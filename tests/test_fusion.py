@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import one_image
 from radiofusion.errors import InvalidInputError
 from radiofusion.fusion import (
     Detection,
@@ -107,7 +108,8 @@ _side = st.floats(0.0, 120.0)
        st.lists(st.builds(region, _coord, _coord, st.floats(1.0, 120.0)), max_size=4),
        st.sampled_from(("one_stage", "two_stage")))
 def test_lambda_zero_leaves_every_score_unchanged(dets, regions, mode):
-    revised = revise_detections(dets, regions, lam=0.0, mode=mode)
+    revised = revise_detections(dets, regions, lam=0.0, mode=mode,
+                                region_images=one_image(regions))
     assert [d.score for d in revised] == [d.score for d in dets]
     assert [replace(d, score=0.0) for d in revised] == [replace(d, score=0.0) for d in dets]
 
@@ -126,7 +128,8 @@ class TestReviseDetections:
     def test_region_containing_boxes_keeps_scores(self):
         # gamma = 1 for a box fully covering the region.
         dets = [Detection(image_id="i", bbox=(-10.0, -10.0, 500.0, 500.0), score=0.8)]
-        revised = revise_detections(dets, [region()], lam=1.0)
+        regions = [region()]
+        revised = revise_detections(dets, regions, lam=1.0, region_images=one_image(regions))
         assert revised[0].score == pytest.approx(0.8)
 
     def test_max_over_regions(self):
@@ -142,12 +145,13 @@ class TestReviseDetections:
         det = Detection(image_id="i", bbox=(7.0, 0.0, 50.0, 10.0), score=1.0)
         gammas = sorted([decay_two_stage(det.bbox, r1), decay_two_stage(det.bbox, r2)])
         assert gammas == [pytest.approx(0.3), pytest.approx(0.7)]
-        revised = revise_detections([det], [r1, r2], lam=1.0)
+        revised = revise_detections([det], [r1, r2], lam=1.0, region_images=one_image([r1, r2]))
         assert revised[0].score == pytest.approx(0.7)
 
     def test_order_preserved_and_pure(self):
         dets = self._dets()
-        revised = revise_detections(dets, [region()], lam=0.5)
+        regions = [region()]
+        revised = revise_detections(dets, regions, lam=0.5, region_images=one_image(regions))
         assert [d.bbox for d in revised] == [d.bbox for d in dets]
         assert dets[0].score == 0.9  # inputs untouched
 
@@ -159,18 +163,21 @@ class TestReviseDetections:
                       score=float(rng.uniform(0, 1)))
             for _ in range(30)
         ]
-        revised = revise_detections(dets, [region()], lam=0.0)
+        regions = [region()]
+        revised = revise_detections(dets, regions, lam=0.0, region_images=one_image(regions))
         assert [d.score for d in revised] == [d.score for d in dets]
 
     def test_one_stage_requires_cell(self):
         dets = [Detection(image_id="i", bbox=(0, 0, 10, 10), score=0.5)]
         with pytest.raises(InvalidInputError):
-            revise_detections(dets, [region()], lam=0.5, mode="one_stage")
+            revise_detections(dets, [region()], lam=0.5, mode="one_stage",
+                              region_images=one_image([region()]))
 
     def test_one_stage_uses_cell(self):
         det = Detection(image_id="i", bbox=(0, 0, 10, 10), score=0.5,
                         cell=(90.0, 10.0, 20.0, 20.0))
-        revised = revise_detections([det], [region()], lam=1.0, mode="one_stage")
+        revised = revise_detections([det], [region()], lam=1.0, mode="one_stage",
+                                    region_images=one_image([region()]))
         assert revised[0].score == pytest.approx(0.25)  # gamma 0.5 from the cell
 
 
@@ -201,7 +208,8 @@ class TestGenerateProposals:
         for x, y, w, h in generate_proposals(z, [0.5, 1.5], [1.0, 2.5]):
             assert x + w / 2 == pytest.approx(20.0)
             assert y + h / 2 == pytest.approx(30.0)
-        assert {det.region_id for det in proposals_to_detections([z], "img")} == {"z"}
+        proposals = proposals_to_detections([z], region_images=one_image([z], "img"))
+        assert {det.region_id for det in proposals} == {"z"}
 
     def test_empty_or_negative_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -212,7 +220,7 @@ class TestGenerateProposals:
 
 class TestProposalsToDetections:
     def test_overlap_scores_favor_identity_anchor(self):
-        dets = proposals_to_detections([region()], "img")
+        dets = proposals_to_detections([region()], region_images=one_image([region()], "img"))
         assert len(dets) == 9
         best = max(dets, key=lambda d: d.score)
         assert best.score == 1.0
@@ -221,7 +229,8 @@ class TestProposalsToDetections:
 
     def test_each_anchor_scored_against_its_own_region(self):
         far = region(cx=500, cy=500, edge=40, identifier="r1")
-        dets = proposals_to_detections([region(), far], "img")
+        regions = [region(), far]
+        dets = proposals_to_detections(regions, region_images=one_image(regions, "img"))
         assert [d.region_id for d in dets] == ["r0"] * 9 + ["r1"] * 9
         assert [d.score for d in dets[9:]] == [decay_two_stage(d.bbox, far) for d in dets[9:]]
         assert max(d.score for d in dets[9:]) == 1.0

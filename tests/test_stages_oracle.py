@@ -391,26 +391,6 @@ def test_fixed_world_covers_every_case():
 
 
 @settings(max_examples=100, deadline=None)
-@given(worlds(), _cnms_configs, _score, st.sampled_from(("one_stage", "two_stage")))
-def test_one_image_calls_equal_the_oracle(world, cfg, lam, mode):
-    """Without region_images a call is one image, whatever the detections' ids."""
-    detections, regions, _ = world
-    assert outcome(lambda: nms.associate_regions(detections, regions, mode)) == outcome(
-        lambda: associate_regions(detections, regions, mode))
-    assert outcome(lambda: fusion.revise_detections(detections, regions, lam, mode)) == outcome(
-        lambda: revise_detections(detections, regions, lam, mode))
-    assert fusion.proposals_to_detections(regions, "a") == proposals_to_detections(regions, "a")
-    assert nms.constrained_nms(detections, regions, cfg, image_id="a") == constrained_nms(
-        detections, regions, cfg, image_id="a")
-    if detections:  # an image id to label fallback anchors with
-        assert nms.constrained_nms(detections, regions, cfg) == constrained_nms(
-            detections, regions, cfg)
-    same_image = [replace(det, image_id="a") for det in detections]
-    threshold = cfg.iou_threshold
-    assert nms.standard_nms(same_image, threshold) == standard_nms(same_image, threshold)
-
-
-@settings(max_examples=100, deadline=None)
 @given(worlds(), st.sampled_from(tuple(METHOD_STEPS)), _cnms_configs, _score)
 def test_apply_method_equals_the_per_image_loop(world, method, cfg, lam):
     """The pipeline's world-level calls give the old per-image loop's output,
@@ -441,14 +421,28 @@ def test_scalar_decays_and_anchors_equal_the_oracle(region, bbox, cell):
 
 # -- Boundary ----------------------------------------------------------------
 
-def test_region_images_must_name_every_region_and_exclude_image_id():
+def test_region_images_must_name_every_region():
     regions = [RadioRegion(center_x=10.0, center_y=10.0, edge=8.0, identifier="r0")]
-    cfg = NmsConfig()
     with pytest.raises(InvalidInputError):
-        fusion.proposals_to_detections(regions)  # one image with no id
-    with pytest.raises(InvalidInputError):
-        nms.constrained_nms([], regions, cfg, region_images=[])
-    with pytest.raises(InvalidInputError):
-        nms.constrained_nms([], regions, cfg, image_id="a", region_images=["a"])
+        nms.constrained_nms([], regions, NmsConfig(), region_images=[])
     with pytest.raises(InvalidInputError):
         fusion.revise_detections([], regions, 0.5, region_images=["a", "b"])
+
+
+_REGIONS = [RadioRegion(center_x=10.0, center_y=10.0, edge=8.0, identifier="r0")]
+_DETECTIONS = [Detection(image_id="a", bbox=(6.0, 6.0, 8.0, 8.0), score=0.5, region_id="r0",
+                         cell=(0.0, 0.0, 16.0, 16.0))]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fusion.revise_detections(_DETECTIONS, _REGIONS, 0.5),
+    lambda: fusion.proposals_to_detections(_REGIONS),
+    lambda: nms.associate_regions(_DETECTIONS, _REGIONS),
+    lambda: nms.associate_regions(_DETECTIONS, _REGIONS, "two_stage"),
+    lambda: nms.constrained_nms(_DETECTIONS, _REGIONS, NmsConfig()),
+], ids=["revise", "proposals", "associate-one-stage", "associate-two-stage", "constrained"])
+def test_regions_without_region_images_are_an_input_error(call):
+    """Regions passed without the image of each name no image: every stage
+    refuses them rather than guess one."""
+    with pytest.raises(InvalidInputError, match="region image ids for 1 regions"):
+        call()
