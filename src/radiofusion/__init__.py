@@ -2,22 +2,13 @@
 
 from .config import RadioParams, RunConfig
 from .errors import BehindCameraError, InvalidGeometryError, InvalidInputError, SchemaError
-from .fusion import (
-    Detection,
-    decay_one_stage,
-    decay_two_stage,
-    generate_proposals,
-    proposals_to_detections,
-    revise_detections,
-    revise_score,
-)
+from .fusion import Detection, proposals_to_detections, revise_detections
 from .geometry import intersect_area, iou, rect_area, square
 from .imaging import CameraModel, RadioRegion, batch_project, project
 from .metrics import (
     CocoMapResult,
     MatchResult,
     MetricsReport,
-    average_precision,
     coco_map,
     match,
     mr_fppi,

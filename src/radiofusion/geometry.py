@@ -2,6 +2,7 @@
 
 Rectangles are ``(x, y, w, h)`` tuples with a top-left pixel origin, the
 convention used by all detection and region records in this package.
+``require_box`` is the one domain rule every record box passes.
 """
 
 from __future__ import annotations
@@ -10,7 +11,24 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from .errors import InvalidInputError
+
 Rect = tuple[float, float, float, float]
+
+# Every box corner of a record lies within this many pixels of the origin on
+# each axis, so the sums, differences and products of any two boxes' IoU and
+# overlap arithmetic stay finite.
+MAX_COORD = 1e150
+
+
+def require_box(what: str, box: Sequence[float]) -> None:
+    """Raise InvalidInputError unless both corners of ``box`` are within
+    ``MAX_COORD`` on each axis; NaN and infinite values fail too."""
+    x, y, w, h = box
+    if not (-MAX_COORD <= x <= MAX_COORD and -MAX_COORD <= y <= MAX_COORD
+            and -MAX_COORD <= x + w <= MAX_COORD and -MAX_COORD <= y + h <= MAX_COORD):
+        raise InvalidInputError(
+            f"{what} corners must be finite and within {MAX_COORD:g} of 0, got {tuple(box)}")
 
 
 def rect_area(rect: Sequence[float]) -> float:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BehindCameraError, InvalidInputError, require_finite
-from .geometry import Rect, square
+from .geometry import Rect, require_box, square
 from .radio import SPEED_OF_LIGHT, RadioEstimate
 
 
@@ -51,6 +51,7 @@ class RadioRegion:
 
     def __post_init__(self) -> None:
         require_finite("region", self.center_x, self.center_y, self.edge)
+        require_box("region", self.to_bbox())
         if self.edge <= 0:
             raise InvalidInputError(f"region edge must be > 0, got {self.edge}")
 

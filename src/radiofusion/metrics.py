@@ -41,9 +41,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError
-from .fusion import Detection, score_order
+from .fusion import Detection
 from .geometry import iou_arrays, rect_areas
-from .sim_regions import Annotation, group_by_image
+from .sim_regions import Annotation
+from .world import group_by_image, score_order
 
 COCO_IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 SMALL_AREA_MAX = 32.0 ** 2
@@ -248,17 +249,6 @@ def _ranked_ap(is_tp: np.ndarray, num_gt: int) -> float:
     precision = np.maximum.accumulate(precision[::-1])[::-1]
     sample_idx = np.searchsorted(recall, _RECALL_POINTS, side="left")
     return float(np.sum(precision[sample_idx[sample_idx < precision.size]])) / 101.0
-
-
-def average_precision(scored_matches: list[tuple[float, bool]], num_gt: int) -> float:
-    """101-point interpolated AP from pooled (score, is_tp) pairs.
-
-    Pairs are ranked by descending score, stable on pooled order. Returns 0
-    when there is nothing to rank or no ground truth to recall.
-    """
-    scores = np.array([score for score, _ in scored_matches], dtype=float)
-    is_tp = np.array([is_tp for _, is_tp in scored_matches], dtype=bool)
-    return _ranked_ap(is_tp[score_order(scores)], num_gt)
 
 
 def coco_map(

@@ -12,7 +12,7 @@ per region. Skip conditions in pass one are checked in a fixed order
 deterministic output.
 
 Every function takes a whole world in one call and works image by image
-in image-id order (``fusion.split_world``): detections name their image
+in image-id order (``world.split_world``): detections name their image
 and ``region_images`` names the image of each region, so a call on one
 image is a world of one image. The IoU arithmetic is batched across
 images. Suppression walks every image's greedy order in lockstep: each
@@ -34,9 +34,10 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import InvalidInputError
-from .fusion import Detection, Image, per_detection, score_order, split_world
+from .fusion import Detection
 from .geometry import iou_arrays
 from .imaging import RadioRegion
+from .world import Image, per_detection, score_order, split_world
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ A run starts from ground truth (file or synthetic world), radio regions
 (file or the detector emulator). The selected method transforms the
 detections of the whole world. Every stage call is a world call: the
 detections name their image, ``region_images`` names the image of each
-region, and the stage works image by image (``fusion.split_world``) with
+region, and the stage works image by image (``world.split_world``) with
 its IoU and overlap arithmetic batched across images:
 
   baseline        plain greedy NMS

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidGeometryError, InvalidInputError, require_finite
+from .world import score_order
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -312,7 +313,6 @@ def fuse_axes(
     """
     if not tof_tolerance > 0:  # also rejects NaN
         raise InvalidInputError("tof_tolerance must be > 0")
-    from .fusion import score_order  # fusion imports imaging, which imports radio
     order = score_order([peak[2] for peak in horizontal_peaks]).tolist()
     unused = list(range(len(vertical_peaks)))
     estimates: list[RadioEstimate] = []

@@ -11,18 +11,16 @@ touching the shift model.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import TypeVar
 
 import numpy as np
 
 from .errors import InvalidInputError, require_finite
-from .geometry import Rect
+from .geometry import Rect, require_box
 from .imaging import RadioRegion
+from .world import group_by_image
 
 MIN_EDGE_SCALE = 0.05
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -36,7 +34,8 @@ class Annotation:
     occlusion_fraction: float | None = None
 
     def __post_init__(self) -> None:
-        require_finite("annotation", *self.bbox, self.height_px, self.occlusion_fraction)
+        require_box("annotation", self.bbox)
+        require_finite("annotation", self.height_px, self.occlusion_fraction)
         _, _, w, h = self.bbox
         if w <= 0 or h <= 0:
             raise InvalidInputError(f"annotation bbox must have positive extents, got {self.bbox}")
@@ -54,14 +53,6 @@ class Annotation:
     @property
     def occlusion(self) -> float:
         return self.occlusion_fraction if self.occlusion_fraction is not None else 0.0
-
-
-def group_by_image(items: Iterable[T]) -> dict[str, list[T]]:
-    """Records (anything with an ``image_id``) per image, in input order."""
-    grouped: dict[str, list[T]] = {}
-    for item in items:
-        grouped.setdefault(item.image_id, []).append(item)
-    return grouped
 
 
 @dataclass(frozen=True)

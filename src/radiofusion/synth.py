@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .fusion import Detection
-from .sim_regions import Annotation, group_by_image
+from .sim_regions import Annotation
+from .world import group_by_image
 
 
 @dataclass(frozen=True)

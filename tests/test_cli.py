@@ -147,6 +147,15 @@ _REGION = {"center_x": 100.0, "center_y": 100.0, "edge": 40.0}
     ("--config", '{"radio": {"aoa_step_deg": 1e-9}}'),
     ("--detections", json.dumps({"schema": "detections/1", "detections": [
         {"image_id": "img00000", "bbox": [0, 0, 10, 10], "score": True}]})),
+    ("--detections", json.dumps({"schema": "detections/1", "detections": [
+        {"image_id": "img00000", "bbox": [0, 0, 1e200, 1e200], "score": 0.5}]})),
+    ("--detections", json.dumps({"schema": "detections/1", "detections": [
+        {"image_id": "img00000", "bbox": [-1e308, 0, 1e308, 10], "score": 0.5}]})),
+    ("--annotations", json.dumps({"schema": "annotations/1", "images": [{"id": "img00000"}],
+                                  "annotations": [{"image_id": "img00000",
+                                                   "bbox": [0, 0, 1e200, 1e200]}]})),
+    ("--regions", json.dumps({"schema": "regions/1", "images": {
+        "img00000": [{"id": "p", **_REGION, "edge": 1e200}]}})),
 ])
 def test_malformed_input_exit_code(tmp_path, flag, content):
     out = str(tmp_path)

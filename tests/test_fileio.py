@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from radiofusion import fileio
 from radiofusion.errors import InvalidInputError, SchemaError
 from radiofusion.fusion import Detection
+from radiofusion.geometry import MAX_COORD
 from radiofusion.imaging import RadioRegion
 from radiofusion.radio import ArrayGeometry, CsiFrame, RadioEstimate, synthesize_csi
 from radiofusion.sim_regions import Annotation
@@ -237,7 +238,14 @@ def test_annotation_out_of_range_raises(tmp_path, field):
         {"id": "r", "center_x": 1.0, "center_y": 1.0, "edge": -2.0}]}}),
     (fileio.read_estimates, {"schema": "estimates/1", "images": {"a": [
         {"id": "p", **_EST, "tof": -1e-8}]}}),
-], ids=["detection-score", "region-edge", "estimate-tof"])
+    (fileio.read_detections, {"schema": "detections/1", "detections": [
+        {"image_id": "a", "bbox": [0, 0, 1e200, 1e200], "score": 0.5}]}),
+    (fileio.read_regions, {"schema": "regions/1", "images": {"a": [
+        {"id": "r", "center_x": 1.0, "center_y": 1.0, "edge": 1e200}]}}),
+    (fileio.read_annotations, {"schema": "annotations/1", "images": [{"id": "a"}],
+                               "annotations": [{"image_id": "a", "bbox": [0, 0, 1e200, 1e200]}]}),
+], ids=["detection-score", "region-edge", "estimate-tof", "detection-box-domain",
+        "region-box-domain", "annotation-box-domain"])
 def test_record_constructor_errors_name_the_file(tmp_path, read, payload):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
@@ -266,20 +274,24 @@ def test_malformed_csi_frames_raise(tmp_path, edit):
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 _positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-_extent = st.floats(min_value=0.0, allow_infinity=False)
 _unit = st.floats(0.0, 1.0)
 _angle = st.floats(0.0, 180.0)
 _ids = st.text(max_size=8)
+# Box corners lie within MAX_COORD of 0: half of it for the corner and half
+# for the extent keeps every far corner inside.
+_coord = st.floats(-MAX_COORD / 2, MAX_COORD / 2)
+_extent = st.floats(0.0, MAX_COORD / 2)
+_positive_extent = st.floats(0.0, MAX_COORD / 2, exclude_min=True)
 
 
 def _rects(extent):
-    return st.tuples(_finite, _finite, extent, extent)
+    return st.tuples(_coord, _coord, extent, extent)
 
 
 detections = st.builds(Detection, image_id=_ids, bbox=_rects(_extent),
                        score=_unit, region_id=st.none() | _ids,
                        cell=st.none() | _rects(_extent))
-annotations = st.builds(Annotation, image_id=_ids, bbox=_rects(_positive), category=_ids,
+annotations = st.builds(Annotation, image_id=_ids, bbox=_rects(_positive_extent), category=_ids,
                         height_px=st.none() | _positive,
                         occlusion_fraction=st.none() | _unit)
 
@@ -289,8 +301,8 @@ def _by_image(records):
     return st.dictionaries(_ids, unique, max_size=3)
 
 
-regions = _by_image(st.builds(RadioRegion, center_x=_finite, center_y=_finite,
-                              edge=_positive, identifier=_ids))
+regions = _by_image(st.builds(RadioRegion, center_x=_coord, center_y=_coord,
+                              edge=_positive_extent, identifier=_ids))
 estimates = _by_image(st.builds(RadioEstimate, aoa_h=_angle, aoa_v=_angle, tof=_positive,
                                 magnitude=_finite, identifier=_ids))
 geometries = st.builds(ArrayGeometry, num_antennas=st.integers(2, 4),

@@ -12,18 +12,34 @@ from conftest import one_image
 from radiofusion.errors import InvalidInputError
 from radiofusion.fusion import (
     Detection,
-    decay_one_stage,
-    decay_two_stage,
-    generate_proposals,
+    anchor_boxes,
     proposals_to_detections,
     revise_detections,
-    revise_score,
 )
 from radiofusion.imaging import RadioRegion
 
 
 def region(cx=50.0, cy=50.0, edge=100.0, identifier="r0"):
     return RadioRegion(center_x=cx, center_y=cy, edge=edge, identifier=identifier)
+
+
+def revised(score, lam, bbox=(0.0, 0.0, 100.0, 100.0), regions=None, mode="two_stage",
+            cell=None):
+    """The revised score of one detection, by a world call (``region()`` by default)."""
+    regions = [region()] if regions is None else regions
+    det = Detection(image_id="i", bbox=bbox, score=score, cell=cell)
+    (out,) = revise_detections([det], regions, lam, mode, region_images=one_image(regions))
+    return out.score
+
+
+def decay_two_stage(bbox, r):
+    """The box-over-region decay factor: at ``lam = 1`` and score 1 the score is gamma."""
+    return revised(1.0, 1.0, bbox, [r])
+
+
+def decay_one_stage(r, cell):
+    """The region-over-cell decay factor, by the same world call in one-stage mode."""
+    return revised(1.0, 1.0, regions=[r], mode="one_stage", cell=cell)
 
 
 class TestDecayFactors:
@@ -52,37 +68,40 @@ class TestDecayFactors:
     def test_gamma_monotone_in_overlap(self):
         r = region()
         widths = np.linspace(1.0, 100.0, 25)
-        gammas = [decay_two_stage((0.0, 0.0, w, 100.0), r) for w in widths]
+        gammas = [decay_two_stage((0.0, 0.0, float(w), 100.0), r) for w in widths]
         assert all(0.0 <= g <= 1.0 for g in gammas)
         assert all(a <= b for a, b in zip(gammas, gammas[1:]))
 
 
 class TestReviseScore:
+    # Against region(), which spans [0, 100] on both axes, a box of width
+    # 100 * g and height 100 at the origin has decay factor g.
     def test_lambda_zero_identity(self):
-        for gamma in (0.0, 0.3, 1.0):
-            assert revise_score(0.7, gamma, 0.0) == 0.7
+        for bbox in ((500.0, 500.0, 10.0, 10.0), (0.0, 0.0, 30.0, 100.0),
+                     (0.0, 0.0, 100.0, 100.0)):
+            assert revised(0.7, 0.0, bbox) == 0.7
 
     def test_full_overlap_identity(self):
-        assert revise_score(0.7, 1.0, 0.8) == pytest.approx(0.7)
+        assert revised(0.7, 0.8, (0.0, 0.0, 100.0, 100.0)) == pytest.approx(0.7)
 
     def test_direct_substitution(self):
-        assert revise_score(0.8, 0.5, 1.0) == pytest.approx(0.4)
+        assert revised(0.8, 1.0, (0.0, 0.0, 50.0, 100.0)) == pytest.approx(0.4)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(InvalidInputError):
-            revise_score(1.2, 0.5, 0.5)
+            revised(1.2, 0.5)
         with pytest.raises(InvalidInputError):
-            revise_score(0.5, -0.1, 0.5)
+            revised(0.5, 2.0)
         with pytest.raises(InvalidInputError):
-            revise_score(0.5, 0.5, 2.0)
+            revised(0.5, -0.1)
 
     def test_monotone_and_bounded(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
-            s, lam = rng.uniform(0, 1, size=2)
-            g1, g2 = sorted(rng.uniform(0, 1, size=2))
-            low = revise_score(s, g1, lam)
-            high = revise_score(s, g2, lam)
+            s, lam = rng.uniform(0, 1, size=2).tolist()
+            w1, w2 = sorted(rng.uniform(0, 100, size=2).tolist())
+            low = revised(s, lam, (0.0, 0.0, w1, 100.0))
+            high = revised(s, lam, (0.0, 0.0, w2, 100.0))
             assert 0.0 <= low <= high <= s <= 1.0
 
 
@@ -90,10 +109,11 @@ _unit = st.floats(0.0, 1.0)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_unit, _unit, _unit)
-def test_revise_score_never_exceeds_input(score, gamma, lam):
-    assert 0.0 <= revise_score(score, gamma, lam) <= score
-    assert revise_score(score, gamma, 0.0) == score
+@given(_unit, st.floats(0.0, 100.0), _unit)
+def test_revise_score_never_exceeds_input(score, width, lam):
+    bbox = (0.0, 0.0, width, 100.0)
+    assert 0.0 <= revised(score, lam, bbox) <= score
+    assert revised(score, 0.0, bbox) == score
 
 
 _coord = st.floats(-50.0, 150.0)
@@ -167,6 +187,12 @@ class TestReviseDetections:
         revised = revise_detections(dets, regions, lam=0.0, region_images=one_image(regions))
         assert [d.score for d in revised] == [d.score for d in dets]
 
+    @pytest.mark.parametrize("lam", [1.5, -0.1, math.nan])
+    def test_lam_is_checked_on_entry(self, lam):
+        """An out-of-range lam is an input error even when there is nothing to revise."""
+        with pytest.raises(InvalidInputError, match="lam="):
+            revise_detections([], [], lam, region_images=[])
+
     def test_one_stage_requires_cell(self):
         dets = [Detection(image_id="i", bbox=(0, 0, 10, 10), score=0.5)]
         with pytest.raises(InvalidInputError):
@@ -183,11 +209,11 @@ class TestReviseDetections:
 
 class TestGenerateProposals:
     def test_identity_anchor(self):
-        assert generate_proposals(region(cx=50, cy=50, edge=100), [1.0], [1.0]) == [
-            (0.0, 0.0, 100.0, 100.0)]
+        assert anchor_boxes([region(cx=50, cy=50, edge=100)], [1.0], [1.0]).tolist() == [
+            [[0.0, 0.0, 100.0, 100.0]]]
 
     def test_cardinality(self):
-        boxes = generate_proposals(region(), [0.75, 1.0, 1.25], [1.0, 2.0, 3.0])
+        (boxes,) = anchor_boxes([region()], [0.75, 1.0, 1.25], [1.0, 2.0, 3.0]).tolist()
         assert len(boxes) == 9
         for i, scale in enumerate([0.75, 1.0, 1.25]):
             for j, ratio in enumerate([1.0, 2.0, 3.0]):
@@ -196,7 +222,7 @@ class TestGenerateProposals:
                 assert h / w == pytest.approx(ratio)
 
     def test_ratio_two_shape(self):
-        (bbox,) = generate_proposals(region(cx=50, cy=50, edge=100), [1.0], [2.0])
+        ((bbox,),) = anchor_boxes([region(cx=50, cy=50, edge=100)], [1.0], [2.0]).tolist()
         x, y, w, h = bbox
         assert w == pytest.approx(100.0 / math.sqrt(2.0))
         assert h == pytest.approx(100.0 * math.sqrt(2.0))
@@ -205,7 +231,7 @@ class TestGenerateProposals:
 
     def test_center_and_id_preserved(self):
         z = region(cx=20, cy=30, edge=50, identifier="z")
-        for x, y, w, h in generate_proposals(z, [0.5, 1.5], [1.0, 2.5]):
+        for x, y, w, h in anchor_boxes([z], [0.5, 1.5], [1.0, 2.5])[0].tolist():
             assert x + w / 2 == pytest.approx(20.0)
             assert y + h / 2 == pytest.approx(30.0)
         proposals = proposals_to_detections([z], region_images=one_image([z], "img"))
@@ -213,9 +239,9 @@ class TestGenerateProposals:
 
     def test_empty_or_negative_rejected(self):
         with pytest.raises(InvalidInputError):
-            generate_proposals(region(), [], [1.0])
+            anchor_boxes([region()], [], [1.0])
         with pytest.raises(InvalidInputError):
-            generate_proposals(region(), [1.0], [0.0])
+            anchor_boxes([region()], [1.0], [0.0])
 
 
 class TestProposalsToDetections:

@@ -8,7 +8,7 @@ import pytest
 from radiofusion.fusion import Detection
 from radiofusion.metrics import (
     COCO_IOU_THRESHOLDS,
-    average_precision,
+    _ranked_ap,
     coco_map,
     match,
     mr_fppi,
@@ -16,6 +16,7 @@ from radiofusion.metrics import (
     visual_metrics,
 )
 from radiofusion.sim_regions import Annotation
+from radiofusion.world import score_order
 
 
 def det(x, y, w, h, score, image_id="i"):
@@ -25,6 +26,13 @@ def det(x, y, w, h, score, image_id="i"):
 
 def gt(x, y, w, h, image_id="i"):
     return Annotation(image_id=image_id, bbox=(float(x), float(y), float(w), float(h)))
+
+
+def average_precision(scored, num_gt):
+    """AP of pooled (score, is_tp) pairs, ranked as ``coco_map`` ranks them."""
+    scores = np.array([score for score, _ in scored], dtype=float)
+    is_tp = np.array([tp for _, tp in scored], dtype=bool)
+    return _ranked_ap(is_tp[score_order(scores)], num_gt)
 
 
 # -- Independent reference implementations --------------------------------

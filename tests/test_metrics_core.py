@@ -24,15 +24,10 @@ from test_metrics_oracle import (
 from radiofusion import metrics
 from radiofusion.fusion import Detection
 from radiofusion.geometry import iou, rect_area
-from radiofusion.metrics import (
-    COCO_IOU_THRESHOLDS,
-    average_precision,
-    coco_map,
-    mr_fppi,
-    visual_metrics,
-)
-from radiofusion.sim_regions import Annotation, group_by_image
+from radiofusion.metrics import COCO_IOU_THRESHOLDS, coco_map, mr_fppi, visual_metrics
+from radiofusion.sim_regions import Annotation
 from radiofusion.synth import SynthParams, generate, make_world
+from radiofusion.world import group_by_image, score_order
 
 CHUNK_SIZES = (1, 2, metrics.CHUNK_IMAGES)
 
@@ -157,7 +152,10 @@ def test_metrics_equal_the_oracle_on_generated_worlds(images, chunk, random):
                           st.booleans()), max_size=40),
        st.integers(-1, 50))
 def test_average_precision_equals_the_loop(scored, num_gt):
-    assert average_precision(scored, num_gt) == oracle_average_precision(scored, num_gt)
+    scores = np.array([score for score, _ in scored], dtype=float)
+    is_tp = np.array([tp for _, tp in scored], dtype=bool)
+    assert (metrics._ranked_ap(is_tp[score_order(scores)], num_gt)
+            == oracle_average_precision(scored, num_gt))
 
 
 def test_coco_map_memory_on_the_north_star_world():

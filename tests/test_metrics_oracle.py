@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radiofusion.fusion import Detection, score_order
+from radiofusion.fusion import Detection
 from radiofusion.geometry import iou, rect_area
 from radiofusion.metrics import (
     COCO_IOU_THRESHOLDS,
@@ -28,7 +28,8 @@ from radiofusion.metrics import (
     mr_fppi,
     visual_metrics,
 )
-from radiofusion.sim_regions import Annotation, group_by_image
+from radiofusion.sim_regions import Annotation
+from radiofusion.world import group_by_image, score_order
 
 
 def oracle_greedy_match(

@@ -5,10 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from radiofusion.config import RadioParams
 from radiofusion.errors import InvalidInputError
-from radiofusion.fusion import Detection
+from radiofusion.fusion import Detection, coverage
+from radiofusion.geometry import MAX_COORD, iou_arrays, rect_areas
 from radiofusion.imaging import RadioRegion
 from radiofusion.radio import ArrayGeometry, CsiFrame, RadioEstimate
 from radiofusion.sim_regions import Annotation
@@ -62,3 +65,60 @@ def test_annotation_range_edges_are_accepted():
     for occlusion in (0.0, 1.0):
         assert Annotation(image_id="a", bbox=(0, 0, 1, 1), height_px=1e-9,
                           occlusion_fraction=occlusion).occlusion == occlusion
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Detection(image_id="a", bbox=(0, 0, 1e200, 1e200), score=0.5),
+    lambda: Detection(image_id="a", bbox=(-1e308, 0, 1e308, 10), score=0.5),
+    lambda: Detection(image_id="a", bbox=(1e308, 0, 1e308, 10), score=0.5),
+    lambda: Detection(image_id="a", bbox=(0, 0, 1, 1), score=0.5, cell=(0, 0, 1e200, 1e200)),
+    lambda: Annotation(image_id="a", bbox=(0, 0, 1e200, 1e200)),
+    lambda: Annotation(image_id="a", bbox=(0, -1e300, 1, 1)),
+    lambda: RadioRegion(center_x=0.0, center_y=0.0, edge=1e200, identifier="r"),
+    lambda: RadioRegion(center_x=1e308, center_y=0.0, edge=1.0, identifier="r"),
+], ids=["detection-area", "detection-far-left", "detection-far-corner", "cell-area",
+        "annotation-area", "annotation-far-top", "region-edge", "region-center"])
+def test_finite_boxes_beyond_the_box_domain_are_rejected(build):
+    with pytest.raises(InvalidInputError, match="corners must be finite"):
+        build()
+
+
+def test_boxes_at_the_edge_of_the_box_domain_are_accepted():
+    big = (-MAX_COORD, -MAX_COORD, 2 * MAX_COORD, 2 * MAX_COORD)
+    assert Detection(image_id="a", bbox=big, score=0.5, cell=big).bbox == big
+    assert Annotation(image_id="a", bbox=big).bbox == big
+    assert RadioRegion(0.0, 0.0, 2 * MAX_COORD, "r").to_bbox() == big
+
+
+_value = (st.floats() | st.floats(-2 * MAX_COORD, 2 * MAX_COORD) | st.floats(-1e3, 1e3)
+          | st.sampled_from([MAX_COORD, -MAX_COORD, 1e200, -1e308, 1.5e308]))
+_extent = st.floats(min_value=0.0) | st.floats(0.0, 2 * MAX_COORD) | st.floats(0.0, 1e3)
+
+
+@st.composite
+def accepted_boxes(draw):
+    """A box that some record constructor accepts, as that record holds it."""
+    box = (draw(_value), draw(_value), draw(_extent), draw(_extent))
+    kind = draw(st.sampled_from(["detection", "cell", "annotation", "region"]))
+    try:
+        if kind == "detection":
+            return Detection(image_id="a", bbox=box, score=0.5).bbox
+        if kind == "cell":
+            return Detection(image_id="a", bbox=(0, 0, 1, 1), score=0.5, cell=box).cell
+        if kind == "annotation":
+            return Annotation(image_id="a", bbox=box).bbox
+        return RadioRegion(box[0], box[1], box[2], "r").to_bbox()
+    except InvalidInputError:
+        reject()
+
+
+@settings(max_examples=300, deadline=None)
+@given(accepted_boxes(), accepted_boxes())
+def test_accepted_boxes_give_finite_overlaps(a, b):
+    """Any two boxes the constructors accept have a finite IoU, and a finite
+    coverage when the second has positive area, with no numpy warning."""
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        assert np.isfinite(iou_arrays(a, b))
+        if rect_areas(b) > 0:
+            assert np.isfinite(coverage(a, b, "box"))

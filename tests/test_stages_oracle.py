@@ -18,12 +18,12 @@ from hypothesis import strategies as st
 from radiofusion import fusion, nms
 from radiofusion.config import METHOD_STEPS, RunConfig
 from radiofusion.errors import InvalidInputError
-from radiofusion.fusion import Detection, revise_score, score_order
+from radiofusion.fusion import Detection
 from radiofusion.geometry import Rect, intersect_area, iou, rect_area
 from radiofusion.imaging import RadioRegion
 from radiofusion.nms import NmsConfig
 from radiofusion.pipeline import apply_method
-from radiofusion.sim_regions import group_by_image
+from radiofusion.world import group_by_image, score_order
 
 
 # -- Oracles: the scalar per-image stages, verbatim -------------------------
@@ -156,6 +156,18 @@ def decay_two_stage(bbox: Rect, region: RadioRegion) -> float:
     if region_area <= 0:
         raise InvalidInputError(f"degenerate region {region}")
     return min(intersect_area(bbox, region.to_bbox()) / region_area, 1.0)
+
+
+def revise_score(score: float, gamma: float, lam: float) -> float:
+    """Rescale a confidence score by the radio decay factor.
+
+    ``lam = 0`` leaves the detector untouched; ``lam = 1`` multiplies the
+    score by ``gamma`` directly. The result never exceeds the input score.
+    """
+    for name, value in (("score", score), ("gamma", gamma), ("lam", lam)):
+        if not 0.0 <= value <= 1.0:
+            raise InvalidInputError(f"{name}={value} outside [0, 1]")
+    return (1.0 - lam + lam * gamma) * score
 
 
 def revise_detections(
@@ -406,17 +418,6 @@ def test_apply_method_equals_the_per_image_loop(world, method, cfg, lam):
     image_ids = [*IMAGES, "empty"]
     assert outcome(lambda: apply_method(config, image_ids, detections, by_image)) == outcome(
         lambda: oracle_apply_method(config, image_ids, detections, by_image))
-
-
-@given(st.builds(RadioRegion, center_x=_coord, center_y=_coord, edge=st.floats(0.5, 40.0),
-                 identifier=st.just("r")),
-       st.tuples(_coord, _coord, _side, _side), _cell)
-def test_scalar_decays_and_anchors_equal_the_oracle(region, bbox, cell):
-    assert fusion.decay_two_stage(bbox, region) == decay_two_stage(bbox, region)
-    assert outcome(lambda: fusion.decay_one_stage(region, cell)) == outcome(
-        lambda: decay_one_stage(region, cell))
-    assert fusion.generate_proposals(region, [0.5, 1.0, 2.0], [0.5, 1.0, 3.0]) == \
-        generate_proposals(region, [0.5, 1.0, 2.0], [0.5, 1.0, 3.0])
 
 
 # -- Boundary ----------------------------------------------------------------
