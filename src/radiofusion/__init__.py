@@ -2,7 +2,7 @@
 
 from .config import RadioParams, RunConfig
 from .errors import BehindCameraError, InvalidGeometryError, InvalidInputError, SchemaError
-from .fusion import Detection, proposals_to_detections, revise_detections
+from .fusion import proposals_to_detections, revise_detections
 from .geometry import intersect_area, iou, rect_area, square
 from .imaging import CameraModel, RadioRegion, batch_project, project
 from .metrics import (
@@ -38,5 +38,6 @@ from .sim_regions import (
     reasonable_filter,
 )
 from .synth import SynthParams, generate, make_world
+from .world import Detection, Detections
 
 __version__ = "0.1.0"

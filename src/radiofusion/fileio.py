@@ -6,15 +6,18 @@ codec whose keys and value readers derive from the record dataclasses.
 A text field (ids, category, orientation) takes a JSON string or an
 integer, which is normalized to its decimal string so map keys round-trip.
 
-Every JSON file is written by ``dump_json``, which encodes the whole
-document into one string before it opens the file, so a document that
-cannot be encoded leaves the previous file as it was. Its bytes are those
-of ``json.dumps(payload, indent=1, sort_keys=True)`` plus a newline: one
-space per level, sorted keys, ASCII escapes and floats as ``repr`` spells
-them. Sorted keys and seeded generation make whole runs byte-reproducible.
-Record readers take a finite float or a string as it is and send every
-other value through its field's reader, which gives the same record or
-error. A record constructor's error keeps its type and names the file.
+Every JSON file is spelled as ``json.dumps(payload, indent=1,
+sort_keys=True)`` plus a newline: one space per level, sorted keys, ASCII
+escapes and floats as ``repr`` spells them. Sorted keys and seeded
+generation make whole runs byte-reproducible. ``dump_json`` encodes the
+whole document before it opens the file, so a document that cannot be
+encoded leaves the previous file as it was. Detection files are read into
+and written from ``world.Detections`` columns: the reader checks the record
+rules on whole columns, and the writer streams rows once every id is
+escaped. Record readers take a
+finite float or a string as it is and send every other value through its
+field's reader, which gives the same record or error. A record
+constructor's error keeps its type and names the file.
 """
 
 from __future__ import annotations
@@ -32,11 +35,11 @@ from typing import get_type_hints
 import numpy as np
 
 from .errors import InvalidInputError, SchemaError
-from .fusion import Detection
 from .geometry import Rect
 from .imaging import RadioRegion
 from .radio import ArrayGeometry, CsiFrame, RadioEstimate
 from .sim_regions import Annotation
+from .world import Detection, Detections
 
 CSI_SCHEMA = "csi-frame/1"
 ANNOTATIONS_SCHEMA = "annotations/1"
@@ -303,16 +306,43 @@ def read_annotations(path: str | Path) -> tuple[list[str], list[Annotation]]:
 
 
 # -- Detections ---------------------------------------------------------
+# A row is spelled as ``dump_json`` spells its record (``%r`` is ``float.__repr__``).
 
-def write_detections(path: str | Path, detections: list[Detection]) -> None:
-    dump_json(path, {"schema": DETECTIONS_SCHEMA,
-                     "detections": [_to_record(det) for det in detections]})
+_BOX = "[\n    %r,\n    %r,\n    %r,\n    %r\n   ]"
+_ROW = '{\n   "bbox": ' + _BOX + '%s,\n   "image_id": %s%s,\n   "score": %r\n  }'
 
 
-def read_detections(path: str | Path) -> list[Detection]:
+def write_detections(path: str | Path, detections: Detections | list[Detection]) -> None:
+    """Rows stream into the file; every string is escaped before it opens."""
+    if not isinstance(detections, Detections):
+        detections = Detections.from_records(detections)
+    names = [_escape(key) for key in detections.ids]
+    regions = ["" if rid is None else ',\n   "region_id": ' + _escape(rid)
+               for rid in detections.region_ids.tolist()]
+    rows = zip(detections.image.tolist(), map(np.ndarray.tolist, detections.boxes),
+               map(np.ndarray.tolist, detections.cells), regions, detections.scores.tolist())
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{\n "detections": [' + ("\n  " if regions else ""))
+        fh.writelines((",\n  " if n else "") + _ROW % (
+            *box, "" if cell[0] != cell[0] else ',\n   "cell": ' + _BOX % tuple(cell),
+            names[i], region, score) for n, (i, box, cell, region, score) in enumerate(rows))
+        fh.write(("\n ]" if regions else "]") + f',\n "schema": "{DETECTIONS_SCHEMA}"\n}}\n')
+
+
+def read_detections(path: str | Path) -> Detections:
+    """Records read field by field into columns, checked as whole columns; a
+    list with a bad record is read again record by record, which names it."""
     data = load_json(path, DETECTIONS_SCHEMA)
     records = _expect(_require(data, "detections", str(path)), list, f"{path}: detections")
-    return [_from_record(record, Detection, str(path)) for record in records]
+    try:
+        columns = Detections.build([_read_fields(record, _SPECS[Detection], str(path))
+                                    for record in records])
+        if columns.valid():
+            return columns
+    except SchemaError:
+        pass
+    return Detections.from_records(_from_record(record, Detection, str(path)) for record in records)
 
 
 # -- Per-image maps: regions and estimates ------------------------------

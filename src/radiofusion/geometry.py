@@ -2,7 +2,8 @@
 
 Rectangles are ``(x, y, w, h)`` tuples with a top-left pixel origin, the
 convention used by all detection and region records in this package.
-``require_box`` is the one domain rule every record box passes.
+``require_box`` is the one domain rule every record box passes, and
+``in_box_domain`` its array form.
 """
 
 from __future__ import annotations
@@ -29,6 +30,14 @@ def require_box(what: str, box: Sequence[float]) -> None:
             and -MAX_COORD <= x + w <= MAX_COORD and -MAX_COORD <= y + h <= MAX_COORD):
         raise InvalidInputError(
             f"{what} corners must be finite and within {MAX_COORD:g} of 0, got {tuple(box)}")
+
+
+def in_box_domain(boxes: np.ndarray) -> np.ndarray:
+    """Whether ``require_box`` accepts each ``(..., 4)`` box, as a boolean array."""
+    x, y, w, h = np.moveaxis(boxes, -1, 0)
+    with np.errstate(over="ignore", invalid="ignore"):  # x + w may overflow, as it may in Python
+        return ((np.abs(x) <= MAX_COORD) & (np.abs(y) <= MAX_COORD)
+                & (np.abs(x + w) <= MAX_COORD) & (np.abs(y + h) <= MAX_COORD))
 
 
 def rect_area(rect: Sequence[float]) -> float:

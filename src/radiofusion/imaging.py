@@ -40,9 +40,15 @@ class CameraModel:
                 raise InvalidInputError(f"{name}={fov} outside (0, 180) degrees")
 
 
+# Region proposals: one anchor per scale and height/width ratio (``fusion.anchor_boxes``).
+ANCHOR_SCALES = (0.75, 1.0, 1.25)
+ANCHOR_RATIOS = (1.0, 2.0, 3.0)
+
+
 @dataclass(frozen=True)
 class RadioRegion:
-    """Square image-plane region born from one radio localization."""
+    """Square image-plane region born from one radio localization; its
+    tallest proposal anchor, like its square, lies in the box domain."""
 
     center_x: float
     center_y: float
@@ -52,6 +58,8 @@ class RadioRegion:
     def __post_init__(self) -> None:
         require_finite("region", self.center_x, self.center_y, self.edge)
         require_box("region", self.to_bbox())
+        reach = max(ANCHOR_SCALES) * self.edge * math.sqrt(max(ANCHOR_RATIOS))
+        require_box("region anchor", square(self.center_x, self.center_y, reach))
         if self.edge <= 0:
             raise InvalidInputError(f"region edge must be > 0, got {self.edge}")
 

@@ -13,7 +13,8 @@ samples spaced evenly in log space over [0.01, 1].
 
 Every metric evaluates one image universe: the given ``image_ids`` (a run
 passes the annotation image list), else every image a record names. A
-record on an image outside a given list is an input error.
+record on an image outside a given list is an input error. Detections are
+``world.Detections`` columns, put in image-id order by their image index.
 
 One batched core does the matching for all three metrics, after
 pycocotools' ``COCOeval.evaluateImg``. Only images with both detections
@@ -34,6 +35,7 @@ the miss-rate curve and the visual counts read them.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
@@ -41,10 +43,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError
-from .fusion import Detection
 from .geometry import iou_arrays, rect_areas
 from .sim_regions import Annotation
-from .world import group_by_image, score_order
+from .world import Detections, score_order
 
 COCO_IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 SMALL_AREA_MAX = 32.0 ** 2
@@ -113,19 +114,25 @@ def check_image_ids(image_ids: Iterable[str], **ids_by_kind: Iterable[str]) -> N
             raise InvalidInputError(f"{kind} on images outside the image list: {stray[:3]}")
 
 
-def _per_image(
-    detections: list[Detection], gts: list[Annotation], image_ids: Iterable[str] | None,
-) -> tuple[list[list[Detection]], list[list[Annotation]]]:
-    """Detections and ground truth of the evaluated images in id order.
+def _per_image(detections: Detections, gts: list[Annotation], image_ids: Iterable[str] | None,
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Detection boxes, scores and per-image counts, then ground-truth boxes
+    and per-image counts, of the evaluated images (``image_ids``, else every
+    image a record names) in image-id-then-input order."""
+    gt_ids = [gt.image_id for gt in gts]
+    named = detections.named_ids()
+    universe = sorted(set(named).union(gt_ids) if image_ids is None else set(image_ids))
+    check_image_ids(universe, detections=named, annotations=gt_ids)
+    dets = detections.grouped(universe)
+    index = {key: i for i, key in enumerate(universe)}
+    gt_image = np.fromiter(map(index.__getitem__, gt_ids), np.intp, len(gt_ids))
+    return (dets.boxes, dets.scores, np.bincount(dets.image, minlength=len(universe)),
+            _boxes(gts)[np.argsort(gt_image, kind="stable")],
+            np.bincount(gt_image, minlength=len(universe)))
 
-    The images are ``image_ids``, else every image a record names.
-    """
-    dets_by_image = group_by_image(detections)
-    gts_by_image = group_by_image(gts)
-    universe = set(dets_by_image) | set(gts_by_image) if image_ids is None else set(image_ids)
-    check_image_ids(universe, detections=dets_by_image, annotations=gts_by_image)
-    ids = sorted(universe)
-    return [dets_by_image.get(i, []) for i in ids], [gts_by_image.get(i, []) for i in ids]
+
+def _boxes(gts: list[Annotation]) -> np.ndarray:
+    return np.array([gt.bbox for gt in gts], dtype=float).reshape(-1, 4)
 
 
 class _Matches(NamedTuple):
@@ -136,13 +143,6 @@ class _Matches(NamedTuple):
     ignored: np.ndarray  # (bucket, threshold, N): left out of the bucket's AP
     num_gt: np.ndarray  # (bucket,): real ground truth in the bucket
     num_images: int
-
-
-def _flat(groups: list[list]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(N, 4) boxes of every record in group order, each group's size and start."""
-    boxes = np.array([r.bbox for group in groups for r in group], dtype=float).reshape(-1, 4)
-    counts = np.array([len(group) for group in groups], dtype=np.intp)
-    return boxes, counts, np.cumsum(counts) - counts
 
 
 def _slots(counts: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -196,13 +196,11 @@ def _greedy(dets: np.ndarray, gts: np.ndarray, real: np.ndarray, ignore: np.ndar
     return hit.reshape(*shape, depth), absorbed.reshape(*shape, depth)
 
 
-def _match(dets_per_image: list[list[Detection]], gts_per_image: list[list[Annotation]],
-           thresholds: Sequence[float], buckets: Sequence[str] = ("all",),
-           by_score: bool = True) -> _Matches:
+def _match(det_boxes: np.ndarray, scores: np.ndarray, det_counts: np.ndarray,
+           gt_boxes: np.ndarray, gt_counts: np.ndarray, thresholds: Sequence[float],
+           buckets: Sequence[str] = ("all",), by_score: bool = True) -> _Matches:
     """Match every image at every threshold inside every size bucket."""
-    det_boxes, det_counts, det_starts = _flat(dets_per_image)
-    gt_boxes, gt_counts, gt_starts = _flat(gts_per_image)
-    scores = np.array([det.score for dets in dets_per_image for det in dets], dtype=float)
+    det_starts, gt_starts = np.cumsum(det_counts) - det_counts, np.cumsum(gt_counts) - gt_counts
     visit = np.arange(scores.size)
     if by_score:
         visit = np.lexsort((-scores, np.repeat(np.arange(det_counts.size), det_counts)))
@@ -228,13 +226,14 @@ def _match(dets_per_image: list[list[Detection]], gts_per_image: list[list[Annot
         tp[..., owners] = hit[..., det_valid]
         absorbed[..., owners] = took_ignored[..., det_valid]
     ignored = absorbed | (~tp & ~det_in[:, None])
-    return _Matches(scores, tp, ignored, gt_in.sum(axis=1), len(dets_per_image))
+    return _Matches(scores, tp, ignored, gt_in.sum(axis=1), det_counts.size)
 
 
-def match(detections: list[Detection], gts: list[Annotation], iou_t: float,
+def match(detections: Detections, gts: list[Annotation], iou_t: float,
           sorted_by_score: bool = True) -> MatchResult:
     """Match one image's detections against its ground truth."""
-    tp = _match([detections], [gts], (iou_t,), by_score=sorted_by_score).tp[0, 0].tolist()
+    tp = _match(detections.boxes, detections.scores, np.array([len(detections)]), _boxes(gts),
+                np.array([len(gts)]), (iou_t,), by_score=sorted_by_score).tp[0, 0].tolist()
     return MatchResult(tp=tuple(tp), fp=tuple(not f for f in tp), fn=len(gts) - sum(tp))
 
 
@@ -251,11 +250,8 @@ def _ranked_ap(is_tp: np.ndarray, num_gt: int) -> float:
     return float(np.sum(precision[sample_idx[sample_idx < precision.size]])) / 101.0
 
 
-def coco_map(
-    detections: list[Detection],
-    gts: list[Annotation],
-    image_ids: list[str] | None = None,
-) -> CocoMapResult:
+def coco_map(detections: Detections, gts: list[Annotation],
+             image_ids: list[str] | None = None) -> CocoMapResult:
     """AP summary: mean over IoU 0.50:0.05:0.95 plus fixed-IoU and size APs.
 
     Size buckets follow ground-truth box area: small below 32^2, medium
@@ -275,12 +271,8 @@ def coco_map(
                          ap_s=mean("small"), ap_m=mean("medium"), ap_l=mean("large"))
 
 
-def mr_fppi(
-    detections: list[Detection],
-    gts: list[Annotation],
-    iou_t: float = 0.5,
-    image_ids: list[str] | None = None,
-) -> tuple[list[tuple[float, float]], float]:
+def mr_fppi(detections: Detections, gts: list[Annotation], iou_t: float = 0.5,
+            image_ids: list[str] | None = None) -> tuple[list[tuple[float, float]], float]:
     """Miss rate versus false positives per image, plus its log-average.
 
     Detections are matched once at full depth, then the score threshold is
@@ -308,12 +300,8 @@ def mr_fppi(
     return curve, float(sum(samples) / len(samples))
 
 
-def visual_metrics(
-    detections: list[Detection],
-    gts: list[Annotation],
-    iou_t: float = 0.5,
-    image_ids: list[str] | None = None,
-) -> tuple[float, float]:
+def visual_metrics(detections: Detections, gts: list[Annotation], iou_t: float = 0.5,
+                   image_ids: list[str] | None = None) -> tuple[float, float]:
     """Confidence-free visual quality: (FP+FN per image, TP/(TP+FP+FN)).
 
     Detections are matched in file order, never sorted by score, so every
@@ -331,21 +319,20 @@ def visual_metrics(
     return fp_fn, ratio
 
 
-def truncate_to_gt_count(
-    detections: list[Detection],
-    gts: list[Annotation],
-) -> list[Detection]:
+def truncate_to_gt_count(detections: Detections, gts: list[Annotation]) -> Detections:
     """Keep at most as many detections per image as that image has people.
 
     Survivors are the per-image top scorers (stable on input position);
     their original input order is preserved. Used for count-constrained
     evaluation runs.
     """
-    budget = {image_id: len(anns) for image_id, anns in group_by_image(gts).items()}
-    keep: set[int] = set()
-    for i in score_order([det.score for det in detections]).tolist():
-        image_id = detections[i].image_id
-        if budget.get(image_id, 0) > 0:
-            budget[image_id] -= 1
-            keep.add(i)
-    return [det for i, det in enumerate(detections) if i in keep]
+    budget = Counter(gt.image_id for gt in gts)
+    caps = np.array([budget[key] for key in detections.ids], dtype=np.intp)
+    # Each image's walk in score order; a row survives within its image's cap.
+    order = score_order(detections.scores)
+    order = order[np.argsort(detections.image[order], kind="stable")]
+    image = detections.image[order]
+    counts = np.bincount(image, minlength=len(detections.ids))
+    keep = np.zeros(len(detections), dtype=bool)
+    keep[order] = np.arange(order.size) - (np.cumsum(counts) - counts)[image] < caps[image]
+    return detections.take(keep)

@@ -11,33 +11,29 @@ per region. Skip conditions in pass one are checked in a fixed order
 (overlap, region already used, missing region), which pins down the
 deterministic output.
 
-Every function takes a whole world in one call and works image by image
-in image-id order (``world.split_world``): detections name their image
-and ``region_images`` names the image of each region, so a call on one
-image is a world of one image. The IoU arithmetic is batched across
-images. Suppression walks every image's greedy order in lockstep: each
-round keeps at most one more box per image, and one
-``geometry.iou_arrays`` call on the flat (box, newly kept box) pairs of the
-whole world marks what those boxes suppress, so only kept rows are
-computed and memory stays linear in the detections. Association stacks
-the images by region count. The skip order, the smaller-region-id tie rule
-and the fallback pass run image by image in Python on the precomputed
-boolean rows.
+Every function takes a whole world in one call, as ``world.Detections``
+columns whose rows name their image, with ``region_images`` naming the
+image of each region, and works image by image in image-id order
+(``world.split``). Suppression walks every image's greedy order in
+lockstep: each round keeps at most one more box per image, and one
+``geometry.iou_arrays`` call on the (box, newly kept box) pairs of the world
+marks what those boxes suppress, so memory stays linear in the detections.
+Association scores every (detection, region) pair of an image in one call
+(``world.pairs``). The skip order, the tie rules and the fallback pass run
+in Python; every output is a selection of input rows and region squares.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from itertools import accumulate
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .fusion import Detection
 from .geometry import iou_arrays
 from .imaging import RadioRegion
-from .world import Image, per_detection, score_order, split_world
+from .world import Detections, pairs, score_order, split
 
 
 @dataclass(frozen=True)
@@ -59,43 +55,32 @@ class NmsConfig:
             raise InvalidInputError("fallback_floor_score must be in [0, 1]")
 
 
-def _greedy(
-    groups: list[list[Detection]],
-    threshold: float,
-    known: list[set[str]],
-    require_region: bool,
-) -> tuple[list[list[int]], list[set[str]]]:
-    """Pass one on every group (image) at once: per group, the kept indices
-    in score order and the region ids they claimed.
-
-    A box is skipped when it overlaps a kept box of its group at or above
-    the threshold, else when its known region is already used, else when it
-    has no known region and one is required. The walks advance in lockstep:
-    each round keeps at most one more box per group, then one ``iou_arrays``
-    call on the flat (box, newly kept box) pairs of those groups marks the
-    boxes the new ones suppress.
-    """
-    sizes = [len(dets) for dets in groups]
-    starts = list(accumulate(sizes, initial=0))
-    boxes = np.array([det.bbox for dets in groups for det in dets], dtype=float).reshape(-1, 4)
-    suppressed = np.zeros(len(boxes), dtype=bool)
-    # The world's score order, stably regrouped: each group's walk, as group-local indices.
-    owner = np.repeat(np.arange(len(groups)), sizes)
-    ranked = score_order([det.score for dets in groups for det in dets])
-    ranked = ranked[np.argsort(owner[ranked], kind="stable")]
-    local = (ranked - np.repeat(starts[:-1], sizes)).tolist()
-    orders = [iter(local[starts[m]:starts[m + 1]]) for m in range(len(groups))]
-    kept: list[list[int]] = [[] for _ in groups]
-    used: list[set[str]] = [set() for _ in groups]
-    walking = [m for m, size in enumerate(sizes) if size]
+def _greedy(dets: Detections, threshold: float, known: list[set[str]],
+            require_region: bool) -> tuple[list[list[int]], list[set[str]]]:
+    """Pass one on every image of ``dets`` (rows in image-id order) in
+    lockstep: per image, the kept rows in score order and the region ids
+    they claimed. A box is skipped when it overlaps a kept box of its image
+    at or above the threshold, else when its known region is already used,
+    else when it has no known region and one is required."""
+    sizes = np.bincount(dets.image, minlength=len(dets.ids))
+    starts = np.cumsum(sizes) - sizes
+    suppressed = np.zeros(len(dets), dtype=bool)
+    # The world's score order, stably regrouped: each image's walk.
+    ranked = score_order(dets.scores)
+    ranked = ranked[np.argsort(dets.image[ranked], kind="stable")].tolist()
+    orders = [iter(ranked[a:a + n]) for a, n in zip(starts.tolist(), sizes.tolist())]
+    region_ids = dets.region_ids.tolist()
+    kept: list[list[int]] = [[] for _ in dets.ids]
+    used: list[set[str]] = [set() for _ in dets.ids]
+    walking = np.flatnonzero(sizes).tolist()
     while walking:
         fresh = []
         for m in walking:
             for i in orders[m]:
-                if suppressed[starts[m] + i]:
+                if suppressed[i]:
                     continue
                 # An id that names no region in this image constrains nothing.
-                rid = groups[m][i].region_id if groups[m][i].region_id in known[m] else None
+                rid = region_ids[i] if region_ids[i] in known[m] else None
                 if rid is not None and rid in used[m]:
                     continue
                 if rid is None and require_region:
@@ -107,32 +92,27 @@ def _greedy(
                 break
         if fresh:
             # Every box of each image that kept one this round, against that box.
-            first = np.array([starts[m] for m in fresh])
-            counts = np.array([sizes[m] for m in fresh])
+            first, counts = starts[fresh], sizes[fresh]
             shift = np.repeat(first + counts - np.cumsum(counts), counts)
             targets = np.arange(shift.size) + shift
-            new = np.repeat(first + np.array([kept[m][-1] for m in fresh]), counts)
-            suppressed[targets[iou_arrays(boxes[targets], boxes[new]) >= threshold]] = True
+            new = np.repeat([kept[m][-1] for m in fresh], counts)
+            overlap = iou_arrays(dets.boxes[targets], dets.boxes[new])
+            suppressed[targets[overlap >= threshold]] = True
         walking = fresh
     return kept, used
 
 
-def standard_nms(detections: list[Detection], iou_threshold: float) -> list[Detection]:
+def standard_nms(detections: Detections, iou_threshold: float) -> Detections:
     """Plain greedy suppression within each image: keep a box iff it
     overlaps every kept box below the threshold. Output is in image-id
     order, descending score within an image."""
-    groups = [image.detections for image in split_world(detections, [], [])]
-    kept, _ = _greedy(groups, iou_threshold, [set()] * len(groups), require_region=False)
-    return [dets[i] for dets, chosen in zip(groups, kept) for i in chosen]
+    dets = detections.grouped(detections.ids)
+    kept, _ = _greedy(dets, iou_threshold, [set()] * len(dets.ids), require_region=False)
+    return dets.take(np.array([i for chosen in kept for i in chosen], dtype=np.intp))
 
 
-def associate_regions(
-    detections: list[Detection],
-    regions: list[RadioRegion],
-    mode: str = "one_stage",
-    *,
-    region_images: Sequence[str] = (),
-) -> list[Detection]:
+def associate_regions(detections: Detections, regions: list[RadioRegion], mode: str = "one_stage",
+                      *, region_images: Sequence[str] = ()) -> Detections:
     """Fill in each detection's region id from the regions of its image.
 
     Detections born from region proposals (``two_stage``) know their
@@ -144,58 +124,27 @@ def associate_regions(
     """
     if mode not in ("one_stage", "two_stage"):
         raise InvalidInputError(f"unknown mode {mode!r}")
-    images = split_world(detections, regions, region_images)
+    dets, owner, boxes, ids = split(detections, regions, region_images)
     if mode == "two_stage":
-        if any(det.region_id is None for det in detections):
+        if any(rid is None for rid in dets.region_ids.tolist()):
             raise InvalidInputError("two_stage association requires region provenance")
-        return [det for image in images for det in image.detections]
+        return dets
 
-    # Regions sorted by id: argmax takes the first of tied IoUs, the smaller id.
-    images = [image._replace(regions=sorted(image.regions, key=lambda r: r.identifier))
-              for image in images]
-
-    def best(dets: list[Detection], region_boxes: np.ndarray) -> np.ndarray:
-        boxes = np.array([det.bbox for det in dets], dtype=float).reshape(-1, 1, 4)
-        overlap = iou_arrays(boxes, region_boxes)
-        return np.where(overlap.max(axis=-1) > 0.0, overlap.argmax(axis=-1), -1)
-
-    return [
-        replace(det, region_id=image.regions[j].identifier if j >= 0 else None)
-        for image, picks in zip(images, per_detection(images, best, -1))
-        for det, j in zip(image.detections, picks)
-    ]
+    # Regions sorted by id, so of tied IoUs the first pair has the smaller id.
+    by_id = np.argsort(ids, kind="stable")
+    det, reg = pairs(dets.image, owner[by_id], len(dets.ids))
+    reg = by_id[reg]
+    overlap = iou_arrays(dets.boxes[det], boxes[reg])
+    order = np.lexsort((-overlap, det))
+    best = order[np.diff(det[order], prepend=-1) != 0]  # each detection's first highest pair
+    best = best[overlap[best] > 0.0]
+    region_ids = np.full(len(dets), None, dtype=object)
+    region_ids[det[best]] = ids[reg[best]]
+    return replace(dets, region_ids=region_ids)
 
 
-def _fallback(image: Image, kept: list[int], used: set[str], floor: float) -> list[Detection]:
-    """Pass two on one image: one box for every region pass one left empty,
-    its best suppressed candidate, else the region's own square at ``floor``."""
-    kept_idx = set(kept)
-    candidates: dict[str | None, list[int]] = {}
-    for i, det in enumerate(image.detections):
-        if i not in kept_idx:
-            candidates.setdefault(det.region_id, []).append(i)
-    revived: list[Detection] = []
-    for region in image.regions:
-        if region.identifier in used:
-            continue
-        if region.identifier in candidates:
-            best = max(candidates[region.identifier],
-                       key=lambda i: (image.detections[i].score, -i))
-            revived.append(image.detections[best])
-        else:
-            revived.append(Detection(image_id=image.image_id, bbox=region.to_bbox(),
-                                     score=floor, region_id=region.identifier))
-        used.add(region.identifier)
-    return revived
-
-
-def constrained_nms(
-    detections: list[Detection],
-    regions: list[RadioRegion] | None,
-    cfg: NmsConfig,
-    *,
-    region_images: Sequence[str] = (),
-) -> list[Detection]:
+def constrained_nms(detections: Detections, regions: list[RadioRegion] | None, cfg: NmsConfig,
+                    *, region_images: Sequence[str] = ()) -> Detections:
     """Greedy NMS where each radio region may produce at most one box.
 
     ``regions=None`` disables the constraint entirely, reducing to
@@ -204,22 +153,38 @@ def constrained_nms(
     the radio asserts nobody is there; the permissive setting keeps such
     detections subject only to the overlap test. The fallback pass runs for
     enabled ``two_stage`` configurations and guarantees one detection per
-    region; an anchor box is labelled with its region's image.
-
-    Output is in image-id order: pass one's boxes in score order, then the
+    region, the region's own square at the floor score if need be. Output
+    is in image-id order: pass one's boxes in score order, then the
     fallback's in region order.
     """
     if regions is None:
         return standard_nms(detections, cfg.iou_threshold)
 
-    images = split_world(detections, regions, region_images)
-    fallback = cfg.mode == "two_stage" and cfg.enable_fallback_loop
-    known = [{region.identifier for region in image.regions} for image in images]
-    kept, used = _greedy([image.detections for image in images], cfg.iou_threshold,
-                         known, cfg.require_region)
-    output: list[Detection] = []
-    for image, chosen, claimed in zip(images, kept, used):
-        output.extend(image.detections[i] for i in chosen)
-        if fallback:
-            output.extend(_fallback(image, chosen, claimed, cfg.fallback_floor_score))
-    return output
+    dets, owner, boxes, ids = split(detections, regions, region_images)
+    per_image: list[list[tuple[int, str]]] = [[] for _ in dets.ids]
+    for k, (m, rid) in enumerate(zip(owner.tolist(), ids.tolist())):
+        per_image[m].append((k, rid))
+    known = [{rid for _, rid in owned} for owned in per_image]
+    kept, used = _greedy(dets, cfg.iou_threshold, known, cfg.require_region)
+    rows = [i for chosen in kept for i in chosen]
+    if not (cfg.mode == "two_stage" and cfg.enable_fallback_loop):
+        return dets.take(np.array(rows, dtype=np.intp))
+    # Pass two: per image, a row for every region pass one left empty: its
+    # best suppressed candidate, else its own square (row len(dets) + k).
+    candidates: dict[tuple[int, str | None], list[int]] = {}
+    kept_rows, scores = set(rows), dets.scores.tolist()
+    for i, key in enumerate(zip(dets.image.tolist(), dets.region_ids.tolist())):
+        if i not in kept_rows:
+            candidates.setdefault(key, []).append(i)
+    rows = []
+    for m, (chosen, claimed) in enumerate(zip(kept, used)):
+        rows += chosen
+        for k, rid in per_image[m]:
+            if rid not in claimed:
+                revived = candidates.get((m, rid))
+                rows.append(max(revived, key=lambda i: (scores[i], -i)) if revived
+                            else len(dets) + k)
+                claimed.add(rid)
+    anchors = Detections(dets.ids, owner, boxes, np.full(len(regions), cfg.fallback_floor_score),
+                         ids, np.full((len(regions), 4), np.nan))
+    return dets.join(anchors).take(np.array(rows, dtype=np.intp))

@@ -3,10 +3,10 @@
 A run starts from ground truth (file or synthetic world), radio regions
 (file, simulated from ground truth, or projected from CSI), and detections
 (file or the detector emulator). The selected method transforms the
-detections of the whole world. Every stage call is a world call: the
-detections name their image, ``region_images`` names the image of each
-region, and the stage works image by image (``world.split_world``) with
-its IoU and overlap arithmetic batched across images:
+detections of the whole world, as ``world.Detections`` columns from the
+reader through every stage and metric to the writer (a file-driven run
+builds no ``Detection``). Every stage call is a world call: rows name their
+image and ``region_images`` names the image of each region:
 
   baseline        plain greedy NMS
   method1         confidence revision against the regions, then NMS
@@ -33,7 +33,7 @@ from dataclasses import replace
 from . import fileio
 from .config import METHOD_STEPS, RunConfig
 from .errors import InvalidInputError
-from .fusion import Detection, proposals_to_detections, revise_detections
+from .fusion import proposals_to_detections, revise_detections
 from .imaging import CameraModel, RadioRegion, batch_project
 from .metrics import (
     MetricsReport,
@@ -48,6 +48,7 @@ from .radio import CsiFrame, RadioEstimate, compute_spectrum, default_aoa_grid, 
     default_tof_grid, fuse_axes, pick_peaks
 from .sim_regions import GT_FILTERS, Annotation, build_simulative_set
 from .synth import generate as synth_generate
+from .world import Detections
 
 EVAL_IOU = 0.5
 
@@ -70,24 +71,18 @@ def build_regions(config: RunConfig, gts: list[Annotation]) -> dict[str, list[Ra
     return build_simulative_set(gts, noise)
 
 
-def build_detections(
-    config: RunConfig,
-    gts: list[Annotation],
-    image_ids: list[str],
-) -> list[Detection]:
+def build_detections(config: RunConfig, gts: list[Annotation],
+                     image_ids: list[str]) -> Detections:
     """Detections from the configured file, else the detector emulator."""
     if config.paths.detections is not None:
         return fileio.read_detections(config.paths.detections)
     synth = replace(config.synth, seed=config.substream_seed("synth"))
-    return synth_generate(gts, synth, image_size=config.image_size, image_ids=image_ids)
+    return Detections.from_records(
+        synth_generate(gts, synth, image_size=config.image_size, image_ids=image_ids))
 
 
-def apply_method(
-    config: RunConfig,
-    image_ids: list[str],
-    detections: list[Detection],
-    regions_by_image: dict[str, list[RadioRegion]],
-) -> list[Detection]:
+def apply_method(config: RunConfig, image_ids: list[str], detections: Detections,
+                 regions_by_image: dict[str, list[RadioRegion]]) -> Detections:
     """Run the configured method on the whole world; returns the full output.
 
     Every stage is one world call; the regions go in as one flat list in
@@ -110,13 +105,9 @@ def apply_method(
     return constrained_nms(detections, regions, nms_cfg, region_images=owners)
 
 
-def evaluate(
-    config: RunConfig,
-    image_ids: list[str],
-    gts: list[Annotation],
-    detections: list[Detection],
-    regions_by_image: dict[str, list[RadioRegion]],
-) -> tuple[MetricsReport, list[Detection]]:
+def evaluate(config: RunConfig, image_ids: list[str], gts: list[Annotation],
+             detections: Detections, regions_by_image: dict[str, list[RadioRegion]],
+             ) -> tuple[MetricsReport, Detections]:
     """Apply the method and compute the full metrics report.
 
     Returns the report and the display set of detections (the boxes a user
@@ -124,8 +115,7 @@ def evaluate(
     ``image_ids`` is the evaluated universe: detections or regions on any
     other image are an input error.
     """
-    check_image_ids(image_ids, detections=(det.image_id for det in detections),
-                    regions=regions_by_image)
+    check_image_ids(image_ids, detections=detections.named_ids(), regions=regions_by_image)
     start = time.perf_counter()
     ranked = apply_method(config, image_ids, detections, regions_by_image)
 
@@ -135,7 +125,7 @@ def evaluate(
     elif METHOD_STEPS[config.method][1] is not None:
         display = ranked
     else:
-        display = [d for d in ranked if d.score >= config.score_threshold]
+        display = ranked.take(ranked.scores >= config.score_threshold)
 
     coco = coco_map(ranked, gts, image_ids)
     curve, lamr = mr_fppi(ranked, gts, EVAL_IOU, image_ids)
@@ -150,7 +140,7 @@ def evaluate(
     return report, display
 
 
-def run(config: RunConfig) -> tuple[MetricsReport, list[Detection]]:
+def run(config: RunConfig) -> tuple[MetricsReport, Detections]:
     """Full file-driven run: load inputs, evaluate, write outputs."""
     image_ids, gts = load_world(config)
     regions_by_image = build_regions(config, gts)

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .fusion import Detection
 from .sim_regions import Annotation
-from .world import group_by_image
+from .world import Detection, group_by_image
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from conftest import one_image
-from radiofusion import fileio
+from conftest import on_records, one_image
+from radiofusion import fileio, metrics, nms
 from radiofusion.config import RunConfig, RunPaths
 from radiofusion.fusion import Detection
 from radiofusion.imaging import CameraModel, RadioRegion, project
-from radiofusion.metrics import coco_map, match, mr_fppi, visual_metrics
-from radiofusion.nms import NmsConfig, associate_regions, constrained_nms, standard_nms
+from radiofusion.nms import NmsConfig
 from radiofusion.pipeline import build_detections, evaluate, run
 from radiofusion.radio import (
     ArrayGeometry,
@@ -30,6 +29,11 @@ from radiofusion.radio import (
 from radiofusion.sim_regions import Annotation, NoiseParams, build_simulative_set, \
     draw_region_noise, gt_to_region
 from radiofusion.synth import make_world
+
+coco_map, match, mr_fppi, visual_metrics = map(on_records, (
+    metrics.coco_map, metrics.match, metrics.mr_fppi, metrics.visual_metrics))
+standard_nms, associate_regions, constrained_nms = map(on_records, (
+    nms.standard_nms, nms.associate_regions, nms.constrained_nms))
 
 
 def report(number, name, ok, detail):

@@ -156,6 +156,9 @@ _REGION = {"center_x": 100.0, "center_y": 100.0, "edge": 40.0}
                                                    "bbox": [0, 0, 1e200, 1e200]}]})),
     ("--regions", json.dumps({"schema": "regions/1", "images": {
         "img00000": [{"id": "p", **_REGION, "edge": 1e200}]}})),
+    # The square fits the box domain, its tallest proposal anchor does not.
+    ("--regions", json.dumps({"schema": "regions/1", "images": {
+        "img00000": [{"id": "p", "center_x": 0.0, "center_y": 0.0, "edge": 1.9e150}]}})),
 ])
 def test_malformed_input_exit_code(tmp_path, flag, content):
     out = str(tmp_path)
@@ -165,6 +168,20 @@ def test_malformed_input_exit_code(tmp_path, flag, content):
     code = main(["run", "--method", "method1+cnms", "--annotations",
                  str(tmp_path / "annotations.json"), flag, str(bad), "--output-dir", out])
     assert code == 2
+
+
+def test_region_with_an_anchor_outside_the_box_domain_names_the_regions_file(tmp_path, capsys):
+    """Region proposals build no records, so the region rule refuses a region
+    whose tallest anchor leaves the box domain when its file is read."""
+    out = str(tmp_path)
+    assert main(["synth", "--num-images", "3", "--seed", "5", "--output-dir", out]) == 0
+    bad = tmp_path / "regions.json"
+    bad.write_text(json.dumps({"schema": "regions/1", "images": {
+        "img00000": [{"id": "p", "center_x": 0.0, "center_y": 0.0, "edge": 1.9e150}]}}))
+    capsys.readouterr()
+    assert main(["run", "--method", "method2", "--annotations", str(tmp_path / "annotations.json"),
+                 "--regions", str(bad), "--output-dir", out]) == 2
+    assert f"error: {bad}: image 'img00000': region anchor corners" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("images, annotation", [

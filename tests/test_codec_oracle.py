@@ -16,6 +16,7 @@ from functools import partial
 from typing import get_type_hints
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +27,7 @@ from radiofusion.geometry import Rect
 from radiofusion.imaging import RadioRegion
 from radiofusion.radio import ArrayGeometry, CsiFrame, RadioEstimate
 from radiofusion.sim_regions import Annotation
+from radiofusion.world import Detections
 
 
 # -- Oracle: the per-value codec -------------------------------------------
@@ -216,3 +218,96 @@ def test_finite_floats_read_as_themselves():
     loose = {"image_id": 3, "bbox": [0, "1", np.float64(2.0), 3], "score": "0.25"}
     assert fileio._from_record(loose, Detection, "ctx") == Detection(
         image_id="3", bbox=(0.0, 1.0, 2.0, 3.0), score=0.25)
+
+
+# -- Detection files: the column reader against the per-record reader ------
+
+def _read_records(path):
+    """The per-record detection reader: one ``_from_record`` per record."""
+    data = fileio.load_json(path, fileio.DETECTIONS_SCHEMA)
+    records = _expect(_require(data, "detections", str(path)), list, f"{path}: detections")
+    return [_from_record(record, Detection, str(path)) for record in records]
+
+
+def _read_columns(path):
+    return fileio.read_detections(path).records()
+
+
+_GOOD = {"image_id": "a", "bbox": [0.0, 0.0, 1.0, 1.0], "score": 0.5}
+
+
+@pytest.mark.parametrize("record", [
+    {**_GOOD, "score": True},
+    {**_GOOD, "bbox": ["1.5", 0.0, 1.0, 1.0]},
+    {**_GOOD, "bbox": [0.0, math.nan, 1.0, 1.0]},
+    {**_GOOD, "bbox": [0.0, 0.0, math.inf, 1.0]},
+    {**_GOOD, "score": math.nan},
+    {**_GOOD, "cell": [0.0, 0.0, 1.0, -math.inf]},
+    {**_GOOD, "image_id": None},
+    {"bbox": [0.0, 0.0, 1.0, 1.0], "score": 0.5},
+    {**_GOOD, "bbox": [0.0, 0.0, 1.0]},
+    {**_GOOD, "bbox": [0.0, 0.0, 1.0, 1.0, 1.0]},
+    {**_GOOD, "bbox": [0.0, 0.0, -1.0, 1.0]},
+    {**_GOOD, "bbox": [1e150, 0.0, 1.0, 1.0]},
+    {**_GOOD, "cell": [-1e150, 0.0, -1e140, 1.0]},
+    {**_GOOD, "score": 1.0000000000000002},
+    {**_GOOD, "score": 1, "bbox": [0, 0, 1, 1], "image_id": 7},
+    {**_GOOD, "region_id": 5, "cell": [0, 0, 1.0, 1.0]},
+    {**_GOOD, "region_id": None, "cell": None},
+    5,
+], ids=["bool-score", "numeric-string-bbox", "nan-bbox", "infinite-bbox", "nan-score",
+        "infinite-cell", "null-image-id", "missing-image-id", "3-element-bbox",
+        "5-element-bbox", "negative-extent", "corner-beyond-max-coord", "cell-beyond-max-coord",
+        "score-above-1", "integers", "integer-region-id", "nulls", "not-an-object"])
+@pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+def test_detection_column_reader_matches_the_per_record_reader(tmp_path, record, first):
+    """Each record, before or after a valid one, gives the same detections or
+    the same exception type and message from both readers."""
+    path = tmp_path / "dets.json"
+    records = [record, _GOOD] if first else [_GOOD, record]
+    path.write_text(json.dumps({"schema": fileio.DETECTIONS_SCHEMA, "detections": records}))
+    assert _outcome(_read_columns, path) == _outcome(_read_records, path)
+
+
+def test_integer_values_read_and_write_back_as_floats(tmp_path):
+    path = tmp_path / "dets.json"
+    path.write_text(json.dumps({"schema": fileio.DETECTIONS_SCHEMA, "detections": [
+        {"image_id": "a", "bbox": [0, 0, 4, 4], "score": 1}]}))
+    fileio.write_detections(path, fileio.read_detections(path))
+    assert json.loads(path.read_text())["detections"] == [
+        {"image_id": "a", "bbox": [0.0, 0.0, 4.0, 4.0], "score": 1.0}]
+    assert '"score": 1.0' in path.read_text()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(objects(Detection) | _anything, max_size=4))
+def test_detection_files_read_alike(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("dets") / "dets.json"
+    path.write_text(json.dumps({"schema": fileio.DETECTIONS_SCHEMA, "detections": records}))
+    assert _outcome(_read_columns, path) == _outcome(_read_records, path)
+
+
+# -- Detection files: the column writer against the stdlib encoder ---------
+
+_ids = st.text(max_size=6) | st.sampled_from(["\ud800", 'a"b\\c', "\n\t\x00", "é", "日本", ""])
+_coords = (st.floats(-1e6, 1e6) | st.integers(-1000, 1000).map(float)
+           | st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e-310, -1e-320]))
+_extents = st.floats(0.0, 1e6) | st.integers(0, 1000).map(float) | st.sampled_from([-0.0, 5e-324])
+_quads = st.tuples(_coords, _coords, _extents, _extents)
+_detections = st.lists(st.builds(
+    Detection, image_id=_ids, bbox=_quads,
+    score=st.floats(0.0, 1.0) | st.sampled_from([-0.0, 0.0, 1.0, 5e-324]),
+    region_id=st.none() | _ids, cell=st.none() | _quads), max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_detections)
+def test_detection_writer_bytes_equal_the_stdlib_encoder(tmp_path_factory, detections):
+    """``write_detections`` spells columns as ``json.dumps(doc, indent=1,
+    sort_keys=True)`` spells the records, plus a newline."""
+    path = tmp_path_factory.mktemp("dets") / "dets.json"
+    fileio.write_detections(path, Detections.from_records(detections))
+    doc = {"schema": fileio.DETECTIONS_SCHEMA, "detections": [
+        {key: list(value) if isinstance(value, tuple) else value
+         for key, value in vars(det).items() if value is not None} for det in detections]}
+    assert path.read_bytes() == (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode()

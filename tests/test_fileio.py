@@ -83,7 +83,7 @@ def test_detections_round_trip(tmp_path):
     ]
     path = tmp_path / "dets.json"
     fileio.write_detections(path, dets)
-    assert fileio.read_detections(path) == dets
+    assert fileio.read_detections(path).records() == dets
 
 
 def test_estimates_round_trip(tmp_path):
@@ -141,7 +141,7 @@ def test_null_region_id_reads_as_absent(tmp_path):
         "detections": [{"image_id": "a", "bbox": [0, 0, 4, 4], "score": 0.5,
                         "region_id": None, "cell": None}],
     }))
-    assert fileio.read_detections(path) == [
+    assert fileio.read_detections(path).records() == [
         Detection(image_id="a", bbox=(0.0, 0.0, 4.0, 4.0), score=0.5)]
 
 
@@ -301,8 +301,10 @@ def _by_image(records):
     return st.dictionaries(_ids, unique, max_size=3)
 
 
+# A region's tallest anchor reaches 1.25 * sqrt(3) / 2 < 1.1 edges from its center.
 regions = _by_image(st.builds(RadioRegion, center_x=_coord, center_y=_coord,
-                              edge=_positive_extent, identifier=_ids))
+                              edge=st.floats(0.0, MAX_COORD / 2.2, exclude_min=True),
+                              identifier=_ids))
 estimates = _by_image(st.builds(RadioEstimate, aoa_h=_angle, aoa_v=_angle, tof=_positive,
                                 magnitude=_finite, identifier=_ids))
 geometries = st.builds(ArrayGeometry, num_antennas=st.integers(2, 4),
@@ -329,7 +331,7 @@ _round_trip = settings(max_examples=40, deadline=None)
 def test_detections_read_write_property(tmp_path_factory, dets):
     path = tmp_path_factory.mktemp("prop") / "dets.json"
     fileio.write_detections(path, dets)
-    assert fileio.read_detections(path) == dets
+    assert fileio.read_detections(path).records() == dets
 
 
 @st.composite

@@ -8,15 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import one_image
+from conftest import on_records, one_image
+from radiofusion import fusion
 from radiofusion.errors import InvalidInputError
-from radiofusion.fusion import (
-    Detection,
-    anchor_boxes,
-    proposals_to_detections,
-    revise_detections,
-)
+from radiofusion.fusion import Detection, anchor_boxes
 from radiofusion.imaging import RadioRegion
+
+revise_detections = on_records(fusion.revise_detections)
+
+
+def proposals_to_detections(regions, **kwargs):
+    return fusion.proposals_to_detections(regions, **kwargs).records()
 
 
 def region(cx=50.0, cy=50.0, edge=100.0, identifier="r0"):

@@ -1,14 +1,18 @@
-"""The package's imports stay layered, so no import cycle can come back.
+"""The package stays layered, so no import cycle and no record can come back.
 
 Every import statement of ``radiofusion`` sits at module level, and
 ``world``, which every layer imports, depends on no package module but
-``geometry`` and ``errors``.
+``geometry`` and ``errors``. A file-driven run keeps its detections in
+``Detections`` columns from read to write: it builds no ``Detection``.
 """
 
 import ast
 from pathlib import Path
 
 import radiofusion
+from radiofusion.cli import main
+from radiofusion.config import METHODS
+from radiofusion.world import Detection
 
 PACKAGE = Path(radiofusion.__file__).parent
 
@@ -37,3 +41,24 @@ def test_world_is_a_leaf():
         elif isinstance(node, ast.Import):
             imported |= {a.name for a in node.names if a.name.split(".")[0] == "radiofusion"}
     assert imported <= {"geometry", "errors"}
+
+
+def test_file_driven_runs_build_no_detection_record(tmp_path, monkeypatch):
+    out = str(tmp_path)
+    assert main(["synth", "--num-images", "6", "--seed", "3", "--output-dir", out]) == 0
+    annotations = str(tmp_path / "annotations.json")
+    assert main(["simulate-regions", "--annotations", annotations, "--output-dir", out]) == 0
+    built = []
+    init = Detection.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Detection, "__init__", counted)
+    for method in METHODS:
+        assert main(["run", "--method", method, "--annotations", annotations,
+                     "--detections", str(tmp_path / "detections.json"),
+                     "--regions", str(tmp_path / "regions.json"), "--output-dir", out]) == 0
+    assert (tmp_path / "detections_method2_cnms.json").stat().st_size > 0
+    assert built == []

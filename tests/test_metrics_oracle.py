@@ -4,7 +4,9 @@ The functions below, up to the scene generator, are the earlier
 implementation of the metrics kept verbatim as an oracle: they match each
 IoU threshold and size bucket from scratch with scalar ``geometry.iou``.
 The current metrics build one IoU table per image and must give exactly the
-same floats, not merely close ones.
+same floats, not merely close ones. They take ``Detections`` columns, so
+they are called here on the oracle's records through
+``Detections.from_records`` (``conftest.on_records``).
 """
 
 from typing import Callable
@@ -14,6 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import on_records
+from radiofusion import metrics
 from radiofusion.fusion import Detection
 from radiofusion.geometry import iou, rect_area
 from radiofusion.metrics import (
@@ -23,13 +27,13 @@ from radiofusion.metrics import (
     SMALL_AREA_MAX,
     CocoMapResult,
     MatchResult,
-    coco_map,
-    match,
-    mr_fppi,
-    visual_metrics,
 )
 from radiofusion.sim_regions import Annotation
 from radiofusion.world import group_by_image, score_order
+
+# The metrics under test, called on records through the columns.
+coco_map, match, mr_fppi, visual_metrics = map(on_records, (
+    metrics.coco_map, metrics.match, metrics.mr_fppi, metrics.visual_metrics))
 
 
 def oracle_greedy_match(

@@ -5,12 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import one_image
+from conftest import on_records, one_image
+from radiofusion import nms
 from radiofusion.errors import InvalidInputError
 from radiofusion.fusion import Detection
 from radiofusion.geometry import iou
 from radiofusion.imaging import RadioRegion
-from radiofusion.nms import NmsConfig, associate_regions, constrained_nms, standard_nms
+from radiofusion.nms import NmsConfig
+
+standard_nms = on_records(nms.standard_nms)
+associate_regions = on_records(nms.associate_regions)
+constrained_nms = on_records(nms.constrained_nms)
 
 
 def det(x, y, w, h, score, image_id="i", region_id=None):

@@ -57,7 +57,7 @@ class TestRun:
         config = replace(config, method="method1+cnms")
         report_a, display_a = run(config)
         report_b, display_b = run(config)
-        assert display_a == display_b
+        assert display_a.records() == display_b.records()
         a = report_a.to_dict()
         b = report_b.to_dict()
         a.pop("runtime_s"), b.pop("runtime_s")
@@ -67,7 +67,7 @@ class TestRun:
         config = small_world(tmp_path)
         _, display = run(replace(config, method="baseline"))
         loaded = fileio.read_detections(tmp_path / "out" / "detections_baseline.json")
-        assert loaded == display
+        assert loaded.records() == display.records()
         report = fileio.read_report(tmp_path / "out" / "report_baseline.json")
         assert report["method"] == "baseline"
         curve = fileio.read_curve_csv(tmp_path / "out" / "mr_fppi_baseline.csv")
@@ -82,7 +82,7 @@ class TestRun:
         _, gts = make_world(120, seed=config.substream_seed("world"))
         report, display = run(replace(config, method="baseline", count_constrained=True))
         per_image: dict[str, int] = {}
-        for det in display:
+        for det in display.records():
             per_image[det.image_id] = per_image.get(det.image_id, 0) + 1
         budget: dict[str, int] = {}
         for ann in gts:
@@ -178,5 +178,5 @@ class TestOneStageFlow:
         )
         report, display = run(config)
         assert len(display) <= len(dets)
-        assert all(0.0 <= d.score <= 1.0 for d in display)
+        assert all(0.0 <= d.score <= 1.0 for d in display.records())
         assert report.fp_fn_per_image >= 0.0

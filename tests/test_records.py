@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from radiofusion.config import RadioParams
 from radiofusion.errors import InvalidInputError
-from radiofusion.fusion import Detection, coverage
-from radiofusion.geometry import MAX_COORD, iou_arrays, rect_areas
-from radiofusion.imaging import RadioRegion
+from radiofusion.fusion import Detection, anchor_boxes, coverage
+from radiofusion.geometry import MAX_COORD, in_box_domain, iou_arrays, rect_areas, require_box
+from radiofusion.imaging import ANCHOR_RATIOS, ANCHOR_SCALES, RadioRegion
 from radiofusion.radio import ArrayGeometry, CsiFrame, RadioEstimate
 from radiofusion.sim_regions import Annotation
 
@@ -76,8 +76,10 @@ def test_annotation_range_edges_are_accepted():
     lambda: Annotation(image_id="a", bbox=(0, -1e300, 1, 1)),
     lambda: RadioRegion(center_x=0.0, center_y=0.0, edge=1e200, identifier="r"),
     lambda: RadioRegion(center_x=1e308, center_y=0.0, edge=1.0, identifier="r"),
+    lambda: RadioRegion(center_x=0.0, center_y=0.0, edge=1.9e150, identifier="r"),
 ], ids=["detection-area", "detection-far-left", "detection-far-corner", "cell-area",
-        "annotation-area", "annotation-far-top", "region-edge", "region-center"])
+        "annotation-area", "annotation-far-top", "region-edge", "region-center",
+        "region-anchor"])
 def test_finite_boxes_beyond_the_box_domain_are_rejected(build):
     with pytest.raises(InvalidInputError, match="corners must be finite"):
         build()
@@ -87,7 +89,11 @@ def test_boxes_at_the_edge_of_the_box_domain_are_accepted():
     big = (-MAX_COORD, -MAX_COORD, 2 * MAX_COORD, 2 * MAX_COORD)
     assert Detection(image_id="a", bbox=big, score=0.5, cell=big).bbox == big
     assert Annotation(image_id="a", bbox=big).bbox == big
-    assert RadioRegion(0.0, 0.0, 2 * MAX_COORD, "r").to_bbox() == big
+    # A region's largest proposal anchor, 1.25 * sqrt(3) edges tall, spans the domain.
+    edge = 2 * MAX_COORD / (1.25 * math.sqrt(3.0))
+    _, y, _, h = anchor_boxes([RadioRegion(0.0, 0.0, edge, "r")], ANCHOR_SCALES,
+                              ANCHOR_RATIOS)[0, -1].tolist()
+    assert (y, h) == pytest.approx((-MAX_COORD, 2 * MAX_COORD), rel=1e-15)
 
 
 _value = (st.floats() | st.floats(-2 * MAX_COORD, 2 * MAX_COORD) | st.floats(-1e3, 1e3)
@@ -122,3 +128,45 @@ def test_accepted_boxes_give_finite_overlaps(a, b):
         assert np.isfinite(iou_arrays(a, b))
         if rect_areas(b) > 0:
             assert np.isfinite(coverage(a, b, "box"))
+
+
+_edge_values = st.sampled_from([MAX_COORD, -MAX_COORD, math.nextafter(MAX_COORD, INF),
+                                math.nextafter(-MAX_COORD, -INF), 1e308, -1e308,
+                                1.7976931348623157e308, NAN, INF, -INF, 0.0, -0.0])
+_any_value = st.floats() | st.floats(-2 * MAX_COORD, 2 * MAX_COORD) | _edge_values
+
+
+def _scalar_accepts(box):
+    try:
+        require_box("box", box)
+    except InvalidInputError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_any_value, _any_value, _any_value, _any_value), max_size=6))
+def test_array_box_rule_accepts_what_the_scalar_accepts(boxes):
+    """``in_box_domain`` gives, row by row, ``require_box``'s verdict: NaN,
+    infinities, the ``MAX_COORD`` boundary and corners where ``x + w``
+    overflows included."""
+    verdicts = in_box_domain(np.array(boxes, dtype=float).reshape(-1, 4)).tolist()
+    assert verdicts == [_scalar_accepts(box) for box in boxes]
+
+
+_center = (st.floats(-MAX_COORD, MAX_COORD)
+           | st.sampled_from([MAX_COORD, -MAX_COORD, 0.9 * MAX_COORD, -0.9 * MAX_COORD]))
+_region_edge = (st.floats(0.0, 2 * MAX_COORD, exclude_min=True)
+                | st.floats(0.0, 1e140, exclude_min=True) | st.floats(0.0, 1.0, exclude_min=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_center, _center, _region_edge)
+def test_every_anchor_of_an_accepted_region_is_in_the_box_domain(x, y, edge):
+    """Proposals build no records, so the region rule alone keeps their boxes
+    in the box domain."""
+    try:
+        region = RadioRegion(x, y, edge, "r")
+    except InvalidInputError:
+        reject()
+    assert in_box_domain(anchor_boxes([region], ANCHOR_SCALES, ANCHOR_RATIOS)).all()

@@ -5,7 +5,10 @@ and batch their IoU arithmetic across images. The functions below are the
 per-image scalar versions they replaced, kept verbatim as oracles: one
 world-level call must equal the oracle run on every image and joined in
 sorted image-id order, exactly (``==`` on every record, every float bit
-for bit). ``oracle_apply_method`` is the per-image loop the pipeline ran.
+for bit). The stages take and return ``Detections`` columns, so they are
+called on the oracle's records through ``Detections.from_records`` and
+compared through ``Detections.records`` (``conftest.on_records``).
+``oracle_apply_method`` is the per-image loop the pipeline ran.
 """
 
 import math
@@ -15,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import on_records
 from radiofusion import fusion, nms
 from radiofusion.config import METHOD_STEPS, RunConfig
 from radiofusion.errors import InvalidInputError
@@ -23,7 +27,7 @@ from radiofusion.geometry import Rect, intersect_area, iou, rect_area
 from radiofusion.imaging import RadioRegion
 from radiofusion.nms import NmsConfig
 from radiofusion.pipeline import apply_method
-from radiofusion.world import group_by_image, score_order
+from radiofusion.world import Detections, group_by_image, score_order
 
 
 # -- Oracles: the scalar per-image stages, verbatim -------------------------
@@ -349,18 +353,18 @@ def check_world(world, cfg, lam, mode):
     detections, regions, owners = world
     images = per_image(detections, regions, owners)
     threshold = cfg.iou_threshold
-    assert nms.standard_nms(detections, threshold) == joined(
+    assert on_records(nms.standard_nms)(detections, threshold) == joined(
         lambda _, dets, __: standard_nms(dets, threshold), per_image(detections, [], []))
-    assert outcome(lambda: nms.associate_regions(
+    assert outcome(lambda: on_records(nms.associate_regions)(
         detections, regions, mode, region_images=owners)) == joined(
         lambda _, dets, regs: associate_regions(dets, regs, mode), images)
-    assert outcome(lambda: nms.constrained_nms(
+    assert outcome(lambda: on_records(nms.constrained_nms)(
         detections, regions, cfg, region_images=owners)) == joined(
         lambda key, dets, regs: constrained_nms(dets, regs, cfg, image_id=key), images)
-    assert outcome(lambda: fusion.revise_detections(
+    assert outcome(lambda: on_records(fusion.revise_detections)(
         detections, regions, lam, mode, region_images=owners)) == joined(
         lambda _, dets, regs: revise_detections(dets, regs, lam, mode), images)
-    assert fusion.proposals_to_detections(regions, region_images=owners) == joined(
+    assert fusion.proposals_to_detections(regions, region_images=owners).records() == joined(
         lambda key, _, regs: proposals_to_detections(regs, key), per_image([], regions, owners))
 
 
@@ -387,10 +391,13 @@ def test_fixed_world_covers_every_case():
         det("a", 31.0, 0.5, "unknown"), det("a", 60.0, 0.4, "r2"),  # id of another image
         det("b", 0.0, 0.7, None, cell=(0.0, 0.0, 20.0, 20.0)),  # image without regions
         det("a", 100.0, 0.3, "r0", cell=(95.0, 0.0, 10.0, 10.0)),
+        # r3's two candidates tie on score and both lose to r4's box: the
+        # fallback revives the first.
+        det("e", 50.0, 0.9, "r4"), det("e", 52.0, 0.5, "r3"), det("e", 51.0, 0.5, "r3"),
     ]
     regions = [region(0.0, "r1"), region(0.0, "r0"), region(200.0, "r1", 20.0),
-               region(50.0, "r2"), region(5.0, "r0")]
-    owners = ["a", "a", "c", "d", "a"]  # c and d: regions but no detections
+               region(50.0, "r2"), region(5.0, "r0"), region(51.0, "r3"), region(50.0, "r4")]
+    owners = ["a", "a", "c", "d", "a", "e", "e"]  # c and d: regions but no detections
     for threshold in (0.0, 0.5, 1.0):
         for mode in ("one_stage", "two_stage"):
             for fallback in (False, True):
@@ -398,7 +405,7 @@ def test_fixed_world_covers_every_case():
                     cfg = NmsConfig(iou_threshold=threshold, mode=mode,
                                     enable_fallback_loop=fallback, require_region=require)
                     check_world((detections, regions, owners), cfg, 0.5, mode)
-    associated = nms.associate_regions(detections, regions, region_images=owners)
+    associated = on_records(nms.associate_regions)(detections, regions, region_images=owners)
     assert [d.region_id for d in associated[:3]] == ["r0", "r0", "r0"]  # tie: smaller id
 
 
@@ -416,23 +423,28 @@ def test_apply_method_equals_the_per_image_loop(world, method, cfg, lam):
         by_image.setdefault(owner, []).append(region)
     config = replace(RunConfig(), method=method, nms=cfg, lam=lam)
     image_ids = [*IMAGES, "empty"]
-    assert outcome(lambda: apply_method(config, image_ids, detections, by_image)) == outcome(
-        lambda: oracle_apply_method(config, image_ids, detections, by_image))
+    columns = Detections.from_records(detections)
+    assert outcome(lambda: apply_method(config, image_ids, columns, by_image).records()) == (
+        outcome(lambda: oracle_apply_method(config, image_ids, detections, by_image)))
 
 
 # -- Boundary ----------------------------------------------------------------
 
+_NONE = Detections.from_records([])
+
+
 def test_region_images_must_name_every_region():
     regions = [RadioRegion(center_x=10.0, center_y=10.0, edge=8.0, identifier="r0")]
     with pytest.raises(InvalidInputError):
-        nms.constrained_nms([], regions, NmsConfig(), region_images=[])
+        nms.constrained_nms(_NONE, regions, NmsConfig(), region_images=[])
     with pytest.raises(InvalidInputError):
-        fusion.revise_detections([], regions, 0.5, region_images=["a", "b"])
+        fusion.revise_detections(_NONE, regions, 0.5, region_images=["a", "b"])
 
 
 _REGIONS = [RadioRegion(center_x=10.0, center_y=10.0, edge=8.0, identifier="r0")]
-_DETECTIONS = [Detection(image_id="a", bbox=(6.0, 6.0, 8.0, 8.0), score=0.5, region_id="r0",
-                         cell=(0.0, 0.0, 16.0, 16.0))]
+_DETECTIONS = Detections.from_records([
+    Detection(image_id="a", bbox=(6.0, 6.0, 8.0, 8.0), score=0.5, region_id="r0",
+              cell=(0.0, 0.0, 16.0, 16.0))])
 
 
 @pytest.mark.parametrize("call", [
