@@ -38,6 +38,6 @@ from .sim_regions import (
     reasonable_filter,
 )
 from .synth import SynthParams, generate, make_world
-from .world import Detection, Detections
+from .world import Annotations, Detection, Detections, Regions
 
 __version__ = "0.1.0"

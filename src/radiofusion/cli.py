@@ -24,6 +24,7 @@ from . import fileio, pipeline
 from .config import METHODS, RunConfig
 from .errors import SchemaError, InvalidInputError
 from .synth import make_world
+from .world import Annotations
 
 
 def _load_config(args) -> RunConfig:
@@ -68,6 +69,7 @@ def cmd_synth(args) -> int:
         fileio.write_annotations(out / "annotations.json", image_ids, gts,
                                  image_size=config.image_size)
         print(f"wrote {out / 'annotations.json'} ({len(gts)} people, {len(image_ids)} images)")
+        gts = Annotations.from_records(gts)
     # Always emulate, even when the config names a detections file.
     detections = pipeline.build_detections(config.merge({"paths": {"detections": None}}),
                                            gts, image_ids)
@@ -83,8 +85,7 @@ def cmd_simulate_regions(args) -> int:
     regions = pipeline.build_regions(config.merge({"paths": {"regions": None}}), gts)
     out = args.out or str(Path(config.paths.output_dir) / "regions.json")
     fileio.write_regions(out, regions)
-    total = sum(len(v) for v in regions.values())
-    print(f"wrote {out} ({total} regions over {len(regions)} images)")
+    print(f"wrote {out} ({len(regions)} regions over {len(regions.ids)} images)")
     return 0
 
 

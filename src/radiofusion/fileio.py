@@ -1,23 +1,23 @@
 """Readers and writers for the JSON/CSV interchange files.
 
-All structured files are JSON with a ``schema`` tag; exact field layouts
-are documented in docs/SCHEMAS.md. Records are read and written by one
-codec whose keys and value readers derive from the record dataclasses.
-A text field (ids, category, orientation) takes a JSON string or an
-integer, which is normalized to its decimal string so map keys round-trip.
+All structured files are JSON with a ``schema`` tag; field layouts are in
+docs/SCHEMAS.md. One codec, whose keys and value readers derive from the
+record dataclasses, reads and writes every record. A text field takes a
+JSON string or an integer, read as its decimal string so map keys
+round-trip.
+
+Detection, annotation and region files are read into ``world`` columns by
+one whole-column reader (``_columns``): it takes each key's values when
+every value has the exact JSON type, and the record rules are checked on
+whole columns. Any other list is read again record by record, which gives
+the same records or the error that names the record; a record
+constructor's error keeps its type and names the file.
 
 Every JSON file is spelled as ``json.dumps(payload, indent=1,
-sort_keys=True)`` plus a newline: one space per level, sorted keys, ASCII
-escapes and floats as ``repr`` spells them. Sorted keys and seeded
-generation make whole runs byte-reproducible. ``dump_json`` encodes the
-whole document before it opens the file, so a document that cannot be
-encoded leaves the previous file as it was. Detection files are read into
-and written from ``world.Detections`` columns: the reader checks the record
-rules on whole columns, and the writer streams rows once every id is
-escaped. Record readers take a
-finite float or a string as it is and send every other value through its
-field's reader, which gives the same record or error. A record
-constructor's error keeps its type and names the file.
+sort_keys=True)`` plus a newline. ``dump_json`` encodes the whole document
+before it opens the file, so a document that cannot be encoded leaves the
+previous file as it was; detection rows stream from their columns once
+every id is escaped.
 """
 
 from __future__ import annotations
@@ -28,7 +28,9 @@ import math
 from collections import Counter
 from dataclasses import MISSING, fields
 from functools import partial
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
+from operator import itemgetter
 from pathlib import Path
 from typing import get_type_hints
 
@@ -36,10 +38,8 @@ import numpy as np
 
 from .errors import InvalidInputError, SchemaError
 from .geometry import Rect
-from .imaging import RadioRegion
 from .radio import ArrayGeometry, CsiFrame, RadioEstimate
-from .sim_regions import Annotation
-from .world import Detection, Detections
+from .world import Annotation, Annotations, Detection, Detections, RadioRegion, Regions
 
 CSI_SCHEMA = "csi-frame/1"
 ANNOTATIONS_SCHEMA = "annotations/1"
@@ -160,13 +160,22 @@ def _text(value) -> str:
     raise SchemaError(f"expected a string or an integer, got {value!r}")
 
 
+def _positive(value) -> float:
+    number = _float(value)
+    if number > 0.0:
+        return number
+    raise SchemaError(f"expected a finite number > 0, got {value!r}")
+
+
+def _flag(value) -> bool:
+    if type(value) is bool:
+        return value
+    raise SchemaError(f"expected true or false, got {value!r}")
+
+
 def _as_bbox(value) -> Rect:
     if not isinstance(value, (list, tuple)) or len(value) != 4:
         raise SchemaError("expected a 4-element [x, y, w, h] list")
-    x, y, w, h = value
-    if (type(x) is float and type(y) is float and type(w) is float and type(h) is float
-            and x - x + y - y + w - w + h - h == 0):
-        return x, y, w, h
     return tuple(map(_float, value))
 
 
@@ -198,19 +207,13 @@ def _to_record(obj) -> dict:
 
 
 def _read_fields(record, spec: tuple, context: str) -> list:
-    """The values of ``spec``'s entries in one JSON object, in spec order. A
-    finite float for a float field and a string for a text field are taken
-    as they are; null or absent reads as the default, and is an error for a
-    required field."""
+    """The values of ``spec``'s entries in one JSON object, in spec order;
+    null or absent reads as the default, and is an error for a required field."""
     _expect(record, dict, context)
     values = []
     for _, key, read, default in spec:
         value = record.get(key)
-        if type(value) is float and value - value == 0 and read is _float:
-            values.append(value)
-        elif type(value) is str and read is _text:
-            values.append(value)
-        elif value is None:
+        if value is None:
             if default is MISSING:
                 raise SchemaError(f"{context}: missing required field {key!r}")
             values.append(default)
@@ -230,6 +233,45 @@ def _from_record(record, cls: type, context: str):
         return cls(*values)
     except InvalidInputError as exc:
         raise type(exc)(f"{context}: {exc}") from None
+
+
+# The JSON type of the values each reader takes as they are on the column path.
+_EXACT = {_float: float, _positive: float, _text: str, _as_bbox: list, _flag: bool}
+
+
+def _columns(records: list, spec: tuple) -> list[list] | None:
+    """Per entry of ``spec``, its values in ``records`` as one list, when every
+    record is a JSON object and every value has the exact JSON type its
+    reader takes as it is: a finite float, a string, a list of four finite
+    floats or a boolean; null or absent only where the entry has a default,
+    which stands in for it. Else None: the caller reads record by record,
+    which gives the same values or the error that names the record."""
+    if set(map(type, records)) - {dict}:
+        return None
+    columns = []
+    for _, key, read, default in spec:
+        try:
+            column = list(map(itemgetter(key), records))
+        except KeyError:
+            column = [record.get(key) for record in records]
+        kinds = set(map(type, column)) - ({type(None)} if default is not MISSING else set())
+        if not kinds <= {_EXACT.get(read)}:
+            return None
+        values = [value for value in column if value is not None] if None in column else column
+        if read is _as_bbox:
+            if set(map(len, values)) - {4}:
+                return None
+            values = list(chain.from_iterable(values))
+            if set(map(type, values)) - {float}:
+                return None
+        # NaN and the infinities make the sum non-finite, and so may an overflow,
+        # which only sends the list to the record reader.
+        if (float in kinds or read is _as_bbox) and not math.isfinite(sum(values)):
+            return None
+        if default is not MISSING and default is not None and None in column:
+            column = [default if value is None else value for value in column]
+        columns.append(column)
+    return columns
 
 
 # -- CSI frames ---------------------------------------------------------
@@ -273,7 +315,9 @@ def _as_samples(geometry: ArrayGeometry, value) -> np.ndarray:
 
 # -- Annotations --------------------------------------------------------
 
-_IMAGE = (("id", "id", _text, MISSING),)
+_IMAGE = (("id", "id", _text, MISSING), ("width", "width", _positive, None),
+          ("height", "height", _positive, None))
+_IGNORE = (("ignore", "ignore", _flag, False),)
 
 
 def write_annotations(path: str | Path, image_ids: list[str],
@@ -285,24 +329,44 @@ def write_annotations(path: str | Path, image_ids: list[str],
                      "annotations": [_to_record(ann) for ann in annotations]})
 
 
-def read_annotations(path: str | Path) -> tuple[list[str], list[Annotation]]:
-    """Load a COCO-style annotation file: (image ids, annotations)."""
+def read_annotations(path: str | Path) -> tuple[list[str], Annotations]:
+    """Load a COCO-style annotation file: (image ids, annotations). Each list
+    is read as whole columns, else record by record."""
     data = load_json(path, ANNOTATIONS_SCHEMA)
     images = _expect(data.get("images", []), list, f"{path}: images")
-    image_ids = [_read_fields(img, _IMAGE, f"{path}: images")[0] for img in images]
-    if len(set(image_ids)) != len(image_ids):
-        repeated = next(i for i, n in Counter(image_ids).items() if n > 1)
+    columns = _columns(images, _IMAGE)
+    if columns is not None and not (np.array(columns[1:], dtype=float) <= 0.0).any():
+        image_ids = columns[0]
+    else:
+        image_ids = [_read_fields(img, _IMAGE, f"{path}: images")[0] for img in images]
+    if (repeated := _repeat(image_ids)) is not None:
         raise SchemaError(f"{path}: images lists id {repeated!r} more than once")
     records = _expect(data.get("annotations", []), list, f"{path}: annotations")
-    annotations = [
-        _from_record(record, Annotation, str(path)) for record in records
-        if not _expect(record, dict, f"{path}: annotation").get("ignore", False)
-    ]
+    annotations = _read_annotations(records, str(path))
+    named = annotations.named_ids()
     if not image_ids:
-        return sorted({ann.image_id for ann in annotations}), annotations
-    if stray := {ann.image_id for ann in annotations} - set(image_ids):
+        return named, annotations
+    if stray := set(named) - set(image_ids):
         raise SchemaError(f"{path}: annotations on images not in images: {sorted(stray)[:3]}")
     return image_ids, annotations
+
+
+def _read_annotations(records: list, path: str) -> Annotations:
+    """The records not flagged ``"ignore": true``, checked as whole columns."""
+    flags = _columns(records, _IGNORE)
+    if flags is not None:
+        columns = _columns([record for record, ignore in zip(records, flags[0]) if not ignore],
+                           _SPECS[Annotation])
+        if columns is not None and (annotations := Annotations.build(*columns)).valid():
+            return annotations
+    return Annotations.from_records(
+        _from_record(record, Annotation, path) for record in records
+        if not _read_fields(record, _IGNORE, f"{path}: annotation")[0])
+
+
+def _repeat(ids: list[str]) -> str | None:
+    """The first id that ``ids`` lists more than once, if any."""
+    return next((key for key, n in Counter(ids).items() if n > 1), None)
 
 
 # -- Detections ---------------------------------------------------------
@@ -331,17 +395,14 @@ def write_detections(path: str | Path, detections: Detections | list[Detection])
 
 
 def read_detections(path: str | Path) -> Detections:
-    """Records read field by field into columns, checked as whole columns; a
-    list with a bad record is read again record by record, which names it."""
+    """Records read as whole columns and checked as whole columns; a list the
+    column reader refuses is read again record by record, which names the
+    bad record."""
     data = load_json(path, DETECTIONS_SCHEMA)
     records = _expect(_require(data, "detections", str(path)), list, f"{path}: detections")
-    try:
-        columns = Detections.build([_read_fields(record, _SPECS[Detection], str(path))
-                                    for record in records])
-        if columns.valid():
-            return columns
-    except SchemaError:
-        pass
+    columns = _columns(records, _SPECS[Detection])
+    if columns is not None and (detections := Detections.build(*columns)).valid():
+        return detections
     return Detections.from_records(_from_record(record, Detection, str(path)) for record in records)
 
 
@@ -353,27 +414,41 @@ def _write_by_image(path: str | Path, schema: str, by_image: dict[str, list]) ->
     dump_json(path, {"schema": schema, "images": images})
 
 
-def _read_by_image(path: str | Path, schema: str, record_type: type) -> dict[str, list]:
-    """A per-image map of records whose ``identifier`` is unique per image."""
+def _images(path: str | Path, schema: str) -> dict:
     data = load_json(path, schema)
-    images = _expect(_require(data, "images", str(path)), dict, f"{path}: images")
+    return _expect(_require(data, "images", str(path)), dict, f"{path}: images")
+
+
+def _by_image(path: str | Path, images: dict, record_type: type) -> dict[str, list]:
+    """A per-image map of records whose ``identifier`` is unique per image."""
     by_image: dict[str, list] = {}
     for image_id, records in images.items():
         context = f"{path}: image {image_id!r}"
         items = [_from_record(record, record_type, context)
                  for record in _expect(records, list, context)]
-        if len({item.identifier for item in items}) != len(items):
-            raise SchemaError(f"{context} repeats an id")
-        by_image[str(image_id)] = items
+        if (repeated := _repeat([item.identifier for item in items])) is not None:
+            raise SchemaError(f"{context} repeats id {repeated!r}")
+        by_image[image_id] = items
     return by_image
 
 
-def write_regions(path: str | Path, regions_by_image: dict[str, list[RadioRegion]]) -> None:
-    _write_by_image(path, REGIONS_SCHEMA, regions_by_image)
+def write_regions(path: str | Path, regions: Regions | dict[str, list[RadioRegion]]) -> None:
+    if isinstance(regions, Regions):
+        regions = regions.records()
+    _write_by_image(path, REGIONS_SCHEMA, regions)
 
 
-def read_regions(path: str | Path) -> dict[str, list[RadioRegion]]:
-    return _read_by_image(path, REGIONS_SCHEMA, RadioRegion)
+def read_regions(path: str | Path) -> Regions:
+    """Regions read as whole columns, else record by record, image by image."""
+    images = _images(path, REGIONS_SCHEMA)
+    if not set(map(type, images.values())) - {list}:
+        columns = _columns(list(chain.from_iterable(images.values())), _SPECS[RadioRegion])
+        if columns is not None:
+            owners = [image_id for image_id, records in images.items() for _ in records]
+            regions = Regions.build(owners, *columns, table=images)
+            if regions.valid() and len(set(zip(owners, columns[-1]))) == len(owners):
+                return regions
+    return Regions.from_records(_by_image(path, images, RadioRegion))
 
 
 def write_estimates(path: str | Path,
@@ -382,7 +457,7 @@ def write_estimates(path: str | Path,
 
 
 def read_estimates(path: str | Path) -> dict[str, list[RadioEstimate]]:
-    return _read_by_image(path, ESTIMATES_SCHEMA, RadioEstimate)
+    return _by_image(path, _images(path, ESTIMATES_SCHEMA), RadioEstimate)
 
 
 # -- Curves and reports --------------------------------------------------

@@ -9,11 +9,11 @@ into multi-scale, multi-ratio anchor boxes that keep the region center and
 identifier; a lightweight scoring hook stands in for the trained
 classification / regression head that a full detector would apply to them.
 
-Both stages take a whole world in one call: ``world.Detections`` columns
-whose rows name their image, and ``region_images`` naming the image of each
-region. Revision scores every (detection, region) pair of an image
-(``world.pairs``) in one ``geometry.intersect_arrays`` call; proposals build
-and score every anchor of the world at once and return them as columns.
+Both stages take a whole world in one call: ``world.Detections`` and
+``world.Regions`` columns whose rows name their image. Revision scores
+every (detection, region) pair of an image (``world.pairs``) in one
+``geometry.intersect_arrays`` call; proposals build and score every anchor
+of the world at once and return them as columns.
 Every float equals the scalar formula's bit for bit.
 """
 
@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .geometry import intersect_arrays, rect_areas
-from .imaging import ANCHOR_RATIOS, ANCHOR_SCALES, RadioRegion
-from .world import Detection, Detections, pairs, split  # noqa: F401 (Detection: public here)
+from .world import ANCHOR_RATIOS, ANCHOR_SCALES, Regions, pairs, split
+from .world import Detection, Detections  # noqa: F401 (Detection: public here)
 
 
 def coverage(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
@@ -42,8 +42,8 @@ def coverage(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
     return np.minimum(intersect_arrays(a, b) / area, 1.0)
 
 
-def revise_detections(detections: Detections, regions: list[RadioRegion], lam: float,
-                      mode: str = "two_stage", *, region_images: Sequence[str] = ()) -> Detections:
+def revise_detections(detections: Detections, regions: Regions, lam: float,
+                      mode: str = "two_stage") -> Detections:
     """Apply confidence revision against the regions of each image.
 
     Each detection takes the most favorable decay factor over its image's
@@ -57,8 +57,9 @@ def revise_detections(detections: Detections, regions: list[RadioRegion], lam: f
         raise InvalidInputError(f"unknown mode {mode!r}")
     if mode == "one_stage" and np.isnan(detections.cells).any():
         raise InvalidInputError("one_stage revision requires a cell on every detection")
-    dets, owner, boxes, _ = split(detections, regions, region_images)
-    det, reg = pairs(dets.image, owner, len(dets.ids))
+    dets, regs = split(detections, regions)
+    det, reg = pairs(dets.image, regs.image, len(dets.ids))
+    boxes = regs.boxes()
     values = (coverage(boxes[reg], dets.cells[det], "cell") if mode == "one_stage"
               else coverage(dets.boxes[det], boxes[reg], "region"))
     gamma = np.zeros(len(dets))
@@ -66,7 +67,7 @@ def revise_detections(detections: Detections, regions: list[RadioRegion], lam: f
     return replace(dets, scores=(1.0 - lam + lam * gamma) * dets.scores)
 
 
-def anchor_boxes(regions: Sequence[RadioRegion], scales: Sequence[float],
+def anchor_boxes(regions: Regions, scales: Sequence[float],
                  ratios: Sequence[float]) -> np.ndarray:
     """``(len(regions), len(scales) * len(ratios), 4)`` anchors, scale-major.
 
@@ -77,8 +78,7 @@ def anchor_boxes(regions: Sequence[RadioRegion], scales: Sequence[float],
         raise InvalidInputError("scales and ratios must be non-empty")
     if any(s <= 0 for s in scales) or any(r <= 0 for r in ratios):
         raise InvalidInputError("scales and ratios must be positive")
-    cx, cy, edge = np.array([(region.center_x, region.center_y, region.edge)
-                             for region in regions], dtype=float).reshape(-1, 3).T
+    cx, cy, edge = regions.center_x, regions.center_y, regions.edge
     roots = np.array([math.sqrt(ratio) for ratio in ratios])
     side = (np.array(scales, dtype=float) * edge[:, None])[:, :, None]
     w = side / roots
@@ -87,8 +87,7 @@ def anchor_boxes(regions: Sequence[RadioRegion], scales: Sequence[float],
     return boxes.reshape(len(regions), len(scales) * len(ratios), 4)
 
 
-def proposals_to_detections(regions: list[RadioRegion], *,
-                            region_images: Sequence[str] = ()) -> Detections:
+def proposals_to_detections(regions: Regions) -> Detections:
     """Emulate the proposal classification head, image by image.
 
     With no trained head available, each anchor becomes a detection whose
@@ -97,11 +96,10 @@ def proposals_to_detections(regions: list[RadioRegion], *,
     id rides along for per-region suppression downstream. Output is in
     image-id order, region order within an image.
     """
-    empty, owner, boxes, ids = split(Detections.from_records([]), regions, region_images)
-    order = np.argsort(owner, kind="stable")
-    anchors = anchor_boxes([regions[k] for k in order.tolist()], ANCHOR_SCALES, ANCHOR_RATIOS)
-    scores = coverage(anchors, boxes[order, None], "region")
+    regs = regions.grouped(regions.ids)
+    anchors = anchor_boxes(regs, ANCHOR_SCALES, ANCHOR_RATIOS)
+    scores = coverage(anchors, regs.boxes()[:, None], "region")
     per = anchors.shape[1]
-    return Detections(empty.ids, np.repeat(owner[order], per), anchors.reshape(-1, 4),
-                      scores.ravel(), np.repeat(ids[order], per),
-                      np.full((order.size * per, 4), math.nan))
+    return Detections(regs.ids, np.repeat(regs.image, per), anchors.reshape(-1, 4),
+                      scores.ravel(), np.repeat(regs.region_ids, per),
+                      np.full((len(regs) * per, 4), math.nan))

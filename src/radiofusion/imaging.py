@@ -7,7 +7,8 @@ Range comes from the time of flight (``r = c * tof * range_factor``, with
 distance from the two arrival angles, and the image coordinates from the
 tangent mapping through the pixel focal length. Each localization becomes a
 square region whose side scales like a fixed physical extent divided by the
-point-to-plane distance. Lens distortion and extrinsics are out of scope.
+point-to-plane distance (a ``world.RadioRegion``). Lens distortion and
+extrinsics are out of scope.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BehindCameraError, InvalidInputError, require_finite
-from .geometry import Rect, require_box, square
+from .errors import BehindCameraError, InvalidInputError
 from .radio import SPEED_OF_LIGHT, RadioEstimate
+from .world import RadioRegion
 
 
 @dataclass(frozen=True)
@@ -38,33 +39,6 @@ class CameraModel:
         for name, fov in (("fov_h", self.fov_h), ("fov_v", self.fov_v)):
             if not 0.0 < fov < 180.0:
                 raise InvalidInputError(f"{name}={fov} outside (0, 180) degrees")
-
-
-# Region proposals: one anchor per scale and height/width ratio (``fusion.anchor_boxes``).
-ANCHOR_SCALES = (0.75, 1.0, 1.25)
-ANCHOR_RATIOS = (1.0, 2.0, 3.0)
-
-
-@dataclass(frozen=True)
-class RadioRegion:
-    """Square image-plane region born from one radio localization; its
-    tallest proposal anchor, like its square, lies in the box domain."""
-
-    center_x: float
-    center_y: float
-    edge: float
-    identifier: str
-
-    def __post_init__(self) -> None:
-        require_finite("region", self.center_x, self.center_y, self.edge)
-        require_box("region", self.to_bbox())
-        reach = max(ANCHOR_SCALES) * self.edge * math.sqrt(max(ANCHOR_RATIOS))
-        require_box("region anchor", square(self.center_x, self.center_y, reach))
-        if self.edge <= 0:
-            raise InvalidInputError(f"region edge must be > 0, got {self.edge}")
-
-    def to_bbox(self) -> Rect:
-        return square(self.center_x, self.center_y, self.edge)
 
 
 def project(

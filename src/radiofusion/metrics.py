@@ -13,8 +13,9 @@ samples spaced evenly in log space over [0.01, 1].
 
 Every metric evaluates one image universe: the given ``image_ids`` (a run
 passes the annotation image list), else every image a record names. A
-record on an image outside a given list is an input error. Detections are
-``world.Detections`` columns, put in image-id order by their image index.
+record on an image outside a given list is an input error. Detections and
+ground truth are ``world.Detections`` and ``world.Annotations`` columns,
+put in image-id order by their image index.
 
 One batched core does the matching for all three metrics, after
 pycocotools' ``COCOeval.evaluateImg``. Only images with both detections
@@ -35,7 +36,6 @@ the miss-rate curve and the visual counts read them.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
@@ -44,8 +44,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .geometry import iou_arrays, rect_areas
-from .sim_regions import Annotation
-from .world import Detections, score_order
+from .world import Annotations, Detections, score_order
 
 COCO_IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 SMALL_AREA_MAX = 32.0 ** 2
@@ -114,25 +113,17 @@ def check_image_ids(image_ids: Iterable[str], **ids_by_kind: Iterable[str]) -> N
             raise InvalidInputError(f"{kind} on images outside the image list: {stray[:3]}")
 
 
-def _per_image(detections: Detections, gts: list[Annotation], image_ids: Iterable[str] | None,
+def _per_image(detections: Detections, gts: Annotations, image_ids: Iterable[str] | None,
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Detection boxes, scores and per-image counts, then ground-truth boxes
     and per-image counts, of the evaluated images (``image_ids``, else every
     image a record names) in image-id-then-input order."""
-    gt_ids = [gt.image_id for gt in gts]
-    named = detections.named_ids()
-    universe = sorted(set(named).union(gt_ids) if image_ids is None else set(image_ids))
-    check_image_ids(universe, detections=named, annotations=gt_ids)
-    dets = detections.grouped(universe)
-    index = {key: i for i, key in enumerate(universe)}
-    gt_image = np.fromiter(map(index.__getitem__, gt_ids), np.intp, len(gt_ids))
+    named, gt_named = detections.named_ids(), gts.named_ids()
+    universe = sorted(set(named).union(gt_named) if image_ids is None else set(image_ids))
+    check_image_ids(universe, detections=named, annotations=gt_named)
+    dets, truth = detections.grouped(universe), gts.grouped(universe)
     return (dets.boxes, dets.scores, np.bincount(dets.image, minlength=len(universe)),
-            _boxes(gts)[np.argsort(gt_image, kind="stable")],
-            np.bincount(gt_image, minlength=len(universe)))
-
-
-def _boxes(gts: list[Annotation]) -> np.ndarray:
-    return np.array([gt.bbox for gt in gts], dtype=float).reshape(-1, 4)
+            truth.boxes, np.bincount(truth.image, minlength=len(universe)))
 
 
 class _Matches(NamedTuple):
@@ -229,10 +220,10 @@ def _match(det_boxes: np.ndarray, scores: np.ndarray, det_counts: np.ndarray,
     return _Matches(scores, tp, ignored, gt_in.sum(axis=1), det_counts.size)
 
 
-def match(detections: Detections, gts: list[Annotation], iou_t: float,
+def match(detections: Detections, gts: Annotations, iou_t: float,
           sorted_by_score: bool = True) -> MatchResult:
     """Match one image's detections against its ground truth."""
-    tp = _match(detections.boxes, detections.scores, np.array([len(detections)]), _boxes(gts),
+    tp = _match(detections.boxes, detections.scores, np.array([len(detections)]), gts.boxes,
                 np.array([len(gts)]), (iou_t,), by_score=sorted_by_score).tp[0, 0].tolist()
     return MatchResult(tp=tuple(tp), fp=tuple(not f for f in tp), fn=len(gts) - sum(tp))
 
@@ -250,7 +241,7 @@ def _ranked_ap(is_tp: np.ndarray, num_gt: int) -> float:
     return float(np.sum(precision[sample_idx[sample_idx < precision.size]])) / 101.0
 
 
-def coco_map(detections: Detections, gts: list[Annotation],
+def coco_map(detections: Detections, gts: Annotations,
              image_ids: list[str] | None = None) -> CocoMapResult:
     """AP summary: mean over IoU 0.50:0.05:0.95 plus fixed-IoU and size APs.
 
@@ -271,7 +262,7 @@ def coco_map(detections: Detections, gts: list[Annotation],
                          ap_s=mean("small"), ap_m=mean("medium"), ap_l=mean("large"))
 
 
-def mr_fppi(detections: Detections, gts: list[Annotation], iou_t: float = 0.5,
+def mr_fppi(detections: Detections, gts: Annotations, iou_t: float = 0.5,
             image_ids: list[str] | None = None) -> tuple[list[tuple[float, float]], float]:
     """Miss rate versus false positives per image, plus its log-average.
 
@@ -300,7 +291,7 @@ def mr_fppi(detections: Detections, gts: list[Annotation], iou_t: float = 0.5,
     return curve, float(sum(samples) / len(samples))
 
 
-def visual_metrics(detections: Detections, gts: list[Annotation], iou_t: float = 0.5,
+def visual_metrics(detections: Detections, gts: Annotations, iou_t: float = 0.5,
                    image_ids: list[str] | None = None) -> tuple[float, float]:
     """Confidence-free visual quality: (FP+FN per image, TP/(TP+FP+FN)).
 
@@ -319,15 +310,15 @@ def visual_metrics(detections: Detections, gts: list[Annotation], iou_t: float =
     return fp_fn, ratio
 
 
-def truncate_to_gt_count(detections: Detections, gts: list[Annotation]) -> Detections:
+def truncate_to_gt_count(detections: Detections, gts: Annotations) -> Detections:
     """Keep at most as many detections per image as that image has people.
 
     Survivors are the per-image top scorers (stable on input position);
     their original input order is preserved. Used for count-constrained
     evaluation runs.
     """
-    budget = Counter(gt.image_id for gt in gts)
-    caps = np.array([budget[key] for key in detections.ids], dtype=np.intp)
+    budget = dict(zip(gts.ids, np.bincount(gts.image, minlength=len(gts.ids)).tolist()))
+    caps = np.array([budget.get(key, 0) for key in detections.ids], dtype=np.intp)
     # Each image's walk in score order; a row survives within its image's cap.
     order = score_order(detections.scores)
     order = order[np.argsort(detections.image[order], kind="stable")]

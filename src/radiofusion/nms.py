@@ -12,10 +12,9 @@ per region. Skip conditions in pass one are checked in a fixed order
 deterministic output.
 
 Every function takes a whole world in one call, as ``world.Detections``
-columns whose rows name their image, with ``region_images`` naming the
-image of each region, and works image by image in image-id order
-(``world.split``). Suppression walks every image's greedy order in
-lockstep: each round keeps at most one more box per image, and one
+and ``world.Regions`` columns whose rows name their image, and works image
+by image in image-id order (``world.split``). Suppression walks every
+image's greedy order in lockstep: each round keeps at most one more box per image, and one
 ``geometry.iou_arrays`` call on the (box, newly kept box) pairs of the world
 marks what those boxes suppress, so memory stays linear in the detections.
 Association scores every (detection, region) pair of an image in one call
@@ -25,15 +24,13 @@ in Python; every output is a selection of input rows and region squares.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .geometry import iou_arrays
-from .imaging import RadioRegion
-from .world import Detections, pairs, score_order, split
+from .world import Detections, Regions, pairs, score_order, split
 
 
 @dataclass(frozen=True)
@@ -111,8 +108,8 @@ def standard_nms(detections: Detections, iou_threshold: float) -> Detections:
     return dets.take(np.array([i for chosen in kept for i in chosen], dtype=np.intp))
 
 
-def associate_regions(detections: Detections, regions: list[RadioRegion], mode: str = "one_stage",
-                      *, region_images: Sequence[str] = ()) -> Detections:
+def associate_regions(detections: Detections, regions: Regions,
+                      mode: str = "one_stage") -> Detections:
     """Fill in each detection's region id from the regions of its image.
 
     Detections born from region proposals (``two_stage``) know their
@@ -124,17 +121,18 @@ def associate_regions(detections: Detections, regions: list[RadioRegion], mode: 
     """
     if mode not in ("one_stage", "two_stage"):
         raise InvalidInputError(f"unknown mode {mode!r}")
-    dets, owner, boxes, ids = split(detections, regions, region_images)
+    dets, regs = split(detections, regions)
     if mode == "two_stage":
         if any(rid is None for rid in dets.region_ids.tolist()):
             raise InvalidInputError("two_stage association requires region provenance")
         return dets
 
     # Regions sorted by id, so of tied IoUs the first pair has the smaller id.
+    ids = regs.region_ids
     by_id = np.argsort(ids, kind="stable")
-    det, reg = pairs(dets.image, owner[by_id], len(dets.ids))
+    det, reg = pairs(dets.image, regs.image[by_id], len(dets.ids))
     reg = by_id[reg]
-    overlap = iou_arrays(dets.boxes[det], boxes[reg])
+    overlap = iou_arrays(dets.boxes[det], regs.boxes()[reg])
     order = np.lexsort((-overlap, det))
     best = order[np.diff(det[order], prepend=-1) != 0]  # each detection's first highest pair
     best = best[overlap[best] > 0.0]
@@ -143,8 +141,8 @@ def associate_regions(detections: Detections, regions: list[RadioRegion], mode: 
     return replace(dets, region_ids=region_ids)
 
 
-def constrained_nms(detections: Detections, regions: list[RadioRegion] | None, cfg: NmsConfig,
-                    *, region_images: Sequence[str] = ()) -> Detections:
+def constrained_nms(detections: Detections, regions: Regions | None,
+                    cfg: NmsConfig) -> Detections:
     """Greedy NMS where each radio region may produce at most one box.
 
     ``regions=None`` disables the constraint entirely, reducing to
@@ -160,9 +158,9 @@ def constrained_nms(detections: Detections, regions: list[RadioRegion] | None, c
     if regions is None:
         return standard_nms(detections, cfg.iou_threshold)
 
-    dets, owner, boxes, ids = split(detections, regions, region_images)
+    dets, regs = split(detections, regions)
     per_image: list[list[tuple[int, str]]] = [[] for _ in dets.ids]
-    for k, (m, rid) in enumerate(zip(owner.tolist(), ids.tolist())):
+    for k, (m, rid) in enumerate(zip(regs.image.tolist(), regs.region_ids.tolist())):
         per_image[m].append((k, rid))
     known = [{rid for _, rid in owned} for owned in per_image]
     kept, used = _greedy(dets, cfg.iou_threshold, known, cfg.require_region)
@@ -185,6 +183,7 @@ def constrained_nms(detections: Detections, regions: list[RadioRegion] | None, c
                 rows.append(max(revived, key=lambda i: (scores[i], -i)) if revived
                             else len(dets) + k)
                 claimed.add(rid)
-    anchors = Detections(dets.ids, owner, boxes, np.full(len(regions), cfg.fallback_floor_score),
-                         ids, np.full((len(regions), 4), np.nan))
+    anchors = Detections(dets.ids, regs.image, regs.boxes(),
+                         np.full(len(regs), cfg.fallback_floor_score), regs.region_ids,
+                         np.full((len(regs), 4), np.nan))
     return dets.join(anchors).take(np.array(rows, dtype=np.intp))

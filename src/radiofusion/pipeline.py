@@ -3,10 +3,11 @@
 A run starts from ground truth (file or synthetic world), radio regions
 (file, simulated from ground truth, or projected from CSI), and detections
 (file or the detector emulator). The selected method transforms the
-detections of the whole world, as ``world.Detections`` columns from the
-reader through every stage and metric to the writer (a file-driven run
-builds no ``Detection``). Every stage call is a world call: rows name their
-image and ``region_images`` names the image of each region:
+detections of the whole world. Detections, ground truth and regions are
+``world`` columns from the readers through every stage and metric to the
+writer (a file-driven run builds no ``Detection``, ``Annotation`` or
+``RadioRegion``). Every stage call is a world call, and every row names
+its image:
 
   baseline        plain greedy NMS
   method1         confidence revision against the regions, then NMS
@@ -30,6 +31,8 @@ from __future__ import annotations
 import time
 from dataclasses import replace
 
+import numpy as np
+
 from . import fileio
 from .config import METHOD_STEPS, RunConfig
 from .errors import InvalidInputError
@@ -46,68 +49,63 @@ from .metrics import (
 from .nms import associate_regions, constrained_nms, standard_nms
 from .radio import CsiFrame, RadioEstimate, compute_spectrum, default_aoa_grid, \
     default_tof_grid, fuse_axes, pick_peaks
-from .sim_regions import GT_FILTERS, Annotation, build_simulative_set
+from .sim_regions import GT_FILTERS, build_simulative_set
 from .synth import generate as synth_generate
-from .world import Detections
+from .world import Annotations, Detections, Regions
 
 EVAL_IOU = 0.5
 
 
-def load_world(config: RunConfig) -> tuple[list[str], list[Annotation]]:
+def load_world(config: RunConfig) -> tuple[list[str], Annotations]:
     """Read annotations and apply the configured ground-truth filter."""
     if config.paths.annotations is None:
         raise InvalidInputError("run requires an annotations file")
     image_ids, annotations = fileio.read_annotations(config.paths.annotations)
-    keep = GT_FILTERS[config.gt_filter]
-    gts = [ann for ann in annotations if ann.category == "person" and keep(ann)]
-    return image_ids, gts
+    keep = GT_FILTERS[config.gt_filter](annotations)
+    return image_ids, annotations.take((annotations.categories == "person") & keep)
 
 
-def build_regions(config: RunConfig, gts: list[Annotation]) -> dict[str, list[RadioRegion]]:
+def build_regions(config: RunConfig, gts: Annotations) -> Regions:
     """Regions from the configured file, else simulated from ground truth."""
     if config.paths.regions is not None:
         return fileio.read_regions(config.paths.regions)
     noise = replace(config.noise, seed=config.substream_seed("regions"))
-    return build_simulative_set(gts, noise)
+    return Regions.from_records(build_simulative_set(gts, noise))
 
 
-def build_detections(config: RunConfig, gts: list[Annotation],
-                     image_ids: list[str]) -> Detections:
+def build_detections(config: RunConfig, gts: Annotations, image_ids: list[str]) -> Detections:
     """Detections from the configured file, else the detector emulator."""
     if config.paths.detections is not None:
         return fileio.read_detections(config.paths.detections)
     synth = replace(config.synth, seed=config.substream_seed("synth"))
-    return Detections.from_records(
-        synth_generate(gts, synth, image_size=config.image_size, image_ids=image_ids))
+    return Detections.from_records(synth_generate(
+        gts.records(), synth, image_size=config.image_size, image_ids=image_ids))
 
 
 def apply_method(config: RunConfig, image_ids: list[str], detections: Detections,
-                 regions_by_image: dict[str, list[RadioRegion]]) -> Detections:
+                 regions: Regions) -> Detections:
     """Run the configured method on the whole world; returns the full output.
 
-    Every stage is one world call; the regions go in as one flat list in
-    image-id order and ``region_images`` names the image of each. Every
+    Every stage is one world call on the regions of ``image_ids``. Every
     detection must lie in ``image_ids`` (``evaluate`` checks).
     """
     source, cnms = METHOD_STEPS[config.method]
     nms_cfg = replace(config.nms, mode=cnms) if cnms else config.nms
-    universe = sorted(set(image_ids))
-    regions = [region for image_id in universe for region in regions_by_image.get(image_id, [])]
-    owners = [image_id for image_id in universe for _ in regions_by_image.get(image_id, [])]
+    universe = set(image_ids)
+    inside = np.array([key in universe for key in regions.ids], dtype=bool)
+    regions = regions.take(inside[regions.image])
     if source == "revised":
-        detections = revise_detections(detections, regions, config.lam, mode=config.mode,
-                                       region_images=owners)
+        detections = revise_detections(detections, regions, config.lam, mode=config.mode)
     elif source == "proposals":
-        detections = proposals_to_detections(regions, region_images=owners)
+        detections = proposals_to_detections(regions)
     if cnms is None:
         return standard_nms(detections, nms_cfg.iou_threshold)
-    detections = associate_regions(detections, regions, mode=cnms, region_images=owners)
-    return constrained_nms(detections, regions, nms_cfg, region_images=owners)
+    detections = associate_regions(detections, regions, mode=cnms)
+    return constrained_nms(detections, regions, nms_cfg)
 
 
-def evaluate(config: RunConfig, image_ids: list[str], gts: list[Annotation],
-             detections: Detections, regions_by_image: dict[str, list[RadioRegion]],
-             ) -> tuple[MetricsReport, Detections]:
+def evaluate(config: RunConfig, image_ids: list[str], gts: Annotations,
+             detections: Detections, regions: Regions) -> tuple[MetricsReport, Detections]:
     """Apply the method and compute the full metrics report.
 
     Returns the report and the display set of detections (the boxes a user
@@ -115,9 +113,9 @@ def evaluate(config: RunConfig, image_ids: list[str], gts: list[Annotation],
     ``image_ids`` is the evaluated universe: detections or regions on any
     other image are an input error.
     """
-    check_image_ids(image_ids, detections=detections.named_ids(), regions=regions_by_image)
+    check_image_ids(image_ids, detections=detections.named_ids(), regions=regions.ids)
     start = time.perf_counter()
-    ranked = apply_method(config, image_ids, detections, regions_by_image)
+    ranked = apply_method(config, image_ids, detections, regions)
 
     if config.count_constrained:
         ranked = truncate_to_gt_count(ranked, gts)
@@ -143,9 +141,9 @@ def evaluate(config: RunConfig, image_ids: list[str], gts: list[Annotation],
 def run(config: RunConfig) -> tuple[MetricsReport, Detections]:
     """Full file-driven run: load inputs, evaluate, write outputs."""
     image_ids, gts = load_world(config)
-    regions_by_image = build_regions(config, gts)
+    regions = build_regions(config, gts)
     detections = build_detections(config, gts, image_ids)
-    report, display = evaluate(config, image_ids, gts, detections, regions_by_image)
+    report, display = evaluate(config, image_ids, gts, detections, regions)
 
     out = config.paths.output_dir
     fileio.write_detections(f"{out}/detections_{config.method.replace('+', '_')}.json", display)
@@ -191,8 +189,7 @@ def sweep(
     rows = []
     for value in values:
         cfg = config.merge(SWEEP_PATCHES[param](value))
-        regions_by_image = build_regions(cfg, gts)
-        report, _ = evaluate(cfg, image_ids, gts, detections, regions_by_image)
+        report, _ = evaluate(cfg, image_ids, gts, detections, build_regions(cfg, gts))
         row = {"param": param, "value": value}
         row.update({k: v for k, v in report.to_dict().items() if k != "mr_fppi_curve"})
         rows.append(row)

@@ -6,7 +6,8 @@ drawn from N(1, sigma) to mimic ranging error, and shifting the center by
 Gaussian offsets whose standard deviation is ``k * side`` to mimic angular
 error. The raw scale draw is clamped so the resulting edge never drops
 below 5% of the original side, which keeps regions non-degenerate without
-touching the shift model.
+touching the shift model. The Caltech ground-truth filters are masks over
+``world.Annotations`` columns.
 """
 
 from __future__ import annotations
@@ -15,44 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, require_finite
-from .geometry import Rect, require_box
-from .imaging import RadioRegion
-from .world import group_by_image
+from .errors import InvalidInputError
+from .geometry import Rect
+from .world import Annotation, Annotations, RadioRegion
 
 MIN_EDGE_SCALE = 0.05
-
-
-@dataclass(frozen=True)
-class Annotation:
-    """Ground-truth person box for one image."""
-
-    image_id: str
-    bbox: Rect
-    category: str = "person"
-    height_px: float | None = None
-    occlusion_fraction: float | None = None
-
-    def __post_init__(self) -> None:
-        require_box("annotation", self.bbox)
-        require_finite("annotation", self.height_px, self.occlusion_fraction)
-        _, _, w, h = self.bbox
-        if w <= 0 or h <= 0:
-            raise InvalidInputError(f"annotation bbox must have positive extents, got {self.bbox}")
-        if self.height_px is not None and self.height_px <= 0:
-            raise InvalidInputError(f"annotation height must be > 0, got {self.height_px}")
-        if self.occlusion_fraction is not None and not 0.0 <= self.occlusion_fraction <= 1.0:
-            raise InvalidInputError(
-                f"annotation occlusion must be in [0, 1], got {self.occlusion_fraction}")
-
-    @property
-    def height(self) -> float:
-        """Pedestrian height in pixels, defaulting to the box height."""
-        return self.height_px if self.height_px is not None else self.bbox[3]
-
-    @property
-    def occlusion(self) -> float:
-        return self.occlusion_fraction if self.occlusion_fraction is not None else 0.0
 
 
 @dataclass(frozen=True)
@@ -104,7 +72,12 @@ def gt_to_region(
     The draw order (scale, then x shift, then y shift) is fixed, so results
     are bit-identical for a given generator state.
     """
-    x, y, w, h = ann.bbox
+    return _noisy_square(ann.bbox, noise, rng, identifier)
+
+
+def _noisy_square(bbox: Rect, noise: NoiseParams, rng: np.random.Generator,
+                  identifier: str) -> RadioRegion:
+    x, y, w, h = bbox
     side = min(w, h)
     draw = draw_region_noise(noise, side, rng)
     return RadioRegion(
@@ -116,39 +89,46 @@ def gt_to_region(
 
 
 def build_simulative_set(
-    annotations: list[Annotation],
+    annotations: Annotations | list[Annotation],
     noise: NoiseParams,
     category: str = "person",
 ) -> dict[str, list[RadioRegion]]:
-    """Build per-image region lists from annotations of one category.
+    """Build per-image region lists from annotations (columns or records) of
+    one category.
 
     Images are visited in ascending image_id order and annotations in their
     input order within each image, so a fixed ``noise.seed`` reproduces the
     exact same regions. Region identifiers are unique within each image.
     """
-    per_image = group_by_image(ann for ann in annotations if ann.category == category)
+    if isinstance(annotations, Annotations):
+        gts = annotations.take(annotations.categories == category)
+        boxes = zip([gts.ids[i] for i in gts.image.tolist()], gts.boxes.tolist())
+    else:
+        boxes = ((ann.image_id, ann.bbox) for ann in annotations if ann.category == category)
+    per_image: dict[str, list[Rect]] = {}
+    for image_id, bbox in boxes:
+        per_image.setdefault(image_id, []).append(bbox)
     rng = np.random.default_rng(noise.seed)
-    regions: dict[str, list[RadioRegion]] = {}
-    for image_id in sorted(per_image):
-        anns = per_image[image_id]
-        regions[image_id] = [
-            gt_to_region(ann, noise, rng, identifier=f"r{i}") for i, ann in enumerate(anns)
-        ]
-    return regions
+    return {image_id: [_noisy_square(bbox, noise, rng, f"r{i}")
+                       for i, bbox in enumerate(per_image[image_id])]
+            for image_id in sorted(per_image)}
 
 
-def reasonable_filter(ann: Annotation) -> bool:
+# Ground-truth filters: a mask over ``Annotations`` (or one ``Annotation``'s
+# truth value), by the same comparisons either way.
+
+def reasonable_filter(gts: Annotations | Annotation) -> np.ndarray | bool:
     """Caltech 'reasonable' protocol: taller than 60 px, under 35% occluded."""
-    return ann.height > 60.0 and ann.occlusion < 0.35
+    return (gts.height > 60.0) & (gts.occlusion < 0.35)
 
 
-def all_filter(ann: Annotation) -> bool:
+def all_filter(gts: Annotations | Annotation) -> np.ndarray | bool:
     """Caltech 'all' protocol: taller than 20 px, under 80% occluded."""
-    return ann.height > 20.0 and ann.occlusion < 0.80
+    return (gts.height > 20.0) & (gts.occlusion < 0.80)
 
 
 GT_FILTERS = {
-    "none": lambda ann: True,
+    "none": lambda gts: True,
     "reasonable": reasonable_filter,
     "all": all_filter,
 }

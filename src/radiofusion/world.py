@@ -1,29 +1,35 @@
-"""The detection record, the columnar detection world and the score order.
+"""The world's records, their columnar tables and the score order.
 
-A world is the records of many images; a stage call names the image of
-each radio region in a ``region_images`` list. ``Detections`` holds a
-world's detections as columns with each row's image as an index into one
-sorted id table, computed once when the columns are built, so stages,
-metrics and the detection file codec never group by id strings again.
-``Detection`` is the public one-box record; ``Detections.from_records`` and
-``Detections.records`` are the library edge between the two. The module is
-a leaf: it imports no package module but ``geometry`` and ``errors``.
+A world is the records of many images. ``Detection``, ``Annotation`` and
+``RadioRegion`` are the public one-item records; ``Detections``,
+``Annotations`` and ``Regions`` hold a world's items as columns, with each
+row's image as an index into one sorted id table, computed once when the
+columns are built, so stages, metrics and the file readers never group by
+id strings again. ``from_records`` and ``records`` are the library edge
+between the two. The module is a leaf: it imports no package module but
+``geometry`` and ``errors``.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, replace
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass, fields, replace
 from itertools import chain
-from typing import TypeVar
+from operator import attrgetter
+from typing import ClassVar, TypeVar
 
 import numpy as np
 
-from .errors import InvalidInputError
-from .geometry import Rect, in_box_domain, require_box
+from .errors import InvalidInputError, require_finite
+from .geometry import Rect, in_box_domain, require_box, square
 
 T = TypeVar("T")
+Self = TypeVar("Self", bound="Table")
+
+# Region proposals: one anchor per scale and height/width ratio (``fusion.anchor_boxes``).
+ANCHOR_SCALES = (0.75, 1.0, 1.25)
+ANCHOR_RATIOS = (1.0, 2.0, 3.0)
 
 
 def score_order(scores: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -37,6 +43,11 @@ def group_by_image(items: Iterable[T]) -> dict[str, list[T]]:
     for item in items:
         grouped.setdefault(item.image_id, []).append(item)
     return grouped
+
+
+def anchor_reach(edge):
+    """The edge of the square that holds a region's tallest proposal anchor."""
+    return max(ANCHOR_SCALES) * edge * math.sqrt(max(ANCHOR_RATIOS))
 
 
 @dataclass(frozen=True)
@@ -60,92 +71,225 @@ class Detection:
             raise InvalidInputError(f"bbox extents must be >= 0, got {self.bbox}")
 
 
+@dataclass(frozen=True)
+class Annotation:
+    """Ground-truth person box for one image."""
+
+    image_id: str
+    bbox: Rect
+    category: str = "person"
+    height_px: float | None = None
+    occlusion_fraction: float | None = None
+
+    def __post_init__(self) -> None:
+        require_box("annotation", self.bbox)
+        require_finite("annotation", self.height_px, self.occlusion_fraction)
+        _, _, w, h = self.bbox
+        if w <= 0 or h <= 0:
+            raise InvalidInputError(f"annotation bbox must have positive extents, got {self.bbox}")
+        if self.height_px is not None and self.height_px <= 0:
+            raise InvalidInputError(f"annotation height must be > 0, got {self.height_px}")
+        if self.occlusion_fraction is not None and not 0.0 <= self.occlusion_fraction <= 1.0:
+            raise InvalidInputError(
+                f"annotation occlusion must be in [0, 1], got {self.occlusion_fraction}")
+
+    @property
+    def height(self) -> float:
+        """Pedestrian height in pixels, defaulting to the box height."""
+        return self.height_px if self.height_px is not None else self.bbox[3]
+
+    @property
+    def occlusion(self) -> float:
+        return self.occlusion_fraction if self.occlusion_fraction is not None else 0.0
+
+
+@dataclass(frozen=True)
+class RadioRegion:
+    """Square image-plane region born from one radio localization; its
+    tallest proposal anchor, like its square, lies in the box domain."""
+
+    center_x: float
+    center_y: float
+    edge: float
+    identifier: str
+
+    def __post_init__(self) -> None:
+        require_finite("region", self.center_x, self.center_y, self.edge)
+        require_box("region", self.to_bbox())
+        require_box("region anchor", square(self.center_x, self.center_y, anchor_reach(self.edge)))
+        if self.edge <= 0:
+            raise InvalidInputError(f"region edge must be > 0, got {self.edge}")
+
+    def to_bbox(self) -> Rect:
+        return square(self.center_x, self.center_y, self.edge)
+
+
+def _indexed(image_ids: Sequence[str], table: Iterable[str] = ()) -> tuple[tuple, np.ndarray]:
+    """The sorted id table of ``image_ids`` and ``table``, and each id's index in it."""
+    table = tuple(sorted(set(image_ids).union(table)))
+    index = {key: i for i, key in enumerate(table)}
+    return table, np.fromiter(map(index.__getitem__, image_ids), np.intp, len(image_ids))
+
+
+def _quads(boxes: Sequence[Sequence[float] | None], n: int) -> np.ndarray:
+    """``(n, 4)`` boxes, NaN for None (fromiter is twice as fast as np.array here)."""
+    if any(box is None for box in boxes):
+        boxes = [(math.nan,) * 4 if box is None else box for box in boxes]
+    return np.fromiter(chain.from_iterable(boxes), float, 4 * n).reshape(n, 4)
+
+
+def _values(column: np.ndarray) -> list:
+    """A column's record values: boxes as tuples, NaN as None."""
+    if column.ndim == 2:
+        return [None if box[0] != box[0] else tuple(box) for box in column.tolist()]
+    return [None if value != value else value for value in column.tolist()]
+
+
 @dataclass(frozen=True, eq=False)
-class Detections:
-    """A world's detections as columns, one row per detection in the order
-    given. ``ids`` is a sorted image-id table, which may name images without
-    rows, and ``image`` each row's index in it; ``boxes`` and ``cells`` are
-    ``(n, 4)``, NaN where a row has no cell; ``region_ids`` holds ``str`` or
-    ``None``. Rows hold what ``Detection`` accepts (``valid``)."""
+class Table:
+    """A world's items as columns, one row per item in the order given.
+    ``ids`` is a sorted image-id table, which may name images without rows,
+    and ``image`` each row's index in it. Every further field is the column
+    of one field of ``record`` after its image id, in order: ``(n, 4)`` for
+    a box, float for a number, object for text, and NaN where the record
+    holds None. Rows hold what ``record`` accepts (``valid``)."""
 
     ids: tuple[str, ...]
     image: np.ndarray
-    boxes: np.ndarray
-    scores: np.ndarray
-    region_ids: np.ndarray
-    cells: np.ndarray
+    record: ClassVar[type]
+    boxes_at: ClassVar[tuple[int, ...]]  # the columns (counted after ``image``) of boxes
+    text_at: ClassVar[tuple[int, ...]]  # and of text
 
     def __len__(self) -> int:
-        return self.scores.size
+        return self.image.size
 
     @classmethod
-    def build(cls, rows: list[Sequence]) -> Detections:
-        """Columns from rows of ``Detection``'s field values (a cell may be None)."""
-        image_ids, boxes, scores, region_ids, cells = zip(*rows) if rows else ((),) * 5
-        table = tuple(sorted(set(image_ids)))
-        index = {key: i for i, key in enumerate(table)}
-        n, quads = len(rows), chain.from_iterable  # fromiter is twice as fast as np.array here
-        cells = quads((math.nan,) * 4 if cell is None else cell for cell in cells)
-        return cls(table, np.fromiter(map(index.__getitem__, image_ids), np.intp, n),
-                   np.fromiter(quads(boxes), float, 4 * n).reshape(n, 4),
-                   np.array(scores, dtype=float), np.fromiter(region_ids, object, n),
-                   np.fromiter(cells, float, 4 * n).reshape(n, 4))
+    def build(cls: type[Self], image_ids: Sequence[str], *values: Sequence,
+              table: Iterable[str] = ()) -> Self:
+        """Columns from ``record``'s field values, column by column, over the
+        table of ``image_ids`` and ``table``."""
+        n = len(image_ids)
+        return cls(*_indexed(image_ids, table), *(
+            _quads(column, n) if k in cls.boxes_at else np.fromiter(column, object, n)
+            if k in cls.text_at else np.array(column, dtype=float)
+            for k, column in enumerate(values)))
 
     @classmethod
-    def from_records(cls, records: Iterable[Detection]) -> Detections:
-        return cls.build([(d.image_id, d.bbox, d.score, d.region_id, d.cell) for d in records])
+    def from_records(cls: type[Self], records: Iterable) -> Self:
+        rows = list(map(attrgetter(*(f.name for f in fields(cls.record))), records))
+        return cls.build(*(zip(*rows) if rows else [()] * len(fields(cls.record))))
 
-    def records(self) -> list[Detection]:
-        cells = [None if cell[0] != cell[0] else tuple(cell) for cell in self.cells.tolist()]
-        return [Detection(self.ids[i], tuple(box), *rest) for i, box, *rest in zip(
-            self.image.tolist(), self.boxes.tolist(), self.scores.tolist(),
-            self.region_ids.tolist(), cells)]
-
-    def valid(self) -> bool:
-        """Whether ``Detection`` accepts every row (a NaN cell is no cell)."""
-        cells = self.cells[~np.isnan(self.cells[:, 0])]
-        return bool(((self.scores >= 0.0) & (self.scores <= 1.0)).all()
-                    and (self.boxes[:, 2:] >= 0.0).all() and in_box_domain(self.boxes).all()
-                    and in_box_domain(cells).all())
+    def records(self) -> list:
+        return [self.record(self.ids[i], *row) for i, *row in zip(
+            self.image.tolist(), *map(_values, self._columns()[1:]))]
 
     def named_ids(self) -> list[str]:
         """The ids of the images some row names (np.unique would cost 1.6 MB of RSS)."""
         return [self.ids[i] for i in np.flatnonzero(np.bincount(self.image)).tolist()]
 
-    def take(self, rows: np.ndarray) -> Detections:
+    def take(self: Self, rows: np.ndarray) -> Self:
         """The rows at ``rows`` (indices or a boolean mask), same id table."""
-        return Detections(self.ids, *(column[rows] for column in self._columns()))
+        return type(self)(self.ids, *(column[rows] for column in self._columns()))
+
+    def grouped(self: Self, ids: Sequence[str]) -> Self:
+        """The rows in image-id order, given order within an image, over the
+        sorted table ``ids``, which names every image of a row."""
+        index = {key: i for i, key in enumerate(ids)}
+        remap = np.array([index.get(key, -1) for key in self.ids], dtype=np.intp)
+        table = replace(self, ids=tuple(ids), image=remap[self.image])
+        in_order = (table.image[1:] >= table.image[:-1]).all()
+        return table if in_order else table.take(np.argsort(table.image, kind="stable"))
+
+    def _columns(self) -> list[np.ndarray]:
+        return [getattr(self, f.name) for f in fields(self)[1:]]
+
+
+@dataclass(frozen=True, eq=False)
+class Detections(Table):
+    """Detections; a NaN cell is no cell."""
+
+    boxes: np.ndarray
+    scores: np.ndarray
+    region_ids: np.ndarray
+    cells: np.ndarray
+    record, boxes_at, text_at = Detection, (0, 3), (2,)  # boxes, cells; region ids
+
+    def valid(self) -> bool:
+        cells = self.cells[~np.isnan(self.cells[:, 0])]
+        return bool(((self.scores >= 0.0) & (self.scores <= 1.0)).all()
+                    and (self.boxes[:, 2:] >= 0.0).all() and in_box_domain(self.boxes).all()
+                    and in_box_domain(cells).all())
 
     def join(self, other: Detections) -> Detections:
         """These rows, then ``other``'s over the same id table."""
         return Detections(self.ids, *map(np.concatenate, zip(self._columns(), other._columns())))
 
-    def grouped(self, ids: Sequence[str]) -> Detections:
-        """The rows in image-id order, given order within an image, over the
-        sorted table ``ids``, which names every image of a row."""
-        index = {key: i for i, key in enumerate(ids)}
-        remap = np.array([index.get(key, -1) for key in self.ids], dtype=np.intp)
-        dets = replace(self, ids=tuple(ids), image=remap[self.image])
-        in_order = (dets.image[1:] >= dets.image[:-1]).all()
-        return dets if in_order else dets.take(np.argsort(dets.image, kind="stable"))
 
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        return self.image, self.boxes, self.scores, self.region_ids, self.cells
+@dataclass(frozen=True, eq=False)
+class Annotations(Table):
+    """Ground truth; a NaN height or occlusion is none."""
+
+    boxes: np.ndarray
+    categories: np.ndarray
+    heights: np.ndarray
+    occlusions: np.ndarray
+    record, boxes_at, text_at = Annotation, (0,), (1,)  # boxes; categories
+
+    @property
+    def height(self) -> np.ndarray:
+        """Pedestrian heights in pixels, defaulting to the box height."""
+        return np.where(np.isnan(self.heights), self.boxes[:, 3], self.heights)
+
+    @property
+    def occlusion(self) -> np.ndarray:
+        return np.where(np.isnan(self.occlusions), 0.0, self.occlusions)
+
+    def valid(self) -> bool:
+        return bool(in_box_domain(self.boxes).all() and (self.boxes[:, 2:] > 0.0).all()
+                    and not (self.heights <= 0.0).any()
+                    and not ((self.occlusions < 0.0) | (self.occlusions > 1.0)).any())
 
 
-def split(detections: Detections, regions: Sequence, region_images: Sequence[str],
-          ) -> tuple[Detections, np.ndarray, np.ndarray, np.ndarray]:
-    """A stage call's detections in image-id order over the table of every
-    image it names; per region, the index of its image there (one id per
-    region; any other count is an input error), its box and its id."""
-    if len(region_images) != len(regions):
-        raise InvalidInputError(f"{len(region_images)} region image ids for {len(regions)} regions")
-    table = sorted(set(detections.ids).union(region_images))
-    index = {key: i for i, key in enumerate(table)}
-    owner = np.fromiter(map(index.__getitem__, region_images), np.intp, len(region_images))
-    boxes = np.array([region.to_bbox() for region in regions], dtype=float).reshape(-1, 4)
-    ids = np.array([region.identifier for region in regions], dtype=object)
-    return detections.grouped(table), owner, boxes, ids
+@dataclass(frozen=True, eq=False)
+class Regions(Table):
+    """Radio regions, each the square of ``edge`` centered at (``center_x``,
+    ``center_y``). The record edge is a map from image id to regions."""
+
+    center_x: np.ndarray
+    center_y: np.ndarray
+    edge: np.ndarray
+    region_ids: np.ndarray
+    record, boxes_at, text_at = RadioRegion, (), (3,)  # no boxes; region ids
+
+    @classmethod
+    def from_records(cls, by_image: Mapping[str, Iterable[RadioRegion]]) -> Regions:
+        """The regions of each image in the given order; an image with an
+        empty list stays in the table."""
+        get = attrgetter(*(f.name for f in fields(RadioRegion)))
+        rows = [(key, *get(r)) for key, regions in by_image.items() for r in regions]
+        return cls.build(*(zip(*rows) if rows else [()] * 5), table=by_image)
+
+    def records(self) -> dict[str, list[RadioRegion]]:
+        by_image: dict[str, list[RadioRegion]] = {key: [] for key in self.ids}
+        for i, *row in zip(self.image.tolist(), *map(_values, self._columns()[1:])):
+            by_image[self.ids[i]].append(RadioRegion(*row))
+        return by_image
+
+    def boxes(self) -> np.ndarray:
+        """Each region's square, ``(n, 4)``."""
+        return np.stack(square(self.center_x, self.center_y, self.edge), axis=-1)
+
+    def valid(self) -> bool:
+        anchors = square(self.center_x, self.center_y, anchor_reach(self.edge))
+        return bool((self.edge > 0.0).all() and in_box_domain(self.boxes()).all()
+                    and in_box_domain(np.stack(anchors, axis=-1)).all())
+
+
+def split(detections: Detections, regions: Regions) -> tuple[Detections, Regions]:
+    """A stage call's detections and regions in image-id order, given order
+    within an image, over one table: the ids of either."""
+    table = sorted(set(detections.ids).union(regions.ids))
+    return detections.grouped(table), regions.grouped(table)
 
 
 def pairs(det_image: np.ndarray, region_image: np.ndarray,

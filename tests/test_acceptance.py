@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from conftest import on_records, one_image
+from conftest import on_records, regions_in
 from radiofusion import fileio, metrics, nms
 from radiofusion.config import RunConfig, RunPaths
 from radiofusion.fusion import Detection
@@ -29,6 +29,7 @@ from radiofusion.radio import (
 from radiofusion.sim_regions import Annotation, NoiseParams, build_simulative_set, \
     draw_region_noise, gt_to_region
 from radiofusion.synth import make_world
+from radiofusion.world import Annotations, Regions
 
 coco_map, match, mr_fppi, visual_metrics = map(on_records, (
     metrics.coco_map, metrics.match, metrics.mr_fppi, metrics.visual_metrics))
@@ -166,9 +167,8 @@ def test_criterion_3_nms_oracle_equivalence():
                                center_y=float(rng.uniform(10, 90)),
                                edge=float(rng.uniform(10, 40)),
                                identifier=f"r{k}") for k in range(3)]
-        images = one_image(regions)
-        kept = constrained_nms(associate_regions(scene, regions, region_images=images),
-                               regions, unconstrained_cfg, region_images=images)
+        kept = constrained_nms(associate_regions(scene, regions),
+                               regions, unconstrained_cfg)
         ids = [d.region_id for d in kept]
         pairwise_ok = all(
             standard_nms([kept[a], kept[b]], threshold) == [kept[a], kept[b]]
@@ -179,7 +179,7 @@ def test_criterion_3_nms_oracle_equivalence():
             violations += 1
 
         tagged = [replace(d, region_id=f"r{rng.integers(0, 3)}") for d in scene]
-        covered = constrained_nms(tagged, regions, fallback_cfg, region_images=images)
+        covered = constrained_nms(tagged, regions, fallback_cfg)
         if sorted(d.region_id for d in covered) != sorted(r.identifier for r in regions):
             violations += 1
 
@@ -278,11 +278,12 @@ def test_criterion_4_metric_correctness():
 def test_criterion_5_directional_trend(tmp_path):
     start = time.perf_counter()
     config = RunConfig(seed=1234)
-    image_ids, gts = make_world(500, seed=config.substream_seed("world"))
+    image_ids, records = make_world(500, seed=config.substream_seed("world"))
+    gts = Annotations.from_records(records)
     detections = build_detections(config, gts, image_ids)
 
     noise = replace(config.noise, seed=config.substream_seed("regions"))
-    regions = build_simulative_set(gts, noise)
+    regions = Regions.from_records(build_simulative_set(gts, noise))
     base, _ = evaluate(replace(config, method="baseline"),
                        image_ids, gts, detections, regions)
     fused, _ = evaluate(replace(config, method="method1+cnms"),
@@ -290,7 +291,7 @@ def test_criterion_5_directional_trend(tmp_path):
 
     zero_noise = replace(config.noise, sigma=0.0, k1=0.0, k2=0.0,
                          seed=config.substream_seed("regions"))
-    exact_regions = build_simulative_set(gts, zero_noise)
+    exact_regions = Regions.from_records(build_simulative_set(gts, zero_noise))
     proposals, _ = evaluate(replace(config, method="method2+cnms"),
                             image_ids, gts, detections, exact_regions)
 
@@ -312,14 +313,15 @@ def test_criterion_5_directional_trend(tmp_path):
 
 def test_criterion_6_error_sensitivity_shape():
     config = RunConfig(seed=1234, method="method2")
-    image_ids, gts = make_world(500, seed=config.substream_seed("world"))
+    image_ids, records = make_world(500, seed=config.substream_seed("world"))
+    gts = Annotations.from_records(records)
     detections = build_detections(config, gts, image_ids)
     values = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5]
 
     def ap_for(sigma, k1, k2):
         noise = NoiseParams(sigma=sigma, k1=k1, k2=k2,
                             seed=config.substream_seed("regions"))
-        regions = build_simulative_set(gts, noise)
+        regions = Regions.from_records(build_simulative_set(gts, noise))
         result, _ = evaluate(config, image_ids, gts, detections, regions)
         return result.ap
 

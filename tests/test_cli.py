@@ -22,8 +22,7 @@ def test_synth_then_regions_then_run(tmp_path):
         "--out", str(tmp_path / "regions.json"),
         "--output-dir", out,
     ]) == 0
-    regions = fileio.read_regions(tmp_path / "regions.json")
-    assert sum(len(v) for v in regions.values()) > 0
+    assert len(fileio.read_regions(tmp_path / "regions.json")) > 0
 
     for method in ("baseline", "method1+cnms"):
         assert main([
@@ -79,7 +78,7 @@ def test_localize_and_project(tmp_path):
         "--out", str(tmp_path / "regions.json"), "--output-dir", str(tmp_path),
     ]) == 0
     regions = fileio.read_regions(tmp_path / "regions.json")
-    assert len(regions["f0"]) == 1
+    assert regions.ids == ("f0",) and len(regions) == 1
 
 
 def test_config_file_round_trip(tmp_path):
@@ -159,6 +158,15 @@ _REGION = {"center_x": 100.0, "center_y": 100.0, "edge": 40.0}
     # The square fits the box domain, its tallest proposal anchor does not.
     ("--regions", json.dumps({"schema": "regions/1", "images": {
         "img00000": [{"id": "p", "center_x": 0.0, "center_y": 0.0, "edge": 1.9e150}]}})),
+    # The ignore flag is a JSON boolean; anything else is not read as one.
+    *(("--annotations", json.dumps({"schema": "annotations/1", "images": [{"id": "img00000"}],
+                                    "annotations": [{"image_id": "img00000",
+                                                     "bbox": [0, 0, 9, 9], "ignore": flag}]}))
+      for flag in ("false", 1, [0], 0.0, "true")),
+    # Image sizes are optional finite numbers > 0.
+    *(("--annotations", json.dumps({"schema": "annotations/1",
+                                    "images": [{"id": "img00000", key: size}]}))
+      for key in ("width", "height") for size in ("abc", 0.0, -1, float("nan"), True)),
 ])
 def test_malformed_input_exit_code(tmp_path, flag, content):
     out = str(tmp_path)
@@ -182,6 +190,21 @@ def test_region_with_an_anchor_outside_the_box_domain_names_the_regions_file(tmp
     assert main(["run", "--method", "method2", "--annotations", str(tmp_path / "annotations.json"),
                  "--regions", str(bad), "--output-dir", out]) == 2
     assert f"error: {bad}: image 'img00000': region anchor corners" in capsys.readouterr().err
+
+
+def test_repeated_region_id_names_the_id(tmp_path, capsys):
+    out = str(tmp_path)
+    assert main(["synth", "--num-images", "3", "--seed", "5", "--output-dir", out]) == 0
+    bad = tmp_path / "regions.json"
+    bad.write_text(json.dumps({"schema": "regions/1", "images": {
+        "img00001": [{"id": "r0", **_REGION}],
+        "img00000": [{"id": "r0", **_REGION}, {"id": "r1", **_REGION}, {"id": "r1", **_REGION}],
+    }}))
+    capsys.readouterr()
+    assert main(["run", "--method", "method1+cnms", "--annotations",
+                 str(tmp_path / "annotations.json"), "--regions", str(bad),
+                 "--output-dir", out]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: image 'img00000' repeats id 'r1'\n"
 
 
 @pytest.mark.parametrize("images, annotation", [

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from radiofusion import fileio
 from radiofusion.errors import InvalidInputError, SchemaError
 from radiofusion.fusion import Detection
-from radiofusion.geometry import Rect
+from radiofusion.geometry import MAX_COORD, Rect
 from radiofusion.imaging import RadioRegion
 from radiofusion.radio import ArrayGeometry, CsiFrame, RadioEstimate
 from radiofusion.sim_regions import Annotation
@@ -311,3 +311,227 @@ def test_detection_writer_bytes_equal_the_stdlib_encoder(tmp_path_factory, detec
         {key: list(value) if isinstance(value, tuple) else value
          for key, value in vars(det).items() if value is not None} for det in detections]}
     assert path.read_bytes() == (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode()
+
+
+# -- Annotation and region files: the column readers against the per-record path
+
+def _size(value) -> float:
+    number = _float(value)
+    if number > 0.0:
+        return number
+    raise SchemaError(f"expected a finite number > 0, got {value!r}")
+
+
+def _boolean(value) -> bool:
+    if type(value) is bool:
+        return value
+    raise SchemaError(f"expected true or false, got {value!r}")
+
+
+def _read_annotation_records(path):
+    """The per-record annotation reader: image entries one by one (an id and
+    optional sizes > 0), then one ``_from_record`` per record whose
+    ``ignore`` flag, a JSON boolean or null, is not true."""
+    data = fileio.load_json(path, fileio.ANNOTATIONS_SCHEMA)
+    image_ids = []
+    for image in _expect(data.get("images", []), list, f"{path}: images"):
+        _expect(image, dict, f"{path}: images")
+        image_ids.append(_field(image, "id", _text, MISSING, f"{path}: images"))
+        for key in ("width", "height"):
+            _field(image, key, _size, None, f"{path}: images")
+    if repeated := [key for key in image_ids if image_ids.count(key) > 1]:
+        raise SchemaError(f"{path}: images lists id {repeated[0]!r} more than once")
+    annotations = []
+    for record in _expect(data.get("annotations", []), list, f"{path}: annotations"):
+        _expect(record, dict, f"{path}: annotation")
+        if not _field(record, "ignore", _boolean, False, f"{path}: annotation"):
+            annotations.append(_from_record(record, Annotation, str(path)))
+    named = sorted({ann.image_id for ann in annotations})
+    if not image_ids:
+        return named, annotations
+    if stray := set(named) - set(image_ids):
+        raise SchemaError(f"{path}: annotations on images not in images: {sorted(stray)[:3]}")
+    return image_ids, annotations
+
+
+def _read_region_records(path):
+    """The per-record region reader: image by image, one ``_from_record`` per
+    record, and the first id an image repeats named."""
+    data = fileio.load_json(path, fileio.REGIONS_SCHEMA)
+    images = _expect(_require(data, "images", str(path)), dict, f"{path}: images")
+    by_image = {}
+    for image_id, records in images.items():
+        context = f"{path}: image {image_id!r}"
+        items = [_from_record(record, RadioRegion, context)
+                 for record in _expect(records, list, context)]
+        ids = [item.identifier for item in items]
+        if repeated := [key for key in ids if ids.count(key) > 1]:
+            raise SchemaError(f"{context} repeats id {repeated[0]!r}")
+        by_image[image_id] = items
+    return by_image
+
+
+def _read_annotation_columns(path):
+    image_ids, annotations = fileio.read_annotations(path)
+    return image_ids, annotations.records()
+
+
+def _read_region_columns(path):
+    return fileio.read_regions(path).records()
+
+
+def _alike(tmp_path, document, columns, records):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    assert _outcome(columns, path) == _outcome(records, path)
+
+
+_ANN = {"image_id": "a", "bbox": [0.0, 0.0, 4.0, 8.0]}
+# A region whose tallest proposal anchor spans the box domain exactly, and its
+# next larger edge, whose anchor leaves it.
+_REACH_EDGE = 2 * MAX_COORD / (1.25 * math.sqrt(3.0))
+_REG = {"id": "r0", "center_x": 1.0, "center_y": 2.0, "edge": 3.0}
+
+
+@pytest.mark.parametrize("record", [
+    {**_ANN, "bbox": [0.0, True, 4.0, 8.0]},
+    {**_ANN, "bbox": ["1.5", 0.0, 4.0, 8.0]},
+    {**_ANN, "bbox": [0, 0, 4, 8]},
+    {**_ANN, "bbox": [0.0, 0.0, 4.0]},
+    {**_ANN, "bbox": [0.0, 0.0, 4.0, 8.0, 1.0]},
+    {**_ANN, "bbox": [0.0, math.nan, 4.0, 8.0]},
+    {**_ANN, "bbox": [0.0, 0.0, math.inf, 8.0]},
+    {**_ANN, "bbox": [0.0, 0.0, 0.0, 8.0]},
+    {**_ANN, "bbox": [MAX_COORD, 0.0, 1.0, 8.0]},
+    {**_ANN, "height": math.nan},
+    {**_ANN, "height": -math.inf},
+    {**_ANN, "height": 0.0},
+    {**_ANN, "height": "12"},
+    {**_ANN, "height": 12},
+    {**_ANN, "occlusion": 1.0000000000000002},
+    {**_ANN, "occlusion": -5e-324},
+    {**_ANN, "occlusion": True},
+    {**_ANN, "category": None, "height": None, "occlusion": None},
+    {**_ANN, "category": 7},
+    {**_ANN, "category": "car"},
+    {**_ANN, "image_id": 3},
+    {**_ANN, "image_id": None},
+    {"bbox": [0.0, 0.0, 4.0, 8.0]},
+    {**_ANN, "ignore": True, "bbox": "junk"},
+    {**_ANN, "ignore": False},
+    {**_ANN, "ignore": None},
+    {**_ANN, "ignore": "false"},
+    {**_ANN, "ignore": 1},
+    {**_ANN, "ignore": [0]},
+    5,
+], ids=["bool-in-bbox", "numeric-string-bbox", "integer-bbox", "3-element-bbox",
+        "5-element-bbox", "nan-bbox", "infinite-bbox", "zero-width", "corner-beyond-max-coord",
+        "nan-height", "infinite-height", "zero-height", "numeric-string-height",
+        "integer-height", "occlusion-above-1", "occlusion-below-0", "bool-occlusion", "nulls", "integer-category",
+        "other-category", "integer-image-id", "null-image-id", "missing-image-id",
+        "ignored-junk", "ignore-false", "ignore-null", "ignore-string", "ignore-integer",
+        "ignore-list", "not-an-object"])
+@pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+def test_annotation_column_reader_matches_the_per_record_reader(tmp_path, record, first):
+    records = [record, _ANN] if first else [_ANN, record]
+    _alike(tmp_path, {"schema": fileio.ANNOTATIONS_SCHEMA, "images": [{"id": "a"}],
+                      "annotations": records},
+           _read_annotation_columns, _read_annotation_records)
+
+
+@pytest.mark.parametrize("image", [
+    {"id": "a", "width": 640.0, "height": 480.0}, {"id": "a", "width": 640},
+    {"id": "a", "width": None}, {"id": "a", "width": "abc"}, {"id": "a", "height": "480"},
+    {"id": "a", "width": 0.0}, {"id": "a", "height": -1.0}, {"id": "a", "width": math.nan},
+    {"id": "a", "height": math.inf}, {"id": "a", "width": True}, {"id": 3}, {"id": None},
+    {"width": 1.0}, "a",
+], ids=["sizes", "integer-width", "null-width", "text-width", "numeric-string-height",
+        "zero-width", "negative-height", "nan-width", "infinite-height", "bool-width",
+        "integer-id", "null-id", "missing-id", "not-an-object"])
+def test_annotation_image_entries_read_alike(tmp_path, image):
+    _alike(tmp_path, {"schema": fileio.ANNOTATIONS_SCHEMA, "images": [image, {"id": "b"}],
+                      "annotations": [_ANN]},
+           _read_annotation_columns, _read_annotation_records)
+
+
+@pytest.mark.parametrize("record", [
+    {**_REG, "center_x": True},
+    {**_REG, "center_x": "1.5"},
+    {**_REG, "edge": 3},
+    {**_REG, "center_y": math.nan},
+    {**_REG, "edge": math.inf},
+    {**_REG, "edge": 0.0},
+    {**_REG, "edge": -3.0},
+    {**_REG, "center_x": None},
+    {**_REG, "id": None},
+    {key: value for key, value in _REG.items() if key != "id"},
+    {**_REG, "id": 4},
+    {**_REG, "id": "r9"},
+    {**_REG, "center_x": 0.0, "center_y": 0.0, "edge": _REACH_EDGE},
+    {**_REG, "center_x": 0.0, "center_y": 0.0, "edge": math.nextafter(_REACH_EDGE, math.inf)},
+    {**_REG, "center_x": MAX_COORD, "edge": 1.0},
+    {**_REG, "center_x": -MAX_COORD + 1e135, "edge": 1e134},
+    [1.0],
+], ids=["bool-center", "numeric-string-center", "integer-edge", "nan-center", "infinite-edge",
+        "zero-edge", "negative-edge", "null-center", "null-id", "missing-id", "integer-id",
+        "repeated-id", "anchor-at-max-coord", "anchor-past-max-coord", "square-past-max-coord",
+        "square-near-min-coord", "not-an-object"])
+@pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+def test_region_column_reader_matches_the_per_record_reader(tmp_path, record, first):
+    other = {**_REG, "id": "r9"}
+    records = [record, other] if first else [other, record]
+    _alike(tmp_path, {"schema": fileio.REGIONS_SCHEMA,
+                      "images": {"b": [{**_REG, "id": "r1"}], "a": records, "c": []}},
+           _read_region_columns, _read_region_records)
+
+
+_flags = st.none() | st.booleans() | _anything
+_sizes = st.floats(1.0, 2000.0) | st.none() | _anything
+
+
+@st.composite
+def annotation_files(draw):
+    """Image entries and annotation records, mostly well formed."""
+    ids = draw(st.lists(st.sampled_from(["a", "b", "c"]) | _anything, max_size=3))
+    images = [{"id": key, **({"width": draw(_sizes)} if draw(st.booleans()) else {}),
+               **({"height": draw(_sizes)} if draw(st.booleans()) else {})} for key in ids]
+    records = draw(st.lists(objects(Annotation) | _anything, max_size=4))
+    for record in records:
+        if isinstance(record, dict) and draw(st.booleans()):
+            record["image_id"] = draw(st.sampled_from(["a", "b", "c"]))
+        if isinstance(record, dict) and draw(st.integers(0, 3)) == 0:
+            record["ignore"] = draw(_flags)
+    return {"schema": fileio.ANNOTATIONS_SCHEMA, "images": images, "annotations": records}
+
+
+@settings(max_examples=300, deadline=None)
+@given(annotation_files())
+def test_annotation_files_read_alike(tmp_path_factory, document):
+    _alike(tmp_path_factory.mktemp("ann"), document,
+           _read_annotation_columns, _read_annotation_records)
+
+
+_region_values = (st.floats(-1e3, 1e3) | st.floats(0.5, 60.0)
+                  | st.sampled_from([_REACH_EDGE, math.nextafter(_REACH_EDGE, math.inf),
+                                     MAX_COORD, -MAX_COORD, 0.0]))
+
+
+@st.composite
+def region_records(draw):
+    """A region record, each key absent, plausible or anything."""
+    record = draw(objects(RadioRegion))
+    for key in ("center_x", "center_y", "edge"):
+        if draw(st.booleans()):
+            record[key] = draw(_region_values)
+    if draw(st.booleans()):
+        record["id"] = draw(st.sampled_from(["r0", "r1", "r2"]))
+    return record
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(["a", "b", "c"]),
+                       st.lists(region_records() | _anything, max_size=4) | _anything,
+                       max_size=3))
+def test_region_files_read_alike(tmp_path_factory, images):
+    _alike(tmp_path_factory.mktemp("reg"), {"schema": fileio.REGIONS_SCHEMA, "images": images},
+           _read_region_columns, _read_region_records)

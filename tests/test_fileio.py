@@ -43,7 +43,7 @@ def test_annotations_round_trip(tmp_path):
     fileio.write_annotations(path, ["a", "b", "empty"], anns, image_size=(640, 480))
     image_ids, loaded = fileio.read_annotations(path)
     assert image_ids == ["a", "b", "empty"]
-    assert loaded == anns
+    assert loaded.records() == anns
 
 
 def test_annotations_ignore_flag_dropped(tmp_path):
@@ -59,7 +59,7 @@ def test_annotations_ignore_flag_dropped(tmp_path):
     path.write_text(json.dumps(payload))
     image_ids, loaded = fileio.read_annotations(path)
     assert image_ids == ["3"]  # integer ids normalized to strings
-    assert len(loaded) == 1 and loaded[0].image_id == "3"
+    assert [ann.image_id for ann in loaded.records()] == ["3"]
 
 
 def test_regions_round_trip(tmp_path):
@@ -72,7 +72,9 @@ def test_regions_round_trip(tmp_path):
     }
     path = tmp_path / "regions.json"
     fileio.write_regions(path, regions)
-    assert fileio.read_regions(path) == regions
+    assert fileio.read_regions(path).records() == regions
+    fileio.write_regions(tmp_path / "columns.json", fileio.read_regions(path))
+    assert (tmp_path / "columns.json").read_bytes() == path.read_bytes()
 
 
 def test_detections_round_trip(tmp_path):
@@ -154,8 +156,8 @@ def test_null_height_reads_as_absent(tmp_path):
                          "occlusion": None}],
     }))
     _, loaded = fileio.read_annotations(path)
-    assert loaded == [Annotation(image_id="a", bbox=(0.0, 0.0, 4.0, 8.0))]
-    assert loaded[0].height == 8.0
+    assert loaded.records() == [Annotation(image_id="a", bbox=(0.0, 0.0, 4.0, 8.0))]
+    assert loaded.height.tolist() == [8.0]
 
 
 def test_estimate_magnitude_defaults_to_zero(tmp_path):
@@ -348,7 +350,8 @@ def test_annotations_read_write_property(tmp_path_factory, world):
     image_ids, anns = world
     path = tmp_path_factory.mktemp("prop") / "ann.json"
     fileio.write_annotations(path, image_ids, anns)
-    assert fileio.read_annotations(path) == (image_ids, anns)
+    read_ids, loaded = fileio.read_annotations(path)
+    assert (read_ids, loaded.records()) == (image_ids, anns)
 
 
 @_round_trip
@@ -356,7 +359,7 @@ def test_annotations_read_write_property(tmp_path_factory, world):
 def test_regions_read_write_property(tmp_path_factory, regions_by_image):
     path = tmp_path_factory.mktemp("prop") / "regions.json"
     fileio.write_regions(path, regions_by_image)
-    assert fileio.read_regions(path) == regions_by_image
+    assert fileio.read_regions(path).records() == regions_by_image
 
 
 @_round_trip

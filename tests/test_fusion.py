@@ -8,17 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import on_records, one_image
+from conftest import on_records, regions_in
 from radiofusion import fusion
 from radiofusion.errors import InvalidInputError
-from radiofusion.fusion import Detection, anchor_boxes
+from radiofusion.fusion import Detection
 from radiofusion.imaging import RadioRegion
 
 revise_detections = on_records(fusion.revise_detections)
 
 
-def proposals_to_detections(regions, **kwargs):
-    return fusion.proposals_to_detections(regions, **kwargs).records()
+def proposals_to_detections(regions):
+    return fusion.proposals_to_detections(regions).records()
+
+
+def anchor_boxes(regions, scales, ratios):
+    return fusion.anchor_boxes(regions_in(regions), scales, ratios)
 
 
 def region(cx=50.0, cy=50.0, edge=100.0, identifier="r0"):
@@ -30,7 +34,7 @@ def revised(score, lam, bbox=(0.0, 0.0, 100.0, 100.0), regions=None, mode="two_s
     """The revised score of one detection, by a world call (``region()`` by default)."""
     regions = [region()] if regions is None else regions
     det = Detection(image_id="i", bbox=bbox, score=score, cell=cell)
-    (out,) = revise_detections([det], regions, lam, mode, region_images=one_image(regions))
+    (out,) = revise_detections([det], regions, lam, mode)
     return out.score
 
 
@@ -130,8 +134,7 @@ _side = st.floats(0.0, 120.0)
        st.lists(st.builds(region, _coord, _coord, st.floats(1.0, 120.0)), max_size=4),
        st.sampled_from(("one_stage", "two_stage")))
 def test_lambda_zero_leaves_every_score_unchanged(dets, regions, mode):
-    revised = revise_detections(dets, regions, lam=0.0, mode=mode,
-                                region_images=one_image(regions))
+    revised = revise_detections(dets, regions, lam=0.0, mode=mode)
     assert [d.score for d in revised] == [d.score for d in dets]
     assert [replace(d, score=0.0) for d in revised] == [replace(d, score=0.0) for d in dets]
 
@@ -151,7 +154,7 @@ class TestReviseDetections:
         # gamma = 1 for a box fully covering the region.
         dets = [Detection(image_id="i", bbox=(-10.0, -10.0, 500.0, 500.0), score=0.8)]
         regions = [region()]
-        revised = revise_detections(dets, regions, lam=1.0, region_images=one_image(regions))
+        revised = revise_detections(dets, regions, lam=1.0)
         assert revised[0].score == pytest.approx(0.8)
 
     def test_max_over_regions(self):
@@ -167,13 +170,13 @@ class TestReviseDetections:
         det = Detection(image_id="i", bbox=(7.0, 0.0, 50.0, 10.0), score=1.0)
         gammas = sorted([decay_two_stage(det.bbox, r1), decay_two_stage(det.bbox, r2)])
         assert gammas == [pytest.approx(0.3), pytest.approx(0.7)]
-        revised = revise_detections([det], [r1, r2], lam=1.0, region_images=one_image([r1, r2]))
+        revised = revise_detections([det], [r1, r2], lam=1.0)
         assert revised[0].score == pytest.approx(0.7)
 
     def test_order_preserved_and_pure(self):
         dets = self._dets()
         regions = [region()]
-        revised = revise_detections(dets, regions, lam=0.5, region_images=one_image(regions))
+        revised = revise_detections(dets, regions, lam=0.5)
         assert [d.bbox for d in revised] == [d.bbox for d in dets]
         assert dets[0].score == 0.9  # inputs untouched
 
@@ -186,26 +189,24 @@ class TestReviseDetections:
             for _ in range(30)
         ]
         regions = [region()]
-        revised = revise_detections(dets, regions, lam=0.0, region_images=one_image(regions))
+        revised = revise_detections(dets, regions, lam=0.0)
         assert [d.score for d in revised] == [d.score for d in dets]
 
     @pytest.mark.parametrize("lam", [1.5, -0.1, math.nan])
     def test_lam_is_checked_on_entry(self, lam):
         """An out-of-range lam is an input error even when there is nothing to revise."""
         with pytest.raises(InvalidInputError, match="lam="):
-            revise_detections([], [], lam, region_images=[])
+            revise_detections([], [], lam)
 
     def test_one_stage_requires_cell(self):
         dets = [Detection(image_id="i", bbox=(0, 0, 10, 10), score=0.5)]
         with pytest.raises(InvalidInputError):
-            revise_detections(dets, [region()], lam=0.5, mode="one_stage",
-                              region_images=one_image([region()]))
+            revise_detections(dets, [region()], lam=0.5, mode="one_stage")
 
     def test_one_stage_uses_cell(self):
         det = Detection(image_id="i", bbox=(0, 0, 10, 10), score=0.5,
                         cell=(90.0, 10.0, 20.0, 20.0))
-        revised = revise_detections([det], [region()], lam=1.0, mode="one_stage",
-                                    region_images=one_image([region()]))
+        revised = revise_detections([det], [region()], lam=1.0, mode="one_stage")
         assert revised[0].score == pytest.approx(0.25)  # gamma 0.5 from the cell
 
 
@@ -236,7 +237,7 @@ class TestGenerateProposals:
         for x, y, w, h in anchor_boxes([z], [0.5, 1.5], [1.0, 2.5])[0].tolist():
             assert x + w / 2 == pytest.approx(20.0)
             assert y + h / 2 == pytest.approx(30.0)
-        proposals = proposals_to_detections([z], region_images=one_image([z], "img"))
+        proposals = proposals_to_detections(regions_in([z], "img"))
         assert {det.region_id for det in proposals} == {"z"}
 
     def test_empty_or_negative_rejected(self):
@@ -248,7 +249,7 @@ class TestGenerateProposals:
 
 class TestProposalsToDetections:
     def test_overlap_scores_favor_identity_anchor(self):
-        dets = proposals_to_detections([region()], region_images=one_image([region()], "img"))
+        dets = proposals_to_detections(regions_in([region()], "img"))
         assert len(dets) == 9
         best = max(dets, key=lambda d: d.score)
         assert best.score == 1.0
@@ -258,7 +259,7 @@ class TestProposalsToDetections:
     def test_each_anchor_scored_against_its_own_region(self):
         far = region(cx=500, cy=500, edge=40, identifier="r1")
         regions = [region(), far]
-        dets = proposals_to_detections(regions, region_images=one_image(regions, "img"))
+        dets = proposals_to_detections(regions_in(regions, "img"))
         assert [d.region_id for d in dets] == ["r0"] * 9 + ["r1"] * 9
         assert [d.score for d in dets[9:]] == [decay_two_stage(d.bbox, far) for d in dets[9:]]
         assert max(d.score for d in dets[9:]) == 1.0

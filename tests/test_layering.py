@@ -2,17 +2,20 @@
 
 Every import statement of ``radiofusion`` sits at module level, and
 ``world``, which every layer imports, depends on no package module but
-``geometry`` and ``errors``. A file-driven run keeps its detections in
-``Detections`` columns from read to write: it builds no ``Detection``.
+``geometry`` and ``errors``. A file-driven run keeps its detections, ground
+truth and regions in ``world`` columns from read to write: it builds no
+``Detection``, ``Annotation`` or ``RadioRegion``.
 """
 
 import ast
 from pathlib import Path
 
+import pytest
+
 import radiofusion
 from radiofusion.cli import main
 from radiofusion.config import METHODS
-from radiofusion.world import Detection
+from radiofusion.world import Annotation, Detection, RadioRegion
 
 PACKAGE = Path(radiofusion.__file__).parent
 
@@ -43,19 +46,20 @@ def test_world_is_a_leaf():
     assert imported <= {"geometry", "errors"}
 
 
-def test_file_driven_runs_build_no_detection_record(tmp_path, monkeypatch):
+@pytest.mark.parametrize("record", [Detection, Annotation, RadioRegion])
+def test_file_driven_runs_build_no_record(tmp_path, monkeypatch, record):
     out = str(tmp_path)
     assert main(["synth", "--num-images", "6", "--seed", "3", "--output-dir", out]) == 0
     annotations = str(tmp_path / "annotations.json")
     assert main(["simulate-regions", "--annotations", annotations, "--output-dir", out]) == 0
     built = []
-    init = Detection.__init__
+    init = record.__init__
 
     def counted(self, *args, **kwargs):
         built.append(args)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(Detection, "__init__", counted)
+    monkeypatch.setattr(record, "__init__", counted)
     for method in METHODS:
         assert main(["run", "--method", method, "--annotations", annotations,
                      "--detections", str(tmp_path / "detections.json"),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import on_records, one_image
+from conftest import on_records, regions_in
 from radiofusion import nms
 from radiofusion.errors import InvalidInputError
 from radiofusion.fusion import Detection
@@ -94,13 +94,11 @@ class TestAssociateRegions:
     ]
 
     def test_centered_detection_gets_its_region(self):
-        dets = associate_regions([det(10, 10, 20, 20, 0.9)], self.REGIONS,
-                                 region_images=one_image(self.REGIONS))
+        dets = associate_regions([det(10, 10, 20, 20, 0.9)], self.REGIONS)
         assert dets[0].region_id == "rA"
 
     def test_no_overlap_gets_none(self):
-        dets = associate_regions([det(200, 200, 10, 10, 0.9)], self.REGIONS,
-                                 region_images=one_image(self.REGIONS))
+        dets = associate_regions([det(200, 200, 10, 10, 0.9)], self.REGIONS)
         assert dets[0].region_id is None
 
     def test_argmax_iou_wins(self):
@@ -113,17 +111,13 @@ class TestAssociateRegions:
         iou_a = iou(box.bbox, regions[0].to_bbox())
         iou_b = iou(box.bbox, regions[1].to_bbox())
         assert iou_a > iou_b > 0
-        assert associate_regions([box], regions,
-                                 region_images=one_image(regions))[0].region_id == "rA"
+        assert associate_regions([box], regions)[0].region_id == "rA"
 
     def test_two_stage_passthrough_and_validation(self):
         tagged = det(0, 0, 10, 10, 0.9, region_id="rX")
-        images = one_image(self.REGIONS)
-        assert associate_regions([tagged], self.REGIONS, mode="two_stage",
-                                 region_images=images)[0].region_id == "rX"
+        assert associate_regions([tagged], self.REGIONS, mode="two_stage")[0].region_id == "rX"
         with pytest.raises(InvalidInputError):
-            associate_regions([det(0, 0, 10, 10, 0.9)], self.REGIONS, mode="two_stage",
-                              region_images=images)
+            associate_regions([det(0, 0, 10, 10, 0.9)], self.REGIONS, mode="two_stage")
 
 
 class TestConstrainedNms:
@@ -135,7 +129,7 @@ class TestConstrainedNms:
             det(4, 0, 30, 30, 0.7, region_id="r0"),
         ]
         cfg = NmsConfig(iou_threshold=0.5, mode="one_stage", enable_fallback_loop=False)
-        kept = constrained_nms(dets, regions, cfg, region_images=one_image(regions))
+        kept = constrained_nms(dets, regions, cfg)
         assert kept == [dets[0]]
 
     def test_region_used_skip_traced_by_hand(self):
@@ -152,18 +146,17 @@ class TestConstrainedNms:
             det(190, 10, 30, 30, 0.7, region_id="rB"),
         ]
         cfg = NmsConfig(iou_threshold=0.5, mode="one_stage", enable_fallback_loop=False)
-        kept = constrained_nms(dets, regions, cfg, region_images=one_image(regions))
+        kept = constrained_nms(dets, regions, cfg)
         assert kept == [dets[0], dets[2]]
 
     def test_strict_drops_unassociated(self):
         regions = [RadioRegion(center_x=15.0, center_y=15.0, edge=30.0, identifier="r0")]
         stray = det(500, 500, 20, 20, 0.99, region_id=None)
         cfg = NmsConfig(iou_threshold=0.5, mode="one_stage", enable_fallback_loop=False)
-        images = one_image(regions)
-        assert constrained_nms([stray], regions, cfg, region_images=images) == []
+        assert constrained_nms([stray], regions, cfg) == []
         permissive = NmsConfig(iou_threshold=0.5, mode="one_stage",
                                enable_fallback_loop=False, require_region=False)
-        assert constrained_nms([stray], regions, permissive, region_images=images) == [stray]
+        assert constrained_nms([stray], regions, permissive) == [stray]
 
     def test_fallback_revives_best_suppressed(self):
         # Two overlapping region squares: the lower-scored region's boxes
@@ -179,7 +172,7 @@ class TestConstrainedNms:
             det(6, 0, 50, 50, 0.5, region_id="rB"),
         ]
         cfg = NmsConfig(iou_threshold=0.5, mode="two_stage", enable_fallback_loop=True)
-        kept = constrained_nms(dets, regions, cfg, region_images=one_image(regions))
+        kept = constrained_nms(dets, regions, cfg)
         assert dets[0] in kept and dets[1] in kept and len(kept) == 2
 
     def test_fallback_emits_region_anchor_at_floor_score(self):
@@ -192,7 +185,7 @@ class TestConstrainedNms:
         dets = [det(0, 0, 50, 50, 0.9, image_id="img7", region_id="rA")]
         cfg = NmsConfig(iou_threshold=0.5, mode="two_stage", enable_fallback_loop=True,
                         fallback_floor_score=0.01)
-        kept = constrained_nms(dets, regions, cfg, region_images=one_image(regions, "img7"))
+        kept = constrained_nms(dets, regions_in(regions, "img7"), cfg)
         assert len(kept) == 2
         anchor = kept[1]
         assert anchor.bbox == (280.0, 5.0, 40.0, 40.0)
@@ -200,18 +193,15 @@ class TestConstrainedNms:
         assert anchor.region_id == "rB"
         assert anchor.image_id == "img7"
 
-    def test_fallback_anchor_without_an_image_id_is_an_input_error(self):
-        # No detections and no region_images: nothing names the image an
-        # anchor belongs to, so no record with an empty image id is made.
-        regions = [RadioRegion(center_x=10.0, center_y=10.0, edge=8.0, identifier="r0")]
+    def test_fallback_anchor_without_detections_names_its_regions_image(self):
+        # No detections: the region columns name the image an anchor belongs
+        # to, so no record with an empty image id is made.
+        regions = regions_in(
+            [RadioRegion(center_x=10.0, center_y=10.0, edge=8.0, identifier="r0")], "img3")
         cfg = NmsConfig(mode="two_stage", enable_fallback_loop=True)
-        with pytest.raises(InvalidInputError):
-            constrained_nms([], regions, cfg)
-        images = one_image(regions, "img3")
-        (anchor,) = constrained_nms([], regions, cfg, region_images=images)
+        (anchor,) = constrained_nms([], regions, cfg)
         assert anchor.image_id == "img3" and anchor.region_id == "r0"
-        assert constrained_nms([], regions, NmsConfig(enable_fallback_loop=False),
-                               region_images=images) == []
+        assert constrained_nms([], regions, NmsConfig(enable_fallback_loop=False)) == []
 
     def test_disabled_constraint_equals_standard(self):
         rng = np.random.default_rng(13)
@@ -232,9 +222,8 @@ class TestConstrainedNms:
                             identifier=f"r{k}")
                 for k in range(3)
             ]
-            images = one_image(regions)
-            kept = constrained_nms(associate_regions(scene, regions, region_images=images),
-                                   regions, cfg, region_images=images)
+            kept = constrained_nms(associate_regions(scene, regions),
+                                   regions, cfg)
             assert len(kept) <= len(regions)
             ids = [d.region_id for d in kept]
             assert len(set(ids)) == len(ids)
@@ -259,7 +248,7 @@ class TestConstrainedNms:
                     region_id=f"r{rng.integers(0, 4)}")
                 for _ in range(10)
             ]
-            kept = constrained_nms(scene, regions, cfg, region_images=one_image(regions))
+            kept = constrained_nms(scene, regions, cfg)
             assert sorted(d.region_id for d in kept) == sorted(r.identifier for r in regions)
 
     def test_deterministic(self):
@@ -267,11 +256,10 @@ class TestConstrainedNms:
         scene = random_scene(rng)
         regions = [RadioRegion(center_x=40.0, center_y=40.0, edge=60.0, identifier="r0")]
         cfg = NmsConfig(iou_threshold=0.5, mode="one_stage", enable_fallback_loop=False)
-        images = one_image(regions)
-        first = constrained_nms(associate_regions(scene, regions, region_images=images),
-                                regions, cfg, region_images=images)
-        second = constrained_nms(associate_regions(scene, regions, region_images=images),
-                                 regions, cfg, region_images=images)
+        first = constrained_nms(associate_regions(scene, regions),
+                                regions, cfg)
+        second = constrained_nms(associate_regions(scene, regions),
+                                 regions, cfg)
         assert first == second
 
     def test_config_validation(self):
@@ -311,7 +299,7 @@ _nms_configs = st.builds(NmsConfig, iou_threshold=st.floats(0.0, 1.0),
 @given(_scenes(), _nms_configs)
 def test_constrained_nms_keeps_at_most_one_box_per_region(scene, cfg):
     regions, detections = scene
-    kept = constrained_nms(detections, regions, cfg, region_images=one_image(regions))
+    kept = constrained_nms(detections, regions, cfg)
     ids = {region.identifier for region in regions}
     constrained = [d.region_id for d in kept if d.region_id in ids]
     assert len(constrained) == len(set(constrained))
@@ -325,5 +313,5 @@ def test_constrained_nms_keeps_at_most_one_box_per_region(scene, cfg):
 def test_two_stage_fallback_keeps_exactly_one_box_per_region(scene, iou_threshold):
     regions, detections = scene
     cfg = NmsConfig(iou_threshold=iou_threshold, mode="two_stage", enable_fallback_loop=True)
-    kept = constrained_nms(detections, regions, cfg, region_images=one_image(regions))
+    kept = constrained_nms(detections, regions, cfg)
     assert sorted(d.region_id for d in kept) == sorted(r.identifier for r in regions)

@@ -10,8 +10,9 @@ from radiofusion.config import RadioParams, RunConfig, RunPaths
 from radiofusion.errors import InvalidInputError
 from radiofusion.fusion import Detection
 from radiofusion.imaging import CameraModel
-from radiofusion.pipeline import localize_frames, project_estimates, run, sweep
+from radiofusion.pipeline import load_world, localize_frames, project_estimates, run, sweep
 from radiofusion.radio import ArrayGeometry, synthesize_csi, default_tof_grid
+from radiofusion.sim_regions import GT_FILTERS
 from radiofusion.synth import make_world
 
 
@@ -88,6 +89,24 @@ class TestRun:
         for ann in gts:
             budget[ann.image_id] = budget.get(ann.image_id, 0) + 1
         assert all(per_image[i] <= budget.get(i, 0) for i in per_image)
+
+
+    @pytest.mark.parametrize("gt_filter", ["none", "reasonable", "all"])
+    def test_ground_truth_filter_keeps_the_records_it_kept(self, tmp_path, gt_filter):
+        """``load_world``'s mask over the columns keeps the person records the
+        per-record filter keeps, in file order."""
+        config = replace(small_world(tmp_path, num_images=40), gt_filter=gt_filter)
+        image_ids, gts = make_world(40, seed=config.substream_seed("world"))
+        rng = np.random.default_rng(5)
+        gts = [replace(ann, category=str(rng.choice(["person", "person", "dog"])),
+                       height_px=float(rng.choice([20.0, 60.0, 61.0])) if rng.uniform() < 0.5
+                       else None, occlusion_fraction=float(rng.choice([0.0, 0.35, 0.8, 0.2])))
+               for ann in gts]
+        fileio.write_annotations(config.paths.annotations, image_ids, gts)
+        keep = GT_FILTERS[gt_filter]
+        loaded_ids, loaded = load_world(config)
+        assert loaded_ids == image_ids
+        assert loaded.records() == [ann for ann in gts if ann.category == "person" and keep(ann)]
 
 
 class TestSweep:

@@ -1,7 +1,11 @@
 """Simulated region construction tests, including Monte Carlo calibration."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radiofusion.errors import InvalidInputError
 from radiofusion.sim_regions import (
@@ -14,6 +18,7 @@ from radiofusion.sim_regions import (
     gt_to_region,
     reasonable_filter,
 )
+from radiofusion.world import Annotations, group_by_image
 
 BBOX = Annotation(image_id="img0", bbox=(0.0, 0.0, 100.0, 200.0))
 
@@ -103,6 +108,23 @@ class TestBuildSimulativeSet:
         regions = build_simulative_set(anns, NoiseParams(seed=5))
         assert len(regions["a"]) == 3
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.builds(
+        Annotation, image_id=st.sampled_from(["c", "a", "b"]),
+        bbox=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0), st.floats(1.0, 90.0),
+                       st.floats(1.0, 90.0)),
+        category=st.sampled_from(["person", "person", "dog"])), max_size=8),
+        st.integers(0, 2**31 - 1))
+    def test_columns_and_records_give_the_record_loops_regions(self, anns, seed):
+        """The regions of the per-image record loop the columns replaced."""
+        noise = NoiseParams(seed=seed)
+        per_image = group_by_image(ann for ann in anns if ann.category == "person")
+        rng = np.random.default_rng(seed)
+        expected = {key: [gt_to_region(ann, noise, rng, f"r{i}")
+                          for i, ann in enumerate(per_image[key])] for key in sorted(per_image)}
+        assert build_simulative_set(anns, noise) == expected
+        assert build_simulative_set(Annotations.from_records(anns), noise) == expected
+
 
 class TestGtFilters:
     def test_reasonable(self):
@@ -122,6 +144,28 @@ class TestGtFilters:
         assert not all_filter(mostly_hidden)
         assert all_filter(visible)
 
+    def test_bounds_are_strict(self):
+        at_60 = Annotation(image_id="i", bbox=(0, 0, 30, 60))
+        at_20 = Annotation(image_id="i", bbox=(0, 0, 30, 20))
+        assert not reasonable_filter(at_60) and all_filter(at_60)
+        assert not all_filter(at_20)
+        assert not reasonable_filter(replace(at_60, height_px=61.0, occlusion_fraction=0.35))
+        assert not all_filter(replace(at_60, occlusion_fraction=0.8))
+
     def test_height_field_overrides_bbox(self):
         ann = Annotation(image_id="i", bbox=(0, 0, 30, 80), height_px=50.0)
         assert not reasonable_filter(ann)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.builds(
+        Annotation, image_id=st.sampled_from(["a", "b"]),
+        bbox=st.tuples(st.just(0.0), st.just(0.0), st.floats(1.0, 90.0),
+                       st.floats(1.0, 90.0) | st.sampled_from([20.0, 60.0])),
+        height_px=st.none() | st.floats(1.0, 90.0) | st.sampled_from([20.0, 60.0]),
+        occlusion_fraction=st.none() | st.floats(0.0, 1.0) | st.sampled_from([0.35, 0.8])),
+        max_size=8))
+    def test_column_masks_equal_the_record_filters(self, anns):
+        """Each filter's mask over the columns is its value on every record."""
+        gts = Annotations.from_records(anns)
+        for keep in (reasonable_filter, all_filter):
+            assert keep(gts).tolist() == [bool(keep(ann)) for ann in anns]

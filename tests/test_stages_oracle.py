@@ -27,7 +27,7 @@ from radiofusion.geometry import Rect, intersect_area, iou, rect_area
 from radiofusion.imaging import RadioRegion
 from radiofusion.nms import NmsConfig
 from radiofusion.pipeline import apply_method
-from radiofusion.world import Detections, group_by_image, score_order
+from radiofusion.world import Detections, Regions, group_by_image, score_order
 
 
 # -- Oracles: the scalar per-image stages, verbatim -------------------------
@@ -325,6 +325,12 @@ def per_image(detections, regions, owners):
             for key in keys]
 
 
+def columns(regions, owners):
+    """The world's regions as ``Regions`` columns, rows in the given order."""
+    return Regions.build(owners, *zip(*[(r.center_x, r.center_y, r.edge, r.identifier)
+                                        for r in regions]) if regions else [[]] * 4)
+
+
 def outcome(call):
     """The result of ``call()``, or the input error it raised."""
     try:
@@ -352,19 +358,20 @@ def check_world(world, cfg, lam, mode):
     """Each stage's world-level call against its per-image oracles."""
     detections, regions, owners = world
     images = per_image(detections, regions, owners)
+    regs = columns(regions, owners)
     threshold = cfg.iou_threshold
     assert on_records(nms.standard_nms)(detections, threshold) == joined(
         lambda _, dets, __: standard_nms(dets, threshold), per_image(detections, [], []))
     assert outcome(lambda: on_records(nms.associate_regions)(
-        detections, regions, mode, region_images=owners)) == joined(
+        detections, regs, mode)) == joined(
         lambda _, dets, regs: associate_regions(dets, regs, mode), images)
     assert outcome(lambda: on_records(nms.constrained_nms)(
-        detections, regions, cfg, region_images=owners)) == joined(
+        detections, regs, cfg)) == joined(
         lambda key, dets, regs: constrained_nms(dets, regs, cfg, image_id=key), images)
     assert outcome(lambda: on_records(fusion.revise_detections)(
-        detections, regions, lam, mode, region_images=owners)) == joined(
+        detections, regs, lam, mode)) == joined(
         lambda _, dets, regs: revise_detections(dets, regs, lam, mode), images)
-    assert fusion.proposals_to_detections(regions, region_images=owners).records() == joined(
+    assert fusion.proposals_to_detections(regs).records() == joined(
         lambda key, _, regs: proposals_to_detections(regs, key), per_image([], regions, owners))
 
 
@@ -405,15 +412,17 @@ def test_fixed_world_covers_every_case():
                     cfg = NmsConfig(iou_threshold=threshold, mode=mode,
                                     enable_fallback_loop=fallback, require_region=require)
                     check_world((detections, regions, owners), cfg, 0.5, mode)
-    associated = on_records(nms.associate_regions)(detections, regions, region_images=owners)
+    associated = on_records(nms.associate_regions)(detections, columns(regions, owners))
     assert [d.region_id for d in associated[:3]] == ["r0", "r0", "r0"]  # tie: smaller id
 
 
 @settings(max_examples=100, deadline=None)
-@given(worlds(), st.sampled_from(tuple(METHOD_STEPS)), _cnms_configs, _score)
-def test_apply_method_equals_the_per_image_loop(world, method, cfg, lam):
+@given(worlds(), st.sampled_from(tuple(METHOD_STEPS)), _cnms_configs, _score,
+       st.sets(st.sampled_from(IMAGES)))
+def test_apply_method_equals_the_per_image_loop(world, method, cfg, lam, listed):
     """The pipeline's world-level calls give the old per-image loop's output,
-    including images in the universe that hold nothing."""
+    including images in the universe that hold nothing; regions on images
+    outside it are left out."""
     detections, regions, owners = world
     if METHOD_STEPS[method][0] == "revised":
         detections = [replace(det, cell=det.cell or (0.0, 0.0, 10.0, 10.0))
@@ -422,40 +431,31 @@ def test_apply_method_equals_the_per_image_loop(world, method, cfg, lam):
     for region, owner in zip(regions, owners):
         by_image.setdefault(owner, []).append(region)
     config = replace(RunConfig(), method=method, nms=cfg, lam=lam)
-    image_ids = [*IMAGES, "empty"]
-    columns = Detections.from_records(detections)
-    assert outcome(lambda: apply_method(config, image_ids, columns, by_image).records()) == (
+    image_ids = sorted(listed | {det.image_id for det in detections}) + ["empty"]
+    dets, regs = Detections.from_records(detections), columns(regions, owners)
+    assert outcome(lambda: apply_method(config, image_ids, dets, regs).records()) == (
         outcome(lambda: oracle_apply_method(config, image_ids, detections, by_image)))
 
 
 # -- Boundary ----------------------------------------------------------------
 
-_NONE = Detections.from_records([])
-
-
-def test_region_images_must_name_every_region():
-    regions = [RadioRegion(center_x=10.0, center_y=10.0, edge=8.0, identifier="r0")]
-    with pytest.raises(InvalidInputError):
-        nms.constrained_nms(_NONE, regions, NmsConfig(), region_images=[])
-    with pytest.raises(InvalidInputError):
-        fusion.revise_detections(_NONE, regions, 0.5, region_images=["a", "b"])
-
-
-_REGIONS = [RadioRegion(center_x=10.0, center_y=10.0, edge=8.0, identifier="r0")]
-_DETECTIONS = Detections.from_records([
-    Detection(image_id="a", bbox=(6.0, 6.0, 8.0, 8.0), score=0.5, region_id="r0",
-              cell=(0.0, 0.0, 16.0, 16.0))])
+_DETECTIONS = [Detection(image_id="a", bbox=(6.0, 6.0, 8.0, 8.0), score=0.5, region_id="r0",
+                         cell=(0.0, 0.0, 16.0, 16.0))]
+_REGION = RadioRegion(center_x=10.0, center_y=10.0, edge=8.0, identifier="r0")
 
 
 @pytest.mark.parametrize("call", [
-    lambda: fusion.revise_detections(_DETECTIONS, _REGIONS, 0.5),
-    lambda: fusion.proposals_to_detections(_REGIONS),
-    lambda: nms.associate_regions(_DETECTIONS, _REGIONS),
-    lambda: nms.associate_regions(_DETECTIONS, _REGIONS, "two_stage"),
-    lambda: nms.constrained_nms(_DETECTIONS, _REGIONS, NmsConfig()),
+    lambda dets, regs: fusion.revise_detections(dets, regs, 0.5),
+    lambda dets, regs: fusion.proposals_to_detections(regs),
+    lambda dets, regs: nms.associate_regions(dets, regs),
+    lambda dets, regs: nms.associate_regions(dets, regs, "two_stage"),
+    lambda dets, regs: nms.constrained_nms(dets, regs, NmsConfig()),
 ], ids=["revise", "proposals", "associate-one-stage", "associate-two-stage", "constrained"])
-def test_regions_without_region_images_are_an_input_error(call):
-    """Regions passed without the image of each name no image: every stage
-    refuses them rather than guess one."""
-    with pytest.raises(InvalidInputError, match="region image ids for 1 regions"):
-        call()
+def test_an_image_the_region_table_names_without_regions_changes_nothing(call):
+    """A regions file may list an image with no regions: every stage gives
+    the rows it gives without that image in the table."""
+    dets = Detections.from_records(_DETECTIONS)
+    bare = Regions.from_records({"a": [_REGION]})
+    padded = Regions.from_records({"a": [_REGION], "b": [], "0": []})
+    assert padded.ids == ("0", "a", "b") and len(padded) == 1
+    assert call(dets, padded).records() == call(dets, bare).records()
