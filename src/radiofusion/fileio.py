@@ -236,7 +236,7 @@ def _from_record(record, cls: type, context: str):
 
 
 # The JSON type of the values each reader takes as they are on the column path.
-_EXACT = {_float: float, _positive: float, _text: str, _as_bbox: list, _flag: bool}
+_EXACT = {_float: float, _text: str, _as_bbox: list, _flag: bool}
 
 
 def _columns(records: list, spec: tuple) -> list[list] | None:
@@ -330,15 +330,11 @@ def write_annotations(path: str | Path, image_ids: list[str],
 
 
 def read_annotations(path: str | Path) -> tuple[list[str], Annotations]:
-    """Load a COCO-style annotation file: (image ids, annotations). Each list
-    is read as whole columns, else record by record."""
+    """Load a COCO-style annotation file: (image ids, annotations). The
+    annotations are read as whole columns, else record by record."""
     data = load_json(path, ANNOTATIONS_SCHEMA)
     images = _expect(data.get("images", []), list, f"{path}: images")
-    columns = _columns(images, _IMAGE)
-    if columns is not None and not (np.array(columns[1:], dtype=float) <= 0.0).any():
-        image_ids = columns[0]
-    else:
-        image_ids = [_read_fields(img, _IMAGE, f"{path}: images")[0] for img in images]
+    image_ids = [_read_fields(img, _IMAGE, f"{path}: images")[0] for img in images]
     if (repeated := _repeat(image_ids)) is not None:
         raise SchemaError(f"{path}: images lists id {repeated!r} more than once")
     records = _expect(data.get("annotations", []), list, f"{path}: annotations")

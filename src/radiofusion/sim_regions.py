@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import Rect
-from .world import Annotation, Annotations, RadioRegion
+from .world import Annotation, Annotations, RadioRegion, group_by_image
 
 MIN_EDGE_SCALE = 0.05
 
@@ -72,12 +71,7 @@ def gt_to_region(
     The draw order (scale, then x shift, then y shift) is fixed, so results
     are bit-identical for a given generator state.
     """
-    return _noisy_square(ann.bbox, noise, rng, identifier)
-
-
-def _noisy_square(bbox: Rect, noise: NoiseParams, rng: np.random.Generator,
-                  identifier: str) -> RadioRegion:
-    x, y, w, h = bbox
+    x, y, w, h = ann.bbox
     side = min(w, h)
     draw = draw_region_noise(noise, side, rng)
     return RadioRegion(
@@ -89,29 +83,25 @@ def _noisy_square(bbox: Rect, noise: NoiseParams, rng: np.random.Generator,
 
 
 def build_simulative_set(
-    annotations: Annotations | list[Annotation],
+    annotations: list[Annotation],
     noise: NoiseParams,
     category: str = "person",
 ) -> dict[str, list[RadioRegion]]:
-    """Build per-image region lists from annotations (columns or records) of
-    one category.
+    """Build per-image region lists from annotations of one category.
 
     Images are visited in ascending image_id order and annotations in their
     input order within each image, so a fixed ``noise.seed`` reproduces the
     exact same regions. Region identifiers are unique within each image.
     """
-    if isinstance(annotations, Annotations):
-        gts = annotations.take(annotations.categories == category)
-        boxes = zip([gts.ids[i] for i in gts.image.tolist()], gts.boxes.tolist())
-    else:
-        boxes = ((ann.image_id, ann.bbox) for ann in annotations if ann.category == category)
-    per_image: dict[str, list[Rect]] = {}
-    for image_id, bbox in boxes:
-        per_image.setdefault(image_id, []).append(bbox)
+    per_image = group_by_image(ann for ann in annotations if ann.category == category)
     rng = np.random.default_rng(noise.seed)
-    return {image_id: [_noisy_square(bbox, noise, rng, f"r{i}")
-                       for i, bbox in enumerate(per_image[image_id])]
-            for image_id in sorted(per_image)}
+    regions: dict[str, list[RadioRegion]] = {}
+    for image_id in sorted(per_image):
+        anns = per_image[image_id]
+        regions[image_id] = [
+            gt_to_region(ann, noise, rng, identifier=f"r{i}") for i, ann in enumerate(anns)
+        ]
+    return regions
 
 
 # Ground-truth filters: a mask over ``Annotations`` (or one ``Annotation``'s

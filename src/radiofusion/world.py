@@ -17,7 +17,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, fields, replace
 from itertools import chain
 from operator import attrgetter
-from typing import ClassVar, TypeVar
+from typing import ClassVar, TypeVar, get_type_hints
 
 import numpy as np
 
@@ -150,15 +150,18 @@ class Table:
     """A world's items as columns, one row per item in the order given.
     ``ids`` is a sorted image-id table, which may name images without rows,
     and ``image`` each row's index in it. Every further field is the column
-    of one field of ``record`` after its image id, in order: ``(n, 4)`` for
-    a box, float for a number, object for text, and NaN where the record
+    of one field of ``record`` other than its image id, in order: ``(n, 4)``
+    for a box, object for text, float for a number, and NaN where the record
     holds None. Rows hold what ``record`` accepts (``valid``)."""
 
     ids: tuple[str, ...]
     image: np.ndarray
     record: ClassVar[type]
-    boxes_at: ClassVar[tuple[int, ...]]  # the columns (counted after ``image``) of boxes
-    text_at: ClassVar[tuple[int, ...]]  # and of text
+    kinds: ClassVar[tuple]  # each column's field type in ``record``
+
+    def __init_subclass__(cls) -> None:
+        cls.kinds = tuple(kind for name, kind in get_type_hints(cls.record).items()
+                          if name != "image_id")
 
     def __len__(self) -> int:
         return self.image.size
@@ -170,9 +173,9 @@ class Table:
         table of ``image_ids`` and ``table``."""
         n = len(image_ids)
         return cls(*_indexed(image_ids, table), *(
-            _quads(column, n) if k in cls.boxes_at else np.fromiter(column, object, n)
-            if k in cls.text_at else np.array(column, dtype=float)
-            for k, column in enumerate(values)))
+            _quads(column, n) if kind in (Rect, Rect | None) else np.fromiter(column, object, n)
+            if kind in (str, str | None) else np.array(column, dtype=float)
+            for kind, column in zip(cls.kinds, values)))
 
     @classmethod
     def from_records(cls: type[Self], records: Iterable) -> Self:
@@ -212,7 +215,7 @@ class Detections(Table):
     scores: np.ndarray
     region_ids: np.ndarray
     cells: np.ndarray
-    record, boxes_at, text_at = Detection, (0, 3), (2,)  # boxes, cells; region ids
+    record = Detection
 
     def valid(self) -> bool:
         cells = self.cells[~np.isnan(self.cells[:, 0])]
@@ -233,7 +236,7 @@ class Annotations(Table):
     categories: np.ndarray
     heights: np.ndarray
     occlusions: np.ndarray
-    record, boxes_at, text_at = Annotation, (0,), (1,)  # boxes; categories
+    record = Annotation
 
     @property
     def height(self) -> np.ndarray:
@@ -259,7 +262,7 @@ class Regions(Table):
     center_y: np.ndarray
     edge: np.ndarray
     region_ids: np.ndarray
-    record, boxes_at, text_at = RadioRegion, (), (3,)  # no boxes; region ids
+    record = RadioRegion
 
     @classmethod
     def from_records(cls, by_image: Mapping[str, Iterable[RadioRegion]]) -> Regions:

@@ -283,7 +283,7 @@ def test_criterion_5_directional_trend(tmp_path):
     detections = build_detections(config, gts, image_ids)
 
     noise = replace(config.noise, seed=config.substream_seed("regions"))
-    regions = Regions.from_records(build_simulative_set(gts, noise))
+    regions = Regions.from_records(build_simulative_set(records, noise))
     base, _ = evaluate(replace(config, method="baseline"),
                        image_ids, gts, detections, regions)
     fused, _ = evaluate(replace(config, method="method1+cnms"),
@@ -291,7 +291,7 @@ def test_criterion_5_directional_trend(tmp_path):
 
     zero_noise = replace(config.noise, sigma=0.0, k1=0.0, k2=0.0,
                          seed=config.substream_seed("regions"))
-    exact_regions = Regions.from_records(build_simulative_set(gts, zero_noise))
+    exact_regions = Regions.from_records(build_simulative_set(records, zero_noise))
     proposals, _ = evaluate(replace(config, method="method2+cnms"),
                             image_ids, gts, detections, exact_regions)
 
@@ -321,7 +321,7 @@ def test_criterion_6_error_sensitivity_shape():
     def ap_for(sigma, k1, k2):
         noise = NoiseParams(sigma=sigma, k1=k1, k2=k2,
                             seed=config.substream_seed("regions"))
-        regions = Regions.from_records(build_simulative_set(gts, noise))
+        regions = Regions.from_records(build_simulative_set(records, noise))
         result, _ = evaluate(config, image_ids, gts, detections, regions)
         return result.ap
 

@@ -18,7 +18,7 @@ from radiofusion.sim_regions import (
     gt_to_region,
     reasonable_filter,
 )
-from radiofusion.world import Annotations, group_by_image
+from radiofusion.world import Annotations
 
 BBOX = Annotation(image_id="img0", bbox=(0.0, 0.0, 100.0, 200.0))
 
@@ -107,23 +107,6 @@ class TestBuildSimulativeSet:
         ]
         regions = build_simulative_set(anns, NoiseParams(seed=5))
         assert len(regions["a"]) == 3
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.builds(
-        Annotation, image_id=st.sampled_from(["c", "a", "b"]),
-        bbox=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0), st.floats(1.0, 90.0),
-                       st.floats(1.0, 90.0)),
-        category=st.sampled_from(["person", "person", "dog"])), max_size=8),
-        st.integers(0, 2**31 - 1))
-    def test_columns_and_records_give_the_record_loops_regions(self, anns, seed):
-        """The regions of the per-image record loop the columns replaced."""
-        noise = NoiseParams(seed=seed)
-        per_image = group_by_image(ann for ann in anns if ann.category == "person")
-        rng = np.random.default_rng(seed)
-        expected = {key: [gt_to_region(ann, noise, rng, f"r{i}")
-                          for i, ann in enumerate(per_image[key])] for key in sorted(per_image)}
-        assert build_simulative_set(anns, noise) == expected
-        assert build_simulative_set(Annotations.from_records(anns), noise) == expected
 
 
 class TestGtFilters:
