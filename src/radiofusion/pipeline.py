@@ -66,11 +66,11 @@ def load_world(config: RunConfig) -> tuple[list[str], Annotations]:
 
 
 def build_regions(config: RunConfig, gts: Annotations) -> Regions:
-    """Regions from the configured file, else simulated from the ground-truth records."""
+    """Regions from the configured file, else simulated from the ground truth."""
     if config.paths.regions is not None:
         return fileio.read_regions(config.paths.regions)
     noise = replace(config.noise, seed=config.substream_seed("regions"))
-    return Regions.from_records(build_simulative_set(gts.records(), noise))
+    return Regions.from_records(build_simulative_set(gts, noise))
 
 
 def build_detections(config: RunConfig, gts: Annotations, image_ids: list[str]) -> Detections:

@@ -6,18 +6,24 @@ drawn from N(1, sigma) to mimic ranging error, and shifting the center by
 Gaussian offsets whose standard deviation is ``k * side`` to mimic angular
 error. The raw scale draw is clamped so the resulting edge never drops
 below 5% of the original side, which keeps regions non-degenerate without
-touching the shift model. The Caltech ground-truth filters are masks over
-``world.Annotations`` columns.
+touching the shift model. One kernel, ``draw_region_noise``, draws every
+person of a call at once: one standard normal row (scale, x shift, y shift)
+per person, people in ascending image id and input order, which consumes
+the generator exactly as three scalar ``rng.normal`` calls per person would.
+The Caltech ground-truth filters are masks over ``world.Annotations``
+columns.
 """
 
 from __future__ import annotations
 
+import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .world import Annotation, Annotations, RadioRegion, group_by_image
+from .world import Annotation, Annotations, RadioRegion
 
 MIN_EDGE_SCALE = 0.05
 
@@ -32,75 +38,77 @@ class NoiseParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.sigma < 0 or self.k1 < 0 or self.k2 < 0:
-            raise InvalidInputError("noise standard deviations must be >= 0")
+        for name in ("sigma", "k1", "k2"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and 0.0 <= value < np.inf):
+                raise InvalidInputError(f"noise {name} must be finite and >= 0, got {value!r}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise InvalidInputError(f"noise seed must be an integer >= 0, got {seed!r}")
 
 
 @dataclass(frozen=True)
 class RegionNoiseDraw:
-    """One realization of the region noise model.
+    """One realization of the region noise model, per side drawn.
 
     ``scale`` is the raw Gaussian multiplier before the edge floor; ``edge``
     the resulting side length; ``dx``/``dy`` the center shifts, drawn with
     standard deviation k1*edge and k2*edge.
     """
 
-    scale: float
-    edge: float
-    dx: float
-    dy: float
+    scale: np.ndarray
+    edge: np.ndarray
+    dx: np.ndarray
+    dy: np.ndarray
 
 
-def draw_region_noise(noise: NoiseParams, side: float, rng: np.random.Generator) -> RegionNoiseDraw:
-    """Sample scale and shift noise for a square of the given base side."""
-    scale = float(rng.normal(1.0, noise.sigma))
-    edge = side * max(scale, MIN_EDGE_SCALE)
-    dx = float(rng.normal(0.0, noise.k1 * edge))
-    dy = float(rng.normal(0.0, noise.k2 * edge))
+def draw_region_noise(noise: NoiseParams, side: float | np.ndarray,
+                      rng: np.random.Generator) -> RegionNoiseDraw:
+    """Sample scale and shift noise for squares of the given base sides.
+
+    One standard normal row (scale, dx, dy) per side, in the order of the
+    sides, with ``rng.normal``'s ``loc + scale * z`` arithmetic, so the
+    results are bit-identical to three scalar ``rng.normal`` calls per side.
+    """
+    side = np.asarray(side, dtype=float)
+    z = rng.standard_normal((*side.shape, 3))
+    scale = 1.0 + noise.sigma * z[..., 0]
+    edge = side * np.maximum(scale, MIN_EDGE_SCALE)
+    dx = 0.0 + (noise.k1 * edge) * z[..., 1]
+    dy = 0.0 + (noise.k2 * edge) * z[..., 2]
     return RegionNoiseDraw(scale=scale, edge=edge, dx=dx, dy=dy)
 
 
-def gt_to_region(
-    ann: Annotation,
-    noise: NoiseParams,
-    rng: np.random.Generator,
-    identifier: str = "r0",
-) -> RadioRegion:
-    """Turn one annotation into a noisy square region.
-
-    The draw order (scale, then x shift, then y shift) is fixed, so results
-    are bit-identical for a given generator state.
-    """
+def gt_to_region(ann: Annotation, noise: NoiseParams, rng: np.random.Generator,
+                 identifier: str = "r0") -> RadioRegion:
+    """Turn one annotation into a noisy square region: the one-person draw of
+    ``build_simulative_set``, bit-identical for a given generator state."""
     x, y, w, h = ann.bbox
-    side = min(w, h)
-    draw = draw_region_noise(noise, side, rng)
-    return RadioRegion(
-        center_x=x + w / 2.0 + draw.dx,
-        center_y=y + h / 2.0 + draw.dy,
-        edge=draw.edge,
-        identifier=identifier,
-    )
+    draw = draw_region_noise(noise, min(w, h), rng)
+    return RadioRegion(x + w / 2.0 + float(draw.dx), y + h / 2.0 + float(draw.dy),
+                       float(draw.edge), identifier)
 
 
-def build_simulative_set(
-    annotations: list[Annotation],
-    noise: NoiseParams,
-    category: str = "person",
-) -> dict[str, list[RadioRegion]]:
-    """Build per-image region lists from annotations of one category.
+def build_simulative_set(annotations: Annotations | Iterable[Annotation], noise: NoiseParams,
+                         category: str = "person") -> dict[str, list[RadioRegion]]:
+    """Build per-image region lists from annotations (columns, or records
+    converted on entry) of one category.
 
-    Images are visited in ascending image_id order and annotations in their
-    input order within each image, so a fixed ``noise.seed`` reproduces the
-    exact same regions. Region identifiers are unique within each image.
+    Every person is drawn in one pass, in ascending image_id order and input
+    order within each image, so a fixed ``noise.seed`` reproduces the exact
+    same regions. Region identifiers are unique within each image.
     """
-    per_image = group_by_image(ann for ann in annotations if ann.category == category)
-    rng = np.random.default_rng(noise.seed)
+    gts = annotations if isinstance(annotations, Annotations) \
+        else Annotations.from_records(annotations)
+    gts = gts.take(gts.categories == category)
+    order = np.argsort(gts.image, kind="stable")
+    x, y, w, h = gts.boxes[order].T
+    draw = draw_region_noise(noise, np.minimum(w, h), np.random.default_rng(noise.seed))
     regions: dict[str, list[RadioRegion]] = {}
-    for image_id in sorted(per_image):
-        anns = per_image[image_id]
-        regions[image_id] = [
-            gt_to_region(ann, noise, rng, identifier=f"r{i}") for i, ann in enumerate(anns)
-        ]
+    for i, *square in zip(gts.image[order].tolist(), (x + w / 2.0 + draw.dx).tolist(),
+                          (y + h / 2.0 + draw.dy).tolist(), draw.edge.tolist()):
+        image = regions.setdefault(gts.ids[i], [])
+        image.append(RadioRegion(*square, f"r{len(image)}"))
     return regions
 
 

@@ -95,16 +95,11 @@ def test_criterion_2_noise_calibration():
         for k in (0.05, 0.2):
             noise = NoiseParams(sigma=sigma, k1=k, k2=k, seed=0)
             rng = np.random.default_rng(1000 * int(sigma * 10) + int(k * 100))
-            scale = np.empty(n)
-            dx = np.empty(n)
-            dy = np.empty(n)
-            floor_ok = True
-            for i in range(n):
-                draw = draw_region_noise(noise, 100.0, rng)
-                scale[i] = draw.scale
-                dx[i] = draw.dx / draw.edge
-                dy[i] = draw.dy / draw.edge
-                floor_ok &= draw.edge >= 0.05 * 100.0
+            draw = draw_region_noise(noise, np.full(n, 100.0), rng)
+            scale = draw.scale
+            dx = draw.dx / draw.edge
+            dy = draw.dy / draw.edge
+            floor_ok = bool((draw.edge >= 0.05 * 100.0).all())
             se_mean = sigma / math.sqrt(n)
             se_std = sigma / math.sqrt(2 * n)
             checks = [

@@ -4,7 +4,10 @@ Every import statement of ``radiofusion`` sits at module level, and
 ``world``, which every layer imports, depends on no package module but
 ``geometry`` and ``errors``. A file-driven run keeps its detections, ground
 truth and regions in ``world`` columns from read to write: it builds no
-``Detection``, ``Annotation`` or ``RadioRegion``.
+``Detection``, ``Annotation`` or ``RadioRegion``. A sweep that simulates its
+regions draws them from the ground-truth columns, so it builds no
+``Detection`` or ``Annotation`` (the simulated regions are still
+``RadioRegion`` records).
 """
 
 import ast
@@ -46,12 +49,18 @@ def test_world_is_a_leaf():
     assert imported <= {"geometry", "errors"}
 
 
-@pytest.mark.parametrize("record", [Detection, Annotation, RadioRegion])
-def test_file_driven_runs_build_no_record(tmp_path, monkeypatch, record):
+@pytest.fixture
+def world(tmp_path):
+    """A small annotation, detection and region file set in ``tmp_path``."""
     out = str(tmp_path)
     assert main(["synth", "--num-images", "6", "--seed", "3", "--output-dir", out]) == 0
-    annotations = str(tmp_path / "annotations.json")
-    assert main(["simulate-regions", "--annotations", annotations, "--output-dir", out]) == 0
+    assert main(["simulate-regions", "--annotations", str(tmp_path / "annotations.json"),
+                 "--output-dir", out]) == 0
+    return tmp_path
+
+
+def _built(monkeypatch, record) -> list:
+    """The argument tuples of every ``record`` built from now on."""
     built = []
     init = record.__init__
 
@@ -60,9 +69,27 @@ def test_file_driven_runs_build_no_record(tmp_path, monkeypatch, record):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(record, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("record", [Detection, Annotation, RadioRegion])
+def test_file_driven_runs_build_no_record(world, monkeypatch, record):
+    built = _built(monkeypatch, record)
     for method in METHODS:
-        assert main(["run", "--method", method, "--annotations", annotations,
-                     "--detections", str(tmp_path / "detections.json"),
-                     "--regions", str(tmp_path / "regions.json"), "--output-dir", out]) == 0
-    assert (tmp_path / "detections_method2_cnms.json").stat().st_size > 0
+        assert main(["run", "--method", method, "--annotations", str(world / "annotations.json"),
+                     "--detections", str(world / "detections.json"),
+                     "--regions", str(world / "regions.json"), "--output-dir", str(world)]) == 0
+    assert (world / "detections_method2_cnms.json").stat().st_size > 0
+    assert built == []
+
+
+@pytest.mark.parametrize("record", [Detection, Annotation])
+def test_a_sweep_that_simulates_its_regions_builds_no_record(world, monkeypatch, record):
+    built = _built(monkeypatch, record)
+    for method in ("method1+cnms", "method2+cnms"):
+        out = str(world / f"sweep_{method.replace('+', '_')}.csv")
+        assert main(["sweep", "--method", method, "--annotations", str(world / "annotations.json"),
+                     "--detections", str(world / "detections.json"), "--param", "sigma",
+                     "--values", "0.1", "0.5", "--out", out]) == 0
+        assert len(Path(out).read_text().splitlines()) == 3
     assert built == []
