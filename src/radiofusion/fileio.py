@@ -308,6 +308,8 @@ def _as_samples(geometry: ArrayGeometry, value) -> np.ndarray:
                  and np.isfinite(pairs).all())
     except ValueError:  # ragged nesting
         valid = False
+    if valid and ((pairs == 0) | (pairs == 1)).any():  # numpy reads true/false as 1/0
+        valid = bool not in set(map(type, chain.from_iterable(value)))
     if not valid:
         raise SchemaError(f"expected {count} [real, imag] pairs of finite numbers")
     return pairs.astype(np.float64).view(np.complex128).reshape(geometry.num_antennas, -1)

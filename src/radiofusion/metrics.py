@@ -19,19 +19,19 @@ put in image-id order by their image index.
 
 One batched core does the matching for all three metrics, after
 pycocotools' ``COCOeval.evaluateImg``. Only images with both detections
-and people can match; they are sorted by those two counts and taken
-``CHUNK_IMAGES`` at a time, so a chunk's padding stays small and memory
-grows with the chunk, not the world. A chunk's boxes are padded with zero
-boxes to (image, detection, 4) and (image, person, 4), detections in
-visiting order. The core then walks the detection ranks once. At each rank
-one IoU kernel call (``geometry.iou_arrays``, bit-equal to
-``geometry.iou``) gives the rank's (image, person) IoUs, and every (size
-bucket, IoU threshold, image) takes, in one masked argmax, the free real
-person of highest IoU if that IoU is above 0 and reaches the threshold; a
-detection that took none tries the ignored people the same way. Of equal
-IoUs the argmax takes the first person, the one a scalar scan with a
-strict > keeps. The flags go back to image-id-then-input order, where AP,
-the miss-rate curve and the visual counts read them.
+and people can match; sorted by those two counts, they are padded with
+zero boxes ``CHUNK_IMAGES`` at a time to (image, detection, 4) and (image,
+person, 4), detections in visiting order, so memory grows with the chunk,
+not the world. Each image is walked once with all its people real, and
+again for each size bucket that holds some but not all of them. At each
+detection rank one IoU kernel call (``geometry.iou_arrays``, bit-equal to
+``geometry.iou``) gives the rank's IoUs, and each walk at each IoU
+threshold takes, in one masked argmax, the free real person of highest
+IoU if that IoU is above 0 and reaches the threshold; in a bucket's own
+walk a detection that took none tries the ignored people the same way.
+Of equal IoUs the argmax takes the first, as a scalar scan with a strict >
+does. The flags go back to image-id-then-input order, where AP, the
+miss-rate curve and the visual counts read them.
 """
 
 from __future__ import annotations
@@ -144,10 +144,10 @@ def _slots(counts: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _claim(free: np.ndarray, row: np.ndarray, limit: np.ndarray) -> np.ndarray:
-    """Each (bucket, threshold, image) takes its free ground truth of highest IoU.
+    """Each (walk, threshold) takes its free ground truth of highest IoU.
 
-    ``free`` is (bucket, threshold, image, gt), ``row`` one rank's (image,
-    gt) IoUs and ``limit`` the flat IoU each take must reach. The taken
+    ``free`` is (walk, threshold, gt), ``row`` one rank's IoUs broadcast
+    against it and ``limit`` the flat IoU each take must reach. The taken
     ground truth leaves ``free``. Returns the flat flags of the takes.
     """
     candidates = np.where(free, row, 0.0).reshape(limit.size, -1)
@@ -167,24 +167,37 @@ def _greedy(dets: np.ndarray, gts: np.ndarray, real: np.ndarray, ignore: np.ndar
     4), both padded with zero boxes, whose IoU with any box is 0;
     ``real``/``ignore`` are (bucket, image, gt). Returns two (bucket,
     threshold, image, rank) flags: matched a real person, absorbed an
-    ignored one.
+    ignored one. A bucket that ignores none of an image's people takes the
+    image's walk's hits as its matches, one that ignores all of them as its
+    absorptions; a bucket that splits them walks the image on its own.
     """
     num_images, depth, _ = dets.shape
-    shape = (real.shape[0], thresholds.size, num_images)
-    free_real = np.repeat(real[:, None], thresholds.size, axis=1)
-    free_ignored = np.repeat(ignore[:, None], thresholds.size, axis=1) if ignore.any() else None
+    has_real, has_ignored = real.any(axis=2), ignore.any(axis=2)
+    split_bucket, split_image = np.nonzero(has_real & has_ignored)
+    walks = np.concatenate([real[0] | ignore[0], real[split_bucket, split_image]])
+    free_real = np.repeat(walks[:, None], thresholds.size, axis=1)
+    free_ignored = np.repeat(ignore[split_bucket, split_image, None], thresholds.size, axis=1)
     # An IoU must reach the threshold and be above 0; IoUs are never negative,
     # so both tests are one >= against the threshold raised to the least float.
-    limit = np.maximum(thresholds, np.nextafter(0.0, 1.0))
-    limit = np.broadcast_to(limit[:, None], shape).ravel()
-    hit = np.zeros((limit.size, depth), bool)
-    absorbed = np.zeros_like(hit)
+    limit = np.maximum(thresholds, np.nextafter(0.0, 1.0))[None].repeat(len(walks), axis=0).ravel()
+    hit = np.zeros((len(walks), thresholds.size, depth), bool)
+    absorbed = np.zeros((split_image.size * thresholds.size, depth), bool)
     for rank in range(depth):
-        row = iou_arrays(dets[:, rank, None], gts)
-        hit[:, rank] = won = _claim(free_real, row, limit)
-        if free_ignored is not None:  # only a detection no real person took
-            absorbed[:, rank] = _claim(free_ignored, row, np.where(won, np.inf, limit))
-    return hit.reshape(*shape, depth), absorbed.reshape(*shape, depth)
+        row = iou_arrays(dets[:, rank, None], gts)[:, None]
+        if split_image.size:  # a split walk reuses its image's IoUs
+            row = np.concatenate([row, row[split_image]])
+        hit.reshape(limit.size, depth)[:, rank] = won = _claim(free_real, row, limit)
+        if split_image.size:  # only a detection no real person took
+            absorbed[:, rank] = _claim(free_ignored, row[num_images:], np.where(
+                won[-len(absorbed):], np.inf, limit[-len(absorbed):]))
+    whole = hit[None, :num_images].swapaxes(1, 2)
+    if real.shape[0] == 1 and not has_ignored.any():  # one bucket holding everyone
+        return whole, np.zeros_like(whole)
+    matched = np.where(~has_ignored[:, None, :, None], whole, False)
+    took = np.where(~has_real[:, None, :, None], whole, False)
+    matched[split_bucket, :, split_image] = hit[num_images:]
+    took[split_bucket, :, split_image] = absorbed.reshape(-1, thresholds.size, depth)
+    return matched, took
 
 
 def _match(det_boxes: np.ndarray, scores: np.ndarray, det_counts: np.ndarray,

@@ -86,14 +86,16 @@ def apply_method(config: RunConfig, image_ids: list[str], detections: Detections
                  regions: Regions) -> Detections:
     """Run the configured method on the whole world; returns the full output.
 
-    Every stage is one world call on the regions of ``image_ids``. Every
-    detection must lie in ``image_ids`` (``evaluate`` checks).
+    Every stage is one world call on the detections and regions of
+    ``image_ids``; rows on other images are left out (``evaluate`` refuses them).
     """
     source, cnms = METHOD_STEPS[config.method]
     nms_cfg = replace(config.nms, mode=cnms) if cnms else config.nms
     universe = set(image_ids)
-    inside = np.array([key in universe for key in regions.ids], dtype=bool)
-    regions = regions.take(inside[regions.image])
+    detections, regions = (
+        table if universe.issuperset(table.ids) else
+        table.take(np.array([key in universe for key in table.ids], dtype=bool)[table.image])
+        for table in (detections, regions))
     if source == "revised":
         detections = revise_detections(detections, regions, config.lam, mode=config.mode)
     elif source == "proposals":
@@ -117,12 +119,10 @@ def evaluate(config: RunConfig, image_ids: list[str], gts: Annotations,
     start = time.perf_counter()
     ranked = apply_method(config, image_ids, detections, regions)
 
+    display = ranked
     if config.count_constrained:
-        ranked = truncate_to_gt_count(ranked, gts)
-        display = ranked
-    elif METHOD_STEPS[config.method][1] is not None:
-        display = ranked
-    else:
+        ranked = display = truncate_to_gt_count(ranked, gts)
+    elif METHOD_STEPS[config.method][1] is None:
         display = ranked.take(ranked.scores >= config.score_threshold)
 
     coco = coco_map(ranked, gts, image_ids)

@@ -268,7 +268,7 @@ def test_oversized_radio_grid_exit_code_for_every_command(tmp_path, command):
         assert main([command, *argv, "--config", str(config), "--output-dir", out]) == expected
 
 
-@pytest.mark.parametrize("sample", [[1.0], ["a", "b"]])
+@pytest.mark.parametrize("sample", [[1.0], ["a", "b"], [True, 0.5], [0.5, False]])
 def test_malformed_csi_sample_exit_code(tmp_path, sample):
     geo = ArrayGeometry(num_antennas=4, element_spacing=0.0258, num_subcarriers=8,
                         base_frequency=5.8e9, frequency_interval=312.5e3)

@@ -272,6 +272,25 @@ def test_malformed_csi_frames_raise(tmp_path, edit):
         fileio.read_csi_frame(path)
 
 
+@pytest.mark.parametrize("kind", [float, int])
+@pytest.mark.parametrize("pair", [[True, 0.5], [0, False], [False, True]],
+                         ids=["true-real", "false-imag", "both"])
+def test_boolean_csi_samples_among_numbers_raise(tmp_path, kind, pair):
+    """numpy reads [true, 0.5] as [1.0, 0.5]; a JSON boolean is no sample."""
+    path = tmp_path / "frame.json"
+    fileio.write_csi_frame(path, synthesize_csi([(75.0, 40e-9, 1.0)], GEO))
+    doc = json.loads(path.read_text())
+    doc["samples"] = [[kind(round(v * 8)) for v in sample] for sample in doc["samples"]]
+    doc["samples"][1] = [kind(0), kind(1)]  # exact 0 and 1 are still samples
+    path.write_text(json.dumps(doc))
+    loaded, _ = fileio.read_csi_frame(path)
+    assert loaded.samples.ravel()[1] == 1j
+    doc["samples"][3] = pair
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="pairs of finite numbers"):
+        fileio.read_csi_frame(path)
+
+
 # -- read(write(x)) == x over generated records ---------------------------
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -13,13 +13,13 @@ from typing import Callable
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import on_records
 from radiofusion import metrics
 from radiofusion.fusion import Detection
-from radiofusion.geometry import iou, rect_area
+from radiofusion.geometry import iou, iou_arrays, rect_area, rect_areas
 from radiofusion.metrics import (
     COCO_IOU_THRESHOLDS,
     MEDIUM_AREA_MAX,
@@ -29,7 +29,7 @@ from radiofusion.metrics import (
     MatchResult,
 )
 from radiofusion.sim_regions import Annotation
-from radiofusion.world import group_by_image, score_order
+from radiofusion.world import Annotations, Detections, group_by_image, score_order
 
 # The metrics under test, called on records through the columns.
 coco_map, match, mr_fppi, visual_metrics = map(on_records, (
@@ -355,6 +355,17 @@ def test_scenes_cover_the_edge_cases():
             _, ignored, _ = oracle_greedy_match(image_dets, image_gts, 0.5, True, ignore)
             absorbed += sum(ignored)
     assert absorbed > 0
+    # Every size bucket holds all, none and some of an image's people on
+    # images that reach the matching core (detections and people both).
+    kinds = set()
+    for scene_dets, scene_gts, _ in SCENES:
+        dets_by_image = group_by_image(scene_dets)
+        for image_id, image_gts in group_by_image(scene_gts).items():
+            for bucket in ("small", "medium", "large"):
+                inside = [oracle_bucket_contains(rect_area(g.bbox), bucket) for g in image_gts]
+                if image_id in dets_by_image:
+                    kinds.add((bucket, "all" if all(inside) else "some" if any(inside) else "none"))
+    assert kinds == {(b, k) for b in ("small", "medium", "large") for k in ("all", "some", "none")}
 
 
 @pytest.mark.parametrize("scene", range(len(SCENES)))
@@ -403,3 +414,133 @@ def test_metrics_invariant_under_image_order(world):
     for metric in (coco_map, lambda d, g, i: mr_fppi(d, g, 0.5, i),
                    lambda d, g, i: visual_metrics(d, g, 0.5, i)):
         assert metric(*permuted) == metric(*given_order)
+
+
+# -- The dense matching core ----------------------------------------------
+
+# The matching core as it was before images shared walks across size
+# buckets, kept verbatim: every (bucket, threshold, image) claims its own
+# real and ignored people at every rank.
+
+
+def _claim(free: np.ndarray, row: np.ndarray, limit: np.ndarray) -> np.ndarray:
+    """Each (bucket, threshold, image) takes its free ground truth of highest IoU.
+
+    ``free`` is (bucket, threshold, image, gt), ``row`` one rank's (image,
+    gt) IoUs and ``limit`` the flat IoU each take must reach. The taken
+    ground truth leaves ``free``. Returns the flat flags of the takes.
+    """
+    candidates = np.where(free, row, 0.0).reshape(limit.size, -1)
+    # argmax takes the first of equal maxima, as a scalar strict > would.
+    best = candidates.argmax(axis=1)
+    won = candidates[np.arange(best.size), best] >= limit
+    takers = np.flatnonzero(won)
+    free.reshape(candidates.shape)[takers, best[takers]] = False
+    return won
+
+
+def _greedy(dets: np.ndarray, gts: np.ndarray, real: np.ndarray, ignore: np.ndarray,
+            thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy one-to-one matching of every (bucket, threshold, image) at once.
+
+    ``dets`` is (image, rank, 4) in visiting order and ``gts`` (image, gt,
+    4), both padded with zero boxes, whose IoU with any box is 0;
+    ``real``/``ignore`` are (bucket, image, gt). Returns two (bucket,
+    threshold, image, rank) flags: matched a real person, absorbed an
+    ignored one.
+    """
+    num_images, depth, _ = dets.shape
+    shape = (real.shape[0], thresholds.size, num_images)
+    free_real = np.repeat(real[:, None], thresholds.size, axis=1)
+    free_ignored = np.repeat(ignore[:, None], thresholds.size, axis=1) if ignore.any() else None
+    # An IoU must reach the threshold and be above 0; IoUs are never negative,
+    # so both tests are one >= against the threshold raised to the least float.
+    limit = np.maximum(thresholds, np.nextafter(0.0, 1.0))
+    limit = np.broadcast_to(limit[:, None], shape).ravel()
+    hit = np.zeros((limit.size, depth), bool)
+    absorbed = np.zeros_like(hit)
+    for rank in range(depth):
+        row = iou_arrays(dets[:, rank, None], gts)
+        hit[:, rank] = won = _claim(free_real, row, limit)
+        if free_ignored is not None:  # only a detection no real person took
+            absorbed[:, rank] = _claim(free_ignored, row, np.where(won, np.inf, limit))
+    return hit.reshape(*shape, depth), absorbed.reshape(*shape, depth)
+
+
+# Boxes on an 8-pixel grid with sides that are multiples of 8: exact hits,
+# equal IoUs with two people, and areas of exactly 32^2 and 96^2.
+_sides = st.sampled_from([(8.0, 8.0), (24.0, 16.0), (32.0, 32.0), (16.0, 64.0), (40.0, 40.0),
+                          (96.0, 96.0), (48.0, 192.0), (104.0, 96.0), (120.0, 120.0)])
+_grid_box = st.builds(lambda x, y, side: (8.0 * x, 8.0 * y, *side),
+                      st.integers(0, 5), st.integers(0, 5), _sides)
+_flag_image = st.tuples(st.lists(_grid_box, max_size=5),
+                        st.lists(st.tuples(_grid_box, st.sampled_from(TIED_SCORES)), max_size=6))
+# People of every bucket, all in one bucket, split across buckets, none at
+# all, and a box with equal IoU to two people.
+_COVERING = [
+    ([(0.0, 0.0, 32.0, 32.0), (8.0, 0.0, 96.0, 96.0)],
+     [((0.0, 0.0, 32.0, 32.0), 0.6), ((8.0, 8.0, 96.0, 96.0), 0.9)]),
+    ([(0.0, 0.0, 8.0, 8.0), (0.0, 0.0, 40.0, 40.0), (0.0, 0.0, 120.0, 120.0)],
+     [((0.0, 0.0, 40.0, 40.0), 0.3), ((0.0, 0.0, 8.0, 16.0), 0.3), ((0.0, 0.0, 120.0, 112.0), 0.9)]),
+    ([], [((0.0, 0.0, 32.0, 32.0), 0.9)]),
+    ([(0.0, 0.0, 32.0, 32.0), (16.0, 0.0, 32.0, 32.0)],
+     [((8.0, 0.0, 32.0, 32.0), 0.9), ((8.0, 0.0, 32.0, 32.0), 0.6)]),
+    ([(0.0, 0.0, 16.0, 16.0), (8.0, 8.0, 16.0, 16.0)], [((0.0, 0.0, 16.0, 16.0), 0.3)]),
+    ([(0.0, 0.0, 120.0, 120.0)], []),
+]
+
+
+def _padded(images, by_score):
+    """Every image of ``images`` as one chunk for the core, people or not."""
+    depth = max(1, max(len(dets) for _, dets in images))
+    width = max(1, max(len(people) for people, _ in images))
+    dets = np.zeros((len(images), depth, 4))
+    gts = np.zeros((len(images), width, 4))
+    valid = np.zeros((len(images), width), bool)
+    for i, (people, image_dets) in enumerate(images):
+        order = score_order([score for _, score in image_dets]) if by_score else range(
+            len(image_dets))
+        dets[i, :len(image_dets)] = np.reshape([image_dets[k][0] for k in order], (-1, 4))
+        gts[i, :len(people)] = np.reshape(people, (-1, 4))
+        valid[i, :len(people)] = True
+    inside = metrics._in_buckets(rect_areas(gts), metrics.SIZE_BUCKETS)
+    return dets, gts, inside & valid, ~inside & valid
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_flag_image, min_size=1, max_size=7), st.sampled_from([1, 2, 3, 128]),
+       st.booleans())
+@example(_COVERING, 2, True)
+@example(_COVERING, 128, False)
+def test_shared_walks_give_the_dense_flags(images, chunk, by_score):
+    """The core walks an image once for every bucket that holds all or none
+    of its people; its (bucket, threshold, image, rank) flags are the dense
+    core's, per chunk of a run and on a chunk holding images without people."""
+    dets, gts, real, ignore = _padded(images, by_score)
+    for rows in ([0, 1, 2, 3], [0]):  # every bucket, then "all" alone
+        args = (dets, gts, real[rows], ignore[rows], np.asarray(COCO_IOU_THRESHOLDS))
+        for got, expected in zip(metrics._greedy(*args), _greedy(*args)):
+            assert got.shape == expected.shape and (got == expected).all()
+    chunks = []
+
+    def both(*args):
+        got, expected = metrics_greedy(*args), _greedy(*args)
+        for flags, dense in zip(got, expected):
+            assert flags.shape == dense.shape and (flags == dense).all()
+        chunks.append(args[0].shape[0])
+        return got
+
+    metrics_greedy = metrics._greedy
+    ids = [f"im{k}" for k in range(len(images))]
+    detections = Detections.from_records([Detection(image_id, box, score) for image_id, (_, image_dets)
+                                    in zip(ids, images) for box, score in image_dets])
+    people = Annotations.from_records([Annotation(image_id, box) for image_id, (boxes, _)
+                                       in zip(ids, images) for box in boxes])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "_greedy", both)
+        patch.setattr(metrics, "CHUNK_IMAGES", chunk)
+        for buckets in (metrics.SIZE_BUCKETS, ("all",)):
+            metrics._match(*metrics._per_image(detections, people, ids), COCO_IOU_THRESHOLDS,
+                           buckets, by_score)
+    busy = sum(1 for people, image_dets in images if people and image_dets)
+    assert chunks == [min(chunk, busy - first) for first in range(0, busy, chunk)] * 2

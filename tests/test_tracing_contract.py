@@ -66,6 +66,8 @@ def test_every_command_runs_clean_under_the_tracer(tmp_path, tracing):
     assert tracer.nesting_errors() == []
     # sim_regions.regions: runs without a regions file simulate them, so the
     # benchmark's timer on region simulation must see every call.
+    # metrics.ranked and metrics.gts: the coco_map timer must see every call.
     for key in ("nms.in", "fusion.revised", "fusion.proposals", "sim_regions.regions",
-                "radio.frames", "radio.estimates", "imaging.regions"):
+                "metrics.ranked", "metrics.gts", "radio.frames", "radio.estimates",
+                "imaging.regions"):
         assert tracer.counts.get(key, 0) > 0, key
