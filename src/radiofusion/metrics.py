@@ -17,7 +17,9 @@ record on an image outside a given list is an input error. Detections and
 ground truth are ``world.Detections`` and ``world.Annotations`` columns,
 put in image-id order by their image index.
 
-One batched core does the matching for all three metrics, after
+AP and the miss rate read one shared match of the ranked detections
+(``coco_map`` returns it, ``mr_fppi`` reads its all-people row); the visual
+counts make their own. One batched core makes each match, after
 pycocotools' ``COCOeval.evaluateImg``. Only images with both detections
 and people can match; sorted by those two counts, they are padded with
 zero boxes ``CHUNK_IMAGES`` at a time to (image, detection, 4) and (image,
@@ -61,13 +63,16 @@ class MatchResult:
     fn: int
 
 
-class CocoMapResult(NamedTuple):
+@dataclass(frozen=True)
+class CocoMapResult:
     ap: float
     ap50: float
     ap75: float
     ap_s: float
     ap_m: float
     ap_l: float
+    # The match the APs were read from, for ``mr_fppi`` to read again.
+    matches: _Matches | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -129,6 +134,7 @@ def _per_image(detections: Detections, gts: Annotations, image_ids: Iterable[str
 class _Matches(NamedTuple):
     """Every detection's match flags, in image-id-then-input order."""
 
+    thresholds: tuple[float, ...]
     scores: np.ndarray  # (N,)
     tp: np.ndarray  # (bucket, threshold, N): matched a real person
     ignored: np.ndarray  # (bucket, threshold, N): left out of the bucket's AP
@@ -230,7 +236,7 @@ def _match(det_boxes: np.ndarray, scores: np.ndarray, det_counts: np.ndarray,
         tp[..., owners] = hit[..., det_valid]
         absorbed[..., owners] = took_ignored[..., det_valid]
     ignored = absorbed | (~tp & ~det_in[:, None])
-    return _Matches(scores, tp, ignored, gt_in.sum(axis=1), det_counts.size)
+    return _Matches(tuple(thresholds), scores, tp, ignored, gt_in.sum(axis=1), det_counts.size)
 
 
 def match(detections: Detections, gts: Annotations, iou_t: float,
@@ -272,11 +278,13 @@ def coco_map(detections: Detections, gts: Annotations,
         return sum(ap[t, bucket] for t in COCO_IOU_THRESHOLDS) / len(COCO_IOU_THRESHOLDS)
 
     return CocoMapResult(ap=mean("all"), ap50=ap[0.5, "all"], ap75=ap[0.75, "all"],
-                         ap_s=mean("small"), ap_m=mean("medium"), ap_l=mean("large"))
+                         ap_s=mean("small"), ap_m=mean("medium"), ap_l=mean("large"),
+                         matches=matches)
 
 
 def mr_fppi(detections: Detections, gts: Annotations, iou_t: float = 0.5,
-            image_ids: list[str] | None = None) -> tuple[list[tuple[float, float]], float]:
+            image_ids: list[str] | None = None, matches: _Matches | None = None,
+            ) -> tuple[list[tuple[float, float]], float]:
     """Miss rate versus false positives per image, plus its log-average.
 
     Detections are matched once at full depth, then the score threshold is
@@ -285,16 +293,17 @@ def mr_fppi(detections: Detections, gts: Annotations, iou_t: float = 0.5,
     (0, 1) always present. The summary is the arithmetic mean of the lowest
     miss rate achieved at FPPI at or below each of the nine log-spaced
     sample points. With no ground truth at all the miss rate is defined
-    as 0.
+    as 0. Given ``coco_map``'s ``matches``, it reads their ``iou_t`` row.
     """
-    matches = _match(*_per_image(detections, gts, image_ids), (iou_t,))
+    if matches is None:
+        matches = _match(*_per_image(detections, gts, image_ids), (iou_t,))
     num_images = max(matches.num_images, 1)
     total_gt = int(matches.num_gt[0])
     order = score_order(matches.scores)
     ranked = matches.scores[order]
     # One point at the last detection of each distinct score.
     ends = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))[:ranked.size]
-    cum_tp = np.cumsum(matches.tp[0, 0, order])[ends]
+    cum_tp = np.cumsum(matches.tp[0, matches.thresholds.index(iou_t), order])[ends]
     fppi = np.append(0.0, (ends + 1 - cum_tp) / num_images)
     miss = np.append(1.0, (total_gt - cum_tp) / total_gt) if total_gt > 0 else np.zeros(fppi.size)
     curve = list(zip(fppi.tolist(), miss.tolist()))

@@ -93,7 +93,6 @@ def apply_method(config: RunConfig, image_ids: list[str], detections: Detections
     nms_cfg = replace(config.nms, mode=cnms) if cnms else config.nms
     universe = set(image_ids)
     detections, regions = (
-        table if universe.issuperset(table.ids) else
         table.take(np.array([key in universe for key in table.ids], dtype=bool)[table.image])
         for table in (detections, regions))
     if source == "revised":
@@ -126,7 +125,7 @@ def evaluate(config: RunConfig, image_ids: list[str], gts: Annotations,
         display = ranked.take(ranked.scores >= config.score_threshold)
 
     coco = coco_map(ranked, gts, image_ids)
-    curve, lamr = mr_fppi(ranked, gts, EVAL_IOU, image_ids)
+    curve, lamr = mr_fppi(ranked, gts, EVAL_IOU, image_ids, coco.matches)
     fp_fn, ratio = visual_metrics(display, gts, EVAL_IOU, image_ids)
     report = MetricsReport(
         ap=coco.ap, ap50=coco.ap50, ap75=coco.ap75,
@@ -198,6 +197,12 @@ def sweep(
 
 # -- Radio localization commands -----------------------------------------
 
+def _time_key(timestamp: float) -> str:
+    """An image key for a frame without an image id, exact to its timestamp."""
+    short = f"{timestamp + 0.0:g}"  # + 0.0 gives -0.0, the same moment, 0.0's key
+    return f"t{short}" if float(short) == timestamp else f"t{timestamp!r}"
+
+
 def localize_frames(
     frames: list[tuple[CsiFrame, str | None]],
     radio_params,
@@ -211,7 +216,7 @@ def localize_frames(
     """
     groups: dict[str, dict[str, CsiFrame]] = {}
     for frame, image_id in frames:
-        key = image_id if image_id is not None else f"t{frame.timestamp:g}"
+        key = image_id if image_id is not None else _time_key(frame.timestamp)
         slot = groups.setdefault(key, {})
         orientation = frame.geometry.orientation
         if orientation in slot:

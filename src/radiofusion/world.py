@@ -192,6 +192,8 @@ class Table:
 
     def take(self: Self, rows: np.ndarray) -> Self:
         """The rows at ``rows`` (indices or a boolean mask), same id table."""
+        if rows.dtype == bool and rows.all():  # no copy: no code writes to a column
+            return self
         return type(self)(self.ids, *(column[rows] for column in self._columns()))
 
     def grouped(self: Self, ids: Sequence[str]) -> Self:

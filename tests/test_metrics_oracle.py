@@ -9,6 +9,7 @@ they are called here on the oracle's records through
 ``Detections.from_records`` (``conftest.on_records``).
 """
 
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import on_records
 from radiofusion import metrics
+from radiofusion.config import RunConfig
 from radiofusion.fusion import Detection
 from radiofusion.geometry import iou, iou_arrays, rect_area, rect_areas
 from radiofusion.metrics import (
@@ -28,8 +30,10 @@ from radiofusion.metrics import (
     CocoMapResult,
     MatchResult,
 )
+from radiofusion.nms import NmsConfig
+from radiofusion.pipeline import EVAL_IOU, apply_method, evaluate
 from radiofusion.sim_regions import Annotation
-from radiofusion.world import Annotations, Detections, group_by_image, score_order
+from radiofusion.world import Annotations, Detections, Regions, group_by_image, score_order
 
 # The metrics under test, called on records through the columns.
 coco_map, match, mr_fppi, visual_metrics = map(on_records, (
@@ -544,3 +548,48 @@ def test_shared_walks_give_the_dense_flags(images, chunk, by_score):
                            buckets, by_score)
     busy = sum(1 for people, image_dets in images if people and image_dets)
     assert chunks == [min(chunk, busy - first) for first in range(0, busy, chunk)] * 2
+
+
+# -- The shared ranking match ----------------------------------------------
+
+# Box edges by size bucket: a world drawn from one palette has all of its
+# people in that bucket.
+_PALETTES = {"small": (8.0, 16.0, 24.0), "medium": (40.0, 64.0, 96.0),
+             "large": (100.0, 120.0), "mixed": (8.0, 32.0, 64.0, 96.0, 120.0)}
+
+
+@st.composite
+def _ranked_worlds(draw):
+    """(image ids, people, detections) on up to four images."""
+    edges = st.sampled_from(_PALETTES[draw(st.sampled_from(sorted(_PALETTES)))])
+    box = st.tuples(st.integers(0, 60).map(float), st.integers(0, 60).map(float), edges, edges)
+    ids = [f"im{k}" for k in range(draw(st.integers(1, 4)))]
+    people = [Annotation(image_id, b) for image_id in ids for b in draw(st.lists(box, max_size=4))]
+    dets = [Detection(image_id, b, score) for image_id in ids for b, score in draw(
+        st.lists(st.tuples(box, st.sampled_from(TIED_SCORES)), max_size=5))]
+    return ids, people, dets
+
+
+_MEDIUM = [(0.0, 0.0, 40.0, 64.0), (30.0, 10.0, 96.0, 96.0)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ranked_worlds(), st.sampled_from([0.5, 1.0]), st.booleans())
+@example((["im0", "im1"], [], [Detection("im1", _MEDIUM[0], 0.9)]), 0.5, False)  # no people
+@example((["im0"], [Annotation("im0", box) for box in _MEDIUM], []), 0.5, False)  # no detections
+@example((["im0", "im1"], [Annotation("im0", box) for box in _MEDIUM],  # one bucket
+          [Detection("im0", box, 0.6) for box in _MEDIUM]), 0.5, True)
+def test_evaluate_reads_the_miss_rate_off_the_shared_match(world, nms_iou, count_constrained):
+    """``evaluate``'s curve and log-average, read off ``coco_map``'s match,
+    are the scalar oracle's on the ranked detections."""
+    image_ids, people, dets = world
+    config = replace(RunConfig(), nms=NmsConfig(iou_threshold=nms_iou),
+                     count_constrained=count_constrained)
+    gts, detections, regions = (Annotations.from_records(people),
+                                Detections.from_records(dets), Regions.from_records({}))
+    report, _ = evaluate(config, image_ids, gts, detections, regions)
+    ranked = apply_method(config, image_ids, detections, regions)
+    if count_constrained:
+        ranked = metrics.truncate_to_gt_count(ranked, gts)
+    assert (report.mr_fppi_curve, report.log_avg_miss_rate) == oracle_mr_fppi(
+        ranked.records(), people, EVAL_IOU, image_ids)

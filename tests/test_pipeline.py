@@ -5,12 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from radiofusion import fileio
-from radiofusion.config import RadioParams, RunConfig, RunPaths
+from radiofusion import fileio, metrics
+from radiofusion.config import METHODS, RadioParams, RunConfig, RunPaths
 from radiofusion.errors import InvalidInputError
 from radiofusion.fusion import Detection
 from radiofusion.imaging import CameraModel
-from radiofusion.pipeline import load_world, localize_frames, project_estimates, run, sweep
+from radiofusion.pipeline import build_detections, build_regions, evaluate, load_world, \
+    localize_frames, project_estimates, run, sweep
 from radiofusion.radio import ArrayGeometry, synthesize_csi, default_tof_grid
 from radiofusion.sim_regions import GT_FILTERS
 from radiofusion.synth import make_world
@@ -91,6 +92,27 @@ class TestRun:
         assert all(per_image[i] <= budget.get(i, 0) for i in per_image)
 
 
+    @pytest.mark.parametrize("count_constrained", [False, True])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_one_evaluate_matches_twice(self, tmp_path, monkeypatch, method,
+                                        count_constrained):
+        """AP and the miss rate read one match of the ranked detections; the
+        visual counts, in file order, make the only other one."""
+        config = replace(small_world(tmp_path, num_images=20), method=method,
+                         count_constrained=count_constrained)
+        image_ids, gts = load_world(config)
+        detections = build_detections(config, gts, image_ids)
+        regions = build_regions(config, gts)
+        match, by_score = metrics._match, []
+
+        def counted(*args, **kwargs):
+            by_score.append(kwargs.get("by_score", True))
+            return match(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "_match", counted)
+        evaluate(config, image_ids, gts, detections, regions)
+        assert by_score == [True, False]
+
     @pytest.mark.parametrize("gt_filter", ["none", "reasonable", "all"])
     def test_ground_truth_filter_keeps_the_records_it_kept(self, tmp_path, gt_filter):
         """``load_world``'s mask over the columns keeps the person records the
@@ -107,6 +129,24 @@ class TestRun:
         loaded_ids, loaded = load_world(config)
         assert loaded_ids == image_ids
         assert loaded.records() == [ann for ann in gts if ann.category == "person" and keep(ann)]
+
+    def test_a_mask_that_keeps_every_row_takes_no_copy(self, tmp_path):
+        """``take`` of an all-true mask is the table itself; an index array
+        and a mask that drops a row still build new columns of those rows."""
+        config = small_world(tmp_path, num_images=12)
+        _, gts = load_world(config)
+        detections = build_detections(config, gts, [f"img{i}" for i in range(12)])
+        regions = build_regions(config, gts)
+        for table in (gts, detections, regions):
+            assert table.take(np.ones(len(table), dtype=bool)) is table
+            every = table.take(np.arange(len(table)))
+            assert every is not table and every.ids == table.ids
+            assert every.records() == table.records()
+        for table in (gts, detections):
+            assert table.take(np.arange(len(table)) > 0).records() == table.records()[1:]
+        # A people-only world under gt_filter "none" keeps the table read.
+        read = fileio.read_annotations(config.paths.annotations)[1]
+        assert load_world(config)[1].records() == read.records()
 
 
 class TestSweep:
@@ -175,6 +215,24 @@ class TestRadioPipeline:
         frame = synthesize_csi([(92.0, 5e-7, 1.0)], self.GEO_H, noise_std=0.0)
         with pytest.raises(InvalidInputError):
             localize_frames([(frame, "img0"), (frame, "img0")], radio)
+
+    def test_frames_without_an_image_id_group_by_their_exact_timestamp(self):
+        """Epoch timestamps a few seconds apart are different images, while
+        a timestamp that six digits spell exactly keeps its short key, and
+        -0.0 is the moment 0.0."""
+        radio = RadioParams()
+        frames = []
+        for timestamp in (1697000000.5, 1697000100.0, 0.0, 1.5):
+            for geo, sign in ((self.GEO_H, 1.0), (self.GEO_V, -1.0)):
+                frames.append((synthesize_csi([(92.0, 2e-7, 1.0)], geo, noise_std=0.0,
+                                              timestamp=timestamp or sign * 0.0), None))
+        estimates = localize_frames(frames, radio)
+        assert sorted(estimates) == ["t0", "t1.5", "t1697000000.5", "t1697000100.0"]
+        assert all(len(found) == 1 for found in estimates.values())
+        # A lone horizontal and a lone vertical frame from different moments
+        # are two incomplete images, not one pair.
+        lone = localize_frames([frames[0], frames[3]], radio)
+        assert lone == {"t1697000000.5": [], "t1697000100.0": []}
 
 
 class TestOneStageFlow:
