@@ -91,8 +91,7 @@ class RunConfig:
     noise: NoiseParams = field(default_factory=NoiseParams)
     nms: NmsConfig = field(default_factory=NmsConfig)
     camera: CameraModel = field(default_factory=lambda: CameraModel(
-        focal_length_px=3000.0, image_width=1280.0, image_height=720.0,
-        fov_h=64.0, fov_v=52.0))
+        focal_length_px=3000.0, image_width=1280.0, image_height=720.0))
     radio: RadioParams = field(default_factory=RadioParams)
     synth: SynthParams = field(default_factory=SynthParams)
     paths: RunPaths = field(default_factory=RunPaths)

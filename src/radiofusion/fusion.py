@@ -20,7 +20,6 @@ Every float equals the scalar formula's bit for bit.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import replace
 
 import numpy as np
@@ -67,24 +66,19 @@ def revise_detections(detections: Detections, regions: Regions, lam: float,
     return replace(dets, scores=(1.0 - lam + lam * gamma) * dets.scores)
 
 
-def anchor_boxes(regions: Regions, scales: Sequence[float],
-                 ratios: Sequence[float]) -> np.ndarray:
-    """``(len(regions), len(scales) * len(ratios), 4)`` anchors, scale-major.
+def anchor_boxes(regions: Regions) -> np.ndarray:
+    """``(len(regions), 9, 4)`` anchors: ``ANCHOR_SCALES`` x ``ANCHOR_RATIOS``, scale-major.
 
     Every anchor is centered on its region, has area ``(scale * edge)^2``
     and height/width ratio ``ratio``.
     """
-    if not scales or not ratios:
-        raise InvalidInputError("scales and ratios must be non-empty")
-    if any(s <= 0 for s in scales) or any(r <= 0 for r in ratios):
-        raise InvalidInputError("scales and ratios must be positive")
     cx, cy, edge = regions.center_x, regions.center_y, regions.edge
-    roots = np.array([math.sqrt(ratio) for ratio in ratios])
-    side = (np.array(scales, dtype=float) * edge[:, None])[:, :, None]
+    roots = np.sqrt(ANCHOR_RATIOS)
+    side = (np.array(ANCHOR_SCALES) * edge[:, None])[:, :, None]
     w = side / roots
     h = side * roots
     boxes = np.stack([cx[:, None, None] - w / 2.0, cy[:, None, None] - h / 2.0, w, h], axis=-1)
-    return boxes.reshape(len(regions), len(scales) * len(ratios), 4)
+    return boxes.reshape(len(regions), len(ANCHOR_SCALES) * len(ANCHOR_RATIOS), 4)
 
 
 def proposals_to_detections(regions: Regions) -> Detections:
@@ -97,7 +91,7 @@ def proposals_to_detections(regions: Regions) -> Detections:
     image-id order, region order within an image.
     """
     regs = regions.grouped(regions.ids)
-    anchors = anchor_boxes(regs, ANCHOR_SCALES, ANCHOR_RATIOS)
+    anchors = anchor_boxes(regs)
     scores = coverage(anchors, regs.boxes()[:, None], "region")
     per = anchors.shape[1]
     return Detections(regs.ids, np.repeat(regs.image, per), anchors.reshape(-1, 4),

@@ -23,22 +23,17 @@ from .world import RadioRegion
 
 @dataclass(frozen=True)
 class CameraModel:
-    """Pinhole camera with pixel-measured focal length and angular FOV."""
+    """Pinhole camera whose field of view is its frame: half-angles atan(W/2f) by atan(H/2f)."""
 
     focal_length_px: float
     image_width: float
     image_height: float
-    fov_h: float
-    fov_v: float
 
     def __post_init__(self) -> None:
         if self.focal_length_px <= 0:
             raise InvalidInputError("focal length must be > 0 pixels")
         if self.image_width <= 0 or self.image_height <= 0:
             raise InvalidInputError("image dimensions must be > 0")
-        for name, fov in (("fov_h", self.fov_h), ("fov_v", self.fov_v)):
-            if not 0.0 < fov < 180.0:
-                raise InvalidInputError(f"{name}={fov} outside (0, 180) degrees")
 
 
 def project(
@@ -49,15 +44,13 @@ def project(
 ) -> RadioRegion | None:
     """Map one (aoa_h, aoa_v, tof) estimate to a square image region.
 
-    Returns None when the estimate falls outside the camera FOV or its
-    center lands outside the image. Raises BehindCameraError when the
+    Returns None when its center lands outside the image, which is the
+    camera's field of view. Raises BehindCameraError when the
     point-to-plane distance is non-positive (angles at or beyond 90 degrees
     off the optical axis).
     """
     if person_extent_m <= 0:
         raise InvalidInputError("person_extent_m must be > 0")
-    if estimate.tof <= 0:
-        raise InvalidInputError("estimate tof must be > 0")
 
     off_h = estimate.aoa_h - 90.0
     off_v = estimate.aoa_v - 90.0
@@ -74,9 +67,6 @@ def project(
         raise BehindCameraError(
             f"point-to-plane distance {plane_dist:.3g} m is not in front of the camera"
         )
-    if abs(off_h) > camera.fov_h / 2.0 or abs(off_v) > camera.fov_v / 2.0:
-        return None
-
     center_x = camera.image_width / 2.0 + camera.focal_length_px * math.tan(math.radians(off_h))
     center_y = camera.image_height / 2.0 + camera.focal_length_px * math.tan(math.radians(off_v))
     if not (0.0 <= center_x <= camera.image_width and 0.0 <= center_y <= camera.image_height):
@@ -94,7 +84,7 @@ def batch_project(
 ) -> list[RadioRegion]:
     """Project many estimates, dropping the ones that cannot be imaged.
 
-    Out-of-FOV and out-of-frame estimates are skipped, as are degenerate
+    Estimates whose center lands outside the frame are skipped, as are degenerate
     boundary angles that would land behind the camera plane; identifiers of
     the surviving regions are preserved.
     """

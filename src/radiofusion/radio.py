@@ -246,14 +246,9 @@ def compute_spectrum(csi: CsiFrame, aoa_grid, tof_grid) -> AoaTofSpectrum:
     """
     aoa_grid = _validate_grid(aoa_grid, "aoa_grid")
     tof_grid = _validate_grid(tof_grid, "tof_grid")
-    geometry = csi.geometry
-    samples = np.asarray(csi.samples, dtype=np.complex128)
-    if samples.shape != (geometry.num_antennas, geometry.num_subcarriers):
-        raise InvalidInputError("CSI sample matrix does not match its geometry")
-
     # Collapse antennas per angle first, then apply delay phases: O(I*M*K + I*K*J).
-    aoa_basis, tof_basis = _steering_bases(geometry, aoa_grid, tof_grid)
-    per_angle = np.einsum("mk,imk->ik", samples, aoa_basis)
+    aoa_basis, tof_basis = _steering_bases(csi.geometry, aoa_grid, tof_grid)
+    per_angle = np.einsum("mk,imk->ik", csi.samples, aoa_basis)
     response = per_angle @ tof_basis
     return AoaTofSpectrum(np.abs(response), aoa_grid, tof_grid)
 

@@ -89,10 +89,10 @@ def gt_to_region(ann: Annotation, noise: NoiseParams, rng: np.random.Generator,
                        float(draw.edge), identifier)
 
 
-def build_simulative_set(annotations: Annotations | Iterable[Annotation], noise: NoiseParams,
-                         category: str = "person") -> dict[str, list[RadioRegion]]:
-    """Build per-image region lists from annotations (columns, or records
-    converted on entry) of one category.
+def build_simulative_set(annotations: Annotations | Iterable[Annotation],
+                         noise: NoiseParams) -> dict[str, list[RadioRegion]]:
+    """Build per-image region lists from the people among annotations
+    (columns, or records converted on entry); other categories get none.
 
     Every person is drawn in one pass, in ascending image_id order and input
     order within each image, so a fixed ``noise.seed`` reproduces the exact
@@ -100,7 +100,7 @@ def build_simulative_set(annotations: Annotations | Iterable[Annotation], noise:
     """
     gts = annotations if isinstance(annotations, Annotations) \
         else Annotations.from_records(annotations)
-    gts = gts.take(gts.categories == category)
+    gts = gts.take(gts.categories == "person")
     order = np.argsort(gts.image, kind="stable")
     x, y, w, h = gts.boxes[order].T
     draw = draw_region_noise(noise, np.minimum(w, h), np.random.default_rng(noise.seed))

@@ -24,6 +24,11 @@ from .sim_regions import Annotation
 from .world import Detection, group_by_image
 
 
+HEIGHT_RANGE, ASPECT_RANGE = (120.0, 360.0), (1.3, 1.9)  # world box height px, height / width
+# The largest mean numpy's Generator.poisson accepts.
+POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
+
+
 @dataclass(frozen=True)
 class SynthParams:
     """Detector emulator knobs; defaults exhibit duplicates and misses."""
@@ -37,10 +42,17 @@ class SynthParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("jitter_std", "fp_per_image", "fn_rate", "duplicate_rate",
+                     "duplicate_jitter_std", "score_model"):
+            value = getattr(self, name)
+            if not np.isfinite(value).all():
+                raise InvalidInputError(f"synth {name} must be finite, got {value!r}")
         if not 0.0 <= self.fn_rate <= 1.0 or not 0.0 <= self.duplicate_rate <= 1.0:
             raise InvalidInputError("rates must be in [0, 1]")
         if self.jitter_std < 0 or self.duplicate_jitter_std < 0 or self.fp_per_image < 0:
             raise InvalidInputError("spreads and expected counts must be >= 0")
+        if self.fp_per_image > POISSON_LAM_MAX:
+            raise InvalidInputError(f"synth fp_per_image must be <= {POISSON_LAM_MAX:.6g}")
         if self.score_model[2] < 0:
             raise InvalidInputError("score std must be >= 0")
 
@@ -49,15 +61,13 @@ def make_world(
     num_images: int,
     image_size: tuple[float, float] = (1280.0, 720.0),
     max_people: int = 3,
-    height_range: tuple[float, float] = (120.0, 360.0),
-    aspect_range: tuple[float, float] = (1.3, 1.9),
     seed: int = 0,
 ) -> tuple[list[str], list[Annotation]]:
     """Generate image ids and person annotations for a synthetic dataset.
 
     Each image holds 0..max_people people (some frames stay empty). Boxes
-    are placed fully inside the image with heights from ``height_range``
-    and height/width ratios from ``aspect_range``.
+    are placed fully inside the image with heights from ``HEIGHT_RANGE``
+    and height/width ratios from ``ASPECT_RANGE``.
     """
     if num_images <= 0:
         raise InvalidInputError("num_images must be > 0")
@@ -68,9 +78,9 @@ def make_world(
     for image_id in image_ids:
         count = int(rng.integers(0, max_people + 1))
         for _ in range(count):
-            h = float(rng.uniform(*height_range))
+            h = float(rng.uniform(*HEIGHT_RANGE))
             h = min(h, height)
-            ratio = float(rng.uniform(*aspect_range))
+            ratio = float(rng.uniform(*ASPECT_RANGE))
             w = min(h / ratio, width)
             x = float(rng.uniform(0.0, width - w))
             y = float(rng.uniform(0.0, height - h))
@@ -100,10 +110,10 @@ def _jitter_box(rng, bbox, spread):
 def generate(
     gts: list[Annotation],
     params: SynthParams,
+    image_ids: list[str],
     image_size: tuple[float, float] = (1280.0, 720.0),
-    image_ids: list[str] | None = None,
 ) -> list[Detection]:
-    """Emulate detector output for a ground-truth world.
+    """Emulate detector output on each of ``image_ids``, once, in sorted order.
 
     Per person: dropped with probability ``fn_rate``, otherwise emitted with
     corner jitter and a true-positive score; an extra, more displaced
@@ -118,13 +128,8 @@ def generate(
     rng = np.random.default_rng(params.seed)
 
     gts_by_image = group_by_image(gts)
-    if image_ids is None:
-        image_ids = sorted(gts_by_image)
-    else:
-        image_ids = sorted(set(image_ids))
-
     detections: list[Detection] = []
-    for image_id in image_ids:
+    for image_id in sorted(set(image_ids)):
         anns = gts_by_image.get(image_id, [])
         gt_boxes = {tuple(ann.bbox) for ann in anns}
         for ann in anns:

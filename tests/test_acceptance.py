@@ -359,8 +359,7 @@ def test_criterion_7_identity_invariants(tmp_path):
                        and region.edge == min(w, h))
 
     # Tangent projection round-trips to 1e-9 degrees.
-    camera = CameraModel(focal_length_px=500.0, image_width=1280.0,
-                         image_height=720.0, fov_h=64.0, fov_v=52.0)
+    camera = CameraModel(focal_length_px=500.0, image_width=1280.0, image_height=720.0)
     angle_rng = np.random.default_rng(77)
     max_error = 0.0
     for _ in range(500):

@@ -268,6 +268,27 @@ def test_oversized_radio_grid_exit_code_for_every_command(tmp_path, command):
         assert main([command, *argv, "--config", str(config), "--output-dir", out]) == expected
 
 
+@pytest.mark.parametrize("command", ["synth", "run", "sweep"])
+def test_huge_fp_per_image_exit_code(tmp_path, capsys, command):
+    """A false-positive mean over numpy's Poisson cap is refused, not a traceback."""
+    argv = _command_argv(tmp_path, command)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"synth": {"fp_per_image": 1e20}}))
+    capsys.readouterr()
+    assert main([command, *argv, "--config", str(config), "--output-dir", str(tmp_path)]) == 2
+    assert "fp_per_image" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["fov_h", "fov_v"])
+def test_removed_camera_fov_key_exit_code(tmp_path, capsys, key):
+    """The field of view follows from the focal length and frame; a document naming it fails."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"camera": {key: 60}}))
+    assert main(["synth", "--num-images", "3", "--config", str(config),
+                 "--output-dir", str(tmp_path)]) == 2
+    assert key in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("sample", [[1.0], ["a", "b"], [True, 0.5], [0.5, False]])
 def test_malformed_csi_sample_exit_code(tmp_path, sample):
     geo = ArrayGeometry(num_antennas=4, element_spacing=0.0258, num_subcarriers=8,

@@ -34,8 +34,6 @@ def test_default_document_is_pinned():
             "focal_length_px": 3000.0,
             "image_width": 1280.0,
             "image_height": 720.0,
-            "fov_h": 64.0,
-            "fov_v": 52.0,
         },
         "radio": {
             "aoa_step_deg": 1.0,
@@ -83,6 +81,9 @@ def test_partial_document_merges_onto_defaults():
     {"count_constrained": "false"},
     {"synth": {"score_model": [0.8, 0.4]}},
     {"synth": {"fp_per_image": float("inf")}},
+    {"synth": {"fp_per_image": 1e20}},
+    {"camera": {"fov_h": 64}},
+    {"camera": {"fov_v": 52}},
     {"noise": {"sigma": float("nan")}},
     {"radio": {"tof_tolerance": -1}},
     {"radio": {"tof_tolerance": 0}},
@@ -142,8 +143,7 @@ configs = st.builds(
                   enable_fallback_loop=st.booleans(), fallback_floor_score=_unit,
                   require_region=st.booleans()),
     camera=st.builds(CameraModel, focal_length_px=_positive(1e4),
-                     image_width=_positive(1e4), image_height=_positive(1e4),
-                     fov_h=st.floats(1.0, 179.0), fov_v=st.floats(1.0, 179.0)),
+                     image_width=_positive(1e4), image_height=_positive(1e4)),
     # A step of 0.2 degrees or more keeps 512 delay bins under the grid cell cap.
     radio=st.builds(RadioParams, aoa_step_deg=st.floats(0.2, 10.0),
                     num_tof_bins=st.integers(1, 512), peak_threshold=_positive(1.0),

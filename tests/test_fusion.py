@@ -21,8 +21,8 @@ def proposals_to_detections(regions):
     return fusion.proposals_to_detections(regions).records()
 
 
-def anchor_boxes(regions, scales, ratios):
-    return fusion.anchor_boxes(regions_in(regions), scales, ratios)
+def anchor_boxes(regions):
+    return fusion.anchor_boxes(regions_in(regions))
 
 
 def region(cx=50.0, cy=50.0, edge=100.0, identifier="r0"):
@@ -212,11 +212,12 @@ class TestReviseDetections:
 
 class TestGenerateProposals:
     def test_identity_anchor(self):
-        assert anchor_boxes([region(cx=50, cy=50, edge=100)], [1.0], [1.0]).tolist() == [
-            [[0.0, 0.0, 100.0, 100.0]]]
+        # Scale-major: scale 1.0 with ratio 1.0 is anchor 3 of 9.
+        assert anchor_boxes([region(cx=50, cy=50, edge=100)])[:, 3].tolist() == [
+            [0.0, 0.0, 100.0, 100.0]]
 
     def test_cardinality(self):
-        (boxes,) = anchor_boxes([region()], [0.75, 1.0, 1.25], [1.0, 2.0, 3.0]).tolist()
+        (boxes,) = anchor_boxes([region()]).tolist()
         assert len(boxes) == 9
         for i, scale in enumerate([0.75, 1.0, 1.25]):
             for j, ratio in enumerate([1.0, 2.0, 3.0]):
@@ -224,8 +225,11 @@ class TestGenerateProposals:
                 assert w * h == pytest.approx((scale * 100.0) ** 2)
                 assert h / w == pytest.approx(ratio)
 
+    def test_no_regions_give_an_empty_anchor_table(self):
+        assert anchor_boxes([]).shape == (0, 9, 4)
+
     def test_ratio_two_shape(self):
-        ((bbox,),) = anchor_boxes([region(cx=50, cy=50, edge=100)], [1.0], [2.0]).tolist()
+        (bbox,) = anchor_boxes([region(cx=50, cy=50, edge=100)])[:, 4].tolist()
         x, y, w, h = bbox
         assert w == pytest.approx(100.0 / math.sqrt(2.0))
         assert h == pytest.approx(100.0 * math.sqrt(2.0))
@@ -234,17 +238,11 @@ class TestGenerateProposals:
 
     def test_center_and_id_preserved(self):
         z = region(cx=20, cy=30, edge=50, identifier="z")
-        for x, y, w, h in anchor_boxes([z], [0.5, 1.5], [1.0, 2.5])[0].tolist():
+        for x, y, w, h in anchor_boxes([z])[0].tolist():
             assert x + w / 2 == pytest.approx(20.0)
             assert y + h / 2 == pytest.approx(30.0)
         proposals = proposals_to_detections(regions_in([z], "img"))
         assert {det.region_id for det in proposals} == {"z"}
-
-    def test_empty_or_negative_rejected(self):
-        with pytest.raises(InvalidInputError):
-            anchor_boxes([region()], [], [1.0])
-        with pytest.raises(InvalidInputError):
-            anchor_boxes([region()], [1.0], [0.0])
 
 
 class TestProposalsToDetections:

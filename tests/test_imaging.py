@@ -4,20 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radiofusion.errors import BehindCameraError, InvalidInputError
 from radiofusion.imaging import CameraModel, RadioRegion, batch_project, project
 from radiofusion.radio import SPEED_OF_LIGHT, RadioEstimate
 
-CAMERA = CameraModel(
-    focal_length_px=3000.0, image_width=1280.0, image_height=720.0,
-    fov_h=64.0, fov_v=52.0,
-)
-# Short focal length makes the FOV limit bind before the image border.
-WIDE = CameraModel(
-    focal_length_px=500.0, image_width=1280.0, image_height=720.0,
-    fov_h=64.0, fov_v=52.0,
-)
+CAMERA = CameraModel(focal_length_px=3000.0, image_width=1280.0, image_height=720.0)
+# Short focal length widens the frame to atan(640 / 500) = 52.0 degrees off
+# axis horizontally and atan(360 / 500) = 35.75 degrees vertically.
+WIDE = CameraModel(focal_length_px=500.0, image_width=1280.0, image_height=720.0)
 
 
 def estimate(aoa_h=90.0, aoa_v=90.0, tof=20e-9, identifier="p0"):
@@ -51,12 +48,14 @@ class TestProject:
         assert radar.edge == pytest.approx(one_way.edge, rel=1e-12)
 
     def test_out_of_fov_returns_none(self):
-        assert project(estimate(aoa_h=90.0 + 33.0), WIDE) is None
-        assert project(estimate(aoa_h=90.0 + 31.0), WIDE) is not None
-        assert project(estimate(aoa_v=90.0 + 27.0), WIDE) is None
+        for sign in (1.0, -1.0):
+            assert project(estimate(aoa_h=90.0 + sign * 53.0), WIDE) is None
+            assert project(estimate(aoa_h=90.0 + sign * 51.0), WIDE) is not None
+            assert project(estimate(aoa_v=90.0 + sign * 36.0), WIDE) is None
+            assert project(estimate(aoa_v=90.0 + sign * 35.0), WIDE) is not None
 
     def test_out_of_frame_center_returns_none(self):
-        # In FOV but the tangent mapping leaves the image with l = 3000 px.
+        # 20 degrees is past atan(640 / 3000) = 12.0 degrees, the frame's edge.
         assert project(estimate(aoa_h=90.0 + 20.0), CAMERA) is None
 
     def test_behind_camera_raises(self):
@@ -134,6 +133,30 @@ class TestRadioRegion:
 
     def test_camera_validation(self):
         with pytest.raises(InvalidInputError):
-            CameraModel(0.0, 100, 100, 60, 60)
-        with pytest.raises(InvalidInputError):
-            CameraModel(100.0, 100, 100, 190.0, 60)
+            CameraModel(0.0, 100, 100)
+
+
+def _off_axis(limit, inside, share):
+    """An angle at least 1e-9 degrees inside or outside ``limit`` (and short of 90)."""
+    room = limit if inside else 89.9 - limit
+    margin = 1e-9 + share * (room - 1e-9)
+    return limit - margin if inside else limit + margin
+
+
+@settings(max_examples=400, deadline=None)
+@given(focal=st.floats(100.0, 5000.0),
+       frame=st.sampled_from([(1280.0, 720.0), (640.0, 480.0), (100.0, 100.0),
+                              (1920.0, 1080.0), (4000.0, 300.0), (10.0, 7000.0)]),
+       inside_h=st.booleans(), inside_v=st.booleans(),
+       share_h=st.floats(0.0, 1.0), share_v=st.floats(0.0, 1.0),
+       sign_h=st.sampled_from([1.0, -1.0]), sign_v=st.sampled_from([1.0, -1.0]))
+def test_field_of_view_follows_from_focal_length_and_frame(
+        focal, frame, inside_h, inside_v, share_h, share_v, sign_h, sign_v):
+    """In view exactly when each angle is within atan(size / 2f) of the axis."""
+    width, height = frame
+    camera = CameraModel(focal_length_px=focal, image_width=width, image_height=height)
+    off_h = _off_axis(math.degrees(math.atan(width / (2.0 * focal))), inside_h, share_h)
+    off_v = _off_axis(math.degrees(math.atan(height / (2.0 * focal))), inside_v, share_v)
+    region = project(estimate(aoa_h=90.0 + sign_h * off_h, aoa_v=90.0 + sign_v * off_v),
+                     camera)
+    assert (region is not None) == (inside_h and inside_v)

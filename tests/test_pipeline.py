@@ -193,8 +193,7 @@ class TestRadioPipeline:
         assert est.aoa_h == 92.0 and est.aoa_v == 91.0
         assert est.tof == pytest.approx(tof)
 
-        camera = CameraModel(focal_length_px=3000.0, image_width=1280.0,
-                             image_height=720.0, fov_h=64.0, fov_v=52.0)
+        camera = CameraModel(focal_length_px=3000.0, image_width=1280.0, image_height=720.0)
         regions = project_estimates(estimates, camera, radio)
         (region,) = regions["img0"]
         expected_x = 640.0 + 3000.0 * np.tan(np.radians(2.0))

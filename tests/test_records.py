@@ -16,7 +16,6 @@ from radiofusion.geometry import MAX_COORD, in_box_domain, iou_arrays, rect_area
 from radiofusion.imaging import RadioRegion
 from radiofusion.radio import ArrayGeometry, CsiFrame, RadioEstimate
 from radiofusion.sim_regions import Annotation
-from radiofusion.world import ANCHOR_RATIOS, ANCHOR_SCALES
 
 NAN, INF = math.nan, math.inf
 GEO = ArrayGeometry(num_antennas=2, element_spacing=0.0258, num_subcarriers=2,
@@ -93,8 +92,7 @@ def test_boxes_at_the_edge_of_the_box_domain_are_accepted():
     assert Annotation(image_id="a", bbox=big).bbox == big
     # A region's largest proposal anchor, 1.25 * sqrt(3) edges tall, spans the domain.
     edge = 2 * MAX_COORD / (1.25 * math.sqrt(3.0))
-    _, y, _, h = anchor_boxes(regions_in([RadioRegion(0.0, 0.0, edge, "r")]), ANCHOR_SCALES,
-                              ANCHOR_RATIOS)[0, -1].tolist()
+    _, y, _, h = anchor_boxes(regions_in([RadioRegion(0.0, 0.0, edge, "r")]))[0, -1].tolist()
     assert (y, h) == pytest.approx((-MAX_COORD, 2 * MAX_COORD), rel=1e-15)
 
 
@@ -171,4 +169,4 @@ def test_every_anchor_of_an_accepted_region_is_in_the_box_domain(x, y, edge):
         region = RadioRegion(x, y, edge, "r")
     except InvalidInputError:
         reject()
-    assert in_box_domain(anchor_boxes(regions_in([region]), ANCHOR_SCALES, ANCHOR_RATIOS)).all()
+    assert in_box_domain(anchor_boxes(regions_in([region]))).all()

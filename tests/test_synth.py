@@ -2,10 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from radiofusion.errors import InvalidInputError
-from radiofusion.synth import SynthParams, generate, make_world
+from radiofusion.synth import POISSON_LAM_MAX, SynthParams, generate, make_world
 
 
 class TestMakeWorld:
@@ -22,7 +23,7 @@ class TestMakeWorld:
         assert len(per_image) < 200  # some frames stay empty
 
     def test_aspect_band(self):
-        _, anns = make_world(100, seed=2, aspect_range=(1.3, 1.9))
+        _, anns = make_world(100, seed=2)
         for ann in anns:
             _, _, w, h = ann.bbox
             assert 1.3 <= h / w <= 1.9 + 1e-9
@@ -94,3 +95,26 @@ class TestGenerate:
             SynthParams(fn_rate=1.5)
         with pytest.raises(InvalidInputError):
             SynthParams(fp_per_image=-1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("jitter_std", math.nan), ("jitter_std", math.inf),
+        ("duplicate_jitter_std", math.nan), ("duplicate_jitter_std", math.inf),
+        ("fp_per_image", math.nan), ("fp_per_image", math.inf),
+        ("fn_rate", math.nan), ("duplicate_rate", -math.inf),
+        ("score_model", (0.8, math.nan, 0.15)), ("score_model", (0.8, 0.4, math.inf)),
+    ])
+    def test_non_finite_field_is_named(self, field, value):
+        with pytest.raises(InvalidInputError, match=f"synth {field} must be finite"):
+            SynthParams(**{field: value})
+
+    def test_fp_per_image_up_to_the_poisson_cap(self):
+        # Only constructed: generate loops once per false positive, so it
+        # must never run with a mean near the cap.
+        assert SynthParams(fp_per_image=POISSON_LAM_MAX).fp_per_image == POISSON_LAM_MAX
+        np.random.default_rng(0).poisson(POISSON_LAM_MAX)  # numpy accepts the cap itself
+        above = float(np.nextafter(POISSON_LAM_MAX, math.inf))
+        with pytest.raises(ValueError, match="lam value too large"):
+            np.random.default_rng(0).poisson(above)
+        for too_many in (above, 1e20):
+            with pytest.raises(InvalidInputError, match="fp_per_image"):
+                SynthParams(fp_per_image=too_many)
