@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import fileio, pipeline
@@ -136,6 +137,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+@cache  # one parser per process; callers only parse with it, each into a new namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="radiofusion",

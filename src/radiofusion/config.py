@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import cache
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -149,6 +150,7 @@ _KEYS = {"lam": "lambda"}
 # Section fields a run sets itself, so the document has no key for them: the
 # NMS mode comes from the method, the seeds from the run seed's substreams.
 _RUN_SET = {(NmsConfig, "mode"), (NoiseParams, "seed"), (SynthParams, "seed")}
+_type_hints = cache(get_type_hints)  # per section class; callers only read it
 
 
 def _document_keys(section) -> dict[str, str]:
@@ -174,7 +176,7 @@ def _merge(base, patch, where: str):
     unknown = sorted(set(patch) - set(names))
     if unknown:
         raise SchemaError(f"{where}: unknown keys {unknown}")
-    hints = get_type_hints(type(base))
+    hints = _type_hints(type(base))
     changes = {}
     for key, value in patch.items():
         name = names[key]

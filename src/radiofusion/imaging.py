@@ -30,10 +30,9 @@ class CameraModel:
     image_height: float
 
     def __post_init__(self) -> None:
-        if self.focal_length_px <= 0:
-            raise InvalidInputError("focal length must be > 0 pixels")
-        if self.image_width <= 0 or self.image_height <= 0:
-            raise InvalidInputError("image dimensions must be > 0")
+        for name in ("focal_length_px", "image_width", "image_height"):
+            if not 0 < getattr(self, name) < math.inf:  # also refuses NaN
+                raise InvalidInputError(f"camera {name} must be finite and > 0")
 
 
 def project(

@@ -17,9 +17,10 @@ record on an image outside a given list is an input error. Detections and
 ground truth are ``world.Detections`` and ``world.Annotations`` columns,
 put in image-id order by their image index.
 
-AP and the miss rate read one shared match of the ranked detections
-(``coco_map`` returns it, ``mr_fppi`` reads its all-people row); the visual
-counts make their own. One batched core makes each match, after
+AP, the miss rate and the visual counts read one match of the ranked
+detections (``coco_map`` returns it, the others read its all-people row);
+the visual counts match in file order only a display that is not a score
+prefix of each image's ranked rows. One batched core makes each match, after
 pycocotools' ``COCOeval.evaluateImg``. Only images with both detections
 and people can match; sorted by those two counts, they are padded with
 zero boxes ``CHUNK_IMAGES`` at a time to (image, detection, 4) and (image,
@@ -314,16 +315,21 @@ def mr_fppi(detections: Detections, gts: Annotations, iou_t: float = 0.5,
 
 
 def visual_metrics(detections: Detections, gts: Annotations, iou_t: float = 0.5,
-                   image_ids: list[str] | None = None) -> tuple[float, float]:
+                   image_ids: list[str] | None = None, matches: _Matches | None = None,
+                   floor: float = -np.inf) -> tuple[float, float]:
     """Confidence-free visual quality: (FP+FN per image, TP/(TP+FP+FN)).
 
     Detections are matched in file order, never sorted by score, so every
     displayed box counts the same. The ratio is 1 for a run with no boxes
-    and no people at all.
+    and no people at all. Given ``coco_map``'s ``matches`` of rows whose
+    scores never rise within an image, of which ``detections`` are those
+    scoring at least ``floor``, it counts their ``iou_t`` flags instead.
     """
-    matches = _match(*_per_image(detections, gts, image_ids), (iou_t,), by_score=False)
-    total_tp = int(matches.tp.sum())
-    total_fp = matches.scores.size - total_tp
+    if matches is None:
+        matches = _match(*_per_image(detections, gts, image_ids), (iou_t,), by_score=False)
+    tp = matches.tp[0, matches.thresholds.index(iou_t), matches.scores >= floor]
+    total_tp = int(tp.sum())
+    total_fp = tp.size - total_tp
     total_fn = int(matches.num_gt[0]) - total_tp
 
     fp_fn = (total_fp + total_fn) / max(matches.num_images, 1)

@@ -110,7 +110,9 @@ def evaluate(config: RunConfig, image_ids: list[str], gts: Annotations,
     """Apply the method and compute the full metrics report.
 
     Returns the report and the display set of detections (the boxes a user
-    would actually see, which the visual metrics are computed on).
+    would actually see, which the visual metrics are computed on): a score
+    prefix of each image's ranked rows, so the visual counts read the AP's
+    match when the ranked rows' file order is their score order.
     ``image_ids`` is the evaluated universe: detections or regions on any
     other image are an input error.
     """
@@ -118,15 +120,19 @@ def evaluate(config: RunConfig, image_ids: list[str], gts: Annotations,
     start = time.perf_counter()
     ranked = apply_method(config, image_ids, detections, regions)
 
-    display = ranked
+    display, floor = ranked, -np.inf
     if config.count_constrained:
         ranked = display = truncate_to_gt_count(ranked, gts)
     elif METHOD_STEPS[config.method][1] is None:
-        display = ranked.take(ranked.scores >= config.score_threshold)
+        floor = config.score_threshold
+        display = ranked.take(ranked.scores >= floor)
 
     coco = coco_map(ranked, gts, image_ids)
     curve, lamr = mr_fppi(ranked, gts, EVAL_IOU, image_ids, coco.matches)
-    fp_fn, ratio = visual_metrics(display, gts, EVAL_IOU, image_ids)
+    step = np.diff(ranked.image)  # image-id order, scores never rising in an image
+    by_score = ((step > 0) | (step == 0) & (np.diff(ranked.scores) <= 0)).all()
+    fp_fn, ratio = visual_metrics(display, gts, EVAL_IOU, image_ids,
+                                  *((coco.matches, floor) if by_score else ()))
     report = MetricsReport(
         ap=coco.ap, ap50=coco.ap50, ap75=coco.ap75,
         ap_s=coco.ap_s, ap_m=coco.ap_m, ap_l=coco.ap_l,

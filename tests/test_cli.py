@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from radiofusion import fileio
+from radiofusion import cli, fileio
 from radiofusion.cli import main
 from radiofusion.config import RunConfig, RunPaths
 from radiofusion.radio import ArrayGeometry, synthesize_csi
@@ -50,6 +50,25 @@ def test_sweep_writes_csv(tmp_path):
     rows = (tmp_path / "sweep.csv").read_text().strip().splitlines()
     assert rows[0].startswith("param,value,ap")
     assert len(rows) == 3
+
+
+def test_one_parser_serves_every_call(tmp_path, monkeypatch):
+    """Calls with different subcommands build the parser once, and each
+    parses only its own arguments: no ``--values`` list carries over."""
+    add_common, built = cli._add_common, []
+    monkeypatch.setattr(cli, "_add_common", lambda p: (built.append(p), add_common(p)))
+    cli.build_parser.cache_clear()
+    out = str(tmp_path)
+    sweep = ["sweep", "--seed", "3", "--method", "method2", "--param", "k",
+             "--annotations", str(tmp_path / "annotations.json"), "--output-dir", out]
+    assert main(["synth", "--num-images", "6", "--seed", "3", "--output-dir", out]) == 0
+    assert main([*sweep, "--values", "0.1", "0.3", "--out", str(tmp_path / "two.csv")]) == 0
+    assert main([*sweep, "--values", "0.2", "--out", str(tmp_path / "one.csv")]) == 0
+    assert len(built) == 6  # every subcommand's parser, each once
+    for name, values in (("two.csv", ["0.1", "0.3"]), ("one.csv", ["0.2"])):
+        rows = (tmp_path / name).read_text().strip().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == values
+    cli.build_parser.cache_clear()
 
 
 def test_localize_and_project(tmp_path):

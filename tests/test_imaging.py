@@ -135,6 +135,14 @@ class TestRadioRegion:
         with pytest.raises(InvalidInputError):
             CameraModel(0.0, 100, 100)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("name", ["focal_length_px", "image_width", "image_height"])
+    def test_camera_refuses_a_non_finite_or_non_positive_field(self, name, value):
+        """NaN fails ``<= 0`` as well as ``> 0``, so each field is tested as a finite positive."""
+        fields = {"focal_length_px": 3000.0, "image_width": 1280.0, "image_height": 720.0}
+        with pytest.raises(InvalidInputError, match=name):
+            CameraModel(**{**fields, name: value})
+
 
 def _off_axis(limit, inside, share):
     """An angle at least 1e-9 degrees inside or outside ``limit`` (and short of 90)."""

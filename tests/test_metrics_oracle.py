@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import on_records
 from radiofusion import metrics
-from radiofusion.config import RunConfig
+from radiofusion.config import METHODS, RunConfig
 from radiofusion.fusion import Detection
 from radiofusion.geometry import iou, iou_arrays, rect_area, rect_areas
 from radiofusion.metrics import (
@@ -33,7 +33,8 @@ from radiofusion.metrics import (
 from radiofusion.nms import NmsConfig
 from radiofusion.pipeline import EVAL_IOU, apply_method, evaluate
 from radiofusion.sim_regions import Annotation
-from radiofusion.world import Annotations, Detections, Regions, group_by_image, score_order
+from radiofusion.world import Annotations, Detections, RadioRegion, Regions, group_by_image, \
+    score_order
 
 # The metrics under test, called on records through the columns.
 coco_map, match, mr_fppi, visual_metrics = map(on_records, (
@@ -593,3 +594,48 @@ def test_evaluate_reads_the_miss_rate_off_the_shared_match(world, nms_iou, count
         ranked = metrics.truncate_to_gt_count(ranked, gts)
     assert (report.mr_fppi_curve, report.log_avg_miss_rate) == oracle_mr_fppi(
         ranked.records(), people, EVAL_IOU, image_ids)
+
+
+# -- The visual counts off the shared match ---------------------------------
+
+# A method2+cnms world at NMS IoU 0.3 whose fallback pass revives r2's 1.0
+# proposal after r1's 0.5625 one, which pass one kept: the display's file
+# order is not its score order, and a walk in score order would match both
+# people where the file-order walk matches one.
+REVIVED = (["im0"], [Annotation("im0", (46.0, 27.0, 16.0, 8.0)),
+                     Annotation("im0", (45.0, 25.0, 16.0, 16.0))], [],
+           {"im0": [RadioRegion(48.0, 37.0, 24.0, "r0"), RadioRegion(54.0, 32.0, 16.0, "r1"),
+                    RadioRegion(52.0, 35.0, 16.0, "r2")]})
+
+
+@st.composite
+def _displayed_worlds(draw):
+    """(image ids, people, detections, regions by image) on up to four images."""
+    image_ids, people, dets = draw(_ranked_worlds())
+    scores = st.sampled_from([0.1, *TIED_SCORES])  # 0.1 is below the display threshold
+    dets = [replace(det, score=draw(scores)) for det in dets]
+    square = st.tuples(st.integers(30, 60).map(float), st.integers(30, 60).map(float),
+                       st.sampled_from([8.0, 16.0, 24.0]))
+    regions = {image_id: [RadioRegion(x, y, edge, f"{image_id}r{k}") for k, (x, y, edge)
+                          in enumerate(draw(st.lists(square, max_size=3)))]
+               for image_id in image_ids}
+    return image_ids, people, dets, regions
+
+
+@settings(max_examples=80, deadline=None)
+@given(_displayed_worlds(), st.sampled_from(METHODS), st.sampled_from([0.3, 0.5]),
+       st.booleans())
+@example(REVIVED, "method2+cnms", 0.3, False)
+@example(REVIVED, "method2+cnms", 0.3, True)
+def test_evaluate_reads_the_visual_counts_off_the_shared_match(world, method, nms_iou,
+                                                              count_constrained):
+    """``evaluate``'s visual counts, read off ``coco_map``'s match when the
+    ranked rows' file order is their score order, are the scalar oracle's
+    file-order counts on the display set."""
+    image_ids, people, dets, regions = world
+    config = replace(RunConfig(), method=method, nms=NmsConfig(iou_threshold=nms_iou),
+                     count_constrained=count_constrained)
+    report, display = evaluate(config, image_ids, Annotations.from_records(people),
+                               Detections.from_records(dets), Regions.from_records(regions))
+    assert (report.fp_fn_per_image, report.true_detection_ratio) == oracle_visual_metrics(
+        display.records(), people, EVAL_IOU, image_ids)

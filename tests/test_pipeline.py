@@ -15,6 +15,8 @@ from radiofusion.pipeline import build_detections, build_regions, evaluate, load
 from radiofusion.radio import ArrayGeometry, synthesize_csi, default_tof_grid
 from radiofusion.sim_regions import GT_FILTERS
 from radiofusion.synth import make_world
+from radiofusion.world import Annotations, Detections, Regions
+from test_metrics_oracle import REVIVED
 
 
 def small_world(tmp_path, num_images=120, seed=77):
@@ -24,6 +26,19 @@ def small_world(tmp_path, num_images=120, seed=77):
     fileio.write_annotations(ann_path, image_ids, gts, image_size=config.image_size)
     return replace(config, paths=RunPaths(annotations=str(ann_path),
                                           output_dir=str(tmp_path / "out")))
+
+
+def _match_calls(monkeypatch, config, *world) -> list[bool]:
+    """Each ``metrics._match`` call of one ``evaluate``: whether it walked by score."""
+    match, by_score = metrics._match, []
+
+    def counted(*args, **kwargs):
+        by_score.append(kwargs.get("by_score", True))
+        return match(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "_match", counted)
+    evaluate(config, *world)
+    return by_score
 
 
 class TestRun:
@@ -94,24 +109,28 @@ class TestRun:
 
     @pytest.mark.parametrize("count_constrained", [False, True])
     @pytest.mark.parametrize("method", METHODS)
-    def test_one_evaluate_matches_twice(self, tmp_path, monkeypatch, method,
-                                        count_constrained):
-        """AP and the miss rate read one match of the ranked detections; the
-        visual counts, in file order, make the only other one."""
+    def test_one_evaluate_matches_once(self, tmp_path, monkeypatch, method, count_constrained):
+        """AP, the miss rate and the visual counts read one match of the
+        ranked detections, whose file order here is their score order."""
         config = replace(small_world(tmp_path, num_images=20), method=method,
                          count_constrained=count_constrained)
         image_ids, gts = load_world(config)
         detections = build_detections(config, gts, image_ids)
         regions = build_regions(config, gts)
-        match, by_score = metrics._match, []
+        assert _match_calls(monkeypatch, config, image_ids, gts, detections, regions) == [True]
 
-        def counted(*args, **kwargs):
-            by_score.append(kwargs.get("by_score", True))
-            return match(*args, **kwargs)
-
-        monkeypatch.setattr(metrics, "_match", counted)
-        evaluate(config, image_ids, gts, detections, regions)
-        assert by_score == [True, False]
+    @pytest.mark.parametrize("count_constrained", [False, True])
+    def test_a_revived_candidate_out_of_score_order_matches_again(self, monkeypatch,
+                                                                  count_constrained):
+        """A fallback candidate that outscores a box kept before it leaves the
+        file order off the score order, so the visual counts match in file order."""
+        image_ids, people, dets, regions = REVIVED
+        config = replace(RunConfig(), method="method2+cnms", count_constrained=count_constrained,
+                         nms=replace(RunConfig().nms, iou_threshold=0.3))
+        calls = _match_calls(monkeypatch, config, image_ids, Annotations.from_records(people),
+                             Detections.from_records(dets), Regions.from_records(regions))
+        # Capped at its two people, the image keeps its two 1.0 boxes, in order.
+        assert calls == ([True] if count_constrained else [True, False])
 
     @pytest.mark.parametrize("gt_filter", ["none", "reasonable", "all"])
     def test_ground_truth_filter_keeps_the_records_it_kept(self, tmp_path, gt_filter):

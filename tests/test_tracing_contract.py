@@ -48,15 +48,17 @@ def test_every_command_runs_clean_under_the_tracer(tmp_path, tracing):
 
     def metric_spans(first):
         names = [span.name for span in tracer.spans[first:]]
-        return names.count("metrics.coco_map"), names.count("metrics.mr_fppi")
+        return tuple(names.count(f"metrics.{name}")
+                     for name in ("coco_map", "mr_fppi", "visual_metrics"))
 
     with tracing.installed(tracer):
         for method in METHODS:
             kept_before, first = tracer.counts.get("nms.kept", 0), len(tracer.spans)
             assert main(["run", "--method", method, "--annotations", annotations,
                          "--output-dir", out]) == 0
-            # The match is timed once, inside coco_map; mr_fppi reads it.
-            assert metric_spans(first) == (1, 1), method
+            # The match is timed once, inside coco_map; mr_fppi and the
+            # visual counts read it, each under its own span.
+            assert metric_spans(first) == (1, 1, 1), method
             if method.endswith("+cnms"):
                 written = tmp_path / f"detections_{method.replace('+', '_')}.json"
                 shown = json.loads(written.read_text(encoding="utf-8"))["detections"]
@@ -66,7 +68,7 @@ def test_every_command_runs_clean_under_the_tracer(tmp_path, tracing):
             assert main(["sweep", "--method", method, "--annotations", annotations,
                          "--param", "k", "--values", "0.05", "0.4",
                          "--output-dir", out]) == 0
-            assert metric_spans(first) == (2, 2), method
+            assert metric_spans(first) == (2, 2, 2), method
         assert main(["localize", "--csi", *frames, "--output-dir", out]) == 0
         assert main(["project", "--estimates", str(tmp_path / "estimates.json"),
                      "--output-dir", out]) == 0
