@@ -16,7 +16,8 @@ with conjugate phases, so analysis acts as a matched filter.
 All functions are pure and safe to call concurrently. The steering bases
 are built once per array geometry and grid pair and kept in a small bounded
 cache; the cached arrays are read-only, so sharing them between calls and
-threads cannot change a result.
+threads cannot change a result. The angle basis is stored (I, K, M), so the sum
+over antennas reads contiguous memory, in the order an (I, M, K) basis gives.
 """
 
 from __future__ import annotations
@@ -106,8 +107,8 @@ class AoaTofSpectrum:
                 f"magnitude matrix {mags.shape} does not match grids "
                 f"({aoa.size}, {tof.size})"
             )
-        if np.any(mags < 0):
-            raise InvalidInputError("spectrum magnitudes must be non-negative")
+        if mags.size == 0 or not 0.0 <= mags.min() <= mags.max() < np.inf:  # NaN fails
+            raise InvalidInputError("spectrum magnitudes must be non-empty, finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -145,18 +146,19 @@ def _validate_grid(grid: np.ndarray, name: str) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise InvalidInputError(f"{name} must be a non-empty 1D grid")
-    if grid.size > 1 and np.any(np.diff(grid) <= 0):
-        raise InvalidInputError(f"{name} must be strictly ascending")
+    # Ascending values are finite once both ends are; NaN fails every comparison.
+    if not ((grid[1:] > grid[:-1]).all() and -np.inf < grid[0] and grid[-1] < np.inf):
+        raise InvalidInputError(f"{name} must be finite and strictly ascending")
     return grid
 
 
 def _aoa_steering(geometry: ArrayGeometry, aoa_grid: np.ndarray) -> np.ndarray:
-    """Per-antenna, per-subcarrier phase for each grid angle, shape (I, M, K)."""
+    """Per-subcarrier, per-antenna phase for each grid angle, shape (I, K, M)."""
     f_k = geometry.subcarrier_frequencies()
     m = np.arange(geometry.num_antennas)
     cos_theta = np.cos(np.radians(aoa_grid))
-    per_mk = np.outer(m, f_k) * (geometry.element_spacing / SPEED_OF_LIGHT)
-    return 2.0 * np.pi * cos_theta[:, None, None] * per_mk[None, :, :]
+    per_km = np.outer(f_k, m) * (geometry.element_spacing / SPEED_OF_LIGHT)
+    return 2.0 * np.pi * cos_theta[:, None, None] * per_km[None, :, :]
 
 
 def _tof_steering(geometry: ArrayGeometry, tof_grid: np.ndarray) -> np.ndarray:
@@ -168,7 +170,7 @@ def _tof_steering(geometry: ArrayGeometry, tof_grid: np.ndarray) -> np.ndarray:
 def _steering_bases(
     geometry: ArrayGeometry, aoa_grid: np.ndarray, tof_grid: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``exp(1j*phase)`` bases, shapes (I, M, K) and (K, J), cached.
+    """Read-only ``exp(1j*phase)`` bases, shapes (I, K, M) and (K, J), cached.
 
     The key is the geometry's numeric fields and the bytes of the two
     validated grids. The bases do not depend on the orientation, so both
@@ -248,9 +250,12 @@ def compute_spectrum(csi: CsiFrame, aoa_grid, tof_grid) -> AoaTofSpectrum:
     tof_grid = _validate_grid(tof_grid, "tof_grid")
     # Collapse antennas per angle first, then apply delay phases: O(I*M*K + I*K*J).
     aoa_basis, tof_basis = _steering_bases(csi.geometry, aoa_grid, tof_grid)
-    per_angle = np.einsum("mk,imk->ik", csi.samples, aoa_basis)
-    response = per_angle @ tof_basis
-    return AoaTofSpectrum(np.abs(response), aoa_grid, tof_grid)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            magnitudes = np.abs(np.einsum("mk,ikm->ik", csi.samples, aoa_basis) @ tof_basis)
+    except FloatingPointError:
+        raise InvalidInputError(f"spectrum of CSI frame t={csi.timestamp} overflows") from None
+    return AoaTofSpectrum(magnitudes, aoa_grid, tof_grid)
 
 
 def pick_peaks(spectrum: AoaTofSpectrum, relative_threshold: float = 0.5) -> list[Peak]:
@@ -266,24 +271,28 @@ def pick_peaks(spectrum: AoaTofSpectrum, relative_threshold: float = 0.5) -> lis
     if not 0.0 < relative_threshold <= 1.0:
         raise InvalidInputError("relative_threshold must be in (0, 1]")
     mags = spectrum.magnitudes
-    global_max = float(mags.max(initial=0.0))
+    top = int(np.argmax(mags))
+    global_max = float(mags.flat[top])
     if global_max <= 0.0:
         return []
 
-    # Largest of the 8 neighbors, -inf off the grid; max is exact, so
-    # mags > best holds exactly where mags exceeds every neighbor.
-    best = np.full_like(mags, -np.inf)
-    best[:, 1:] = mags[:, :-1]
-    np.maximum(best[:, :-1], mags[:, 1:], out=best[:, :-1])
-    row_max = np.maximum(mags, best)  # each cell and its left/right neighbors
+    # Search only rows from the first to the last cell at the threshold; a neighbor
+    # off them is below it, as -inf is. max is exact: band > best means strict.
+    flat = np.flatnonzero(mags >= relative_threshold * global_max)
+    cols = mags.shape[1]
+    first, last = int(flat[0]) // cols, int(flat[-1]) // cols + 1
+    band = mags[first:last]
+    best = np.full_like(band, -np.inf)
+    best[:, 1:] = band[:, :-1]
+    np.maximum(best[:, :-1], band[:, 1:], out=best[:, :-1])
+    row_max = np.maximum(band, best)  # each cell and its left/right neighbors
     np.maximum(best[1:], row_max[:-1], out=best[1:])
     np.maximum(best[:-1], row_max[1:], out=best[:-1])
-    strict = mags > best
-    strict &= mags >= relative_threshold * global_max
+    strict = band > best
+    strict &= band >= relative_threshold * global_max
 
-    cols = mags.shape[1]
-    cells = [divmod(flat, cols) for flat in np.flatnonzero(strict).tolist()]
-    top = divmod(int(np.argmax(mags)), cols)
+    cells = [divmod(first * cols + f, cols) for f in np.flatnonzero(strict).tolist()]
+    top = divmod(top, cols)
     if top not in cells:
         cells.append(top)
     cells.sort(key=lambda ij: (-mags[ij], ij[0], ij[1]))

@@ -1,6 +1,7 @@
 """CLI subcommand tests, invoked in process."""
 
 import json
+import warnings
 
 import pytest
 
@@ -333,6 +334,26 @@ def test_malformed_csi_geometry_exit_code(tmp_path, patch):
     path.write_text(json.dumps(doc))
     code = main(["localize", "--csi", str(path), "--output-dir", str(tmp_path)])
     assert code == 2
+
+
+def test_overflowing_csi_spectrum_exit_code(tmp_path, capsys):
+    """Finite samples whose response overflows end in exit 2 naming the spectrum."""
+    paths = []
+    for orientation in ("horizontal", "vertical"):
+        geo = ArrayGeometry(num_antennas=8, element_spacing=0.0258, num_subcarriers=32,
+                            base_frequency=5.8e9, frequency_interval=312.5e3,
+                            orientation=orientation)
+        frame = synthesize_csi([(90.0, 40e-9, 1e306)], geo, timestamp=3.0)
+        paths.append(tmp_path / f"{orientation}.json")
+        fileio.write_csi_frame(paths[-1], frame, image_id="f0")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["localize", "--csi", *map(str, paths), "--output-dir", str(tmp_path)])
+    assert code == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err == "error: spectrum of CSI frame t=3.0 overflows\n"
+    assert not (tmp_path / "estimates.json").exists()
 
 
 def test_negative_seed_flag_exit_code(tmp_path):

@@ -1,5 +1,6 @@
 """Spectrum estimation tests against scalar-loop oracles."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -87,23 +88,55 @@ def peak_list_oracle(spectrum, threshold):
     ]
 
 
+def neighbour_max_peaks(spectrum, relative_threshold):
+    """pick_peaks as it was before it searched only the rows holding cells at
+    the threshold: the largest of the 8 neighbors of every cell, -inf off the grid."""
+    mags = spectrum.magnitudes
+    global_max = float(mags.max(initial=0.0))
+    if global_max <= 0.0:
+        return []
+    best = np.full_like(mags, -np.inf)
+    best[:, 1:] = mags[:, :-1]
+    np.maximum(best[:, :-1], mags[:, 1:], out=best[:, :-1])
+    row_max = np.maximum(mags, best)  # each cell and its left/right neighbors
+    np.maximum(best[1:], row_max[:-1], out=best[1:])
+    np.maximum(best[:-1], row_max[1:], out=best[:-1])
+    strict = mags > best
+    strict &= mags >= relative_threshold * global_max
+
+    cols = mags.shape[1]
+    cells = [divmod(flat, cols) for flat in np.flatnonzero(strict).tolist()]
+    top = divmod(int(np.argmax(mags)), cols)
+    if top not in cells:
+        cells.append(top)
+    cells.sort(key=lambda ij: (-mags[ij], ij[0], ij[1]))
+    return [
+        (float(spectrum.aoa_grid[i]), float(spectrum.tof_grid[j]), float(mags[i, j]))
+        for i, j in cells
+    ]
+
+
 def uncached_spectrum(csi, aoa_grid, tof_grid):
-    """compute_spectrum as it was before the steering bases were cached."""
+    """compute_spectrum as it was before the steering bases were cached,
+    with its own (I, M, K) angle phase: antennas before subcarriers."""
     aoa_grid = radio._validate_grid(aoa_grid, "aoa_grid")
     tof_grid = radio._validate_grid(tof_grid, "tof_grid")
     geometry = csi.geometry
-    samples = np.asarray(csi.samples, dtype=np.complex128)
-    if samples.shape != (geometry.num_antennas, geometry.num_subcarriers):
-        raise InvalidInputError("CSI sample matrix does not match its geometry")
+    f_k = geometry.subcarrier_frequencies()
+    m = np.arange(geometry.num_antennas)
+    k = np.arange(geometry.num_subcarriers)
+    cos_theta = np.cos(np.radians(aoa_grid))
+    per_mk = np.outer(m, f_k) * (geometry.element_spacing / SPEED_OF_LIGHT)
+    aoa_phase = 2.0 * np.pi * cos_theta[:, None, None] * per_mk[None, :, :]
+    tof_phase = 2.0 * np.pi * geometry.frequency_interval * np.outer(k, tof_grid)
 
     # Collapse antennas per angle first, then apply delay phases: O(I*M*K + I*K*J).
-    aoa_basis = np.exp(1j * radio._aoa_steering(geometry, aoa_grid))
-    per_angle = np.einsum("mk,imk->ik", samples, aoa_basis)
-    tof_basis = np.exp(1j * radio._tof_steering(geometry, tof_grid))
-    response = per_angle @ tof_basis
+    per_angle = np.einsum("mk,imk->ik", csi.samples, np.exp(1j * aoa_phase))
+    response = per_angle @ np.exp(1j * tof_phase)
     return AoaTofSpectrum(np.abs(response), aoa_grid, tof_grid)
 
 
+TINY = float(np.nextafter(0.0, 1.0))  # the smallest threshold pick_peaks accepts
 GEO_V = replace(GEO, orientation="vertical")
 GEO_SMALL = ArrayGeometry(num_antennas=4, element_spacing=0.0125, num_subcarriers=16,
                           base_frequency=2.4e9, frequency_interval=1.25e6)
@@ -159,6 +192,32 @@ class TestSteeringCache:
                     assert np.array_equal(got, expected[geometry, seed])
         info = radio._cached_bases.cache_info()
         assert (info.misses, info.currsize) == (2, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 8), st.integers(2, 32), st.floats(0.005, 0.1),
+           st.floats(1e9, 6e9), st.floats(1e4, 2e6),
+           st.sampled_from(["default", "coarse", "custom", "strided"]),
+           st.integers(0, 2**31 - 1))
+    def test_any_rig_equals_uncached_oracle(self, antennas, subcarriers, spacing,
+                                            base, interval, case, seed):
+        geometry = ArrayGeometry(antennas, spacing, subcarriers, base, interval)
+        rng = np.random.default_rng(seed)
+        shape = (antennas, subcarriers)
+        frame = CsiFrame(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                         geometry)
+        aoa_grid, tof_grid = grids(geometry, case)
+        cached = compute_spectrum(frame, aoa_grid, tof_grid).magnitudes
+        assert np.array_equal(cached, uncached_spectrum(frame, aoa_grid, tof_grid).magnitudes)
+
+    def test_angle_basis_is_k_major(self):
+        # Summing over antennas walks contiguous memory only in this layout;
+        # a transposed view of an (I, M, K) array would not.
+        aoa_grid, tof_grid = map(np.asarray, grids(GEO_SMALL, "custom"))
+        aoa_basis, tof_basis = radio._steering_bases(GEO_SMALL, aoa_grid, tof_grid)
+        assert aoa_basis.shape == (aoa_grid.size, GEO_SMALL.num_subcarriers,
+                                   GEO_SMALL.num_antennas)
+        assert aoa_basis.flags.c_contiguous
+        assert tof_basis.shape == (GEO_SMALL.num_subcarriers, tof_grid.size)
 
     def test_bases_are_read_only(self):
         aoa_basis, tof_basis = radio._steering_bases(GEO, *map(np.asarray, grids(GEO, "coarse")))
@@ -219,6 +278,67 @@ class TestComputeSpectrum:
             compute_spectrum(frame, [], [1e-9])
         with pytest.raises(InvalidInputError):
             compute_spectrum(frame, [10.0, 5.0], [1e-9])
+
+    @pytest.mark.parametrize("bad", [
+        [np.nan], [np.inf], [-np.inf], [1.0, np.inf], [-np.inf, 1.0],
+        [1.0, np.nan, 3.0], [1.0, 2.0, np.nan], [np.nan, 2.0], [5.0, 5.0],
+    ])
+    @pytest.mark.parametrize("axis", ["aoa_grid", "tof_grid"])
+    def test_rejects_non_finite_grids(self, axis, bad):
+        frame = noisy_frame(GEO_SMALL, 0)
+        aoa_grid, tof_grid = grids(GEO_SMALL, "coarse")
+        chosen = {"aoa_grid": aoa_grid, "tof_grid": tof_grid, axis: bad}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InvalidInputError,
+                               match=f"^{axis} must be finite and strictly ascending$"):
+                compute_spectrum(frame, chosen["aoa_grid"], chosen["tof_grid"])
+        assert caught == []
+
+    def test_one_point_grids_are_accepted(self):
+        spectrum = compute_spectrum(noisy_frame(GEO_SMALL, 1), [90.0], [1e-7])
+        assert spectrum.magnitudes.shape == (1, 1)
+
+    @pytest.mark.parametrize("scale", [1e306, 1e308, 1.7e308])
+    def test_overflowing_response_names_the_spectrum(self, scale):
+        frame = CsiFrame(samples=np.full((8, 32), scale + 0j), geometry=GEO, timestamp=4.0)
+        aoa_grid, tof_grid = grids(GEO, "default")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InvalidInputError,
+                               match=r"^spectrum of CSI frame t=4\.0 overflows$"):
+                compute_spectrum(frame, aoa_grid, tof_grid)
+        assert caught == []
+
+    def test_large_finite_frame_still_scales(self):
+        # Far from overflow, a huge frame is scaled exactly like a unit one.
+        rng = np.random.default_rng(4)
+        samples = rng.standard_normal((8, 32)) + 1j * rng.standard_normal((8, 32))
+        aoa_grid, tof_grid = grids(GEO, "coarse")
+        base = compute_spectrum(CsiFrame(samples, GEO), aoa_grid, tof_grid).magnitudes
+        big = compute_spectrum(CsiFrame(samples * 2.0**900, GEO), aoa_grid, tof_grid)
+        np.testing.assert_allclose(big.magnitudes, base * 2.0**900, rtol=1e-12)
+
+
+class TestSpectrumRecord:
+    GRIDS = (np.arange(2.0), np.arange(1.0, 3.0))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0, -1e-300])
+    def test_rejects_non_finite_or_negative_magnitudes(self, value):
+        mags = np.ones((2, 2))
+        mags[1, 0] = value
+        with pytest.raises(InvalidInputError, match="^spectrum magnitudes must be"):
+            AoaTofSpectrum(mags, *self.GRIDS)
+        with pytest.raises(InvalidInputError, match="^spectrum magnitudes must be"):
+            AoaTofSpectrum(np.full((2, 2), value), *self.GRIDS)
+
+    def test_rejects_empty_magnitudes(self):
+        with pytest.raises(InvalidInputError, match="^spectrum magnitudes must be non-empty"):
+            AoaTofSpectrum(np.zeros((0, 2)), [], self.GRIDS[1])
+
+    def test_accepts_zero_and_large_finite_magnitudes(self):
+        mags = np.array([[0.0, -0.0], [1e308, np.finfo(float).max]])
+        assert AoaTofSpectrum(mags, *self.GRIDS).magnitudes is mags
 
 
 class TestSynthesize:
@@ -334,13 +454,15 @@ class TestPickPeaks:
                 assert len(peaks) <= last_count
             last_count = len(peaks)
 
-    @pytest.mark.parametrize("threshold", [0.05, 0.3, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("threshold", [TINY, 0.05, 0.3, 0.5, 0.9, 1.0])
     def test_equals_oracle_on_seeded_frames(self, threshold):
         for geometry, case in ((GEO, "default"), (GEO_V, "coarse"), (GEO_SMALL, "custom")):
             aoa_grid, tof_grid = grids(geometry, case)
             for seed in range(6):
                 spectrum = compute_spectrum(noisy_frame(geometry, seed), aoa_grid, tof_grid)
-                assert pick_peaks(spectrum, threshold) == peak_list_oracle(spectrum, threshold)
+                peaks = pick_peaks(spectrum, threshold)
+                assert peaks == neighbour_max_peaks(spectrum, threshold)
+                assert peaks == peak_list_oracle(spectrum, threshold)
 
     @pytest.mark.parametrize("mags", [
         [[0.0, 0.0, 0.0], [0.0, 3.0, 3.0], [0.0, 0.0, 0.0]],  # plateau only
@@ -354,16 +476,41 @@ class TestPickPeaks:
     ])
     def test_plateaus_and_ties_equal_oracle(self, mags):
         spectrum = self._spectrum(mags)
-        for threshold in (0.1, 0.5, 1.0):
-            assert pick_peaks(spectrum, threshold) == peak_list_oracle(spectrum, threshold)
+        for threshold in (TINY, 1e-9, 0.1, 0.5, 1.0):
+            peaks = pick_peaks(spectrum, threshold)
+            assert peaks == neighbour_max_peaks(spectrum, threshold)
+            assert peaks == peak_list_oracle(spectrum, threshold)
+
+    @pytest.mark.parametrize("mags", [
+        [[3.0, 1.0, 3.0, 3.0, 0.0, 3.0]],  # 1xN: two strict ties at the max, one plateau
+        [[3.0], [1.0], [3.0], [3.0], [0.0], [3.0]],  # the same as Nx1
+        [[0.0, 2.0, 2.0, 2.0, 0.0]],  # 1xN plateau of three
+        [[1.0], [1.0]],  # Nx1, all equal
+        [[0.0, 0.0, 0.0]],  # 1xN, all zero: nobody
+        [[2.0, 2.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 2.0]],  # plateau tie beside a strict one
+    ])
+    def test_edges_and_global_ties_equal_neighbour_max(self, mags):
+        spectrum = self._spectrum(mags)
+        for threshold in (TINY, 1e-9, 0.5, 1.0):
+            assert pick_peaks(spectrum, threshold) == neighbour_max_peaks(spectrum, threshold)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 7).flatmap(lambda cols: st.lists(
         st.lists(st.integers(0, 3).map(float), min_size=cols, max_size=cols),
-        min_size=1, max_size=7)), st.sampled_from([0.2, 0.5, 1.0]))
+        min_size=1, max_size=7)), st.sampled_from([TINY, 1e-9, 0.2, 0.5, 1.0]))
     def test_small_integer_grids_equal_oracle(self, mags, threshold):
         spectrum = self._spectrum(mags)
-        assert pick_peaks(spectrum, threshold) == peak_list_oracle(spectrum, threshold)
+        peaks = pick_peaks(spectrum, threshold)
+        assert peaks == neighbour_max_peaks(spectrum, threshold)
+        assert peaks == peak_list_oracle(spectrum, threshold)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), st.booleans(), st.integers(0, 2**31 - 1),
+           st.sampled_from([TINY, 1e-9, 0.5, 1.0]))
+    def test_one_row_or_column_equals_neighbour_max(self, length, column, seed, threshold):
+        values = np.random.default_rng(seed).integers(0, 4, length).astype(float)
+        spectrum = self._spectrum(values[:, None] if column else values[None, :])
+        assert pick_peaks(spectrum, threshold) == neighbour_max_peaks(spectrum, threshold)
 
     def test_rejects_bad_threshold(self):
         with pytest.raises(InvalidInputError):

@@ -16,8 +16,8 @@ import pytest
 
 from radiofusion import fileio
 from radiofusion.cli import main
-from radiofusion.config import METHODS
-from radiofusion.radio import ArrayGeometry, synthesize_csi
+from radiofusion.config import METHODS, RadioParams
+from radiofusion.radio import ArrayGeometry, default_aoa_grid, synthesize_csi
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -69,12 +69,25 @@ def test_every_command_runs_clean_under_the_tracer(tmp_path, tracing):
                          "--param", "k", "--values", "0.05", "0.4",
                          "--output-dir", out]) == 0
             assert metric_spans(first) == (2, 2, 2), method
+        first = len(tracer.spans)
         assert main(["localize", "--csi", *frames, "--output-dir", out]) == 0
+        # One spectrum and one peak pick per frame: the hooks count frames and
+        # multiply-accumulates per compute_spectrum call, so a batched radio
+        # pass would need them changed with it.
+        names = [span.name for span in tracer.spans[first:]]
+        assert names.count("radio.compute_spectrum") == len(frames)
+        assert names.count("radio.pick_peaks") == len(frames)
         assert main(["project", "--estimates", str(tmp_path / "estimates.json"),
                      "--output-dir", out]) == 0
 
     assert tracer.violations == []
     assert tracer.nesting_errors() == []
+    radio = RadioParams()
+    cells, bins = default_aoa_grid(radio.aoa_step_deg).size, radio.num_tof_bins
+    values = tracing.layer_metrics(tracer.spans, tracer.counts)
+    assert values["radio.frames"] == len(frames)
+    # I*M*K + I*K*J per frame, with M = 4 antennas and K = 8 subcarriers.
+    assert values["radio.spectrum_cmacs"] == cells * 4 * 8 + cells * 8 * bins
     # sim_regions.regions: runs without a regions file simulate them, so the
     # benchmark's timer on region simulation must see every call.
     # metrics.ranked and metrics.gts: the coco_map timer must see every call.
