@@ -72,7 +72,10 @@ def project(
         return None
 
     edge = person_extent_m * camera.focal_length_px / plane_dist
-    return RadioRegion(center_x, center_y, edge, estimate.identifier)
+    try:
+        return RadioRegion(center_x, center_y, edge, estimate.identifier)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"estimate {estimate.identifier!r}: {exc}") from None
 
 
 def batch_project(

@@ -3,13 +3,12 @@
 The constrained variant runs two passes. The first pass is greedy NMS by
 descending score with one extra rule: a detection whose region was already
 claimed by a kept detection is skipped, so every localization yields at
-most one box. The second pass, available when detections carry region
-provenance (proposal-born detections), revives the best suppressed
-candidate of every region that ended up empty, or falls back to the
-region's own square at a floor score, guaranteeing exactly one detection
-per region. Skip conditions in pass one are checked in a fixed order
-(overlap, region already used, missing region), which pins down the
-deterministic output.
+most one box. The second pass, for proposal-born detections, visits only
+the images where pass one left a region empty and gives each such region
+its best suppressed candidate or its own square at a floor score, so every
+region gets exactly one detection. Skip conditions in pass one are checked
+in a fixed order (overlap, region already used, missing region), which
+pins down the deterministic output.
 
 Every function takes a whole world in one call, as ``world.Detections``
 and ``world.Regions`` columns whose rows name their image, and works image
@@ -150,10 +149,10 @@ def constrained_nms(detections: Detections, regions: Regions | None,
     region id (or an id naming no region of its image) is dropped, since
     the radio asserts nobody is there; the permissive setting keeps such
     detections subject only to the overlap test. The fallback pass runs for
-    enabled ``two_stage`` configurations and guarantees one detection per
-    region, the region's own square at the floor score if need be. Output
-    is in image-id order: pass one's boxes in score order, then the
-    fallback's in region order.
+    enabled ``two_stage`` configurations on the images where pass one left
+    a region empty, and gives each such region one detection, its own square
+    at the floor score if need be. Output is in image-id order: pass one's
+    boxes in score order, then the fallback's in region order.
     """
     if regions is None:
         return standard_nms(detections, cfg.iou_threshold)
@@ -164,26 +163,24 @@ def constrained_nms(detections: Detections, regions: Regions | None,
         per_image[m].append((k, rid))
     known = [{rid for _, rid in owned} for owned in per_image]
     kept, used = _greedy(dets, cfg.iou_threshold, known, cfg.require_region)
-    rows = [i for chosen in kept for i in chosen]
-    if not (cfg.mode == "two_stage" and cfg.enable_fallback_loop):
-        return dets.take(np.array(rows, dtype=np.intp))
-    # Pass two: per image, a row for every region pass one left empty: its
-    # best suppressed candidate, else its own square (row len(dets) + k).
-    candidates: dict[tuple[int, str | None], list[int]] = {}
-    kept_rows, scores = set(rows), dets.scores.tolist()
-    for i, key in enumerate(zip(dets.image.tolist(), dets.region_ids.tolist())):
-        if i not in kept_rows:
-            candidates.setdefault(key, []).append(i)
-    rows = []
-    for m, (chosen, claimed) in enumerate(zip(kept, used)):
-        rows += chosen
+    # Pass two, on the images where pass one left a known region empty: a row for
+    # each such region, its best suppressed candidate, else its square (len(dets) + k).
+    fallback = cfg.mode == "two_stage" and cfg.enable_fallback_loop
+    for m in [m for m, claimed in enumerate(used) if fallback and len(claimed) < len(known[m])]:
+        low, high = np.searchsorted(dets.image, [m, m + 1]).tolist()
+        candidates: dict[str | None, list[int]] = {}
+        for i, rid in enumerate(dets.region_ids[low:high].tolist(), low):
+            candidates.setdefault(rid, []).append(i)  # kept rows name claimed regions
         for k, rid in per_image[m]:
-            if rid not in claimed:
-                revived = candidates.get((m, rid))
-                rows.append(max(revived, key=lambda i: (scores[i], -i)) if revived
-                            else len(dets) + k)
-                claimed.add(rid)
+            if rid not in used[m]:
+                revived = candidates.get(rid)
+                kept[m].append(max(revived, key=lambda i: (dets.scores[i], -i)) if revived
+                               else len(dets) + k)
+                used[m].add(rid)
+    rows = np.array([i for chosen in kept for i in chosen], dtype=np.intp)
+    if not (rows >= len(dets)).any():
+        return dets.take(rows)
     anchors = Detections(dets.ids, regs.image, regs.boxes(),
                          np.full(len(regs), cfg.fallback_floor_score), regs.region_ids,
                          np.full((len(regs), 4), np.nan))
-    return dets.join(anchors).take(np.array(rows, dtype=np.intp))
+    return dets.join(anchors).take(rows)

@@ -257,11 +257,11 @@ def project_estimates(
     radio_params,
 ) -> dict[str, list[RadioRegion]]:
     """Project per-image estimates to square regions, dropping out-of-view ones."""
-    return {
-        image_id: batch_project(
-            ests, camera,
-            person_extent_m=radio_params.person_extent_m,
-            range_factor=radio_params.round_trip_factor,
-        )
-        for image_id, ests in estimates_by_image.items()
-    }
+    regions = {}
+    for image_id, ests in estimates_by_image.items():
+        try:
+            regions[image_id] = batch_project(ests, camera, radio_params.person_extent_m,
+                                              radio_params.round_trip_factor)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"image {image_id!r}: {exc}") from None
+    return regions

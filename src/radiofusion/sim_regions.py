@@ -100,16 +100,14 @@ def build_simulative_set(annotations: Annotations | Iterable[Annotation],
     """
     gts = annotations if isinstance(annotations, Annotations) \
         else Annotations.from_records(annotations)
-    gts = gts.take(gts.categories == "person")
-    order = np.argsort(gts.image, kind="stable")
-    x, y, w, h = gts.boxes[order].T
+    gts = gts.take(gts.categories == "person").grouped(gts.ids)
+    x, y, w, h = gts.boxes.T
     draw = draw_region_noise(noise, np.minimum(w, h), np.random.default_rng(noise.seed))
-    regions: dict[str, list[RadioRegion]] = {}
-    for i, *square in zip(gts.image[order].tolist(), (x + w / 2.0 + draw.dx).tolist(),
-                          (y + h / 2.0 + draw.dy).tolist(), draw.edge.tolist()):
-        image = regions.setdefault(gts.ids[i], [])
-        image.append(RadioRegion(*square, f"r{len(image)}"))
-    return regions
+    rank = (np.arange(len(gts)) - np.searchsorted(gts.image, gts.image)).tolist()  # in the image
+    centers = (x + w / 2.0 + draw.dx).tolist(), (y + h / 2.0 + draw.dy).tolist()
+    records = list(map(RadioRegion, *centers, draw.edge.tolist(), map("r{}".format, rank)))
+    bounds = [i for i, r in enumerate(rank) if r == 0] + [len(rank)]
+    return {gts.ids[gts.image[a]]: records[a:b] for a, b in zip(bounds, bounds[1:])}
 
 
 # Ground-truth filters: a mask over ``Annotations`` (or one ``Annotation``'s

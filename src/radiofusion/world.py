@@ -22,7 +22,7 @@ from typing import ClassVar, TypeVar, get_type_hints
 import numpy as np
 
 from .errors import InvalidInputError, require_finite
-from .geometry import Rect, in_box_domain, require_box, square
+from .geometry import MAX_COORD, Rect, in_box_domain, require_box, square
 
 T = TypeVar("T")
 Self = TypeVar("Self", bound="Table")
@@ -30,6 +30,7 @@ Self = TypeVar("Self", bound="Table")
 # Region proposals: one anchor per scale and height/width ratio (``fusion.anchor_boxes``).
 ANCHOR_SCALES = (0.75, 1.0, 1.25)
 ANCHOR_RATIOS = (1.0, 2.0, 3.0)
+_TALLEST = max(ANCHOR_SCALES), math.sqrt(max(ANCHOR_RATIOS))  # ``anchor_reach``'s factors
 
 
 def score_order(scores: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -47,7 +48,7 @@ def group_by_image(items: Iterable[T]) -> dict[str, list[T]]:
 
 def anchor_reach(edge):
     """The edge of the square that holds a region's tallest proposal anchor."""
-    return max(ANCHOR_SCALES) * edge * math.sqrt(max(ANCHOR_RATIOS))
+    return _TALLEST[0] * edge * _TALLEST[1]
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,9 @@ class Annotation:
 @dataclass(frozen=True)
 class RadioRegion:
     """Square image-plane region born from one radio localization; its
-    tallest proposal anchor, like its square, lies in the box domain."""
+    tallest proposal anchor, like its square, lies in the box domain. One
+    comparison chain over both boxes' corners accepts a region; the ordered
+    checks run only to name the first rule that a refused one breaks."""
 
     center_x: float
     center_y: float
@@ -114,11 +117,16 @@ class RadioRegion:
     identifier: str
 
     def __post_init__(self) -> None:
-        require_finite("region", self.center_x, self.center_y, self.edge)
-        require_box("region", self.to_bbox())
-        require_box("region anchor", square(self.center_x, self.center_y, anchor_reach(self.edge)))
-        if self.edge <= 0:
-            raise InvalidInputError(f"region edge must be > 0, got {self.edge}")
+        x, y, edge, hi, lo = self.center_x, self.center_y, self.edge, MAX_COORD, -MAX_COORD
+        reach = anchor_reach(edge)  # top-left corners: s* of the square, a* of the anchor
+        sx, sy, ax, ay = x - edge / 2.0, y - edge / 2.0, x - reach / 2.0, y - reach / 2.0
+        if not (edge > 0 and lo <= sx <= hi and lo <= sy <= hi and lo <= sx + edge <= hi
+                and lo <= sy + edge <= hi and lo <= ax <= hi and lo <= ay <= hi
+                and lo <= ax + reach <= hi and lo <= ay + reach <= hi):
+            require_finite("region", x, y, edge)
+            require_box("region", self.to_bbox())
+            require_box("region anchor", square(x, y, reach))
+            raise InvalidInputError(f"region edge must be > 0, got {edge}")
 
     def to_bbox(self) -> Rect:
         return square(self.center_x, self.center_y, self.edge)
@@ -198,10 +206,13 @@ class Table:
 
     def grouped(self: Self, ids: Sequence[str]) -> Self:
         """The rows in image-id order, given order within an image, over the
-        sorted table ``ids``, which names every image of a row."""
-        index = {key: i for i, key in enumerate(ids)}
-        remap = np.array([index.get(key, -1) for key in self.ids], dtype=np.intp)
-        table = replace(self, ids=tuple(ids), image=remap[self.image])
+        sorted table ``ids``, which names every image of a row; the table
+        itself when ``ids`` is its own table and its rows are in order."""
+        table, ids = self, tuple(ids)
+        if ids != self.ids:
+            index = {key: i for i, key in enumerate(ids)}
+            remap = np.array([index.get(key, -1) for key in self.ids], dtype=np.intp)
+            table = replace(self, ids=ids, image=remap[self.image])
         in_order = (table.image[1:] >= table.image[:-1]).all()
         return table if in_order else table.take(np.argsort(table.image, kind="stable"))
 

@@ -101,6 +101,23 @@ def test_localize_and_project(tmp_path):
     assert regions.ids == ("f0",) and len(regions) == 1
 
 
+@pytest.mark.parametrize("tof, message", [
+    (1e300, "region edge must be > 0, got 0.0"),
+    (1e-300, "region corners must be finite and within 1e+150 of 0"),
+], ids=["far", "near"])
+def test_project_names_the_estimate_whose_region_is_refused(tmp_path, capsys, tof, message):
+    """A schema-valid delay can make a region the box domain refuses: too far
+    for a positive edge, or so near that the square leaves the domain."""
+    path = tmp_path / "estimates.json"
+    path.write_text(json.dumps({"schema": "estimates/1", "images": {
+        "f0": [{"id": "p0", "aoa_h": 92.0, "aoa_v": 88.0, "tof": 2e-8}],
+        "f1": [{"id": "p0", "aoa_h": 92.0, "aoa_v": 88.0, "tof": 2e-8},
+               {"id": "p1", "aoa_h": 92.0, "aoa_v": 88.0, "tof": tof}]}}))
+    capsys.readouterr()
+    assert main(["project", "--estimates", str(path), "--output-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: image 'f1': estimate 'p1': {message}")
+
+
 def test_config_file_round_trip(tmp_path):
     config = RunConfig(seed=99, method="method2+cnms", lam=0.7)
     path = tmp_path / "config.json"

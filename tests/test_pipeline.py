@@ -167,6 +167,30 @@ class TestRun:
         read = fileio.read_annotations(config.paths.annotations)[1]
         assert load_world(config)[1].records() == read.records()
 
+    def test_grouping_over_its_own_ids_in_order_takes_no_copy(self, tmp_path):
+        """``grouped`` of a table in image order over its own id table is the
+        table itself; its columns are those of the remap path, which a table
+        out of order still takes."""
+
+        def remapped(table, ids):  # the remap path: index dict, remap, stable sort
+            index = {key: i for i, key in enumerate(ids)}
+            remap = np.array([index.get(key, -1) for key in table.ids], dtype=np.intp)
+            table = replace(table, ids=tuple(ids), image=remap[table.image])
+            return table.take(np.argsort(table.image, kind="stable"))
+
+        def columns(table):  # records read NaN as None, so the comparison is exact
+            return table.ids, table.image.tolist(), table.records()
+
+        config = small_world(tmp_path, num_images=12)
+        _, gts = load_world(config)
+        detections = build_detections(config, gts, [f"img{i}" for i in range(12)])
+        for table in (gts, detections, build_regions(config, gts)):
+            assert (table.image[1:] >= table.image[:-1]).all()
+            assert table.grouped(list(table.ids)) is table
+            assert columns(table) == columns(remapped(table, list(table.ids)))
+            shuffled = table.take(np.random.default_rng(3).permutation(len(table)))
+            assert columns(shuffled.grouped(table.ids)) == columns(remapped(shuffled, table.ids))
+
 
 class TestSweep:
     def test_rows_and_common_random_numbers(self, tmp_path):

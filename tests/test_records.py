@@ -1,21 +1,23 @@
 """Record constructors reject non-finite numbers, whoever builds them."""
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import regions_in
 from radiofusion.config import RadioParams
-from radiofusion.errors import InvalidInputError
+from radiofusion.errors import InvalidInputError, require_finite
 from radiofusion.fusion import Detection, anchor_boxes, coverage
-from radiofusion.geometry import MAX_COORD, in_box_domain, iou_arrays, rect_areas, require_box
+from radiofusion.geometry import (MAX_COORD, Rect, in_box_domain, iou_arrays, rect_areas,
+                                 require_box, square)
 from radiofusion.imaging import RadioRegion
 from radiofusion.radio import ArrayGeometry, CsiFrame, RadioEstimate
 from radiofusion.sim_regions import Annotation
+from radiofusion.world import ANCHOR_RATIOS, ANCHOR_SCALES
 
 NAN, INF = math.nan, math.inf
 GEO = ArrayGeometry(num_antennas=2, element_spacing=0.0258, num_subcarriers=2,
@@ -170,3 +172,75 @@ def test_every_anchor_of_an_accepted_region_is_in_the_box_domain(x, y, edge):
     except InvalidInputError:
         reject()
     assert in_box_domain(anchor_boxes(regions_in([region]))).all()
+
+
+# -- The region check against the ordered checks it replaced -----------------
+
+def oracle_anchor_reach(edge):
+    """The edge of the square that holds a region's tallest proposal anchor."""
+    return max(ANCHOR_SCALES) * edge * math.sqrt(max(ANCHOR_RATIOS))
+
+
+@dataclass(frozen=True)
+class OracleRegion:
+    """``RadioRegion`` with its ordered checks, verbatim: the oracle of the
+    comparison chain that now accepts a region."""
+
+    center_x: float
+    center_y: float
+    edge: float
+    identifier: str
+
+    def __post_init__(self) -> None:
+        require_finite("region", self.center_x, self.center_y, self.edge)
+        require_box("region", self.to_bbox())
+        require_box("region anchor", square(self.center_x, self.center_y,
+                                            oracle_anchor_reach(self.edge)))
+        if self.edge <= 0:
+            raise InvalidInputError(f"region edge must be > 0, got {self.edge}")
+
+    def to_bbox(self) -> Rect:
+        return square(self.center_x, self.center_y, self.edge)
+
+
+_PAST = math.nextafter(MAX_COORD, INF)
+_REACH_LIMIT = 2 * MAX_COORD / (1.25 * math.sqrt(3.0))  # the largest anchor that fits at 0
+_region_specials = st.sampled_from([
+    NAN, INF, -INF, 0.0, -0.0, -1.0, -1e-300, 5e-324, 1.0, MAX_COORD, -MAX_COORD, _PAST, -_PAST,
+    MAX_COORD / 2, -MAX_COORD / 2, _REACH_LIMIT, math.nextafter(_REACH_LIMIT, INF),
+    2 * MAX_COORD, 1e308, -1e308, 1.7976931348623157e308])
+_region_any = (_region_specials | st.floats() | st.floats(-2 * MAX_COORD, 2 * MAX_COORD)
+               | st.floats(-1e3, 1e3))
+# Centers at the domain's edge and edges small enough to fit there, or not.
+_region_rim = st.sampled_from([MAX_COORD, -MAX_COORD, _PAST, -_PAST,
+                               math.nextafter(MAX_COORD, 0.0), math.nextafter(-MAX_COORD, 0.0),
+                               MAX_COORD - 1e135, -MAX_COORD + 1e135])
+_region_tiny = (st.sampled_from([5e-324, 1e-300, 1.0, 1e134, 1e135, 2e135, 0.0, -1.0])
+                | st.floats(0.0, 3e135))
+
+
+def _verdict(build):
+    """None when ``build()`` succeeds, else the type and message it raised."""
+    try:
+        build()
+    except Exception as exc:  # a refusal of any type must match
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.tuples(_region_any, _region_any, _region_any)
+       | st.tuples(_region_rim | _region_any, _region_rim | _region_any, _region_tiny))
+@example((NAN, 0.0, 1.0))
+@example((0.0, 0.0, INF))
+@example((0.0, 0.0, 0.0))
+@example((0.0, 0.0, -1.0))
+@example((MAX_COORD, 0.0, 1e134))
+@example((0.0, 0.0, _REACH_LIMIT))
+@example((0.0, 0.0, math.nextafter(_REACH_LIMIT, INF)))
+@example((0.0, 0.0, 1.9e150))
+def test_region_check_accepts_exactly_what_the_ordered_checks_accept(args):
+    """The one comparison chain accepts a region iff the ordered checks do,
+    and a refused region raises their error type and message."""
+    verdict = _verdict(lambda: OracleRegion(*args, "r"))
+    assert _verdict(lambda: RadioRegion(*args, "r")) == verdict

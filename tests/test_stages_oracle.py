@@ -15,7 +15,7 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import on_records
@@ -435,6 +435,85 @@ def test_apply_method_equals_the_per_image_loop(world, method, cfg, lam, listed)
     dets, regs = Detections.from_records(detections), columns(regions, owners)
     assert outcome(lambda: apply_method(config, image_ids, dets, regs).records()) == (
         outcome(lambda: oracle_apply_method(config, image_ids, detections, by_image)))
+
+
+# -- Constrained NMS: which images the fallback pass visits --------------------
+
+def test_constrained_nms_fallback_cases_equal_the_per_image_oracle():
+    """One two-stage world: "a" has every region claimed, "b" a region left
+    empty with suppressed candidates, "c" one left empty with none (its
+    square at the floor score), "d" a repeated region id and "e" regions but
+    no detections. Only "b" to "e" need the fallback pass."""
+
+    def det(image, x, score, region_id):
+        return Detection(image_id=image, bbox=(x, 0.0, 10.0, 10.0), score=score,
+                         region_id=region_id)
+
+    def region(x, rid):
+        return RadioRegion(center_x=x + 5.0, center_y=5.0, edge=10.0, identifier=rid)
+
+    detections = [
+        det("a", 0.0, 0.9, "r0"), det("a", 50.0, 0.8, "r1"), det("a", 1.0, 0.7, "r0"),
+        # b: r1's two candidates lose to r0's box at threshold 0.5; the better one is revived.
+        det("b", 0.0, 0.9, "r0"), det("b", 1.0, 0.4, "r1"), det("b", 2.0, 0.6, "r1"),
+        det("c", 0.0, 0.9, "r0"),  # c: r1 has no candidate
+        det("d", 0.0, 0.9, "r0"), det("d", 1.0, 0.5, "r1"),
+    ]
+    regions = [region(0.0, "r0"), region(50.0, "r1"), region(0.0, "r0"), region(2.0, "r1"),
+               region(0.0, "r0"), region(80.0, "r1"), region(0.0, "r0"), region(1.0, "r1"),
+               region(1.0, "r1"), region(0.0, "r0"), region(30.0, "r1")]
+    owners = ["a", "a", "b", "b", "c", "c", "d", "d", "d", "e", "e"]
+    regs = columns(regions, owners)
+    images = per_image(detections, regions, owners)
+    cfg = NmsConfig(iou_threshold=0.5, fallback_floor_score=0.05)
+    kept = on_records(nms.constrained_nms)(detections, regs, cfg)
+    assert kept == joined(lambda key, dets, regs: constrained_nms(dets, regs, cfg, image_id=key),
+                          images)
+    assert [(d.image_id, d.region_id, d.score) for d in kept] == [
+        ("a", "r0", 0.9), ("a", "r1", 0.8), ("b", "r0", 0.9), ("b", "r1", 0.6),
+        ("c", "r0", 0.9), ("c", "r1", 0.05), ("d", "r0", 0.9), ("d", "r1", 0.5),
+        ("e", "r0", 0.05), ("e", "r1", 0.05)]
+    for require in (False, True):
+        for fallback in (False, True):
+            check_world((detections, regions, owners),
+                        replace(cfg, enable_fallback_loop=fallback, require_region=require),
+                        0.5, "two_stage")
+
+
+@st.composite
+def claimed_worlds(draw):
+    """Worlds whose regions each have detections naming them, apart from
+    the other regions' boxes, plus some detections anywhere."""
+    detections, regions, owners = [], [], []
+    for image in IMAGES:
+        for j, rid in enumerate(draw(st.lists(st.sampled_from(REGION_IDS), max_size=3,
+                                              unique=True))):
+            regions.append(RadioRegion(center_x=100.0 * j + 10.0, center_y=10.0,
+                                       edge=draw(st.floats(5.0, 30.0)), identifier=rid))
+            owners.append(image)
+            detections += [Detection(image_id=image, bbox=(100.0 * j + draw(_coord) / 4,
+                                                           draw(_coord) / 4, draw(_side), 20.0),
+                                     score=draw(_score), region_id=rid)
+                           for _ in range(draw(st.integers(1, 3)))]
+    detections += draw(st.lists(st.builds(
+        Detection, image_id=st.sampled_from(IMAGES),
+        bbox=st.tuples(_coord, _coord, _side, _side), score=_score,
+        region_id=st.sampled_from([None, "unknown", *REGION_IDS])), max_size=3))
+    return draw(st.permutations(detections)), regions, owners
+
+
+@settings(max_examples=150, deadline=None)
+@given(claimed_worlds(), _threshold, st.booleans(), _score)
+def test_the_fallback_adds_nothing_when_pass_one_claims_every_region(world, threshold,
+                                                                      require, floor):
+    detections, regions, owners = world
+    regs = columns(regions, owners)
+    cfg = NmsConfig(iou_threshold=threshold, require_region=require, fallback_floor_score=floor)
+    bare = on_records(nms.constrained_nms)(detections, regs,
+                                           replace(cfg, enable_fallback_loop=False))
+    assume({(d.image_id, d.region_id) for d in bare}
+           >= {(owner, r.identifier) for r, owner in zip(regions, owners)})
+    assert on_records(nms.constrained_nms)(detections, regs, cfg) == bare
 
 
 # -- Boundary ----------------------------------------------------------------

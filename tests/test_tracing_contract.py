@@ -63,12 +63,20 @@ def test_every_command_runs_clean_under_the_tracer(tmp_path, tracing):
                 written = tmp_path / f"detections_{method.replace('+', '_')}.json"
                 shown = json.loads(written.read_text(encoding="utf-8"))["detections"]
                 assert shown and tracer.counts["nms.kept"] - kept_before == len(shown), method
+        people = int((fileio.read_annotations(annotations)[1].categories == "person").sum())
         for method in ("method1+cnms", "method2+cnms"):
             first = len(tracer.spans)
+            before = {key: tracer.counts.get(key, 0) for key in ("sim_regions.regions", "nms.kept")}
             assert main(["sweep", "--method", method, "--annotations", annotations,
                          "--param", "k", "--values", "0.05", "0.4",
                          "--output-dir", out]) == 0
             assert metric_spans(first) == (2, 2, 2), method
+            # Each value simulates one region per person; the two-stage
+            # fallback keeps exactly one box per region, however short its pass.
+            added = {key: tracer.counts[key] - count for key, count in before.items()}
+            assert added["sim_regions.regions"] == 2 * people > 0, method
+            if method == "method2+cnms":
+                assert added["nms.kept"] == added["sim_regions.regions"]
         first = len(tracer.spans)
         assert main(["localize", "--csi", *frames, "--output-dir", out]) == 0
         # One spectrum and one peak pick per frame: the hooks count frames and
