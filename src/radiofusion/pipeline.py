@@ -78,8 +78,7 @@ def build_detections(config: RunConfig, gts: Annotations, image_ids: list[str]) 
     if config.paths.detections is not None:
         return fileio.read_detections(config.paths.detections)
     synth = replace(config.synth, seed=config.substream_seed("synth"))
-    return Detections.from_records(synth_generate(
-        gts.records(), synth, image_size=config.image_size, image_ids=image_ids))
+    return synth_generate(gts, synth, image_size=config.image_size, image_ids=image_ids)
 
 
 def apply_method(config: RunConfig, image_ids: list[str], detections: Detections,

@@ -15,13 +15,14 @@ localization region informative about its person at the usual 0.5 IoU.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .sim_regions import Annotation
-from .world import Detection, group_by_image
+from .world import Annotation, Annotations, Detections
 
 
 HEIGHT_RANGE, ASPECT_RANGE = (120.0, 360.0), (1.3, 1.9)  # world box height px, height / width
@@ -49,117 +50,119 @@ class SynthParams:
                 raise InvalidInputError(f"synth {name} must be finite, got {value!r}")
         if not 0.0 <= self.fn_rate <= 1.0 or not 0.0 <= self.duplicate_rate <= 1.0:
             raise InvalidInputError("rates must be in [0, 1]")
-        if self.jitter_std < 0 or self.duplicate_jitter_std < 0 or self.fp_per_image < 0:
+        # Signs, as numpy's normal and poisson refuse -0.0 too (a -0.0
+        # jitter_std draws no jitter, as 0.0 does).
+        if self.jitter_std < 0 or min(math.copysign(1.0, self.duplicate_jitter_std),
+                                      math.copysign(1.0, self.fp_per_image)) < 0:
             raise InvalidInputError("spreads and expected counts must be >= 0")
         if self.fp_per_image > POISSON_LAM_MAX:
             raise InvalidInputError(f"synth fp_per_image must be <= {POISSON_LAM_MAX:.6g}")
-        if self.score_model[2] < 0:
+        if math.copysign(1.0, self.score_model[2]) < 0:
             raise InvalidInputError("score std must be >= 0")
 
 
-def make_world(
-    num_images: int,
-    image_size: tuple[float, float] = (1280.0, 720.0),
-    max_people: int = 3,
-    seed: int = 0,
-) -> tuple[list[str], list[Annotation]]:
+def _image_size(image_size: tuple[float, float]) -> tuple[float, float]:
+    width, height = image_size
+    if not (0 < width < math.inf and 0 < height < math.inf):  # also refuses NaN
+        raise InvalidInputError(f"image size must be finite and > 0, got {tuple(image_size)}")
+    return width, height
+
+
+def make_world(num_images: int, image_size: tuple[float, float] = (1280.0, 720.0),
+               max_people: int = 3, seed: int = 0) -> tuple[list[str], list[Annotation]]:
     """Generate image ids and person annotations for a synthetic dataset.
 
     Each image holds 0..max_people people (some frames stay empty). Boxes
     are placed fully inside the image with heights from ``HEIGHT_RANGE``
-    and height/width ratios from ``ASPECT_RANGE``.
+    and height/width ratios from ``ASPECT_RANGE``. Per image, one integer
+    draw gives the head count and one ``random`` call each person's four
+    unit draws (height, ratio, x, y). The boxes are then computed for the
+    whole world at once: a scalar ``uniform(a, b)`` is ``a + (b - a)`` times
+    the same draw, so the boxes equal those of one scalar call per value.
     """
     if num_images <= 0:
         raise InvalidInputError("num_images must be > 0")
-    width, height = image_size
+    width, height = _image_size(image_size)
     rng = np.random.default_rng(seed)
     image_ids = [f"img{i:05d}" for i in range(num_images)]
-    annotations: list[Annotation] = []
-    for image_id in image_ids:
-        count = int(rng.integers(0, max_people + 1))
-        for _ in range(count):
-            h = float(rng.uniform(*HEIGHT_RANGE))
-            h = min(h, height)
-            ratio = float(rng.uniform(*ASPECT_RANGE))
-            w = min(h / ratio, width)
-            x = float(rng.uniform(0.0, width - w))
-            y = float(rng.uniform(0.0, height - h))
-            annotations.append(Annotation(image_id=image_id, bbox=(x, y, w, h)))
-    return image_ids, annotations
+    draws = [rng.random(4 * int(rng.integers(0, max_people + 1))) for _ in image_ids]
+    u_h, u_ratio, u_x, u_y = np.concatenate(draws).reshape(-1, 4).T
+    (h_lo, h_hi), (r_lo, r_hi) = HEIGHT_RANGE, ASPECT_RANGE
+    h = np.minimum(h_lo + (h_hi - h_lo) * u_h, height)
+    w = np.minimum(h / (r_lo + (r_hi - r_lo) * u_ratio), width)
+    x, y = 0.0 + (width - w) * u_x, 0.0 + (height - h) * u_y
+    owners = [key for key, draw in zip(image_ids, draws) for _ in range(draw.size // 4)]
+    boxes = zip(x.tolist(), y.tolist(), w.tolist(), h.tolist())
+    return image_ids, list(map(Annotation, owners, boxes))
 
 
-def _clamped_score(rng: np.random.Generator, mean: float, std: float) -> float:
-    return float(np.clip(rng.normal(mean, std), 0.0, 1.0))
+def _clamped_score(normal, mean: float, std: float) -> float:
+    return min(max(normal(mean, std), 0.0), 1.0)
 
 
-def _jitter_box(rng, bbox, spread):
+def _jitter_box(normal, bbox, spread):
     """Jitter the two corners with Gaussian noise proportional to box size."""
     x, y, w, h = bbox
-    x1 = x + rng.normal(0.0, spread * w)
-    y1 = y + rng.normal(0.0, spread * h)
-    x2 = x + w + rng.normal(0.0, spread * w)
-    y2 = y + h + rng.normal(0.0, spread * h)
-    return (
-        min(x1, x2),
-        min(y1, y2),
-        max(abs(x2 - x1), 1.0),
-        max(abs(y2 - y1), 1.0),
-    )
+    x1 = x + normal(0.0, spread * w)
+    y1 = y + normal(0.0, spread * h)
+    x2 = x + w + normal(0.0, spread * w)
+    y2 = y + h + normal(0.0, spread * h)
+    return min(x1, x2), min(y1, y2), max(abs(x2 - x1), 1.0), max(abs(y2 - y1), 1.0)
 
 
-def generate(
-    gts: list[Annotation],
-    params: SynthParams,
-    image_ids: list[str],
-    image_size: tuple[float, float] = (1280.0, 720.0),
-) -> list[Detection]:
-    """Emulate detector output on each of ``image_ids``, once, in sorted order.
+def generate(annotations: Annotations | Iterable[Annotation], params: SynthParams,
+             image_ids: list[str], image_size: tuple[float, float] = (1280.0, 720.0)) -> Detections:
+    """Emulate detector output on each of ``image_ids``, once, in sorted order,
+    from ground truth as columns (or records converted on entry).
 
-    Per person: dropped with probability ``fn_rate``, otherwise emitted with
-    corner jitter and a true-positive score; an extra, more displaced
-    duplicate follows with probability ``duplicate_rate``. Per image
-    (including empty frames), a Poisson number of false positives is placed
-    uniformly at random with the false-positive score model. False
-    positives are redrawn in the vanishingly unlikely event they coincide
-    exactly with a ground-truth box.
+    Per person, in input order within an image: dropped with probability
+    ``fn_rate``, otherwise emitted with corner jitter and a true-positive
+    score; an extra, more displaced duplicate follows with probability
+    ``duplicate_rate``. Per image (including empty frames), a Poisson number
+    of false positives is placed uniformly at random with the false-positive
+    score model, redrawn in the vanishingly unlikely event one coincides
+    exactly with a ground-truth box. Ground truth on other images is
+    ignored. The rows are checked as columns; a refused one is named.
     """
-    width, height = image_size
+    width, height = _image_size(image_size)
+    if params.fp_per_image > 0 and width < 100.0:
+        raise InvalidInputError(f"false positives are 25 px to a quarter of the image wide: "
+                                f"width must be >= 100, got {width}")
     tp_mean, fp_mean, score_std = params.score_model
     rng = np.random.default_rng(params.seed)
+    uniform, normal, poisson = rng.uniform, rng.normal, rng.poisson
 
-    gts_by_image = group_by_image(gts)
-    detections: list[Detection] = []
+    gts = annotations if isinstance(annotations, Annotations) \
+        else Annotations.from_records(annotations)
+    gts = gts.grouped(gts.ids)
+    boxes = list(map(tuple, gts.boxes.tolist()))
+    bounds = np.searchsorted(gts.image, np.arange(len(gts.ids) + 1)).tolist()
+    gts_by_image = {key: boxes[a:b] for key, a, b in zip(gts.ids, bounds, bounds[1:])}
+    owners, out, scores = [], [], []
     for image_id in sorted(set(image_ids)):
         anns = gts_by_image.get(image_id, [])
-        gt_boxes = {tuple(ann.bbox) for ann in anns}
-        for ann in anns:
-            if rng.uniform() < params.fn_rate:
+        gt_boxes, first = set(anns), len(scores)
+        for box in anns:
+            if uniform() < params.fn_rate:
                 continue
-            if params.jitter_std > 0:
-                box = _jitter_box(rng, ann.bbox, params.jitter_std)
-            else:
-                box = tuple(ann.bbox)
-            detections.append(
-                Detection(image_id=image_id, bbox=box,
-                          score=_clamped_score(rng, tp_mean, score_std))
-            )
-            if rng.uniform() < params.duplicate_rate:
-                dup = _jitter_box(rng, ann.bbox, params.duplicate_jitter_std)
-                detections.append(
-                    Detection(image_id=image_id, bbox=dup,
-                              score=_clamped_score(rng, tp_mean, score_std))
-                )
-        for _ in range(int(rng.poisson(params.fp_per_image))):
+            out.append(_jitter_box(normal, box, params.jitter_std) if params.jitter_std > 0
+                       else box)
+            scores.append(_clamped_score(normal, tp_mean, score_std))
+            if uniform() < params.duplicate_rate:
+                out.append(_jitter_box(normal, box, params.duplicate_jitter_std))
+                scores.append(_clamped_score(normal, tp_mean, score_std))
+        for _ in range(poisson(params.fp_per_image)):
             while True:
-                w = float(rng.uniform(25.0, 0.25 * width))
-                h = w * float(rng.uniform(1.2, 2.6))
-                h = min(h, height)
-                x = float(rng.uniform(0.0, width - w))
-                y = float(rng.uniform(0.0, height - h))
+                w = uniform(25.0, 0.25 * width)
+                h = min(w * uniform(1.2, 2.6), height)
+                x = uniform(0.0, width - w)
+                y = uniform(0.0, height - h)
                 if (x, y, w, h) not in gt_boxes:
                     break
-            detections.append(
-                Detection(image_id=image_id, bbox=(x, y, w, h),
-                          score=_clamped_score(rng, fp_mean, score_std))
-            )
+            out.append((x, y, w, h))
+            scores.append(_clamped_score(normal, fp_mean, score_std))
+        owners.extend([image_id] * (len(scores) - first))
+    detections = Detections.build(owners, out, scores, [None] * len(scores), [None] * len(scores))
+    if not detections.valid():
+        detections.records()  # raises, naming the first refused row
     return detections

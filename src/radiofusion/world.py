@@ -24,7 +24,6 @@ import numpy as np
 from .errors import InvalidInputError, require_finite
 from .geometry import MAX_COORD, Rect, in_box_domain, require_box, square
 
-T = TypeVar("T")
 Self = TypeVar("Self", bound="Table")
 
 # Region proposals: one anchor per scale and height/width ratio (``fusion.anchor_boxes``).
@@ -36,14 +35,6 @@ _TALLEST = max(ANCHOR_SCALES), math.sqrt(max(ANCHOR_RATIOS))  # ``anchor_reach``
 def score_order(scores: Sequence[float] | np.ndarray) -> np.ndarray:
     """Indices by descending score, stable on the input position."""
     return np.argsort(-np.asarray(scores, dtype=float), kind="stable")
-
-
-def group_by_image(items: Iterable[T]) -> dict[str, list[T]]:
-    """Records (anything with an ``image_id``) per image, in input order."""
-    grouped: dict[str, list[T]] = {}
-    for item in items:
-        grouped.setdefault(item.image_id, []).append(item)
-    return grouped
 
 
 def anchor_reach(edge):
@@ -108,8 +99,10 @@ class Annotation:
 class RadioRegion:
     """Square image-plane region born from one radio localization; its
     tallest proposal anchor, like its square, lies in the box domain. One
-    comparison chain over both boxes' corners accepts a region; the ordered
-    checks run only to name the first rule that a refused one breaks."""
+    comparison chain over the corners accepts a region; it skips the
+    square's top-left corner, which lies between the anchor's and the
+    square's far corner. The ordered checks run only to name the first rule
+    that a refused one breaks."""
 
     center_x: float
     center_y: float
@@ -120,8 +113,8 @@ class RadioRegion:
         x, y, edge, hi, lo = self.center_x, self.center_y, self.edge, MAX_COORD, -MAX_COORD
         reach = anchor_reach(edge)  # top-left corners: s* of the square, a* of the anchor
         sx, sy, ax, ay = x - edge / 2.0, y - edge / 2.0, x - reach / 2.0, y - reach / 2.0
-        if not (edge > 0 and lo <= sx <= hi and lo <= sy <= hi and lo <= sx + edge <= hi
-                and lo <= sy + edge <= hi and lo <= ax <= hi and lo <= ay <= hi
+        if not (edge > 0 and lo <= sx + edge <= hi and lo <= sy + edge <= hi
+                and lo <= ax <= hi and lo <= ay <= hi
                 and lo <= ax + reach <= hi and lo <= ay + reach <= hi):
             require_finite("region", x, y, edge)
             require_box("region", self.to_bbox())

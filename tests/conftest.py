@@ -3,6 +3,14 @@
 from radiofusion.world import Annotations, Detections, Regions
 
 
+def group_by_image(items):
+    """Records (anything with an ``image_id``) per image, in input order."""
+    grouped = {}
+    for item in items:
+        grouped.setdefault(item.image_id, []).append(item)
+    return grouped
+
+
 def regions_in(regions, image="i"):
     """``Regions`` columns of a world of one image that holds every
     ``RadioRegion`` record of ``regions``."""

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import on_records
+from conftest import group_by_image, on_records
 from test_metrics_oracle import (
     oracle_average_precision,
     oracle_coco_map,
@@ -28,7 +28,7 @@ from radiofusion.geometry import iou, rect_area
 from radiofusion.metrics import COCO_IOU_THRESHOLDS
 from radiofusion.sim_regions import Annotation
 from radiofusion.synth import SynthParams, generate, make_world
-from radiofusion.world import Annotations, Detections, group_by_image, score_order
+from radiofusion.world import Annotations, score_order
 
 coco_map, mr_fppi, visual_metrics = map(on_records, (
     metrics.coco_map, metrics.mr_fppi, metrics.visual_metrics))
@@ -165,7 +165,7 @@ def test_average_precision_equals_the_loop(scored, num_gt):
 def test_coco_map_memory_on_the_north_star_world():
     """The 5000-image world's coco_map stays within 6 MB of traced allocation."""
     image_ids, gts = make_world(5000, seed=1234)
-    dets = Detections.from_records(generate(gts, SynthParams(seed=1234), image_ids=image_ids))
+    dets = generate(gts, SynthParams(seed=1234), image_ids=image_ids)
     truth = Annotations.from_records(gts)
     tracemalloc.start()
     try:

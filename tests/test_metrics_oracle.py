@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import on_records
+from conftest import group_by_image, on_records
 from radiofusion import metrics
 from radiofusion.config import METHODS, RunConfig
 from radiofusion.fusion import Detection
@@ -33,8 +33,7 @@ from radiofusion.metrics import (
 from radiofusion.nms import NmsConfig
 from radiofusion.pipeline import EVAL_IOU, apply_method, evaluate
 from radiofusion.sim_regions import Annotation
-from radiofusion.world import Annotations, Detections, RadioRegion, Regions, group_by_image, \
-    score_order
+from radiofusion.world import Annotations, Detections, RadioRegion, Regions, score_order
 
 # The metrics under test, called on records through the columns.
 coco_map, match, mr_fppi, visual_metrics = map(on_records, (

@@ -25,7 +25,8 @@ from radiofusion.sim_regions import (
     gt_to_region,
     reasonable_filter,
 )
-from radiofusion.world import Annotations, group_by_image
+from conftest import group_by_image
+from radiofusion.world import Annotations
 
 BBOX = Annotation(image_id="img0", bbox=(0.0, 0.0, 100.0, 200.0))
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import on_records
+from conftest import group_by_image, on_records
 from radiofusion import fusion, nms
 from radiofusion.config import METHOD_STEPS, RunConfig
 from radiofusion.errors import InvalidInputError
@@ -27,7 +27,7 @@ from radiofusion.geometry import Rect, intersect_area, iou, rect_area
 from radiofusion.imaging import RadioRegion
 from radiofusion.nms import NmsConfig
 from radiofusion.pipeline import apply_method
-from radiofusion.world import Detections, Regions, group_by_image, score_order
+from radiofusion.world import Detections, Regions, score_order
 
 
 # -- Oracles: the scalar per-image stages, verbatim -------------------------
