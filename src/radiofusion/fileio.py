@@ -17,7 +17,9 @@ Every JSON file is spelled as ``json.dumps(payload, indent=1,
 sort_keys=True)`` plus a newline. ``dump_json`` encodes the whole document
 before it opens the file, so a document that cannot be encoded leaves the
 previous file as it was; detection rows stream from their columns once
-every id is escaped.
+every id is escaped. A list of equal-width rows of finite floats (CSI
+samples, a miss-rate curve) is spelled by one format call, as are the rows
+of a curve CSV; the bytes are those of ``json.dumps`` and ``csv.writer``.
 """
 
 from __future__ import annotations
@@ -96,6 +98,8 @@ def _encode(value, newline: str) -> str:
         if not value:
             return "[]"
         inner = newline + " "
+        if type(value[0]) in (list, tuple) and (rows := _float_rows(value, newline, inner)):
+            return rows
         items = [_float_repr(v) if type(v) is float and v - v == 0 else _encode(v, inner)
                  for v in value]
         items[0] = "[" + inner + items[0]
@@ -120,6 +124,20 @@ def _encode(value, newline: str) -> str:
             return "-Infinity"
         return _float_repr(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _float_rows(rows, newline: str, inner: str) -> str | None:
+    """``rows`` spelled by one ``%r`` format over a template of its shape, when
+    its items are ``list``s or ``tuple``s (checked before ``len``) of one width
+    > 0 that hold finite ``float``s only; else None. A sum that overflows
+    only sends the list to the item-by-item path."""
+    if set(map(type, rows)) - {list, tuple} or len(widths := set(map(len, rows))) != 1:
+        return None
+    flat = tuple(chain.from_iterable(rows))
+    if not flat or set(map(type, flat)) != {float} or not math.isfinite(sum(flat)):
+        return None
+    row = "[" + inner + " " + ("," + inner + " ").join(["%r"] * widths.pop()) + inner + "]"
+    return ("[" + inner + ("," + inner).join([row] * len(rows)) + newline + "]") % flat
 
 
 def _expect(value, kind: type, context: str):
@@ -461,11 +479,11 @@ def read_estimates(path: str | Path) -> dict[str, list[RadioEstimate]]:
 # -- Curves and reports --------------------------------------------------
 
 def write_curve_csv(path: str | Path, curve: list[tuple[float, float]]) -> None:
+    """The bytes of ``csv.writer``, which spells a number by ``str`` as ``%s`` does."""
+    text = "fppi,miss_rate\r\n" + "%s,%s\r\n" * len(curve) % tuple(chain.from_iterable(curve))
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("fppi", "miss_rate"))
-        writer.writerows([list(point) for point in curve])
+        fh.write(text)
 
 
 def read_curve_csv(path: str | Path) -> list[tuple[float, float]]:

@@ -82,6 +82,8 @@ def make_world(num_images: int, image_size: tuple[float, float] = (1280.0, 720.0
     """
     if num_images <= 0:
         raise InvalidInputError("num_images must be > 0")
+    if type(max_people) is bool or not isinstance(max_people, int | np.integer) or max_people < 0:
+        raise InvalidInputError(f"max_people must be an integer >= 0, got {max_people!r}")
     width, height = _image_size(image_size)
     rng = np.random.default_rng(seed)
     image_ids = [f"img{i:05d}" for i in range(num_images)]

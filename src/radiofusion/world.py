@@ -102,7 +102,8 @@ class RadioRegion:
     comparison chain over the corners accepts a region; it skips the
     square's top-left corner, which lies between the anchor's and the
     square's far corner. The ordered checks run only to name the first rule
-    that a refused one breaks."""
+    that a refused one breaks. The check reads the numbers as ``float``s, so
+    a numpy scalar that overflows in the chain raises no numpy warning."""
 
     center_x: float
     center_y: float
@@ -110,16 +111,17 @@ class RadioRegion:
     identifier: str
 
     def __post_init__(self) -> None:
-        x, y, edge, hi, lo = self.center_x, self.center_y, self.edge, MAX_COORD, -MAX_COORD
+        x, y, edge = float(self.center_x), float(self.center_y), float(self.edge)
+        hi, lo = MAX_COORD, -MAX_COORD
         reach = anchor_reach(edge)  # top-left corners: s* of the square, a* of the anchor
         sx, sy, ax, ay = x - edge / 2.0, y - edge / 2.0, x - reach / 2.0, y - reach / 2.0
         if not (edge > 0 and lo <= sx + edge <= hi and lo <= sy + edge <= hi
                 and lo <= ax <= hi and lo <= ay <= hi
                 and lo <= ax + reach <= hi and lo <= ay + reach <= hi):
-            require_finite("region", x, y, edge)
-            require_box("region", self.to_bbox())
+            require_finite("region", self.center_x, self.center_y, self.edge)
+            require_box("region", square(x, y, edge))
             require_box("region anchor", square(x, y, reach))
-            raise InvalidInputError(f"region edge must be > 0, got {edge}")
+            raise InvalidInputError(f"region edge must be > 0, got {self.edge}")
 
     def to_bbox(self) -> Rect:
         return square(self.center_x, self.center_y, self.edge)

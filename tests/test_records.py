@@ -244,3 +244,24 @@ def test_region_check_accepts_exactly_what_the_ordered_checks_accept(args):
     and a refused region raises their error type and message."""
     verdict = _verdict(lambda: OracleRegion(*args, "r"))
     assert _verdict(lambda: RadioRegion(*args, "r")) == verdict
+
+
+@pytest.mark.parametrize("args", [(0.0, 0.0, np.float64(1e308)),
+                                  (np.float64(INF), 0.0, np.float64(INF)),
+                                  (np.float64(-1.7e308), 0.0, np.float64(1.7e308))])
+def test_numpy_scalar_regions_are_refused_without_a_numpy_warning(args):
+    """The region check reads its numbers as floats; a numpy scalar whose
+    anchor overflows, or whose corner is ``inf - inf``, raised a numpy
+    ``RuntimeWarning`` (an error under this suite's warning filter)."""
+    with pytest.raises(InvalidInputError):
+        RadioRegion(*args, "r")
+
+
+@pytest.mark.parametrize("args", [(np.float64(0.0), 0.0, np.float64(_REACH_LIMIT)),
+                                  (np.float64(-MAX_COORD / 2), np.int64(3), np.float32(1e3)),
+                                  (np.float64(MAX_COORD), 0.0, np.float64(1e134)),
+                                  (np.float64(0.0), 0.0, np.float64(-1.0))])
+def test_numpy_scalar_regions_get_the_float_verdict(args):
+    """Accepted or refused as the same numbers as Python floats are."""
+    floats = tuple(map(float, args))
+    assert _verdict(lambda: RadioRegion(*args, "r")) == _verdict(lambda: RadioRegion(*floats, "r"))

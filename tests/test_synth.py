@@ -143,6 +143,17 @@ BAD_SIZES = [(math.inf, 720.0), (1280.0, math.nan), (-math.inf, 720.0), (1280.0,
              (0.0, 720.0), (1280.0, -0.0)]
 
 
+class TestMaxPeople:
+    @pytest.mark.parametrize("max_people", [-1, -5, 2.5, 2.0, math.nan, True, False, "3", None])
+    def test_make_world_refuses_a_bad_max_people(self, max_people):
+        with pytest.raises(InvalidInputError, match="max_people must be an integer >= 0"):
+            make_world(3, max_people=max_people)
+
+    def test_zero_and_numpy_integers_are_accepted(self):
+        assert make_world(4, max_people=0, seed=1)[1] == []
+        assert make_world(9, max_people=np.int64(2), seed=1) == make_world(9, max_people=2, seed=1)
+
+
 class TestImageSize:
     @pytest.mark.parametrize("size", BAD_SIZES)
     def test_make_world_refuses_at_entry(self, size):
