@@ -3,14 +3,12 @@
 from .config import RadioParams, RunConfig
 from .errors import BehindCameraError, InvalidGeometryError, InvalidInputError, SchemaError
 from .fusion import proposals_to_detections, revise_detections
-from .geometry import intersect_area, iou, rect_area, square
+from .geometry import square
 from .imaging import CameraModel, RadioRegion, batch_project, project
 from .metrics import (
     CocoMapResult,
-    MatchResult,
     MetricsReport,
     coco_map,
-    match,
     mr_fppi,
     truncate_to_gt_count,
     visual_metrics,
@@ -34,7 +32,6 @@ from .sim_regions import (
     all_filter,
     build_simulative_set,
     draw_region_noise,
-    gt_to_region,
     reasonable_filter,
 )
 from .synth import SynthParams, generate, make_world

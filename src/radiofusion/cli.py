@@ -204,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, InvalidInputError, FileNotFoundError) as exc:
+    except (SchemaError, InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

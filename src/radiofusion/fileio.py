@@ -24,7 +24,6 @@ of a curve CSV; the bytes are those of ``json.dumps`` and ``csv.writer``.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from collections import Counter
@@ -54,7 +53,7 @@ def load_json(path: str | Path, expected_schema: str | None = None) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except ValueError as exc:  # malformed JSON or not UTF-8
+        except (ValueError, RecursionError) as exc:  # malformed, too deeply nested or not UTF-8
             raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
     _expect(data, dict, f"{path}: top level")
     if expected_schema is not None and data.get("schema") != expected_schema:
@@ -392,10 +391,9 @@ _BOX = "[\n    %r,\n    %r,\n    %r,\n    %r\n   ]"
 _ROW = '{\n   "bbox": ' + _BOX + '%s,\n   "image_id": %s%s,\n   "score": %r\n  }'
 
 
-def write_detections(path: str | Path, detections: Detections | list[Detection]) -> None:
-    """Rows stream into the file; every string is escaped before it opens."""
-    if not isinstance(detections, Detections):
-        detections = Detections.from_records(detections)
+def write_detections(path: str | Path, detections: Detections) -> None:
+    """``Detections`` columns, whose rows stream into the file; every string
+    is escaped before it opens."""
     names = [_escape(key) for key in detections.ids]
     regions = ["" if rid is None else ',\n   "region_id": ' + _escape(rid)
                for rid in detections.region_ids.tolist()]
@@ -486,15 +484,5 @@ def write_curve_csv(path: str | Path, curve: list[tuple[float, float]]) -> None:
         fh.write(text)
 
 
-def read_curve_csv(path: str | Path) -> list[tuple[float, float]]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    return [(_float(a), _float(b)) for a, b in rows[1:]]
-
-
 def write_report(path: str | Path, report_dict: dict) -> None:
     dump_json(path, report_dict)
-
-
-def read_report(path: str | Path) -> dict:
-    return load_json(path)

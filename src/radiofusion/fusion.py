@@ -26,8 +26,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .geometry import intersect_arrays, rect_areas
-from .world import ANCHOR_RATIOS, ANCHOR_SCALES, Regions, pairs, split
-from .world import Detection, Detections  # noqa: F401 (Detection: public here)
+from .world import ANCHOR_RATIOS, ANCHOR_SCALES, Detections, Regions, pairs, split
 
 
 def coverage(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:

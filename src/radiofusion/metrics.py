@@ -28,10 +28,11 @@ person, 4), detections in visiting order, so memory grows with the chunk,
 not the world. Each image is walked once with all its people real, and
 again for each size bucket that holds some but not all of them. At each
 detection rank one IoU kernel call (``geometry.iou_arrays``, bit-equal to
-``geometry.iou``) gives the rank's IoUs, and each walk at each IoU
-threshold takes, in one masked argmax, the free real person of highest
-IoU if that IoU is above 0 and reaches the threshold; in a bucket's own
-walk a detection that took none tries the ignored people the same way.
+the scalar ``iou`` in ``tests/conftest.py``) gives the rank's IoUs, and
+each walk at each IoU threshold takes, in one masked argmax, the free real
+person of highest IoU if that IoU is above 0 and reaches the threshold; in
+a bucket's own walk a detection that took none tries the ignored people
+the same way.
 Of equal IoUs the argmax takes the first, as a scalar scan with a strict >
 does. The flags go back to image-id-then-input order, where AP, the
 miss-rate curve and the visual counts read them.
@@ -53,15 +54,6 @@ COCO_IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 SMALL_AREA_MAX = 32.0 ** 2
 MEDIUM_AREA_MAX = 96.0 ** 2
 MR_FPPI_SAMPLES = tuple(np.logspace(-2.0, 0.0, 9))
-
-
-@dataclass(frozen=True)
-class MatchResult:
-    """Per-image detection flags and miss count at one IoU threshold."""
-
-    tp: tuple[bool, ...]
-    fp: tuple[bool, ...]
-    fn: int
 
 
 @dataclass(frozen=True)
@@ -238,14 +230,6 @@ def _match(det_boxes: np.ndarray, scores: np.ndarray, det_counts: np.ndarray,
         absorbed[..., owners] = took_ignored[..., det_valid]
     ignored = absorbed | (~tp & ~det_in[:, None])
     return _Matches(tuple(thresholds), scores, tp, ignored, gt_in.sum(axis=1), det_counts.size)
-
-
-def match(detections: Detections, gts: Annotations, iou_t: float,
-          sorted_by_score: bool = True) -> MatchResult:
-    """Match one image's detections against its ground truth."""
-    tp = _match(detections.boxes, detections.scores, np.array([len(detections)]), gts.boxes,
-                np.array([len(gts)]), (iou_t,), by_score=sorted_by_score).tp[0, 0].tolist()
-    return MatchResult(tp=tuple(tp), fp=tuple(not f for f in tp), fn=len(gts) - sum(tp))
 
 
 def _ranked_ap(is_tp: np.ndarray, num_gt: int) -> float:

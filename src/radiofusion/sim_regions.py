@@ -79,16 +79,6 @@ def draw_region_noise(noise: NoiseParams, side: float | np.ndarray,
     return RegionNoiseDraw(scale=scale, edge=edge, dx=dx, dy=dy)
 
 
-def gt_to_region(ann: Annotation, noise: NoiseParams, rng: np.random.Generator,
-                 identifier: str = "r0") -> RadioRegion:
-    """Turn one annotation into a noisy square region: the one-person draw of
-    ``build_simulative_set``, bit-identical for a given generator state."""
-    x, y, w, h = ann.bbox
-    draw = draw_region_noise(noise, min(w, h), rng)
-    return RadioRegion(x + w / 2.0 + float(draw.dx), y + h / 2.0 + float(draw.dy),
-                       float(draw.edge), identifier)
-
-
 def build_simulative_set(annotations: Annotations | Iterable[Annotation],
                          noise: NoiseParams) -> dict[str, list[RadioRegion]]:
     """Build per-image region lists from the people among annotations

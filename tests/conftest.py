@@ -1,6 +1,81 @@
-"""Shared test helpers."""
+"""Shared test helpers, and the scalar per-box API that no command runs,
+kept as the exact-equality oracles of the array kernels the package runs."""
 
-from radiofusion.world import Annotations, Detections, Regions
+import csv
+from collections.abc import Sequence
+from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
+
+from radiofusion.fileio import _float
+from radiofusion.metrics import _match
+from radiofusion.sim_regions import NoiseParams, draw_region_noise
+from radiofusion.world import Annotation, Annotations, Detections, RadioRegion, Regions
+
+
+def rect_area(rect: Sequence[float]) -> float:
+    """Area of a rectangle; negative extents count as zero."""
+    _, _, w, h = rect
+    return max(w, 0.0) * max(h, 0.0)
+
+
+def intersect_area(a: Sequence[float], b: Sequence[float]) -> float:
+    """Overlap area of two rectangles (0 when disjoint)."""
+    ax, ay, aw, ah = a
+    bx, by, bw, bh = b
+    w = min(ax + aw, bx + bw) - max(ax, bx)
+    h = min(ay + ah, by + bh) - max(ay, by)
+    if w <= 0.0 or h <= 0.0:
+        return 0.0
+    return w * h
+
+
+def iou(a: Sequence[float], b: Sequence[float]) -> float:
+    """Intersection over union of two rectangles.
+
+    Zero-area boxes are allowed; when the union is empty the result is 0.
+    """
+    inter = intersect_area(a, b)
+    union = rect_area(a) + rect_area(b) - inter
+    if union <= 0.0:
+        return 0.0
+    return inter / union
+
+
+@dataclass(frozen=True)
+class MatchResult:
+    """Per-image detection flags and miss count at one IoU threshold."""
+
+    tp: tuple[bool, ...]
+    fp: tuple[bool, ...]
+    fn: int
+
+
+def match(detections: list, gts: list, iou_t: float,
+          sorted_by_score: bool = True) -> MatchResult:
+    """Match one image's ``Detection`` records against its ``Annotation``
+    records with ``metrics._match``, the kernel that ``coco_map`` runs."""
+    detections, gts = Detections.from_records(detections), Annotations.from_records(gts)
+    tp = _match(detections.boxes, detections.scores, np.array([len(detections)]), gts.boxes,
+                np.array([len(gts)]), (iou_t,), by_score=sorted_by_score).tp[0, 0].tolist()
+    return MatchResult(tp=tuple(tp), fp=tuple(not f for f in tp), fn=len(gts) - sum(tp))
+
+
+def gt_to_region(ann: Annotation, noise: NoiseParams, rng: np.random.Generator,
+                 identifier: str = "r0") -> RadioRegion:
+    """Turn one annotation into a noisy square region: the one-person draw of
+    ``build_simulative_set``, bit-identical for a given generator state."""
+    x, y, w, h = ann.bbox
+    draw = draw_region_noise(noise, min(w, h), rng)
+    return RadioRegion(x + w / 2.0 + float(draw.dx), y + h / 2.0 + float(draw.dy),
+                       float(draw.edge), identifier)
+
+
+def read_curve_csv(path: str | Path) -> list[tuple[float, float]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    return [(_float(a), _float(b)) for a, b in rows[1:]]
 
 
 def group_by_image(items):

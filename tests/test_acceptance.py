@@ -10,10 +10,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from conftest import on_records, regions_in
+from conftest import gt_to_region, match, on_records
 from radiofusion import fileio, metrics, nms
 from radiofusion.config import RunConfig, RunPaths
-from radiofusion.fusion import Detection
 from radiofusion.imaging import CameraModel, RadioRegion, project
 from radiofusion.nms import NmsConfig
 from radiofusion.pipeline import build_detections, evaluate, run
@@ -27,12 +26,12 @@ from radiofusion.radio import (
     synthesize_csi,
 )
 from radiofusion.sim_regions import Annotation, NoiseParams, build_simulative_set, \
-    draw_region_noise, gt_to_region
+    draw_region_noise
 from radiofusion.synth import make_world
-from radiofusion.world import Annotations, Regions
+from radiofusion.world import Annotations, Detection, Regions
 
-coco_map, match, mr_fppi, visual_metrics = map(on_records, (
-    metrics.coco_map, metrics.match, metrics.mr_fppi, metrics.visual_metrics))
+coco_map, mr_fppi, visual_metrics = map(on_records, (
+    metrics.coco_map, metrics.mr_fppi, metrics.visual_metrics))
 standard_nms, associate_regions, constrained_nms = map(on_records, (
     nms.standard_nms, nms.associate_regions, nms.constrained_nms))
 

@@ -33,8 +33,8 @@ def test_synth_then_regions_then_run(tmp_path):
             "--regions", str(tmp_path / "regions.json"),
             "--output-dir", out,
         ]) == 0
-    base = fileio.read_report(tmp_path / "report_baseline.json")
-    fused = fileio.read_report(tmp_path / "report_method1_cnms.json")
+    base = fileio.load_json(tmp_path / "report_baseline.json")
+    fused = fileio.load_json(tmp_path / "report_method1_cnms.json")
     assert fused["metrics"]["fp_fn_per_image"] < base["metrics"]["fp_fn_per_image"]
 
 
@@ -136,10 +136,42 @@ def test_schema_violation_exit_code(tmp_path):
     assert code == 2
 
 
-def test_missing_file_exit_code(tmp_path):
-    code = main(["run", "--annotations", str(tmp_path / "absent.json"),
-                 "--output-dir", str(tmp_path)])
-    assert code == 2
+# Paths that cannot be opened as a file or made into a directory: ``{dir}``
+# is a directory, ``{file}`` a regular file and ``{world}`` the directory of
+# a synthetic world.
+_WORLD = ["--annotations", "{world}/annotations.json", "--detections", "{world}/detections.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--annotations", "{dir}/absent.json"],
+    ["run", "--annotations", "{dir}"],
+    ["run", *_WORLD, "--method", "method1", "--regions", "{dir}"],
+    ["run", *_WORLD, "--output-dir", "{file}"],
+    ["run", *_WORLD, "--config", "{dir}"],
+    ["synth", "--num-images", "2", "--output-dir", "{file}/x"],
+    ["localize", "--csi", "{dir}"],
+    ["project", "--estimates", "{dir}"],
+], ids=["absent", "annotations-dir", "regions-dir", "output-dir-file", "config-dir",
+        "output-dir-under-file", "csi-dir", "estimates-dir"])
+def test_missing_file_exit_code(tmp_path, capsys, argv):
+    world, folder, file = tmp_path / "world", tmp_path / "folder", tmp_path / "file"
+    assert main(["synth", "--num-images", "3", "--seed", "5", "--output-dir", str(world)]) == 0
+    folder.mkdir()
+    file.write_text("")
+    argv = [arg.format(world=world, dir=folder, file=file) for arg in argv]
+    out = [] if "--output-dir" in argv else ["--output-dir", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert main(argv + out) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command, flag", [("run", "--annotations"), ("localize", "--csi")])
+def test_deeply_nested_json_exit_code(tmp_path, capsys, command, flag):
+    """JSON nested past the decoder's recursion limit is not valid JSON."""
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100_000)
+    assert main([command, flag, str(bad), "--output-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: not valid JSON (")
 
 
 _REGION = {"center_x": 100.0, "center_y": 100.0, "edge": 40.0}

@@ -22,12 +22,11 @@ from hypothesis import strategies as st
 
 from radiofusion import fileio
 from radiofusion.errors import InvalidInputError, SchemaError
-from radiofusion.fusion import Detection
 from radiofusion.geometry import MAX_COORD, Rect
 from radiofusion.imaging import RadioRegion
 from radiofusion.radio import ArrayGeometry, CsiFrame, RadioEstimate
 from radiofusion.sim_regions import Annotation
-from radiofusion.world import Detections
+from radiofusion.world import Detection, Detections
 
 
 # -- Oracle: the per-value codec -------------------------------------------

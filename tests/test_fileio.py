@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import read_curve_csv
 from radiofusion import fileio
 from radiofusion.errors import InvalidInputError, SchemaError
-from radiofusion.fusion import Detection
 from radiofusion.geometry import MAX_COORD
 from radiofusion.imaging import RadioRegion
 from radiofusion.radio import ArrayGeometry, CsiFrame, RadioEstimate, synthesize_csi
 from radiofusion.sim_regions import Annotation
+from radiofusion.world import Detection, Detections
 
 GEO = ArrayGeometry(num_antennas=4, element_spacing=0.0258, num_subcarriers=8,
                     base_frequency=5.8e9, frequency_interval=312.5e3)
@@ -84,7 +85,7 @@ def test_detections_round_trip(tmp_path):
                   region_id="r1", cell=(0.0, 0.0, 8.0, 8.0)),
     ]
     path = tmp_path / "dets.json"
-    fileio.write_detections(path, dets)
+    fileio.write_detections(path, Detections.from_records(dets))
     assert fileio.read_detections(path).records() == dets
 
 
@@ -102,14 +103,14 @@ def test_curve_round_trip(tmp_path):
     curve = [(0.0, 1.0), (0.125, 0.5), (1.0, 0.03125)]
     path = tmp_path / "curve.csv"
     fileio.write_curve_csv(path, curve)
-    assert fileio.read_curve_csv(path) == curve
+    assert read_curve_csv(path) == curve
 
 
 def test_report_round_trip(tmp_path):
     payload = {"method": "baseline", "metrics": {"ap": 0.5}}
     path = tmp_path / "report.json"
     fileio.write_report(path, payload)
-    assert fileio.read_report(path) == payload
+    assert fileio.load_json(path) == payload
 
 
 def test_schema_mismatch_raises(tmp_path):
@@ -351,7 +352,7 @@ _round_trip = settings(max_examples=40, deadline=None)
 @given(st.lists(detections, max_size=5))
 def test_detections_read_write_property(tmp_path_factory, dets):
     path = tmp_path_factory.mktemp("prop") / "dets.json"
-    fileio.write_detections(path, dets)
+    fileio.write_detections(path, Detections.from_records(dets))
     assert fileio.read_detections(path).records() == dets
 
 

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from conftest import on_records, regions_in
 from radiofusion import fusion
 from radiofusion.errors import InvalidInputError
-from radiofusion.fusion import Detection
 from radiofusion.imaging import RadioRegion
+from radiofusion.world import Detection
 
 revise_detections = on_records(fusion.revise_detections)
 

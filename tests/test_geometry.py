@@ -5,15 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from radiofusion.geometry import (
-    intersect_area,
-    intersect_arrays,
-    iou,
-    iou_arrays,
-    rect_area,
-    rect_areas,
-    square,
-)
+from conftest import intersect_area, iou, rect_area
+from radiofusion.geometry import intersect_arrays, iou_arrays, rect_areas, square
 
 
 def test_area():

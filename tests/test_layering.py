@@ -7,7 +7,9 @@ truth and regions in ``world`` columns from read to write: it builds no
 ``Detection``, ``Annotation`` or ``RadioRegion``. A sweep that simulates its
 regions draws them from the ground-truth columns, so it builds no
 ``Detection`` or ``Annotation`` (the simulated regions are still
-``RadioRegion`` records).
+``RadioRegion`` records). Every module-level ``def`` and ``class`` of the
+package is used by the package or by ``perfbench``: a helper that only tests
+call lives in ``tests/``.
 """
 
 import ast
@@ -21,6 +23,8 @@ from radiofusion.config import METHODS
 from radiofusion.world import Annotation, Detection, RadioRegion
 
 PACKAGE = Path(radiofusion.__file__).parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
 
 
 def _tree(name):
@@ -47,6 +51,40 @@ def test_world_is_a_leaf():
         elif isinstance(node, ast.Import):
             imported |= {a.name for a in node.names if a.name.split(".")[0] == "radiofusion"}
     assert imported <= {"geometry", "errors"}
+
+
+def _used_names(tree) -> set[str]:
+    """The names, attribute names and imported names in ``tree``, leaving out
+    a module-level definition's uses of its own name."""
+    used = set()
+    for statement in tree.body:
+        names = set()
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names |= {alias.name for alias in node.names}
+        if isinstance(statement, DEFINITIONS):
+            names.discard(statement.name)
+        used |= names
+    return used
+
+
+def test_every_definition_is_used_outside_tests():
+    defined, used = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = _tree(path.name)
+        defined += [(node.name, path.name) for node in tree.body
+                    if isinstance(node, DEFINITIONS)]
+        used |= _used_names(tree)
+    for path in sorted(PERFBENCH.glob("*.py")):
+        used |= _used_names(ast.parse(path.read_text(), filename=path.name))
+    unused = [f"{module}: {name}" for name, module in defined if name not in used]
+    assert not unused, f"used by no package module and no perfbench script: {unused}"
 
 
 @pytest.fixture

@@ -5,15 +5,14 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import on_records
+from conftest import match, on_records
 from radiofusion import metrics
-from radiofusion.fusion import Detection
 from radiofusion.metrics import COCO_IOU_THRESHOLDS, _ranked_ap
 from radiofusion.sim_regions import Annotation
-from radiofusion.world import score_order
+from radiofusion.world import Detection, score_order
 
-coco_map, match, mr_fppi, truncate_to_gt_count, visual_metrics = map(on_records, (
-    metrics.coco_map, metrics.match, metrics.mr_fppi, metrics.truncate_to_gt_count,
+coco_map, mr_fppi, truncate_to_gt_count, visual_metrics = map(on_records, (
+    metrics.coco_map, metrics.mr_fppi, metrics.truncate_to_gt_count,
     metrics.visual_metrics))
 
 

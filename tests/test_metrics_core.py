@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import group_by_image, on_records
+from conftest import group_by_image, iou, on_records, rect_area
 from test_metrics_oracle import (
     oracle_average_precision,
     oracle_coco_map,
@@ -23,12 +23,10 @@ from test_metrics_oracle import (
 )
 
 from radiofusion import metrics
-from radiofusion.fusion import Detection
-from radiofusion.geometry import iou, rect_area
 from radiofusion.metrics import COCO_IOU_THRESHOLDS
 from radiofusion.sim_regions import Annotation
 from radiofusion.synth import SynthParams, generate, make_world
-from radiofusion.world import Annotations, score_order
+from radiofusion.world import Annotations, Detection, score_order
 
 coco_map, mr_fppi, visual_metrics = map(on_records, (
     metrics.coco_map, metrics.mr_fppi, metrics.visual_metrics))

@@ -2,7 +2,7 @@
 
 The functions below, up to the scene generator, are the earlier
 implementation of the metrics kept verbatim as an oracle: they match each
-IoU threshold and size bucket from scratch with scalar ``geometry.iou``.
+IoU threshold and size bucket from scratch with the scalar ``conftest.iou``.
 The current metrics build one IoU table per image and must give exactly the
 same floats, not merely close ones. They take ``Detections`` columns, so
 they are called here on the oracle's records through
@@ -17,27 +17,25 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import group_by_image, on_records
+from conftest import MatchResult, group_by_image, iou, match, on_records, rect_area
 from radiofusion import metrics
 from radiofusion.config import METHODS, RunConfig
-from radiofusion.fusion import Detection
-from radiofusion.geometry import iou, iou_arrays, rect_area, rect_areas
+from radiofusion.geometry import iou_arrays, rect_areas
 from radiofusion.metrics import (
     COCO_IOU_THRESHOLDS,
     MEDIUM_AREA_MAX,
     MR_FPPI_SAMPLES,
     SMALL_AREA_MAX,
     CocoMapResult,
-    MatchResult,
 )
 from radiofusion.nms import NmsConfig
 from radiofusion.pipeline import EVAL_IOU, apply_method, evaluate
 from radiofusion.sim_regions import Annotation
-from radiofusion.world import Annotations, Detections, RadioRegion, Regions, score_order
+from radiofusion.world import Annotations, Detection, Detections, RadioRegion, Regions, score_order
 
 # The metrics under test, called on records through the columns.
-coco_map, match, mr_fppi, visual_metrics = map(on_records, (
-    metrics.coco_map, metrics.match, metrics.mr_fppi, metrics.visual_metrics))
+coco_map, mr_fppi, visual_metrics = map(on_records, (
+    metrics.coco_map, metrics.mr_fppi, metrics.visual_metrics))
 
 
 def oracle_greedy_match(

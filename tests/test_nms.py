@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import on_records, regions_in
+from conftest import iou, on_records, regions_in
 from radiofusion import nms
 from radiofusion.errors import InvalidInputError
-from radiofusion.fusion import Detection
-from radiofusion.geometry import iou
 from radiofusion.imaging import RadioRegion
 from radiofusion.nms import NmsConfig
+from radiofusion.world import Detection
 
 standard_nms = on_records(nms.standard_nms)
 associate_regions = on_records(nms.associate_regions)

@@ -5,17 +5,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import read_curve_csv
 from radiofusion import fileio, metrics
 from radiofusion.config import METHODS, RadioParams, RunConfig, RunPaths
 from radiofusion.errors import InvalidInputError
-from radiofusion.fusion import Detection
 from radiofusion.imaging import CameraModel
 from radiofusion.pipeline import build_detections, build_regions, evaluate, load_world, \
     localize_frames, project_estimates, run, sweep
 from radiofusion.radio import ArrayGeometry, synthesize_csi, default_tof_grid
 from radiofusion.sim_regions import GT_FILTERS
 from radiofusion.synth import make_world
-from radiofusion.world import Annotations, Detections, Regions
+from radiofusion.world import Annotations, Detection, Detections, Regions
 from test_metrics_oracle import REVIVED
 
 
@@ -85,9 +85,9 @@ class TestRun:
         _, display = run(replace(config, method="baseline"))
         loaded = fileio.read_detections(tmp_path / "out" / "detections_baseline.json")
         assert loaded.records() == display.records()
-        report = fileio.read_report(tmp_path / "out" / "report_baseline.json")
+        report = fileio.load_json(tmp_path / "out" / "report_baseline.json")
         assert report["method"] == "baseline"
-        curve = fileio.read_curve_csv(tmp_path / "out" / "mr_fppi_baseline.csv")
+        curve = read_curve_csv(tmp_path / "out" / "mr_fppi_baseline.csv")
         assert curve == [tuple(p) for p in map(tuple, report["metrics"]["mr_fppi_curve"])]
 
     def test_missing_annotations_rejected(self):
@@ -288,7 +288,7 @@ class TestOneStageFlow:
                       cell=(384.0, 256.0, 64.0, 64.0)),
         ]
         det_path = tmp_path / "cells.json"
-        fileio.write_detections(det_path, dets)
+        fileio.write_detections(det_path, Detections.from_records(dets))
         config = replace(
             config,
             method="method1+cnms",

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 from conftest import regions_in
 from radiofusion.config import RadioParams
 from radiofusion.errors import InvalidInputError, require_finite
-from radiofusion.fusion import Detection, anchor_boxes, coverage
+from radiofusion.fusion import anchor_boxes, coverage
 from radiofusion.geometry import (MAX_COORD, Rect, in_box_domain, iou_arrays, rect_areas,
                                  require_box, square)
 from radiofusion.imaging import RadioRegion
 from radiofusion.radio import ArrayGeometry, CsiFrame, RadioEstimate
 from radiofusion.sim_regions import Annotation
-from radiofusion.world import ANCHOR_RATIOS, ANCHOR_SCALES
+from radiofusion.world import ANCHOR_RATIOS, ANCHOR_SCALES, Detection
 
 NAN, INF = math.nan, math.inf
 GEO = ArrayGeometry(num_antennas=2, element_spacing=0.0258, num_subcarriers=2,

@@ -22,10 +22,9 @@ from radiofusion.sim_regions import (
     all_filter,
     build_simulative_set,
     draw_region_noise,
-    gt_to_region,
     reasonable_filter,
 )
-from conftest import group_by_image
+from conftest import group_by_image, gt_to_region
 from radiofusion.world import Annotations
 
 BBOX = Annotation(image_id="img0", bbox=(0.0, 0.0, 100.0, 200.0))

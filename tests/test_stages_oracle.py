@@ -18,16 +18,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import group_by_image, on_records
+from conftest import group_by_image, intersect_area, iou, on_records, rect_area
 from radiofusion import fusion, nms
 from radiofusion.config import METHOD_STEPS, RunConfig
 from radiofusion.errors import InvalidInputError
-from radiofusion.fusion import Detection
-from radiofusion.geometry import Rect, intersect_area, iou, rect_area
+from radiofusion.geometry import Rect
 from radiofusion.imaging import RadioRegion
 from radiofusion.nms import NmsConfig
 from radiofusion.pipeline import apply_method
-from radiofusion.world import Detections, Regions, score_order
+from radiofusion.world import Detection, Detections, Regions, score_order
 
 
 # -- Oracles: the scalar per-image stages, verbatim -------------------------

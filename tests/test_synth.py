@@ -13,6 +13,7 @@ from radiofusion.cli import main
 from radiofusion.config import RunConfig
 from radiofusion.errors import InvalidInputError
 from radiofusion.synth import POISSON_LAM_MAX, SynthParams, generate, make_world
+from radiofusion.world import Detections
 
 
 class TestMakeWorld:
@@ -187,8 +188,8 @@ def test_cli_synth_writes_the_oracle_files(tmp_path):
     params = replace(config.synth, seed=config.substream_seed("synth"))
     fileio.write_annotations(tmp_path / "annotations.json", image_ids, gts,
                              image_size=config.image_size)
-    fileio.write_detections(tmp_path / "detections.json", oracle.generate(
-        gts, params, image_ids, image_size=config.image_size))
+    fileio.write_detections(tmp_path / "detections.json", Detections.from_records(
+        oracle.generate(gts, params, image_ids, image_size=config.image_size)))
     for name in ("annotations.json", "detections.json"):
         assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / name).read_bytes()
 
