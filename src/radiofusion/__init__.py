@@ -1,7 +1,7 @@
 """Radio-region assisted detection post-processing toolkit."""
 
 from .config import RadioParams, RunConfig
-from .errors import BehindCameraError, InvalidGeometryError, InvalidInputError, SchemaError
+from .errors import InvalidInputError, SchemaError
 from .fusion import proposals_to_detections, revise_detections
 from .geometry import square
 from .imaging import CameraModel, RadioRegion, batch_project, project

@@ -7,14 +7,6 @@ class InvalidInputError(ValueError):
     """An argument violates a documented precondition or value range."""
 
 
-class InvalidGeometryError(InvalidInputError):
-    """An antenna array or sample matrix has degenerate dimensions."""
-
-
-class BehindCameraError(ValueError):
-    """A localization projects to a non-positive point-to-plane distance."""
-
-
 class SchemaError(ValueError):
     """A data file does not conform to its documented schema."""
 

@@ -294,12 +294,12 @@ def _columns(records: list, spec: tuple) -> list[list] | None:
 # -- CSI frames ---------------------------------------------------------
 
 def write_csi_frame(path: str | Path, frame: CsiFrame, image_id: str | None = None) -> None:
-    flat = frame.samples.reshape(-1)
+    pairs = np.ascontiguousarray(frame.samples).view(np.float64).reshape(-1, 2)
     dump_json(path, {
         "schema": CSI_SCHEMA,
         "geometry": _to_record(frame.geometry),
         "timestamp": frame.timestamp,
-        "samples": np.column_stack([flat.real, flat.imag]).tolist(),
+        "samples": pairs.tolist(),
         **({} if image_id is None else {"image_id": str(image_id)}),
     })
 

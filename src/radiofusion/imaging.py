@@ -7,7 +7,8 @@ Range comes from the time of flight (``r = c * tof * range_factor``, with
 distance from the two arrival angles, and the image coordinates from the
 tangent mapping through the pixel focal length. Each localization becomes a
 square region whose side scales like a fixed physical extent divided by the
-point-to-plane distance (a ``world.RadioRegion``). Lens distortion and
+point-to-plane distance (a ``world.RadioRegion``). An estimate behind the
+camera plane or outside the frame has no region. Lens distortion and
 extrinsics are out of scope.
 """
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BehindCameraError, InvalidInputError
+from .errors import InvalidInputError
 from .radio import SPEED_OF_LIGHT, RadioEstimate
 from .world import RadioRegion
 
@@ -43,29 +44,24 @@ def project(
 ) -> RadioRegion | None:
     """Map one (aoa_h, aoa_v, tof) estimate to a square image region.
 
-    Returns None when its center lands outside the image, which is the
-    camera's field of view. Raises BehindCameraError when the
-    point-to-plane distance is non-positive (angles at or beyond 90 degrees
-    off the optical axis).
+    Returns None when the estimate is not in front of the camera (an angle at
+    or beyond 90 degrees off the optical axis, or a point-to-plane distance
+    that underflows to 0) or its center lands outside the image, which is the
+    camera's field of view. Both factors must be finite and > 0.
     """
-    if person_extent_m <= 0:
-        raise InvalidInputError("person_extent_m must be > 0")
+    if not (0 < person_extent_m < math.inf and 0 < range_factor < math.inf):  # also refuses NaN
+        raise InvalidInputError(
+            f"person_extent_m and range_factor must be finite and > 0, got "
+            f"{person_extent_m} and {range_factor}"
+        )
 
     off_h = estimate.aoa_h - 90.0
     off_v = estimate.aoa_v - 90.0
-    # At 90 degrees off axis the exact cosine is 0, so the point-to-plane
-    # distance is not positive even though float cosines never quite reach it.
-    if abs(off_h) >= 90.0 or abs(off_v) >= 90.0:
-        raise BehindCameraError(
-            f"angles ({estimate.aoa_h}, {estimate.aoa_v}) give a non-positive "
-            "point-to-plane distance"
-        )
     r = SPEED_OF_LIGHT * estimate.tof * range_factor
     plane_dist = r * math.cos(math.radians(off_h)) * math.cos(math.radians(off_v))
-    if plane_dist <= 0:
-        raise BehindCameraError(
-            f"point-to-plane distance {plane_dist:.3g} m is not in front of the camera"
-        )
+    # At 90 degrees off axis the exact cosine is 0, though the float cosine is not.
+    if abs(off_h) >= 90.0 or abs(off_v) >= 90.0 or plane_dist <= 0:
+        return None
     center_x = camera.image_width / 2.0 + camera.focal_length_px * math.tan(math.radians(off_h))
     center_y = camera.image_height / 2.0 + camera.focal_length_px * math.tan(math.radians(off_v))
     if not (0.0 <= center_x <= camera.image_width and 0.0 <= center_y <= camera.image_height):
@@ -84,18 +80,9 @@ def batch_project(
     person_extent_m: float = 1.0,
     range_factor: float = 1.0,
 ) -> list[RadioRegion]:
-    """Project many estimates, dropping the ones that cannot be imaged.
+    """Project many estimates, dropping those ``project`` maps to None.
 
-    Estimates whose center lands outside the frame are skipped, as are degenerate
-    boundary angles that would land behind the camera plane; identifiers of
-    the surviving regions are preserved.
+    Identifiers of the surviving regions are preserved.
     """
-    regions: list[RadioRegion] = []
-    for estimate in estimates:
-        try:
-            region = project(estimate, camera, person_extent_m, range_factor)
-        except BehindCameraError:
-            continue
-        if region is not None:
-            regions.append(region)
-    return regions
+    regions = [project(estimate, camera, person_extent_m, range_factor) for estimate in estimates]
+    return [region for region in regions if region is not None]

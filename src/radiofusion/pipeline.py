@@ -255,7 +255,7 @@ def project_estimates(
     camera: CameraModel,
     radio_params,
 ) -> dict[str, list[RadioRegion]]:
-    """Project per-image estimates to square regions, dropping out-of-view ones."""
+    """Project per-image estimates to regions, dropping those behind the camera or out of frame."""
     regions = {}
     for image_id, ests in estimates_by_image.items():
         try:

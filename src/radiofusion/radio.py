@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidGeometryError, InvalidInputError, require_finite
+from .errors import InvalidInputError, require_finite
 from .world import score_order
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -51,12 +51,12 @@ class ArrayGeometry:
         require_finite("geometry", self.num_antennas, self.element_spacing,
                        self.num_subcarriers, self.base_frequency, self.frequency_interval)
         if self.num_antennas < 2 or self.num_subcarriers < 2:
-            raise InvalidGeometryError(
+            raise InvalidInputError(
                 f"need at least 2 antennas and 2 subcarriers, got "
                 f"{self.num_antennas} x {self.num_subcarriers}"
             )
         if self.element_spacing <= 0 or self.frequency_interval <= 0:
-            raise InvalidGeometryError("element spacing and frequency interval must be > 0")
+            raise InvalidInputError("element spacing and frequency interval must be > 0")
         if self.orientation not in ("horizontal", "vertical"):
             raise InvalidInputError(f"unknown orientation {self.orientation!r}")
 
@@ -132,13 +132,15 @@ class RadioEstimate:
 
 def default_aoa_grid(step_deg: float = 1.0) -> np.ndarray:
     """Arrival-angle grid covering [0, 180] degrees at the given step."""
+    if not 0 < step_deg < np.inf:  # also refuses NaN
+        raise InvalidInputError(f"step_deg must be finite and > 0, got {step_deg}")
     return np.arange(0.0, 180.0 + 0.5 * step_deg, step_deg)
 
 
 def default_tof_grid(geometry: ArrayGeometry, num_bins: int = 64) -> np.ndarray:
     """Delay grid spanning the unambiguous range (0, 1/df] in num_bins steps."""
-    if num_bins < 1:
-        raise InvalidInputError("num_bins must be >= 1")
+    if type(num_bins) is bool or not isinstance(num_bins, int | np.integer) or num_bins < 1:
+        raise InvalidInputError(f"num_bins must be an integer >= 1, got {num_bins!r}")
     return np.arange(1, num_bins + 1) / (num_bins * geometry.frequency_interval)
 
 
@@ -150,21 +152,6 @@ def _validate_grid(grid: np.ndarray, name: str) -> np.ndarray:
     if not ((grid[1:] > grid[:-1]).all() and -np.inf < grid[0] and grid[-1] < np.inf):
         raise InvalidInputError(f"{name} must be finite and strictly ascending")
     return grid
-
-
-def _aoa_steering(geometry: ArrayGeometry, aoa_grid: np.ndarray) -> np.ndarray:
-    """Per-subcarrier, per-antenna phase for each grid angle, shape (I, K, M)."""
-    f_k = geometry.subcarrier_frequencies()
-    m = np.arange(geometry.num_antennas)
-    cos_theta = np.cos(np.radians(aoa_grid))
-    per_km = np.outer(f_k, m) * (geometry.element_spacing / SPEED_OF_LIGHT)
-    return 2.0 * np.pi * cos_theta[:, None, None] * per_km[None, :, :]
-
-
-def _tof_steering(geometry: ArrayGeometry, tof_grid: np.ndarray) -> np.ndarray:
-    """Per-subcarrier delay phase for each grid delay, shape (K, J)."""
-    k = np.arange(geometry.num_subcarriers)
-    return 2.0 * np.pi * geometry.frequency_interval * np.outer(k, tof_grid)
 
 
 def _steering_bases(
@@ -186,10 +173,15 @@ def _steering_bases(
 @functools.lru_cache(maxsize=4)
 def _cached_bases(num_antennas, element_spacing, num_subcarriers, base_frequency,
                   frequency_interval, aoa_bytes, tof_bytes):
-    geometry = ArrayGeometry(num_antennas, element_spacing, num_subcarriers,
-                             base_frequency, frequency_interval)
-    aoa_basis = np.exp(1j * _aoa_steering(geometry, np.frombuffer(aoa_bytes)))
-    tof_basis = np.exp(1j * _tof_steering(geometry, np.frombuffer(tof_bytes)))
+    aoa_grid, tof_grid = np.frombuffer(aoa_bytes), np.frombuffer(tof_bytes)
+    k = np.arange(num_subcarriers)
+    # Per-subcarrier, per-antenna phase of each grid angle, shape (I, K, M).
+    f_k = base_frequency + k * frequency_interval
+    per_km = np.outer(f_k, np.arange(num_antennas)) * (element_spacing / SPEED_OF_LIGHT)
+    cos_theta = np.cos(np.radians(aoa_grid))
+    aoa_basis = np.exp(1j * (2.0 * np.pi * cos_theta[:, None, None] * per_km[None, :, :]))
+    # Per-subcarrier delay phase of each grid delay, shape (K, J).
+    tof_basis = np.exp(1j * (2.0 * np.pi * frequency_interval * np.outer(k, tof_grid)))
     aoa_basis.flags.writeable = False
     tof_basis.flags.writeable = False
     return aoa_basis, tof_basis
@@ -211,7 +203,7 @@ def synthesize_csi(
     complex noise per sample (E|n|^2 = noise_std^2), split evenly between the
     real and imaginary parts. Deterministic for a fixed seed.
     """
-    if noise_std < 0:
+    if not noise_std >= 0:  # also refuses NaN
         raise InvalidInputError("noise_std must be >= 0")
     for aoa, tof, _ in targets:
         if tof <= 0:

@@ -34,6 +34,18 @@ def test_csi_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.samples, frame.samples)
 
 
+def test_csi_writer_takes_strided_samples(tmp_path):
+    """Every other column of a wider matrix writes as its contiguous copy does."""
+    wide = synthesize_csi([(75.0, 40e-9, 1.0)], replace(GEO, num_subcarriers=16),
+                          noise_std=0.1).samples
+    wide[0, 0] = complex(-0.0, 0.0)
+    strided, copy = tmp_path / "strided.json", tmp_path / "copy.json"
+    fileio.write_csi_frame(strided, CsiFrame(wide[:, ::2], GEO))
+    fileio.write_csi_frame(copy, CsiFrame(wide[:, ::2].copy(), GEO))
+    assert strided.read_bytes() == copy.read_bytes()
+    assert str(json.loads(strided.read_text())["samples"][0]) == "[-0.0, 0.0]"
+
+
 def test_annotations_round_trip(tmp_path):
     anns = [
         Annotation(image_id="a", bbox=(1.0, 2.0, 30.0, 60.0)),

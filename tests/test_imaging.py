@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from radiofusion.errors import BehindCameraError, InvalidInputError
+from radiofusion.errors import InvalidInputError
 from radiofusion.imaging import CameraModel, RadioRegion, batch_project, project
 from radiofusion.radio import SPEED_OF_LIGHT, RadioEstimate
 
@@ -58,15 +58,17 @@ class TestProject:
         # 20 degrees is past atan(640 / 3000) = 12.0 degrees, the frame's edge.
         assert project(estimate(aoa_h=90.0 + 20.0), CAMERA) is None
 
-    def test_behind_camera_raises(self):
-        with pytest.raises(BehindCameraError):
-            project(estimate(aoa_h=180.0), WIDE)
-        with pytest.raises(BehindCameraError):
-            project(estimate(aoa_v=0.0), WIDE)
+    def test_behind_camera_returns_none(self):
+        assert project(estimate(aoa_h=180.0), WIDE) is None
+        assert project(estimate(aoa_v=0.0), WIDE) is None
 
     def test_rejects_bad_extent(self):
         with pytest.raises(InvalidInputError):
             project(estimate(), CAMERA, person_extent_m=0.0)
+
+    def test_plane_distance_underflow_returns_none(self):
+        # 0.3 m times the smallest subnormal factor rounds to a distance of 0.
+        assert project(estimate(tof=1e-9), CAMERA, range_factor=5e-324) is None
 
     def test_angle_round_trip_recovers_estimate(self):
         rng = np.random.default_rng(21)
@@ -115,6 +117,13 @@ class TestBatchProject:
         estimates = [estimate(identifier="a"), estimate(aoa_h=180.0, identifier="b")]
         regions = batch_project(estimates, WIDE)
         assert [r.identifier for r in regions] == ["a"]
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("factor", ["person_extent_m", "range_factor"])
+    def test_refuses_a_factor_that_is_not_finite_and_positive(self, factor, value):
+        factors = {"person_extent_m": 1.0, "range_factor": 1.0, factor: value}
+        with pytest.raises(InvalidInputError, match="person_extent_m and range_factor"):
+            batch_project([estimate()], CAMERA, **factors)
 
     def test_duplicate_estimates_keep_identifiers(self):
         estimates = [estimate(identifier="a"), estimate(identifier="b")]

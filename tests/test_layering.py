@@ -9,7 +9,8 @@ regions draws them from the ground-truth columns, so it builds no
 ``Detection`` or ``Annotation`` (the simulated regions are still
 ``RadioRegion`` records). Every module-level ``def`` and ``class`` of the
 package is used by the package or by ``perfbench``: a helper that only tests
-call lives in ``tests/``.
+call lives in ``tests/``. Every error class the package defines is one
+that ``cli.main`` turns into exit 2.
 """
 
 import ast
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import radiofusion
+from radiofusion import errors
 from radiofusion.cli import main
 from radiofusion.config import METHODS
 from radiofusion.world import Annotation, Detection, RadioRegion
@@ -85,6 +87,15 @@ def test_every_definition_is_used_outside_tests():
         used |= _used_names(ast.parse(path.read_text(), filename=path.name))
     unused = [f"{module}: {name}" for name, module in defined if name not in used]
     assert not unused, f"used by no package module and no perfbench script: {unused}"
+
+
+def test_every_error_class_exits_2():
+    """``cli.main`` turns ``InvalidInputError`` and ``SchemaError`` into exit 2."""
+    classes = [value for value in vars(errors).values()
+               if isinstance(value, type) and value.__module__ == errors.__name__]
+    stray = [c.__name__ for c in classes
+             if not issubclass(c, (errors.InvalidInputError, errors.SchemaError))]
+    assert classes and stray == []
 
 
 @pytest.fixture

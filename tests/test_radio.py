@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radiofusion import radio
-from radiofusion.errors import InvalidGeometryError, InvalidInputError
+from radiofusion.errors import InvalidInputError
 from radiofusion.radio import (
     SPEED_OF_LIGHT,
     AoaTofSpectrum,
@@ -156,6 +156,18 @@ def grids(geometry, case):
         return [3.0, 10.5, 44.0, 90.0, 91.0, 170.25], np.linspace(5e-9, 2e-6, 23)
     # Strided views: the cache keys and rebuilds them from contiguous bytes.
     return default_aoa_grid(0.5)[::3], default_tof_grid(geometry, 80)[1::4]
+
+
+class TestGridBuilders:
+    @pytest.mark.parametrize("step", [0.0, -1.0, np.nan, np.inf])
+    def test_aoa_grid_refuses_a_step_that_is_not_finite_and_positive(self, step):
+        with pytest.raises(InvalidInputError, match="step_deg must be finite and > 0"):
+            default_aoa_grid(step)
+
+    @pytest.mark.parametrize("num_bins", [0, -1, np.nan, np.inf, 1.5])
+    def test_tof_grid_refuses_a_bin_count_that_is_not_a_positive_integer(self, num_bins):
+        with pytest.raises(InvalidInputError, match="num_bins must be an integer >= 1"):
+            default_tof_grid(GEO, num_bins)
 
 
 class TestSteeringCache:
@@ -403,7 +415,9 @@ class TestSynthesize:
             synthesize_csi([(90.0, 0.0, 1.0)], GEO)
         with pytest.raises(InvalidInputError):
             synthesize_csi([], GEO, noise_std=-0.1)
-        with pytest.raises(InvalidGeometryError):
+        with pytest.raises(InvalidInputError):
+            synthesize_csi([], GEO, noise_std=float("nan"))
+        with pytest.raises(InvalidInputError):
             ArrayGeometry(1, 0.02, 32, 5.8e9, 312.5e3)
         with pytest.raises(InvalidInputError):
             CsiFrame(samples=np.zeros((4, 4)), geometry=GEO)
