@@ -4,7 +4,7 @@ from .config import RadioParams, RunConfig
 from .errors import InvalidInputError, SchemaError
 from .fusion import proposals_to_detections, revise_detections
 from .geometry import square
-from .imaging import CameraModel, RadioRegion, batch_project, project
+from .imaging import CameraModel, batch_project, project
 from .metrics import (
     CocoMapResult,
     MetricsReport,
@@ -27,7 +27,6 @@ from .radio import (
     synthesize_csi,
 )
 from .sim_regions import (
-    Annotation,
     NoiseParams,
     all_filter,
     build_simulative_set,
@@ -35,6 +34,6 @@ from .sim_regions import (
     reasonable_filter,
 )
 from .synth import SynthParams, generate, make_world
-from .world import Annotations, Detection, Detections, Regions
+from .world import Annotation, Annotations, Detection, Detections, RadioRegion, Regions
 
 __version__ = "0.1.0"

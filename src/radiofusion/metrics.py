@@ -18,9 +18,10 @@ ground truth are ``world.Detections`` and ``world.Annotations`` columns,
 put in image-id order by their image index.
 
 AP, the miss rate and the visual counts read one match of the ranked
-detections (``coco_map`` returns it, the others read its all-people row);
-the visual counts match in file order only a display that is not a score
-prefix of each image's ranked rows. One batched core makes each match, after
+detections (``coco_map`` returns it, the others read its all-people row at
+``EVAL_IOU``); ``visual_metrics`` reads it only if that match visited each
+image's rows in their given order, and else matches the display in file
+order, as it would with no match. One batched core makes each match, after
 pycocotools' ``COCOeval.evaluateImg``. Only images with both detections
 and people can match; sorted by those two counts, they are padded with
 zero boxes ``CHUNK_IMAGES`` at a time to (image, detection, 4) and (image,
@@ -54,6 +55,7 @@ COCO_IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 SMALL_AREA_MAX = 32.0 ** 2
 MEDIUM_AREA_MAX = 96.0 ** 2
 MR_FPPI_SAMPLES = tuple(np.logspace(-2.0, 0.0, 9))
+EVAL_IOU = 0.5  # the miss rate's and the visual counts' IoU threshold
 
 
 @dataclass(frozen=True)
@@ -133,6 +135,7 @@ class _Matches(NamedTuple):
     ignored: np.ndarray  # (bucket, threshold, N): left out of the bucket's AP
     num_gt: np.ndarray  # (bucket,): real ground truth in the bucket
     num_images: int
+    in_order: bool  # every image's rows were visited in their given order
 
 
 def _slots(counts: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -190,8 +193,6 @@ def _greedy(dets: np.ndarray, gts: np.ndarray, real: np.ndarray, ignore: np.ndar
             absorbed[:, rank] = _claim(free_ignored, row[num_images:], np.where(
                 won[-len(absorbed):], np.inf, limit[-len(absorbed):]))
     whole = hit[None, :num_images].swapaxes(1, 2)
-    if real.shape[0] == 1 and not has_ignored.any():  # one bucket holding everyone
-        return whole, np.zeros_like(whole)
     matched = np.where(~has_ignored[:, None, :, None], whole, False)
     took = np.where(~has_real[:, None, :, None], whole, False)
     matched[split_bucket, :, split_image] = hit[num_images:]
@@ -229,7 +230,8 @@ def _match(det_boxes: np.ndarray, scores: np.ndarray, det_counts: np.ndarray,
         tp[..., owners] = hit[..., det_valid]
         absorbed[..., owners] = took_ignored[..., det_valid]
     ignored = absorbed | (~tp & ~det_in[:, None])
-    return _Matches(tuple(thresholds), scores, tp, ignored, gt_in.sum(axis=1), det_counts.size)
+    return _Matches(tuple(thresholds), scores, tp, ignored, gt_in.sum(axis=1), det_counts.size,
+                    bool((visit == np.arange(visit.size)).all()))
 
 
 def _ranked_ap(is_tp: np.ndarray, num_gt: int) -> float:
@@ -267,7 +269,7 @@ def coco_map(detections: Detections, gts: Annotations,
                          matches=matches)
 
 
-def mr_fppi(detections: Detections, gts: Annotations, iou_t: float = 0.5,
+def mr_fppi(detections: Detections, gts: Annotations, iou_t: float = EVAL_IOU,
             image_ids: list[str] | None = None, matches: _Matches | None = None,
             ) -> tuple[list[tuple[float, float]], float]:
     """Miss rate versus false positives per image, plus its log-average.
@@ -278,7 +280,8 @@ def mr_fppi(detections: Detections, gts: Annotations, iou_t: float = 0.5,
     (0, 1) always present. The summary is the arithmetic mean of the lowest
     miss rate achieved at FPPI at or below each of the nine log-spaced
     sample points. With no ground truth at all the miss rate is defined
-    as 0. Given ``coco_map``'s ``matches``, it reads their ``iou_t`` row.
+    as 0. Given ``matches``, which must be ``coco_map``'s of the same
+    detections on the same ``image_ids``, it reads their ``iou_t`` row.
     """
     if matches is None:
         matches = _match(*_per_image(detections, gts, image_ids), (iou_t,))
@@ -298,18 +301,20 @@ def mr_fppi(detections: Detections, gts: Annotations, iou_t: float = 0.5,
     return curve, float(sum(samples) / len(samples))
 
 
-def visual_metrics(detections: Detections, gts: Annotations, iou_t: float = 0.5,
+def visual_metrics(detections: Detections, gts: Annotations, iou_t: float = EVAL_IOU,
                    image_ids: list[str] | None = None, matches: _Matches | None = None,
                    floor: float = -np.inf) -> tuple[float, float]:
     """Confidence-free visual quality: (FP+FN per image, TP/(TP+FP+FN)).
 
     Detections are matched in file order, never sorted by score, so every
     displayed box counts the same. The ratio is 1 for a run with no boxes
-    and no people at all. Given ``coco_map``'s ``matches`` of rows whose
-    scores never rise within an image, of which ``detections`` are those
-    scoring at least ``floor``, it counts their ``iou_t`` flags instead.
+    and no people at all. ``matches`` must be ``coco_map``'s on the same
+    ``image_ids``, of ranked rows whose scores at least ``floor`` are
+    ``detections``. It counts their ``iou_t`` flags only if that match
+    visited each image's rows in their given order, else it matches
+    ``detections`` in file order as without ``matches``.
     """
-    if matches is None:
+    if matches is None or not matches.in_order:
         matches = _match(*_per_image(detections, gts, image_ids), (iou_t,), by_score=False)
     tp = matches.tp[0, matches.thresholds.index(iou_t), matches.scores >= floor]
     total_tp = int(tp.sum())

@@ -20,7 +20,8 @@ The confidence-free visual metrics see what a user would see: methods
 without the constrained NMS display boxes above ``score_threshold``, while
 the constrained NMS needs no threshold because each region already yields
 at most one box. Count-constrained evaluation replaces the threshold with
-a per-image cap at the ground-truth count.
+a per-image cap at the ground-truth count. A detection or region on an
+image off the run's image list is refused.
 
 All randomness derives from the run seed through named substreams, so a
 full run is byte-reproducible.
@@ -53,8 +54,6 @@ from .sim_regions import GT_FILTERS, build_simulative_set
 from .synth import generate as synth_generate
 from .world import Annotations, Detections, Regions
 
-EVAL_IOU = 0.5
-
 
 def load_world(config: RunConfig) -> tuple[list[str], Annotations]:
     """Read annotations and apply the configured ground-truth filter."""
@@ -86,14 +85,11 @@ def apply_method(config: RunConfig, image_ids: list[str], detections: Detections
     """Run the configured method on the whole world; returns the full output.
 
     Every stage is one world call on the detections and regions of
-    ``image_ids``; rows on other images are left out (``evaluate`` refuses them).
+    ``image_ids``; a row on any other image is an input error.
     """
+    check_image_ids(image_ids, detections=detections.named_ids(), regions=regions.ids)
     source, cnms = METHOD_STEPS[config.method]
     nms_cfg = replace(config.nms, mode=cnms) if cnms else config.nms
-    universe = set(image_ids)
-    detections, regions = (
-        table.take(np.array([key in universe for key in table.ids], dtype=bool)[table.image])
-        for table in (detections, regions))
     if source == "revised":
         detections = revise_detections(detections, regions, config.lam, mode=config.mode)
     elif source == "proposals":
@@ -110,12 +106,11 @@ def evaluate(config: RunConfig, image_ids: list[str], gts: Annotations,
 
     Returns the report and the display set of detections (the boxes a user
     would actually see, which the visual metrics are computed on): a score
-    prefix of each image's ranked rows, so the visual counts read the AP's
-    match when the ranked rows' file order is their score order.
-    ``image_ids`` is the evaluated universe: detections or regions on any
-    other image are an input error.
+    prefix of each image's ranked rows. ``visual_metrics`` is given the AP's
+    match and decides itself whether it may read it. ``image_ids`` is the
+    evaluated universe: ``apply_method`` refuses detections or regions on
+    any other image.
     """
-    check_image_ids(image_ids, detections=detections.named_ids(), regions=regions.ids)
     start = time.perf_counter()
     ranked = apply_method(config, image_ids, detections, regions)
 
@@ -127,11 +122,9 @@ def evaluate(config: RunConfig, image_ids: list[str], gts: Annotations,
         display = ranked.take(ranked.scores >= floor)
 
     coco = coco_map(ranked, gts, image_ids)
-    curve, lamr = mr_fppi(ranked, gts, EVAL_IOU, image_ids, coco.matches)
-    step = np.diff(ranked.image)  # image-id order, scores never rising in an image
-    by_score = ((step > 0) | (step == 0) & (np.diff(ranked.scores) <= 0)).all()
-    fp_fn, ratio = visual_metrics(display, gts, EVAL_IOU, image_ids,
-                                  *((coco.matches, floor) if by_score else ()))
+    curve, lamr = mr_fppi(ranked, gts, image_ids=image_ids, matches=coco.matches)
+    fp_fn, ratio = visual_metrics(display, gts, image_ids=image_ids, matches=coco.matches,
+                                  floor=floor)
     report = MetricsReport(
         ap=coco.ap, ap50=coco.ap50, ap75=coco.ap75,
         ap_s=coco.ap_s, ap_m=coco.ap_m, ap_l=coco.ap_l,

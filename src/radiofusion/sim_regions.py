@@ -100,15 +100,14 @@ def build_simulative_set(annotations: Annotations | Iterable[Annotation],
     return {gts.ids[gts.image[a]]: records[a:b] for a, b in zip(bounds, bounds[1:])}
 
 
-# Ground-truth filters: a mask over ``Annotations`` (or one ``Annotation``'s
-# truth value), by the same comparisons either way.
+# Ground-truth filters: a mask over ``Annotations`` columns.
 
-def reasonable_filter(gts: Annotations | Annotation) -> np.ndarray | bool:
+def reasonable_filter(gts: Annotations) -> np.ndarray:
     """Caltech 'reasonable' protocol: taller than 60 px, under 35% occluded."""
     return (gts.height > 60.0) & (gts.occlusion < 0.35)
 
 
-def all_filter(gts: Annotations | Annotation) -> np.ndarray | bool:
+def all_filter(gts: Annotations) -> np.ndarray:
     """Caltech 'all' protocol: taller than 20 px, under 80% occluded."""
     return (gts.height > 20.0) & (gts.occlusion < 0.80)
 

@@ -85,15 +85,6 @@ class Annotation:
             raise InvalidInputError(
                 f"annotation occlusion must be in [0, 1], got {self.occlusion_fraction}")
 
-    @property
-    def height(self) -> float:
-        """Pedestrian height in pixels, defaulting to the box height."""
-        return self.height_px if self.height_px is not None else self.bbox[3]
-
-    @property
-    def occlusion(self) -> float:
-        return self.occlusion_fraction if self.occlusion_fraction is not None else 0.0
-
 
 @dataclass(frozen=True)
 class RadioRegion:
@@ -122,9 +113,6 @@ class RadioRegion:
             require_box("region", square(x, y, edge))
             require_box("region anchor", square(x, y, reach))
             raise InvalidInputError(f"region edge must be > 0, got {self.edge}")
-
-    def to_bbox(self) -> Rect:
-        return square(self.center_x, self.center_y, self.edge)
 
 
 def _indexed(image_ids: Sequence[str], table: Iterable[str] = ()) -> tuple[tuple, np.ndarray]:

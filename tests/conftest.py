@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from radiofusion.fileio import _float
+from radiofusion.geometry import Rect, square
 from radiofusion.metrics import _match
 from radiofusion.sim_regions import NoiseParams, draw_region_noise
 from radiofusion.world import Annotation, Annotations, Detections, RadioRegion, Regions
@@ -70,6 +71,30 @@ def gt_to_region(ann: Annotation, noise: NoiseParams, rng: np.random.Generator,
     draw = draw_region_noise(noise, min(w, h), rng)
     return RadioRegion(x + w / 2.0 + float(draw.dx), y + h / 2.0 + float(draw.dy),
                        float(draw.edge), identifier)
+
+
+def to_bbox(region: RadioRegion) -> Rect:
+    """One region's square: a row of ``Regions.boxes``."""
+    return square(region.center_x, region.center_y, region.edge)
+
+
+def _height(ann: Annotation) -> float:
+    """Pedestrian height in pixels, defaulting to the box height."""
+    return ann.height_px if ann.height_px is not None else ann.bbox[3]
+
+
+def _occlusion(ann: Annotation) -> float:
+    return ann.occlusion_fraction if ann.occlusion_fraction is not None else 0.0
+
+
+def reasonable(ann: Annotation) -> bool:
+    """Caltech 'reasonable' on one record: taller than 60 px, under 35% occluded."""
+    return _height(ann) > 60.0 and _occlusion(ann) < 0.35
+
+
+def visible(ann: Annotation) -> bool:
+    """Caltech 'all' on one record: taller than 20 px, under 80% occluded."""
+    return _height(ann) > 20.0 and _occlusion(ann) < 0.80
 
 
 def read_curve_csv(path: str | Path) -> list[tuple[float, float]]:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import regions_in, to_bbox
 from radiofusion.errors import InvalidInputError
 from radiofusion.imaging import CameraModel, RadioRegion, batch_project, project
 from radiofusion.radio import SPEED_OF_LIGHT, RadioEstimate
@@ -134,7 +135,8 @@ class TestBatchProject:
 class TestRadioRegion:
     def test_bbox(self):
         region = RadioRegion(center_x=50.0, center_y=40.0, edge=20.0, identifier="r")
-        assert region.to_bbox() == (40.0, 30.0, 20.0, 20.0)
+        assert to_bbox(region) == (40.0, 30.0, 20.0, 20.0)
+        assert regions_in([region]).boxes().tolist() == [[40.0, 30.0, 20.0, 20.0]]
 
     def test_positive_edge_required(self):
         with pytest.raises(InvalidInputError):

@@ -23,13 +23,14 @@ from radiofusion.config import METHODS, RunConfig
 from radiofusion.geometry import iou_arrays, rect_areas
 from radiofusion.metrics import (
     COCO_IOU_THRESHOLDS,
+    EVAL_IOU,
     MEDIUM_AREA_MAX,
     MR_FPPI_SAMPLES,
     SMALL_AREA_MAX,
     CocoMapResult,
 )
 from radiofusion.nms import NmsConfig
-from radiofusion.pipeline import EVAL_IOU, apply_method, evaluate
+from radiofusion.pipeline import apply_method, evaluate
 from radiofusion.sim_regions import Annotation
 from radiofusion.world import Annotations, Detection, Detections, RadioRegion, Regions, score_order
 
@@ -636,3 +637,33 @@ def test_evaluate_reads_the_visual_counts_off_the_shared_match(world, method, nm
                                Detections.from_records(dets), Regions.from_records(regions))
     assert (report.fp_fn_per_image, report.true_detection_ratio) == oracle_visual_metrics(
         display.records(), people, EVAL_IOU, image_ids)
+
+
+def test_a_match_off_the_file_order_is_not_reused():
+    """Given ``coco_map``'s match of ranked rows that rise in score within an
+    image, ``visual_metrics`` matches the rows in file order itself."""
+    image_ids, people, dets, regions = REVIVED
+    config = replace(RunConfig(), method="method2+cnms", nms=NmsConfig(iou_threshold=0.3))
+    gts = Annotations.from_records(people)
+    ranked = apply_method(config, image_ids, Detections.from_records(dets),
+                          Regions.from_records(regions))
+    matches = metrics.coco_map(ranked, gts, image_ids).matches
+    expected = oracle_visual_metrics(ranked.records(), people, EVAL_IOU, image_ids)
+    assert expected == (3.0, 0.25)
+    assert metrics.visual_metrics(ranked, gts, 0.5, image_ids, matches, -np.inf) == expected
+    assert not matches.in_order
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ranked_worlds(), st.booleans())
+def test_the_match_records_whether_it_walked_the_file_order(world, by_score):
+    """On rows in image-id order, the match's ``in_order`` is the test the
+    pipeline made before reusing it: scores never rise within an image."""
+    image_ids, people, dets = world
+    if by_score:
+        dets = sorted(dets, key=lambda det: (det.image_id, -det.score))
+    detections = Detections.from_records(dets)
+    step, fall = np.diff(detections.image), np.diff(detections.scores)
+    walked = bool(((step > 0) | (step == 0) & (fall <= 0)).all())
+    matches = metrics.coco_map(detections, Annotations.from_records(people), image_ids).matches
+    assert matches.in_order == walked

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import iou, on_records, regions_in
+from conftest import iou, on_records, regions_in, to_bbox
 from radiofusion import nms
 from radiofusion.errors import InvalidInputError
 from radiofusion.imaging import RadioRegion
@@ -107,8 +107,8 @@ class TestAssociateRegions:
             RadioRegion(center_x=40.0, center_y=10.0, edge=20.0, identifier="rB"),
         ]
         box = det(5, 0, 28, 20, 0.9)
-        iou_a = iou(box.bbox, regions[0].to_bbox())
-        iou_b = iou(box.bbox, regions[1].to_bbox())
+        iou_a = iou(box.bbox, to_bbox(regions[0]))
+        iou_b = iou(box.bbox, to_bbox(regions[1]))
         assert iou_a > iou_b > 0
         assert associate_regions([box], regions)[0].region_id == "rA"
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import read_curve_csv
+from conftest import read_curve_csv, reasonable, visible
 from radiofusion import fileio, metrics
 from radiofusion.config import METHODS, RadioParams, RunConfig, RunPaths
 from radiofusion.errors import InvalidInputError
@@ -13,7 +13,6 @@ from radiofusion.imaging import CameraModel
 from radiofusion.pipeline import build_detections, build_regions, evaluate, load_world, \
     localize_frames, project_estimates, run, sweep
 from radiofusion.radio import ArrayGeometry, synthesize_csi, default_tof_grid
-from radiofusion.sim_regions import GT_FILTERS
 from radiofusion.synth import make_world
 from radiofusion.world import Annotations, Detection, Detections, Regions
 from test_metrics_oracle import REVIVED
@@ -144,7 +143,7 @@ class TestRun:
                        else None, occlusion_fraction=float(rng.choice([0.0, 0.35, 0.8, 0.2])))
                for ann in gts]
         fileio.write_annotations(config.paths.annotations, image_ids, gts)
-        keep = GT_FILTERS[gt_filter]
+        keep = {"none": lambda ann: True, "reasonable": reasonable, "all": visible}[gt_filter]
         loaded_ids, loaded = load_world(config)
         assert loaded_ids == image_ids
         assert loaded.records() == [ann for ann in gts if ann.category == "person" and keep(ann)]

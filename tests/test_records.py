@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from conftest import regions_in
+from conftest import regions_in, to_bbox
 from radiofusion.config import RadioParams
 from radiofusion.errors import InvalidInputError, require_finite
 from radiofusion.fusion import anchor_boxes, coverage
@@ -67,7 +67,7 @@ def test_annotation_ranges_are_enforced(field):
 def test_annotation_range_edges_are_accepted():
     for occlusion in (0.0, 1.0):
         assert Annotation(image_id="a", bbox=(0, 0, 1, 1), height_px=1e-9,
-                          occlusion_fraction=occlusion).occlusion == occlusion
+                          occlusion_fraction=occlusion).occlusion_fraction == occlusion
 
 
 @pytest.mark.parametrize("build", [
@@ -115,7 +115,7 @@ def accepted_boxes(draw):
             return Detection(image_id="a", bbox=(0, 0, 1, 1), score=0.5, cell=box).cell
         if kind == "annotation":
             return Annotation(image_id="a", bbox=box).bbox
-        return RadioRegion(box[0], box[1], box[2], "r").to_bbox()
+        return to_bbox(RadioRegion(box[0], box[1], box[2], "r"))
     except InvalidInputError:
         reject()
 

@@ -24,7 +24,7 @@ from radiofusion.sim_regions import (
     draw_region_noise,
     reasonable_filter,
 )
-from conftest import group_by_image, gt_to_region
+from conftest import group_by_image, gt_to_region, reasonable, visible
 from radiofusion.world import Annotations
 
 BBOX = Annotation(image_id="img0", bbox=(0.0, 0.0, 100.0, 200.0))
@@ -254,30 +254,30 @@ class TestGtFilters:
         tall = Annotation(image_id="i", bbox=(0, 0, 30, 80))
         short = Annotation(image_id="i", bbox=(0, 0, 30, 50))
         occluded = Annotation(image_id="i", bbox=(0, 0, 30, 80), occlusion_fraction=0.5)
-        assert reasonable_filter(tall)
-        assert not reasonable_filter(short)
-        assert not reasonable_filter(occluded)
+        assert reasonable(tall)
+        assert not reasonable(short)
+        assert not reasonable(occluded)
 
     def test_all(self):
         tiny = Annotation(image_id="i", bbox=(0, 0, 10, 15))
         mostly_hidden = Annotation(image_id="i", bbox=(0, 0, 30, 80),
                                    occlusion_fraction=0.9)
-        visible = Annotation(image_id="i", bbox=(0, 0, 30, 25), occlusion_fraction=0.5)
-        assert not all_filter(tiny)
-        assert not all_filter(mostly_hidden)
-        assert all_filter(visible)
+        half_hidden = Annotation(image_id="i", bbox=(0, 0, 30, 25), occlusion_fraction=0.5)
+        assert not visible(tiny)
+        assert not visible(mostly_hidden)
+        assert visible(half_hidden)
 
     def test_bounds_are_strict(self):
         at_60 = Annotation(image_id="i", bbox=(0, 0, 30, 60))
         at_20 = Annotation(image_id="i", bbox=(0, 0, 30, 20))
-        assert not reasonable_filter(at_60) and all_filter(at_60)
-        assert not all_filter(at_20)
-        assert not reasonable_filter(replace(at_60, height_px=61.0, occlusion_fraction=0.35))
-        assert not all_filter(replace(at_60, occlusion_fraction=0.8))
+        assert not reasonable(at_60) and visible(at_60)
+        assert not visible(at_20)
+        assert not reasonable(replace(at_60, height_px=61.0, occlusion_fraction=0.35))
+        assert not visible(replace(at_60, occlusion_fraction=0.8))
 
     def test_height_field_overrides_bbox(self):
         ann = Annotation(image_id="i", bbox=(0, 0, 30, 80), height_px=50.0)
-        assert not reasonable_filter(ann)
+        assert not reasonable(ann)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.builds(
@@ -288,7 +288,8 @@ class TestGtFilters:
         occlusion_fraction=st.none() | st.floats(0.0, 1.0) | st.sampled_from([0.35, 0.8])),
         max_size=8))
     def test_column_masks_equal_the_record_filters(self, anns):
-        """Each filter's mask over the columns is its value on every record."""
+        """Each filter's mask over the columns is the scalar rule's value on
+        every record."""
         gts = Annotations.from_records(anns)
-        for keep in (reasonable_filter, all_filter):
-            assert keep(gts).tolist() == [bool(keep(ann)) for ann in anns]
+        for mask, keep in ((reasonable_filter, reasonable), (all_filter, visible)):
+            assert mask(gts).tolist() == [keep(ann) for ann in anns]

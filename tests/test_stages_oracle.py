@@ -18,15 +18,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import group_by_image, intersect_area, iou, on_records, rect_area
+from conftest import group_by_image, intersect_area, iou, on_records, rect_area, to_bbox
 from radiofusion import fusion, nms
 from radiofusion.config import METHOD_STEPS, RunConfig
 from radiofusion.errors import InvalidInputError
 from radiofusion.geometry import Rect
 from radiofusion.imaging import RadioRegion
 from radiofusion.nms import NmsConfig
-from radiofusion.pipeline import apply_method
-from radiofusion.world import Detection, Detections, Regions, score_order
+from radiofusion.pipeline import apply_method, evaluate
+from radiofusion.world import Annotations, Detection, Detections, Regions, score_order
 
 
 # -- Oracles: the scalar per-image stages, verbatim -------------------------
@@ -68,7 +68,7 @@ def associate_regions(
         best_id = None
         best_iou = 0.0
         for region in regions:
-            overlap = iou(det.bbox, region.to_bbox())
+            overlap = iou(det.bbox, to_bbox(region))
             if overlap > best_iou or (
                 overlap == best_iou and overlap > 0.0
                 and best_id is not None and region.identifier < best_id
@@ -136,7 +136,7 @@ def constrained_nms(
                 kept.append(
                     Detection(
                         image_id=image_id,
-                        bbox=region.to_bbox(),
+                        bbox=to_bbox(region),
                         score=cfg.fallback_floor_score,
                         region_id=region.identifier,
                     )
@@ -150,15 +150,15 @@ def decay_one_stage(region: RadioRegion, cell: Rect) -> float:
     cell_area = rect_area(cell)
     if cell_area <= 0:
         raise InvalidInputError(f"degenerate cell {cell}")
-    return min(intersect_area(region.to_bbox(), cell) / cell_area, 1.0)
+    return min(intersect_area(to_bbox(region), cell) / cell_area, 1.0)
 
 
 def decay_two_stage(bbox: Rect, region: RadioRegion) -> float:
     """Overlap of a detection box with the region, normalized by the region."""
-    region_area = rect_area(region.to_bbox())
+    region_area = rect_area(to_bbox(region))
     if region_area <= 0:
         raise InvalidInputError(f"degenerate region {region}")
-    return min(intersect_area(bbox, region.to_bbox()) / region_area, 1.0)
+    return min(intersect_area(bbox, to_bbox(region)) / region_area, 1.0)
 
 
 def revise_score(score: float, gamma: float, lam: float) -> float:
@@ -419,9 +419,9 @@ def test_fixed_world_covers_every_case():
 @given(worlds(), st.sampled_from(tuple(METHOD_STEPS)), _cnms_configs, _score,
        st.sets(st.sampled_from(IMAGES)))
 def test_apply_method_equals_the_per_image_loop(world, method, cfg, lam, listed):
-    """The pipeline's world-level calls give the old per-image loop's output,
-    including images in the universe that hold nothing; detections and
-    regions on images outside it are left out."""
+    """The pipeline's world-level calls give the old per-image loop's output
+    on a universe that holds every row, including listed images that hold
+    nothing."""
     detections, regions, owners = world
     if METHOD_STEPS[method][0] == "revised":
         detections = [replace(det, cell=det.cell or (0.0, 0.0, 10.0, 10.0))
@@ -430,10 +430,28 @@ def test_apply_method_equals_the_per_image_loop(world, method, cfg, lam, listed)
     for region, owner in zip(regions, owners):
         by_image.setdefault(owner, []).append(region)
     config = replace(RunConfig(), method=method, nms=cfg, lam=lam)
-    image_ids = sorted(listed) + ["empty"]
+    image_ids = sorted(listed.union(owners, (det.image_id for det in detections))) + ["empty"]
     dets, regs = Detections.from_records(detections), columns(regions, owners)
     assert outcome(lambda: apply_method(config, image_ids, dets, regs).records()) == (
         outcome(lambda: oracle_apply_method(config, image_ids, detections, by_image)))
+
+
+@pytest.mark.parametrize("method", tuple(METHOD_STEPS))
+@pytest.mark.parametrize("stray", ["detections", "regions"])
+def test_apply_method_refuses_rows_off_the_image_list(method, stray):
+    """A detection or a region on an image outside the list is an input
+    error, with the message ``evaluate`` gives for it."""
+    on = {"detections": "a", "regions": "a", stray: "z"}
+    dets = Detections.from_records([Detection(on["detections"], (0.0, 0.0, 10.0, 10.0), 0.9,
+                                              cell=(0.0, 0.0, 10.0, 10.0))])
+    regs = columns([RadioRegion(5.0, 5.0, 10.0, "r0")], [on["regions"]])
+    config = replace(RunConfig(), method=method)
+    with pytest.raises(InvalidInputError) as refused:
+        apply_method(config, ["a"], dets, regs)
+    assert str(refused.value) == f"{stray} on images outside the image list: ['z']"
+    with pytest.raises(InvalidInputError) as evaluated:
+        evaluate(config, ["a"], Annotations.from_records([]), dets, regs)
+    assert str(evaluated.value) == str(refused.value)
 
 
 # -- Constrained NMS: which images the fallback pass visits --------------------
