@@ -16,7 +16,6 @@ docs/SCHEMAS.md.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from functools import cache
 from pathlib import Path
@@ -128,11 +127,7 @@ def cmd_sweep(args) -> int:
     config = _load_config(args)
     rows = pipeline.sweep(config, args.param, args.values)
     out = args.out or str(Path(config.paths.output_dir) / f"sweep_{args.param}.csv")
-    Path(out).parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    fileio.write_sweep_csv(out, rows)
     print(f"wrote {out} ({len(rows)} rows)")
     return 0
 

@@ -14,26 +14,29 @@ the same records or the error that names the record; a record
 constructor's error keeps its type and names the file.
 
 Every JSON file is spelled as ``json.dumps(payload, indent=1,
-sort_keys=True)`` plus a newline. ``dump_json`` encodes the whole document
-before it opens the file, so a document that cannot be encoded leaves the
-previous file as it was; detection rows stream from their columns once
-every id is escaped. A list of equal-width rows of finite floats (CSI
-samples, a miss-rate curve) is spelled by one format call, as are the rows
-of a curve CSV; the bytes are those of ``json.dumps`` and ``csv.writer``.
+sort_keys=True)`` plus a newline. A list of records is written from one
+row template per record type, derived from ``_SPECS``, by one format call
+per chunk of ``CHUNK_ROWS`` rows, each chunk written as soon as it is made;
+so are the rows of CSI samples and of a miss-rate curve. A value fills a
+template only where ``_encode`` would spell it the same way, and every
+value is checked and every string escaped before the file opens, so
+nothing can fail once it is open; any other list goes through the records
+and ``_encode``, which encodes the whole document before it opens the file.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from collections import Counter
 from dataclasses import MISSING, fields
-from functools import partial
-from itertools import chain
+from functools import cache, partial
+from itertools import chain, compress
 from json.encoder import encode_basestring_ascii as _escape
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import get_type_hints
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -64,10 +67,29 @@ def load_json(path: str | Path, expected_schema: str | None = None) -> dict:
 
 
 def dump_json(path: str | Path, payload: dict) -> None:
-    text = _encode(payload, "\n") + "\n"
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    """``payload`` as ``_encode`` spells it, plus a newline, where a ``_Rows``
+    value is written chunk by chunk; every other value, and every key, is
+    encoded before the file opens."""
+    items = [(_escape(key), value if isinstance(value, _Rows) else _encode(value, "\n "))
+             for key, value in sorted(payload.items())]
+    with _create(path) as fh:
+        fh.write("{" if items else "{}")
+        for n, (key, value) in enumerate(items):
+            fh.write(("," if n else "") + "\n " + key + ": ")
+            if isinstance(value, _Rows):
+                value.write(fh.write)
+            else:
+                fh.write(value)
+        fh.write("\n}\n" if items else "\n")
+
+
+def _create(path: str | Path, newline: str | None = None):
+    """``path`` opened to be written as UTF-8 text, its folder made first when
+    it is missing: the one place the package opens a file for writing."""
+    folder = Path(path).parent
+    if not folder.is_dir():
+        folder.mkdir(parents=True, exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline=newline)
 
 
 _float_repr = float.__repr__
@@ -126,17 +148,17 @@ def _encode(value, newline: str) -> str:
 
 
 def _float_rows(rows, newline: str, inner: str) -> str | None:
-    """``rows`` spelled by one ``%r`` format over a template of its shape, when
-    its items are ``list``s or ``tuple``s (checked before ``len``) of one width
-    > 0 that hold finite ``float``s only; else None. A sum that overflows
-    only sends the list to the item-by-item path."""
+    """``rows`` spelled from one row template, when its items are ``list``s or
+    ``tuple``s (checked before ``len``) of one width > 0 that hold finite
+    ``float``s only; else None."""
     if set(map(type, rows)) - {list, tuple} or len(widths := set(map(len, rows))) != 1:
         return None
-    flat = tuple(chain.from_iterable(rows))
-    if not flat or set(map(type, flat)) != {float} or not math.isfinite(sum(flat)):
+    width, values = widths.pop(), list(chain.from_iterable(rows))
+    if not width or _spellable(float, values) is None:
         return None
-    row = "[" + inner + " " + ("," + inner + " ").join(["%r"] * widths.pop()) + inner + "]"
-    return ("[" + inner + ("," + inner).join([row] * len(rows)) + newline + "]") % flat
+    parts = []
+    _list_rows(_value(width, inner), values, width, inner).write(parts.append)
+    return "".join(parts)
 
 
 def _expect(value, kind: type, context: str):
@@ -291,15 +313,157 @@ def _columns(records: list, spec: tuple) -> list[list] | None:
     return columns
 
 
+# -- Row templates -------------------------------------------------------
+# A record is a ``%r`` per float, a ``%s`` per escaped string, four ``%r``
+# per box, and one ``%s`` per optional field that holds its whole item or
+# nothing, under its key in sorted order, at the indent of its line.
+
+CHUNK_ROWS = 256  # rows per format call; each chunk is written before the next is made
+_KINDS = {_float: float, _positive: float, _text: str, _as_bbox: 4}  # an int n: n floats in a list
+
+
+def _value(kind, newline: str) -> str:
+    """The template of one value of ``kind`` on the line that ``newline`` starts."""
+    if kind is float:
+        return "%r"
+    if kind is str:
+        return "%s"
+    inner = newline + " "
+    return "[" + inner + ("," + inner).join(["%r"] * kind) + newline + "]"
+
+
+@cache
+def _row_format(spec: tuple, newline: str) -> tuple[str, tuple]:
+    """The template of one record of ``spec`` whose brace starts ``newline``
+    and, per entry in key order, its (field name, kind, item template of an
+    optional field, else None). An optional item ends in its comma before
+    the first required one and starts with it after."""
+    inner = newline + " "
+    entries = sorted((key, name, _KINDS[read], default is None)
+                     for name, key, read, default in spec)
+    first = [optional for *_, optional in entries].index(False)
+    template, layout = "{", []
+    for i, (key, name, kind, optional) in enumerate(entries):
+        item = _escape(key) + ": " + _value(kind, inner)
+        if optional:
+            template += "%s"
+            layout.append((name, kind, inner + item + "," if i < first else "," + inner + item))
+        else:
+            template += ("," if i > first else "") + inner + item
+            layout.append((name, kind, None))
+    return template + newline + "}", tuple(layout)
+
+
+def _spellable(kind, column) -> list | None:
+    """The slot lists of ``_value(kind)`` for ``column``, when ``_encode``
+    spells each value as its slot does: a ``str`` (escaped) or a finite
+    ``float``; a box column comes as one sequence per coordinate. Else
+    None; a sum that overflows only sends the values to the record path."""
+    if kind is str:
+        return [list(map(_escape, column))] if set(map(type, column)) <= {str} else None
+    slots = [column] if kind is float else list(column)
+    if all(set(map(type, slot)) <= {float} and math.isfinite(sum(slot)) for slot in slots):
+        return slots
+    return None
+
+
+def _row_slots(spec: tuple, newline: str, columns: dict,
+               lead: tuple = ()) -> tuple[str, list, int] | None:
+    """The row template of ``spec`` after a ``%s`` per list of strings in
+    ``lead``, its values row by row, flat, from ``lead`` and ``columns``
+    (field name to values, a box's as one sequence per coordinate, None
+    where an optional field is absent, for a box in its first coordinate),
+    and their number per row; None if a value is not spellable. Every
+    column is a list of scalars, so no row holds a container of its own."""
+    template, layout = _row_format(spec, newline)
+    slots = list(lead)
+    for name, kind, item in layout:
+        column = columns[name]
+        if item is None:
+            values = _spellable(kind, column)
+            if values is None:
+                return None
+            slots += values
+            continue
+        scalar = kind is float or kind is str
+        marks = column if scalar else column[0]
+        present = [mark is not None for mark in marks]
+        values = _spellable(kind, list(compress(column, present)) if scalar else
+                            [list(compress(coordinate, present)) for coordinate in column])
+        if values is None:
+            return None
+        spelled = map(item.__mod__, zip(*values))
+        slots.append([next(spelled) if kept else "" for kept in present])
+    flat = [None] * (len(slots) * len(slots[0]))  # the slots' values, row by row
+    for j, slot in enumerate(slots):
+        flat[j::len(slots)] = slot
+    return "%s" * len(lead) + template, flat, len(slots)
+
+
+class _Rows(NamedTuple):
+    """A JSON value written as ``head``, the rows ``template % values``
+    (``width`` values a row) joined by ``sep``, then ``tail``."""
+
+    head: str
+    template: str = ""
+    values: list | tuple = ()
+    width: int = 1
+    sep: str = ""
+    tail: str = ""
+
+    def write(self, write) -> None:
+        """Hand ``write`` the value, made by one format call per chunk of rows."""
+        write(self.head)
+        step = CHUNK_ROWS * self.width
+        for start in range(0, len(self.values), step):
+            chunk = tuple(self.values[start:start + step])
+            rows = self.sep.join([self.template] * (len(chunk) // self.width))
+            write((self.sep if start else "") + rows % chunk)
+        write(self.tail)
+
+
+def _list_rows(template: str, values: list, width: int, newline: str) -> _Rows:
+    """A JSON list of rows of ``template`` whose items start ``newline``."""
+    return _Rows("[" + newline, template, values, width, "," + newline, newline[:-1] + "]")
+
+
+def _fields(cls: type, records: list) -> dict | None:
+    """Per field of ``cls``, its values in ``records`` (a box's per
+    coordinate), when each record is a ``cls`` and each box a row of four."""
+    if set(map(type, records)) - {cls}:
+        return None
+    columns = {}
+    for name, _, read, _ in _SPECS[cls]:
+        column = list(map(attrgetter(name), records))
+        if read is _as_bbox:  # types checked before ``len``
+            if set(map(type, column)) - {list, tuple} or set(map(len, column)) - {4}:
+                return None
+            column = list(zip(*column))
+        columns[name] = column
+    return columns
+
+
+def _records(spec: tuple, newline: str, columns: dict | None, count: int) -> _Rows | None:
+    """``count`` rows of ``spec`` from ``columns`` as a JSON list whose items
+    start ``newline``; None if a value is not spellable."""
+    if not count:
+        return _Rows("[]")
+    rows = None if columns is None else _row_slots(spec, newline, columns)
+    return None if rows is None else _list_rows(*rows, newline)
+
+
 # -- CSI frames ---------------------------------------------------------
 
 def write_csi_frame(path: str | Path, frame: CsiFrame, image_id: str | None = None) -> None:
-    pairs = np.ascontiguousarray(frame.samples).view(np.float64).reshape(-1, 2)
+    """The samples' flat float64 values fill the ``[real, imag]`` row template."""
+    pairs = np.ascontiguousarray(frame.samples).view(np.float64)
+    values = pairs.ravel().tolist()
     dump_json(path, {
         "schema": CSI_SCHEMA,
         "geometry": _to_record(frame.geometry),
         "timestamp": frame.timestamp,
-        "samples": pairs.tolist(),
+        "samples": (_list_rows(_value(2, "\n  "), values, 2, "\n  ")
+                    if values and _spellable(float, values) else pairs.reshape(-1, 2).tolist()),
         **({} if image_id is None else {"image_id": str(image_id)}),
     })
 
@@ -343,9 +507,14 @@ def write_annotations(path: str | Path, image_ids: list[str],
                       annotations: list[Annotation],
                       image_size: tuple[float, float] | None = None) -> None:
     size = {} if image_size is None else dict(zip(("width", "height"), image_size))
-    images = [{"id": str(image_id), **size} for image_id in image_ids]
-    dump_json(path, {"schema": ANNOTATIONS_SCHEMA, "images": images,
-                     "annotations": [_to_record(ann) for ann in annotations]})
+    count = len(image_ids)
+    images = None if None in size.values() else _records(_IMAGE, "\n  ", {
+        "id": image_ids, **{key: [size.get(key)] * count for key in ("width", "height")}}, count)
+    rows = _records(_SPECS[Annotation], "\n  ", _fields(Annotation, annotations), len(annotations))
+    dump_json(path, {
+        "schema": ANNOTATIONS_SCHEMA,
+        "images": images or [{"id": str(image_id), **size} for image_id in image_ids],
+        "annotations": rows or [_to_record(ann) for ann in annotations]})
 
 
 def read_annotations(path: str | Path) -> tuple[list[str], Annotations]:
@@ -385,27 +554,23 @@ def _repeat(ids: list[str]) -> str | None:
 
 
 # -- Detections ---------------------------------------------------------
-# A row is spelled as ``dump_json`` spells its record (``%r`` is ``float.__repr__``).
-
-_BOX = "[\n    %r,\n    %r,\n    %r,\n    %r\n   ]"
-_ROW = '{\n   "bbox": ' + _BOX + '%s,\n   "image_id": %s%s,\n   "score": %r\n  }'
-
 
 def write_detections(path: str | Path, detections: Detections) -> None:
-    """``Detections`` columns, whose rows stream into the file; every string
-    is escaped before it opens."""
-    names = [_escape(key) for key in detections.ids]
-    regions = ["" if rid is None else ',\n   "region_id": ' + _escape(rid)
-               for rid in detections.region_ids.tolist()]
-    rows = zip(detections.image.tolist(), map(np.ndarray.tolist, detections.boxes),
-               map(np.ndarray.tolist, detections.cells), regions, detections.scores.tolist())
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write('{\n "detections": [' + ("\n  " if regions else ""))
-        fh.writelines((",\n  " if n else "") + _ROW % (
-            *box, "" if cell[0] != cell[0] else ',\n   "cell": ' + _BOX % tuple(cell),
-            names[i], region, score) for n, (i, box, cell, region, score) in enumerate(rows))
-        fh.write(("\n ]" if regions else "]") + f',\n "schema": "{DETECTIONS_SCHEMA}"\n}}\n')
+    """``Detections`` columns as rows. A table holding a value that no slot
+    spells is written through its records, and one holding a value that no
+    ``Detection`` holds is refused."""
+    cells = detections.cells
+    cells = np.where(cells[:, 0] == cells[:, 0], cells.T, None).tolist()  # NaN first: no cell
+    rows = _records(_SPECS[Detection], "\n  ", {
+        "image_id": list(map(detections.ids.__getitem__, detections.image.tolist())),
+        "bbox": detections.boxes.T.tolist(), "score": detections.scores.tolist(),
+        "region_id": detections.region_ids.tolist(), "cell": cells,
+    }, len(detections))
+    if rows is None and not detections.valid():
+        raise InvalidInputError(f"{path}: detections hold a score outside [0, 1] or a box "
+                                "outside the box domain")
+    dump_json(path, {"schema": DETECTIONS_SCHEMA, "detections": rows or [
+        _to_record(detection) for detection in detections.records()]})
 
 
 def read_detections(path: str | Path) -> Detections:
@@ -422,10 +587,34 @@ def read_detections(path: str | Path) -> Detections:
 
 # -- Per-image maps: regions and estimates ------------------------------
 
-def _write_by_image(path: str | Path, schema: str, by_image: dict[str, list]) -> None:
-    images = {str(image_id): [_to_record(item) for item in items]
-              for image_id, items in by_image.items()}
+def _write_by_image(path: str | Path, schema: str, cls: type, by_image: dict[str, list]) -> None:
+    images = _image_map(cls, by_image) or {str(image_id): [_to_record(item) for item in items]
+                                           for image_id, items in by_image.items()}
     dump_json(path, {"schema": schema, "images": images})
+
+
+def _image_map(cls: type, by_image: dict[str, list]) -> _Rows | None:
+    """``by_image`` as an ``images`` map whose lists hold rows of ``cls``, every
+    row in one run of chunks: each row's first slot holds what comes before
+    it, the keys and brackets of the images in between included. None
+    unless every key is a ``str`` and every row spellable."""
+    if set(map(type, by_image)) - {str}:
+        return None
+    keys = sorted(by_image)
+    heads, pending = [], "{\n  "
+    for name, count in zip(map(_escape, keys), [len(by_image[key]) for key in keys]):
+        if count:
+            heads += [pending + name + ": [\n   "] + [",\n   "] * (count - 1)
+            pending = "\n  ],\n  "
+        else:
+            pending += name + ": [],\n  "
+    tail = pending[:-4] + "\n }" if keys else "{}"
+    records = list(chain.from_iterable(map(by_image.__getitem__, keys)))
+    if not records:
+        return _Rows(tail)
+    columns = _fields(cls, records)
+    rows = None if columns is None else _row_slots(_SPECS[cls], "\n   ", columns, (heads,))
+    return None if rows is None else _Rows("", *rows, "", tail)
 
 
 def _images(path: str | Path, schema: str) -> dict:
@@ -449,7 +638,7 @@ def _by_image(path: str | Path, images: dict, record_type: type) -> dict[str, li
 def write_regions(path: str | Path, regions: Regions | dict[str, list[RadioRegion]]) -> None:
     if isinstance(regions, Regions):
         regions = regions.records()
-    _write_by_image(path, REGIONS_SCHEMA, regions)
+    _write_by_image(path, REGIONS_SCHEMA, RadioRegion, regions)
 
 
 def read_regions(path: str | Path) -> Regions:
@@ -467,7 +656,7 @@ def read_regions(path: str | Path) -> Regions:
 
 def write_estimates(path: str | Path,
                     estimates_by_image: dict[str, list[RadioEstimate]]) -> None:
-    _write_by_image(path, ESTIMATES_SCHEMA, estimates_by_image)
+    _write_by_image(path, ESTIMATES_SCHEMA, RadioEstimate, estimates_by_image)
 
 
 def read_estimates(path: str | Path) -> dict[str, list[RadioEstimate]]:
@@ -479,9 +668,16 @@ def read_estimates(path: str | Path) -> dict[str, list[RadioEstimate]]:
 def write_curve_csv(path: str | Path, curve: list[tuple[float, float]]) -> None:
     """The bytes of ``csv.writer``, which spells a number by ``str`` as ``%s`` does."""
     text = "fppi,miss_rate\r\n" + "%s,%s\r\n" * len(curve) % tuple(chain.from_iterable(curve))
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _create(path, newline="") as fh:
         fh.write(text)
+
+
+def write_sweep_csv(path: str | Path, rows: list[dict]) -> None:
+    """One line per row under a header of the first row's keys, by ``csv.DictWriter``."""
+    with _create(path, newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def write_report(path: str | Path, report_dict: dict) -> None:

@@ -57,6 +57,8 @@ class ArrayGeometry:
             )
         if self.element_spacing <= 0 or self.frequency_interval <= 0:
             raise InvalidInputError("element spacing and frequency interval must be > 0")
+        if self.base_frequency <= 0:
+            raise InvalidInputError(f"base frequency must be > 0, got {self.base_frequency}")
         if self.orientation not in ("horizontal", "vertical"):
             raise InvalidInputError(f"unknown orientation {self.orientation!r}")
 

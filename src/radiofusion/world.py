@@ -279,7 +279,8 @@ class Regions(Table):
         return np.stack(square(self.center_x, self.center_y, self.edge), axis=-1)
 
     def valid(self) -> bool:
-        anchors = square(self.center_x, self.center_y, anchor_reach(self.edge))
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge edge's reach may overflow
+            anchors = square(self.center_x, self.center_y, anchor_reach(self.edge))
         return bool((self.edge > 0.0).all() and in_box_domain(self.boxes()).all()
                     and in_box_domain(np.stack(anchors, axis=-1)).all())
 

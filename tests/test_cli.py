@@ -261,6 +261,24 @@ def test_region_with_an_anchor_outside_the_box_domain_names_the_regions_file(tmp
     assert f"error: {bad}: image 'img00000': region anchor corners" in capsys.readouterr().err
 
 
+def test_region_edge_whose_reach_overflows_names_the_regions_file(tmp_path, capsys):
+    """An edge of 1e308 overflows the anchor reach of the column check, which
+    warns nothing even when warnings are errors; the record check names it."""
+    out = str(tmp_path)
+    assert main(["synth", "--num-images", "3", "--seed", "5", "--output-dir", out]) == 0
+    bad = tmp_path / "regions.json"
+    bad.write_text(json.dumps({"schema": "regions/1", "images": {
+        "img00000": [{"id": "p", "center_x": 0.0, "center_y": 0.0, "edge": 1e308}]}}))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--method", "method2", "--annotations",
+                     str(tmp_path / "annotations.json"), "--regions", str(bad),
+                     "--output-dir", out])
+    assert code == 2
+    assert f"error: {bad}: image 'img00000': region corners" in capsys.readouterr().err
+
+
 def test_repeated_region_id_names_the_id(tmp_path, capsys):
     out = str(tmp_path)
     assert main(["synth", "--num-images", "3", "--seed", "5", "--output-dir", out]) == 0
@@ -383,6 +401,25 @@ def test_malformed_csi_geometry_exit_code(tmp_path, patch):
     path.write_text(json.dumps(doc))
     code = main(["localize", "--csi", str(path), "--output-dir", str(tmp_path)])
     assert code == 2
+
+
+@pytest.mark.parametrize("base_frequency", [-5.8e9, 0.0])
+def test_non_positive_base_frequency_exit_code(tmp_path, capsys, base_frequency):
+    """A carrier at or below 0 Hz is refused when the frame is read; it used
+    to mirror or zero the vertical angle of an emitter at 80 degrees."""
+    paths = []
+    for orientation in ("horizontal", "vertical"):
+        geo = ArrayGeometry(num_antennas=8, element_spacing=0.0258, num_subcarriers=32,
+                            base_frequency=5.8e9, frequency_interval=312.5e3,
+                            orientation=orientation)
+        paths.append(tmp_path / f"{orientation}.json")
+        fileio.write_csi_frame(paths[-1], synthesize_csi([(80.0, 40e-9, 1.0)], geo), image_id="f0")
+    doc = json.loads(paths[1].read_text())
+    doc["geometry"]["base_frequency"] = base_frequency
+    paths[1].write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["localize", "--csi", *map(str, paths), "--output-dir", str(tmp_path)]) == 2
+    assert f"{paths[1]}: geometry: base frequency must be > 0" in capsys.readouterr().err
 
 
 def test_overflowing_csi_spectrum_exit_code(tmp_path, capsys):

@@ -13,11 +13,13 @@ import json
 import math
 from dataclasses import MISSING, fields
 from functools import partial
+from json.encoder import encode_basestring_ascii as _escape
+from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radiofusion import fileio
@@ -26,7 +28,7 @@ from radiofusion.geometry import MAX_COORD, Rect
 from radiofusion.imaging import RadioRegion
 from radiofusion.radio import ArrayGeometry, CsiFrame, RadioEstimate
 from radiofusion.sim_regions import Annotation
-from radiofusion.world import Detection, Detections
+from radiofusion.world import Detection, Detections, Regions
 
 
 # -- Oracle: the per-value codec -------------------------------------------
@@ -310,6 +312,198 @@ def test_detection_writer_bytes_equal_the_stdlib_encoder(tmp_path_factory, detec
         {key: list(value) if isinstance(value, tuple) else value
          for key, value in vars(det).items() if value is not None} for det in detections]}
     assert path.read_bytes() == (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode()
+
+
+# The detection writer that the row templates replaced, kept verbatim.
+_BOX = "[\n    %r,\n    %r,\n    %r,\n    %r\n   ]"
+_ROW = '{\n   "bbox": ' + _BOX + '%s,\n   "image_id": %s%s,\n   "score": %r\n  }'
+
+
+def oracle_write_detections(path, detections: Detections) -> None:
+    """``Detections`` columns, whose rows stream into the file; every string
+    is escaped before it opens."""
+    names = [_escape(key) for key in detections.ids]
+    regions = ["" if rid is None else ',\n   "region_id": ' + _escape(rid)
+               for rid in detections.region_ids.tolist()]
+    rows = zip(detections.image.tolist(), map(np.ndarray.tolist, detections.boxes),
+               map(np.ndarray.tolist, detections.cells), regions, detections.scores.tolist())
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{\n "detections": [' + ("\n  " if regions else ""))
+        fh.writelines((",\n  " if n else "") + _ROW % (
+            *box, "" if cell[0] != cell[0] else ',\n   "cell": ' + _BOX % tuple(cell),
+            names[i], region, score) for n, (i, box, cell, region, score) in enumerate(rows))
+        fh.write(("\n ]" if regions else "]") + f',\n "schema": "{fileio.DETECTIONS_SCHEMA}"\n}}\n')
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_detections.map(tuple), max_size=3).map(lambda parts: sum(parts, ())))
+def test_detection_writer_bytes_equal_the_writer_it_replaced(tmp_path_factory, detections):
+    folder = tmp_path_factory.mktemp("dets")
+    table = Detections.from_records(list(detections))
+    oracle_write_detections(folder / "old.json", table)
+    assert _written(fileio.write_detections, folder / "new.json", table) == (
+        folder / "old.json").read_bytes()
+
+
+# -- Annotation, region and estimate files: templates against the stdlib ---
+# Each file must equal ``json.dumps`` of its records, whichever path a list
+# takes. Half the examples draw plain values, whose lists fill the row
+# templates; the other half mix in ints, numpy floats and booleans where a
+# float goes and ints where text goes, which send a list to the record
+# path, as does a float column whose sum passes the largest float.
+
+
+def _record(obj) -> dict:
+    return {_KEYS.get(key, key): list(value) if isinstance(value, tuple) else value
+            for key, value in vars(obj).items() if value is not None}
+
+
+def _stdlib_bytes(doc) -> bytes:
+    return (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode()
+
+
+def _written(write, path, *args) -> bytes:
+    """The bytes ``write`` puts at ``path``, the same at one row per format
+    call, which splits every file of two or more rows, as at the default."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fileio, "CHUNK_ROWS", 1)
+        write(path, *args)
+        small = path.read_bytes()
+    write(path, *args)
+    assert path.read_bytes() == small
+    return small
+
+
+def _numbers(plain, odd: bool):
+    """``plain`` floats; when ``odd``, also values that only the record path spells."""
+    return plain | plain.map(np.float64) | st.sampled_from([1, True]) if odd else plain
+
+
+def _texts(odd: bool):
+    return _ids | st.integers(-3, 3) if odd else _ids
+
+
+_lengths = st.floats(1e-3, 1e6) | st.sampled_from([5e-324, 1.0, 1e100])
+
+
+def _annotations(odd: bool):
+    number = partial(_numbers, odd=odd)
+    return st.builds(Annotation, image_id=_ids, bbox=st.tuples(
+        number(_coords), number(_coords), number(_lengths), number(_lengths)),
+        category=_texts(odd), height_px=st.none() | number(_lengths),
+        occlusion_fraction=st.none() | number(st.floats(0.0, 1.0)))
+
+
+def _regions(odd: bool):
+    number = partial(_numbers, odd=odd)
+    return st.builds(RadioRegion, center_x=number(_coords), center_y=number(_coords),
+                     edge=number(st.floats(1e-3, 1e6)), identifier=_texts(odd))
+
+
+def _estimates(odd: bool):
+    number = partial(_numbers, odd=odd)
+    return st.builds(RadioEstimate, aoa_h=number(st.floats(0.0, 180.0)),
+                     aoa_v=number(st.floats(0.0, 180.0)), tof=number(st.floats(1e-12, 1e-6)),
+                     magnitude=number(st.floats(-1e6, 1e6)), identifier=_texts(odd))
+
+
+def _annotation_files(odd: bool):
+    sizes = st.none() | st.tuples(_numbers(_lengths, odd), _numbers(_lengths, odd))
+    return st.tuples(st.lists(_texts(odd), max_size=4), st.lists(_annotations(odd), max_size=4),
+                     sizes)
+
+
+def _maps(records, odd: bool, keys=_texts):
+    """Image maps of up to 3 images of up to 3 records, empty ones included,
+    whose keys stay distinct as strings."""
+    return st.dictionaries(keys(odd), st.lists(records(odd), max_size=3), max_size=3).filter(
+        lambda by_image: len(set(map(str, by_image))) == len(by_image))
+
+
+def _map_doc(schema, by_image) -> dict:
+    return {"schema": schema, "images": {str(image_id): [_record(item) for item in items]
+                                         for image_id, items in by_image.items()}}
+
+
+_oracle = settings(max_examples=100, deadline=None)
+
+
+@_oracle
+@given(st.booleans().flatmap(_annotation_files))
+@example(([], [], None))
+@example((["\ud800", "a\x00é"], [], (1280.0, 720.0)))
+@example((["a"], [Annotation("a", (0.0, 0.0, 1.0, 1.0), height_px=1e308)] * 2, None))
+def test_annotation_writer_bytes_equal_the_stdlib_encoder(tmp_path_factory, file):
+    image_ids, anns, image_size = file
+    path = tmp_path_factory.mktemp("anns") / "anns.json"
+    written = _written(fileio.write_annotations, path, image_ids, anns, image_size)
+    size = {} if image_size is None else dict(zip(("width", "height"), image_size))
+    doc = {"schema": fileio.ANNOTATIONS_SCHEMA, "images": [
+        {"id": str(image_id), **size} for image_id in image_ids],
+        "annotations": [_record(ann) for ann in anns]}
+    assert written == _stdlib_bytes(doc)
+
+
+@_oracle
+@given(st.booleans().flatmap(partial(_maps, _regions)))
+@example({})
+@example({"b": [], "a": [RadioRegion(1.0, 2.0, 3.0, "r")], "c": []})
+def test_region_writer_bytes_equal_the_stdlib_encoder(tmp_path_factory, by_image):
+    path = tmp_path_factory.mktemp("regions") / "regions.json"
+    written = _written(fileio.write_regions, path, by_image)
+    assert written == _stdlib_bytes(_map_doc(fileio.REGIONS_SCHEMA, by_image))
+
+
+@_oracle
+@given(st.booleans().flatmap(partial(_maps, _regions, keys=lambda odd: _ids)))
+@example({"b": [], "a": [], "\x7f": [RadioRegion(1, True, 3.0, "\ud800")]})
+def test_region_table_writer_bytes_equal_the_stdlib_encoder(tmp_path_factory, by_image):
+    """A ``Regions`` table is written as its records, every number a float."""
+    path = tmp_path_factory.mktemp("regions") / "regions.json"
+    table = Regions.from_records(by_image)
+    written = _written(fileio.write_regions, path, table)
+    assert written == _stdlib_bytes(_map_doc(fileio.REGIONS_SCHEMA, table.records()))
+
+
+@_oracle
+@given(st.booleans().flatmap(partial(_maps, _estimates)))
+@example({"e": [], "p": [RadioEstimate(90.0, 0.0, 1e-8, -0.0, "p0")]})
+def test_estimate_writer_bytes_equal_the_stdlib_encoder(tmp_path_factory, by_image):
+    path = tmp_path_factory.mktemp("estimates") / "estimates.json"
+    written = _written(fileio.write_estimates, path, by_image)
+    assert written == _stdlib_bytes(_map_doc(fileio.ESTIMATES_SCHEMA, by_image))
+
+
+def test_plain_files_take_the_template_path(tmp_path, monkeypatch):
+    """Finite floats and strings, a detection cell or none, an image size or
+    none: no writer builds a record dict."""
+    monkeypatch.setattr(fileio, "_to_record", lambda obj: pytest.fail("record path"))
+    monkeypatch.setattr(Detections, "records", lambda self: pytest.fail("record path"))
+    box = (0.0, 1.0, 2.0, 3.0)
+    fileio.write_detections(tmp_path / "d.json", Detections.from_records([
+        Detection("a", box, 0.5), Detection("b", box, 0.25, "r", box)]))
+    for size in (None, (1280.0, 720.0)):
+        fileio.write_annotations(tmp_path / "a.json", ["a", "b"], [Annotation("a", box)], size)
+    fileio.write_regions(tmp_path / "r.json", {"a": [RadioRegion(1.0, 2.0, 3.0, "r")], "b": []})
+    fileio.write_estimates(tmp_path / "e.json", {"a": [RadioEstimate(90.0, 90.0, 1e-8, 1.0, "p")]})
+
+
+_PLAIN = RadioRegion(1.0, 2.0, 3.0, "r")
+
+
+@pytest.mark.parametrize("by_image, templated", [
+    ({"a": [_PLAIN], "b": []}, True),
+    ({"a": [RadioRegion(1.0, 2.0, 3.0, "\u00e9\x00")]}, True),
+    ({"a": [_PLAIN, RadioRegion(np.float64(1.0), 2.0, 3.0, "s")]}, False),
+    ({"a": [RadioRegion(1, 2.0, 3.0, "r")]}, False),
+    ({"a": [RadioRegion(1.0, 2.0, True, "r")]}, False),
+    ({"a": [RadioRegion(1.0, 2.0, 3.0, 5)]}, False),
+    ({5: [_PLAIN]}, False),
+    ({"a": [RadioEstimate(90.0, 90.0, 1e-8, 1.0, "p")]}, False),
+], ids=["plain", "escaped-id", "numpy-float", "int", "bool", "int-id", "int-key", "other-type"])
+def test_a_list_takes_the_template_path_only_when_every_value_spells_alike(by_image, templated):
+    assert (fileio._image_map(RadioRegion, by_image) is not None) == templated
 
 
 # -- Annotation and region files: the column readers against the per-record path

@@ -1,6 +1,7 @@
 """Round-trip tests for every file schema."""
 
 import json
+import math
 import re
 from dataclasses import replace
 
@@ -99,6 +100,21 @@ def test_detections_round_trip(tmp_path):
     path = tmp_path / "dets.json"
     fileio.write_detections(path, Detections.from_records(dets))
     assert fileio.read_detections(path).records() == dets
+
+
+@pytest.mark.parametrize("column, index", [("scores", 0), ("boxes", (0, 1)), ("cells", (0, 2))],
+                         ids=["score", "box", "cell"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_detection_tables_are_refused(tmp_path, column, index, value):
+    """A table built without its checks that holds a NaN or an infinity is
+    refused, not written: ``nan`` and ``inf`` are not JSON numbers."""
+    table = Detections.from_records([Detection("a", (0.0, 0.0, 1.0, 1.0), 0.5, "r",
+                                               (0.0, 0.0, 1.0, 1.0))])
+    getattr(table, column)[index] = value
+    path = tmp_path / "out" / "dets.json"
+    with pytest.raises(InvalidInputError, match="detections hold a score outside"):
+        fileio.write_detections(path, table)
+    assert not path.exists()
 
 
 def test_estimates_round_trip(tmp_path):
@@ -343,7 +359,7 @@ estimates = _by_image(st.builds(RadioEstimate, aoa_h=_angle, aoa_v=_angle, tof=_
                                 magnitude=_finite, identifier=_ids))
 geometries = st.builds(ArrayGeometry, num_antennas=st.integers(2, 4),
                        element_spacing=_positive, num_subcarriers=st.integers(2, 4),
-                       base_frequency=_finite, frequency_interval=_positive,
+                       base_frequency=_positive, frequency_interval=_positive,
                        orientation=st.sampled_from(("horizontal", "vertical")))
 
 

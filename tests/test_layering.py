@@ -10,7 +10,8 @@ regions draws them from the ground-truth columns, so it builds no
 ``RadioRegion`` records). Every module-level ``def`` and ``class`` of the
 package is used by the package or by ``perfbench``: a helper that only tests
 call lives in ``tests/``. Every error class the package defines is one
-that ``cli.main`` turns into exit 2.
+that ``cli.main`` turns into exit 2. Only ``fileio`` opens a file for
+writing, and it does so in one place.
 """
 
 import ast
@@ -96,6 +97,38 @@ def test_every_error_class_exits_2():
     stray = [c.__name__ for c in classes
              if not issubclass(c, (errors.InvalidInputError, errors.SchemaError))]
     assert classes and stray == []
+
+
+WRITE_MODES = set("wax+")
+
+
+def _write_opens(tree) -> list[int]:
+    """The lines of calls that open a file for writing: ``open`` or ``.open``
+    with a mode holding ``w``, ``a``, ``x`` or ``+``, and ``write_text`` or
+    ``write_bytes``."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        modes = [arg.value for arg in node.args + [k.value for k in node.keywords if k.arg == "mode"]
+                 if isinstance(arg, ast.Constant) and isinstance(arg.value, str)]
+        if (name == "open" and WRITE_MODES & set("".join(modes))
+                or name in ("write_text", "write_bytes")):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_fileio_opens_a_file_for_writing():
+    opens = {path.name: _write_opens(_tree(path.name)) for path in sorted(PACKAGE.glob("*.py"))}
+    assert len(opens.pop("fileio.py")) == 1
+    assert {name: lines for name, lines in opens.items() if lines} == {}
+
+
+def test_the_write_probe_sees_each_kind_of_open():
+    tree = ast.parse("open(p, 'w')\nopen(p, mode='a')\nPath(p).open('x')\nopen(p, 'r+')\n"
+                     "p.write_text(t)\np.write_bytes(b)\nopen(p)\nopen(p, 'rb')\n")
+    assert _write_opens(tree) == [1, 2, 3, 4, 5, 6]
 
 
 @pytest.fixture

@@ -55,6 +55,12 @@ def test_non_finite_values_are_rejected(build):
         build()
 
 
+@pytest.mark.parametrize("base_frequency", [0.0, -0.0, -5.8e9])
+def test_non_positive_base_frequency_is_rejected(base_frequency):
+    with pytest.raises(InvalidInputError, match="base frequency must be > 0"):
+        replace(GEO, base_frequency=base_frequency)
+
+
 @pytest.mark.parametrize("field", [
     {"occlusion_fraction": 5.0}, {"occlusion_fraction": -1.0},
     {"height_px": 0.0}, {"height_px": -3.0},
