@@ -14,14 +14,17 @@ the same records or the error that names the record; a record
 constructor's error keeps its type and names the file.
 
 Every JSON file is spelled as ``json.dumps(payload, indent=1,
-sort_keys=True)`` plus a newline. A list of records is written from one
-row template per record type, derived from ``_SPECS``, by one format call
-per chunk of ``CHUNK_ROWS`` rows, each chunk written as soon as it is made;
-so are the rows of CSI samples and of a miss-rate curve. A value fills a
-template only where ``_encode`` would spell it the same way, and every
-value is checked and every string escaped before the file opens, so
-nothing can fail once it is open; any other list goes through the records
-and ``_encode``, which encodes the whole document before it opens the file.
+sort_keys=True)`` plus a newline, and that encoder itself spells every
+value but one kind: a list of records is written from one row template per
+record type, derived from ``_SPECS``, by one format call per chunk of
+``CHUNK_ROWS`` rows, each chunk written as soon as it is made; so are the
+rows of CSI samples and of a report's miss-rate curve. These templates are
+the only JSON the package spells itself. A value fills a template only
+where ``json`` would spell it the same way, and every value is checked and
+every string escaped before the file opens, so nothing can fail once it is
+open. Any other list goes to ``json`` as it is, a list of records as one
+dict per record, and ``dump_json`` encodes everything but the row runs
+before it opens the file.
 """
 
 from __future__ import annotations
@@ -66,21 +69,61 @@ def load_json(path: str | Path, expected_schema: str | None = None) -> dict:
     return data
 
 
+_ENCODER = json.JSONEncoder(indent=1, sort_keys=True)
+
+
 def dump_json(path: str | Path, payload: dict) -> None:
-    """``payload`` as ``_encode`` spells it, plus a newline, where a ``_Rows``
-    value is written chunk by chunk; every other value, and every key, is
-    encoded before the file opens."""
-    items = [(_escape(key), value if isinstance(value, _Rows) else _encode(value, "\n "))
-             for key, value in sorted(payload.items())]
+    """``json.dumps(payload, indent=1, sort_keys=True)`` plus a newline, where
+    a ``_Rows`` value at any depth of dicts is written chunk by chunk; every
+    other value, and every key, is encoded before the file opens."""
+    pieces = _pieces(payload, "\n")
     with _create(path) as fh:
-        fh.write("{" if items else "{}")
-        for n, (key, value) in enumerate(items):
-            fh.write(("," if n else "") + "\n " + key + ": ")
-            if isinstance(value, _Rows):
-                value.write(fh.write)
+        for piece in pieces:
+            if isinstance(piece, _Rows):
+                piece.write(fh.write)
             else:
-                fh.write(value)
-        fh.write("\n}\n" if items else "\n")
+                fh.write(piece)
+        fh.write("\n")
+
+
+def _pieces(value: dict, newline: str) -> list:
+    """``value`` as ``json`` spells it on the line that ``newline`` starts:
+    strings, and each ``_Rows`` run found at any depth of dicts. One encoder
+    call spells ``value`` with ``null`` for each item that holds a run; the
+    run's pieces then replace that ``null``, found by its key on a line one
+    indent deeper than ``newline``: deeper lines start with a space, and a
+    string holds no line break. A key that is not a ``str`` raises
+    ``TypeError``, where ``json`` would spell it as a string."""
+    inner = newline + " "
+    runs = {key: [item] if isinstance(item, _Rows) else _pieces(item, inner)
+            for key, item in value.items() if _streams(item)}
+    plain = {**value, **dict.fromkeys(runs)}
+    pieces = [_ENCODER.encode(plain).replace("\n", newline)]
+    _str_keys(plain)
+    for key in sorted(runs):
+        prefix = inner + _escape(key) + ": "
+        head, tail = pieces.pop().split(prefix + "null", 1)
+        pieces += [head + prefix, *runs[key], tail]
+    return pieces
+
+
+def _streams(value) -> bool:
+    """Whether ``value`` is a ``_Rows`` or a dict that holds one at any depth of dicts."""
+    return isinstance(value, _Rows) or (isinstance(value, dict)
+                                        and any(map(_streams, value.values())))
+
+
+def _str_keys(value) -> None:
+    """Raise ``TypeError`` if a dict in ``value`` has a key that is not a ``str``."""
+    if isinstance(value, dict):
+        if stray := [key for key in value if not isinstance(key, str)]:
+            raise TypeError(f"keys must be str, got {stray[0]!r}")
+        value = value.values()
+    elif not isinstance(value, (list, tuple)):
+        return
+    for item in value:
+        if isinstance(item, (dict, list, tuple)):
+            _str_keys(item)
 
 
 def _create(path: str | Path, newline: str | None = None):
@@ -90,75 +133,6 @@ def _create(path: str | Path, newline: str | None = None):
     if not folder.is_dir():
         folder.mkdir(parents=True, exist_ok=True)
     return open(path, "w", encoding="utf-8", newline=newline)
-
-
-_float_repr = float.__repr__
-
-
-def _encode(value, newline: str) -> str:
-    """``value`` as ``json.dumps(value, indent=1, sort_keys=True)`` spells it,
-    where ``newline`` starts each line at the current depth. Anything JSON
-    cannot hold, a non-``str`` key included, raises ``TypeError``.
-
-    Containers are tested first because they are the most frequent calls;
-    no value is both a container and a scalar, so the order changes no
-    output. The brackets go onto the end items, so a large container is
-    copied once, by its ``join``."""
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = newline + " "
-        items = [_escape(k) + ": " + (_float_repr(v) if type(v) is float and v - v == 0
-                                      else _escape(v) if type(v) is str
-                                      else _encode(v, inner))
-                 for k, v in sorted(value.items())]
-        items[0] = "{" + inner + items[0]
-        items[-1] = items[-1] + newline + "}"
-        return ("," + inner).join(items)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = newline + " "
-        if type(value[0]) in (list, tuple) and (rows := _float_rows(value, newline, inner)):
-            return rows
-        items = [_float_repr(v) if type(v) is float and v - v == 0 else _encode(v, inner)
-                 for v in value]
-        items[0] = "[" + inner + items[0]
-        items[-1] = items[-1] + newline + "]"
-        return ("," + inner).join(items)
-    if isinstance(value, str):
-        return _escape(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == math.inf:
-            return "Infinity"
-        if value == -math.inf:
-            return "-Infinity"
-        return _float_repr(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _float_rows(rows, newline: str, inner: str) -> str | None:
-    """``rows`` spelled from one row template, when its items are ``list``s or
-    ``tuple``s (checked before ``len``) of one width > 0 that hold finite
-    ``float``s only; else None."""
-    if set(map(type, rows)) - {list, tuple} or len(widths := set(map(len, rows))) != 1:
-        return None
-    width, values = widths.pop(), list(chain.from_iterable(rows))
-    if not width or _spellable(float, values) is None:
-        return None
-    parts = []
-    _list_rows(_value(width, inner), values, width, inner).write(parts.append)
-    return "".join(parts)
 
 
 def _expect(value, kind: type, context: str):
@@ -355,7 +329,7 @@ def _row_format(spec: tuple, newline: str) -> tuple[str, tuple]:
 
 
 def _spellable(kind, column) -> list | None:
-    """The slot lists of ``_value(kind)`` for ``column``, when ``_encode``
+    """The slot lists of ``_value(kind)`` for ``column``, when ``json``
     spells each value as its slot does: a ``str`` (escaped) or a finite
     ``float``; a box column comes as one sequence per coordinate. Else
     None; a sum that overflows only sends the values to the record path."""
@@ -427,6 +401,14 @@ def _list_rows(template: str, values: list, width: int, newline: str) -> _Rows:
     return _Rows("[" + newline, template, values, width, "," + newline, newline[:-1] + "]")
 
 
+def _pair_rows(values: list, newline: str) -> _Rows | None:
+    """The flat ``values`` as a JSON list of ``[a, b]`` rows whose items start
+    ``newline``, when there are some and each is a finite ``float``."""
+    if values and _spellable(float, values):
+        return _list_rows(_value(2, newline), values, 2, newline)
+    return None
+
+
 def _fields(cls: type, records: list) -> dict | None:
     """Per field of ``cls``, its values in ``records`` (a box's per
     coordinate), when each record is a ``cls`` and each box a row of four."""
@@ -462,8 +444,7 @@ def write_csi_frame(path: str | Path, frame: CsiFrame, image_id: str | None = No
         "schema": CSI_SCHEMA,
         "geometry": _to_record(frame.geometry),
         "timestamp": frame.timestamp,
-        "samples": (_list_rows(_value(2, "\n  "), values, 2, "\n  ")
-                    if values and _spellable(float, values) else pairs.reshape(-1, 2).tolist()),
+        "samples": _pair_rows(values, "\n  ") or pairs.reshape(-1, 2).tolist(),
         **({} if image_id is None else {"image_id": str(image_id)}),
     })
 
@@ -681,4 +662,12 @@ def write_sweep_csv(path: str | Path, rows: list[dict]) -> None:
 
 
 def write_report(path: str | Path, report_dict: dict) -> None:
+    """The miss-rate curve under ``metrics`` is written from the ``[fppi,
+    miss]`` row template when every point is a pair of finite floats."""
+    metrics = report_dict.get("metrics")
+    curve = metrics.get("mr_fppi_curve") if isinstance(metrics, dict) else None
+    if (isinstance(curve, (list, tuple)) and not set(map(type, curve)) - {list, tuple}
+            and not set(map(len, curve)) - {2}
+            and (rows := _pair_rows(list(chain.from_iterable(curve)), "\n   "))):
+        report_dict = {**report_dict, "metrics": {**metrics, "mr_fppi_curve": rows}}
     dump_json(path, report_dict)

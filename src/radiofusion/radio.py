@@ -23,6 +23,7 @@ over antennas reads contiguous memory, in the order an (I, M, K) basis gives.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,15 @@ class ArrayGeometry:
             raise InvalidInputError(f"base frequency must be > 0, got {self.base_frequency}")
         if self.orientation not in ("horizontal", "vertical"):
             raise InvalidInputError(f"unknown orientation {self.orientation!r}")
+        # The largest angle phase before its 2*pi*cos/c factor, and the largest
+        # subcarrier index times the default delay grid's end, 1/df.
+        top = self.base_frequency + (self.num_subcarriers - 1) * self.frequency_interval
+        if not (math.isfinite(top * (self.num_antennas - 1) * self.element_spacing)
+                and math.isfinite((self.num_subcarriers - 1) / self.frequency_interval)):
+            raise InvalidInputError(
+                "steering phases overflow: (base_frequency + (num_subcarriers - 1) * "
+                "frequency_interval) * (num_antennas - 1) * element_spacing and "
+                "(num_subcarriers - 1) / frequency_interval must be finite")
 
     def subcarrier_frequencies(self) -> np.ndarray:
         """f_k = f0 + k*df for k = 0..K-1."""

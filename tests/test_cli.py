@@ -403,10 +403,9 @@ def test_malformed_csi_geometry_exit_code(tmp_path, patch):
     assert code == 2
 
 
-@pytest.mark.parametrize("base_frequency", [-5.8e9, 0.0])
-def test_non_positive_base_frequency_exit_code(tmp_path, capsys, base_frequency):
-    """A carrier at or below 0 Hz is refused when the frame is read; it used
-    to mirror or zero the vertical angle of an emitter at 80 degrees."""
+def _frame_pair(tmp_path, field: str, value) -> list:
+    """A valid horizontal and vertical frame of one emitter at 80 degrees,
+    the vertical frame's geometry ``field`` set to ``value``."""
     paths = []
     for orientation in ("horizontal", "vertical"):
         geo = ArrayGeometry(num_antennas=8, element_spacing=0.0258, num_subcarriers=32,
@@ -415,11 +414,37 @@ def test_non_positive_base_frequency_exit_code(tmp_path, capsys, base_frequency)
         paths.append(tmp_path / f"{orientation}.json")
         fileio.write_csi_frame(paths[-1], synthesize_csi([(80.0, 40e-9, 1.0)], geo), image_id="f0")
     doc = json.loads(paths[1].read_text())
-    doc["geometry"]["base_frequency"] = base_frequency
+    doc["geometry"][field] = value
     paths[1].write_text(json.dumps(doc))
+    return paths
+
+
+@pytest.mark.parametrize("base_frequency", [-5.8e9, 0.0])
+def test_non_positive_base_frequency_exit_code(tmp_path, capsys, base_frequency):
+    """A carrier at or below 0 Hz is refused when the frame is read; it used
+    to mirror or zero the vertical angle of an emitter at 80 degrees."""
+    paths = _frame_pair(tmp_path, "base_frequency", base_frequency)
     capsys.readouterr()
     assert main(["localize", "--csi", *map(str, paths), "--output-dir", str(tmp_path)]) == 2
     assert f"{paths[1]}: geometry: base frequency must be > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("element_spacing", 1e308), ("base_frequency", 1e308), ("frequency_interval", 1e-320),
+    ("frequency_interval", 1e-308),
+])
+def test_rig_whose_steering_phases_overflow_names_the_file(tmp_path, capsys, field, value):
+    """A rig whose angle or delay phases overflow is refused when the frame is
+    read; it used to leak a numpy overflow warning and then fail on the
+    spectrum with a message that named no file."""
+    paths = _frame_pair(tmp_path, field, value)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["localize", "--csi", *map(str, paths), "--output-dir", str(tmp_path)])
+    assert code == 2
+    assert f"{paths[1]}: geometry: steering phases overflow" in capsys.readouterr().err
+    assert not (tmp_path / "estimates.json").exists()
 
 
 def test_overflowing_csi_spectrum_exit_code(tmp_path, capsys):

@@ -357,10 +357,20 @@ regions = _by_image(st.builds(RadioRegion, center_x=_coord, center_y=_coord,
                               identifier=_ids))
 estimates = _by_image(st.builds(RadioEstimate, aoa_h=_angle, aoa_v=_angle, tof=_positive,
                                 magnitude=_finite, identifier=_ids))
-geometries = st.builds(ArrayGeometry, num_antennas=st.integers(2, 4),
-                       element_spacing=_positive, num_subcarriers=st.integers(2, 4),
-                       base_frequency=_positive, frequency_interval=_positive,
-                       orientation=st.sampled_from(("horizontal", "vertical")))
+
+
+def _geometry(fields: dict) -> ArrayGeometry | None:
+    """The rig of ``fields``, or None where its steering phases overflow."""
+    try:
+        return ArrayGeometry(**fields)
+    except InvalidInputError:
+        return None
+
+
+geometries = st.fixed_dictionaries(dict(
+    num_antennas=st.integers(2, 4), element_spacing=_positive, num_subcarriers=st.integers(2, 4),
+    base_frequency=_positive, frequency_interval=_positive,
+    orientation=st.sampled_from(("horizontal", "vertical")))).map(_geometry).filter(bool)
 
 
 @st.composite

@@ -23,6 +23,7 @@ NAN, INF = math.nan, math.inf
 GEO = ArrayGeometry(num_antennas=2, element_spacing=0.0258, num_subcarriers=2,
                     base_frequency=5.8e9, frequency_interval=312.5e3)
 SAMPLES = np.ones((2, 2), dtype=complex)
+RIG = replace(GEO, num_antennas=8, num_subcarriers=32)
 
 
 @pytest.mark.parametrize("build", [
@@ -59,6 +60,20 @@ def test_non_finite_values_are_rejected(build):
 def test_non_positive_base_frequency_is_rejected(base_frequency):
     with pytest.raises(InvalidInputError, match="base frequency must be > 0"):
         replace(GEO, base_frequency=base_frequency)
+
+
+@pytest.mark.parametrize("field", [
+    {"element_spacing": 1e308}, {"base_frequency": 1e308}, {"frequency_interval": 1e-320},
+    {"frequency_interval": 1e-308}, {"base_frequency": 1e300, "num_antennas": 10**9},
+])
+def test_rig_whose_steering_phases_overflow_is_rejected(field):
+    with pytest.raises(InvalidInputError, match="steering phases overflow"):
+        replace(RIG, **field)
+
+
+def test_rig_near_the_overflow_bound_is_accepted():
+    replace(RIG, base_frequency=1e300, element_spacing=1e7)
+    replace(RIG, frequency_interval=1e-306)
 
 
 @pytest.mark.parametrize("field", [
