@@ -249,16 +249,16 @@ def _from_record(record, cls: type, context: str):
 
 
 # The JSON type of the values each reader takes as they are on the column path.
-_EXACT = {_float: float, _text: str, _as_bbox: list, _flag: bool}
+_EXACT = {_float: float, _positive: float, _text: str, _as_bbox: list, _flag: bool}
 
 
 def _columns(records: list, spec: tuple) -> list[list] | None:
     """Per entry of ``spec``, its values in ``records`` as one list, when every
     record is a JSON object and every value has the exact JSON type its
-    reader takes as it is: a finite float, a string, a list of four finite
-    floats or a boolean; null or absent only where the entry has a default,
-    which stands in for it. Else None: the caller reads record by record,
-    which gives the same values or the error that names the record."""
+    reader takes as it is: a finite float (> 0 for ``_positive``), a string,
+    four finite floats in a list or a boolean; null or absent only where the
+    entry has a default, which stands in for it. Else None: the caller reads
+    record by record, which gives the same values or the error naming it."""
     if set(map(type, records)) - {dict}:
         return None
     columns = []
@@ -280,6 +280,8 @@ def _columns(records: list, spec: tuple) -> list[list] | None:
         # NaN and the infinities make the sum non-finite, and so may an overflow,
         # which only sends the list to the record reader.
         if (float in kinds or read is _as_bbox) and not math.isfinite(sum(values)):
+            return None
+        if read is _positive and min(values, default=1.0) <= 0.0:
             return None
         if default is not MISSING and default is not None and None in column:
             column = [default if value is None else value for value in column]
@@ -499,11 +501,12 @@ def write_annotations(path: str | Path, image_ids: list[str],
 
 
 def read_annotations(path: str | Path) -> tuple[list[str], Annotations]:
-    """Load a COCO-style annotation file: (image ids, annotations). The
-    annotations are read as whole columns, else record by record."""
+    """Load a COCO-style annotation file: (image ids, annotations). Images
+    and annotations are read as whole columns, else record by record."""
     data = load_json(path, ANNOTATIONS_SCHEMA)
     images = _expect(data.get("images", []), list, f"{path}: images")
-    image_ids = [_read_fields(img, _IMAGE, f"{path}: images")[0] for img in images]
+    image_ids = (_columns(images, _IMAGE)
+                 or [[_read_fields(img, _IMAGE, f"{path}: images")[0] for img in images]])[0]
     if (repeated := _repeat(image_ids)) is not None:
         raise SchemaError(f"{path}: images lists id {repeated!r} more than once")
     records = _expect(data.get("annotations", []), list, f"{path}: annotations")
@@ -568,32 +571,37 @@ def read_detections(path: str | Path) -> Detections:
 
 # -- Per-image maps: regions and estimates ------------------------------
 
-def _write_by_image(path: str | Path, schema: str, cls: type, by_image: dict[str, list]) -> None:
-    images = _image_map(cls, by_image) or {str(image_id): [_to_record(item) for item in items]
-                                           for image_id, items in by_image.items()}
+def _write_by_image(path: str | Path, schema: str, cls: type, by_image: dict | Regions) -> None:
+    images = _image_map(cls, by_image) or {
+        str(key): list(map(_to_record, items)) for key, items in
+        (by_image.records() if isinstance(by_image, Regions) else by_image).items()}
     dump_json(path, {"schema": schema, "images": images})
 
 
-def _image_map(cls: type, by_image: dict[str, list]) -> _Rows | None:
-    """``by_image`` as an ``images`` map whose lists hold rows of ``cls``, every
-    row in one run of chunks: each row's first slot holds what comes before
-    it, the keys and brackets of the images in between included. None
-    unless every key is a ``str`` and every row spellable."""
-    if set(map(type, by_image)) - {str}:
+def _image_map(cls: type, by_image: dict[str, list] | Regions) -> _Rows | None:
+    """``by_image`` (or a ``Regions`` table's columns) as an ``images`` map of
+    rows of ``cls`` in one run of chunks: each row's first slot holds what
+    comes before it, keys and brackets included. None unless every key is a
+    ``str`` and every row spellable (and for a table, held by ``cls``)."""
+    if isinstance(by_image, Regions):
+        t = by_image.grouped(by_image.ids)
+        keys, counts = t.ids, np.bincount(t.image, minlength=len(t.ids)).tolist()
+        columns = {name: column.tolist() for (name, *_), column in zip(
+            _SPECS[cls], (t.center_x, t.center_y, t.edge, t.region_ids))} if t.valid() else None
+    else:
+        keys = sorted(by_image, key=str)  # a key that is not a str is refused below
+        counts = [len(by_image[key]) for key in keys]
+        columns = _fields(cls, list(chain.from_iterable(map(by_image.__getitem__, keys))))
+    if set(map(type, keys)) - {str}:
         return None
-    keys = sorted(by_image)
     heads, pending = [], "{\n  "
-    for name, count in zip(map(_escape, keys), [len(by_image[key]) for key in keys]):
+    for name, count in zip(map(_escape, keys), counts):
         if count:
             heads += [pending + name + ": [\n   "] + [",\n   "] * (count - 1)
             pending = "\n  ],\n  "
         else:
             pending += name + ": [],\n  "
     tail = pending[:-4] + "\n }" if keys else "{}"
-    records = list(chain.from_iterable(map(by_image.__getitem__, keys)))
-    if not records:
-        return _Rows(tail)
-    columns = _fields(cls, records)
     rows = None if columns is None else _row_slots(_SPECS[cls], "\n   ", columns, (heads,))
     return None if rows is None else _Rows("", *rows, "", tail)
 
@@ -617,8 +625,7 @@ def _by_image(path: str | Path, images: dict, record_type: type) -> dict[str, li
 
 
 def write_regions(path: str | Path, regions: Regions | dict[str, list[RadioRegion]]) -> None:
-    if isinstance(regions, Regions):
-        regions = regions.records()
+    """Regions per image or as a ``Regions`` table, written by ``_image_map``."""
     _write_by_image(path, REGIONS_SCHEMA, RadioRegion, regions)
 
 

@@ -6,7 +6,10 @@ the classic failure modes: corner-jittered true positives, duplicate boxes
 on already-detected people, dropped people, and uniformly placed distractor
 false positives with their own score distribution. Everything is driven by
 one seeded generator with a fixed iteration order, so a run is reproducible
-bit for bit.
+bit for bit. A run of like draws takes one call: numpy fills an array from
+the stream as one scalar call per value would, and its scalar ``uniform(a,
+b)`` is ``a + (b - a) * u`` and ``normal(loc, scale)`` is ``loc + scale * z``,
+spelled so here: every value is the float of one call per value.
 
 World boxes are drawn with height/width ratios in a moderate band (people
 standing, walking or crouching, not extreme poles), which keeps a square
@@ -76,9 +79,8 @@ def make_world(num_images: int, image_size: tuple[float, float] = (1280.0, 720.0
     are placed fully inside the image with heights from ``HEIGHT_RANGE``
     and height/width ratios from ``ASPECT_RANGE``. Per image, one integer
     draw gives the head count and one ``random`` call each person's four
-    unit draws (height, ratio, x, y). The boxes are then computed for the
-    whole world at once: a scalar ``uniform(a, b)`` is ``a + (b - a)`` times
-    the same draw, so the boxes equal those of one scalar call per value.
+    unit draws (height, ratio, x, y); the boxes are then computed for the
+    whole world at once.
     """
     if num_images <= 0:
         raise InvalidInputError("num_images must be > 0")
@@ -98,17 +100,11 @@ def make_world(num_images: int, image_size: tuple[float, float] = (1280.0, 720.0
     return image_ids, list(map(Annotation, owners, boxes))
 
 
-def _clamped_score(normal, mean: float, std: float) -> float:
-    return min(max(normal(mean, std), 0.0), 1.0)
-
-
-def _jitter_box(normal, bbox, spread):
-    """Jitter the two corners with Gaussian noise proportional to box size."""
-    x, y, w, h = bbox
-    x1 = x + normal(0.0, spread * w)
-    y1 = y + normal(0.0, spread * h)
-    x2 = x + w + normal(0.0, spread * w)
-    y2 = y + h + normal(0.0, spread * h)
+def _jittered(box, spread: float, z: list[float]):
+    """``box``, each corner moved by ``normal(0.0, spread * side)`` drawn as ``z``."""
+    x, y, w, h = box
+    x1, y1 = x + (0.0 + spread * w * z[0]), y + (0.0 + spread * h * z[1])
+    x2, y2 = x + w + (0.0 + spread * w * z[2]), y + h + (0.0 + spread * h * z[3])
     return min(x1, x2), min(y1, y2), max(abs(x2 - x1), 1.0), max(abs(y2 - y1), 1.0)
 
 
@@ -124,7 +120,11 @@ def generate(annotations: Annotations | Iterable[Annotation], params: SynthParam
     of false positives is placed uniformly at random with the false-positive
     score model, redrawn in the vanishingly unlikely event one coincides
     exactly with a ground-truth box. Ground truth on other images is
-    ignored. The rows are checked as columns; a refused one is named.
+    ignored. The rows are checked as columns; a refused one is named. Calls
+    per person: the miss test, ``standard_normal(5)`` for the four corner
+    jitters and the score (one normal without jitter), the duplicate test,
+    five normals per duplicate; per false-positive try ``random(4)`` for its
+    box, then one normal for its score.
     """
     width, height = _image_size(image_size)
     if params.fp_per_image > 0 and width < 100.0:
@@ -132,8 +132,10 @@ def generate(annotations: Annotations | Iterable[Annotation], params: SynthParam
                                 f"width must be >= 100, got {width}")
     tp_mean, fp_mean, score_std = params.score_model
     rng = np.random.default_rng(params.seed)
-    uniform, normal, poisson = rng.uniform, rng.normal, rng.poisson
+    random, standard_normal, poisson = rng.random, rng.standard_normal, rng.poisson
 
+    def score(mean: float, z: float) -> float:  # normal(mean, score_std), clamped to [0, 1]
+        return min(max(mean + score_std * z, 0.0), 1.0)
     gts = annotations if isinstance(annotations, Annotations) \
         else Annotations.from_records(annotations)
     gts = gts.grouped(gts.ids)
@@ -145,24 +147,25 @@ def generate(annotations: Annotations | Iterable[Annotation], params: SynthParam
         anns = gts_by_image.get(image_id, [])
         gt_boxes, first = set(anns), len(scores)
         for box in anns:
-            if uniform() < params.fn_rate:
+            if random() < params.fn_rate:
                 continue
-            out.append(_jitter_box(normal, box, params.jitter_std) if params.jitter_std > 0
-                       else box)
-            scores.append(_clamped_score(normal, tp_mean, score_std))
-            if uniform() < params.duplicate_rate:
-                out.append(_jitter_box(normal, box, params.duplicate_jitter_std))
-                scores.append(_clamped_score(normal, tp_mean, score_std))
+            z = standard_normal(5).tolist() if params.jitter_std > 0 else [standard_normal()]
+            out.append(_jittered(box, params.jitter_std, z) if params.jitter_std > 0 else box)
+            scores.append(score(tp_mean, z[-1]))
+            if random() < params.duplicate_rate:
+                z = standard_normal(5).tolist()
+                out.append(_jittered(box, params.duplicate_jitter_std, z))
+                scores.append(score(tp_mean, z[4]))
         for _ in range(poisson(params.fp_per_image)):
             while True:
-                w = uniform(25.0, 0.25 * width)
-                h = min(w * uniform(1.2, 2.6), height)
-                x = uniform(0.0, width - w)
-                y = uniform(0.0, height - h)
+                u_w, u_ratio, u_x, u_y = random(4).tolist()
+                w = 25.0 + (0.25 * width - 25.0) * u_w
+                h = min(w * (1.2 + (2.6 - 1.2) * u_ratio), height)
+                x, y = 0.0 + (width - w) * u_x, 0.0 + (height - h) * u_y
                 if (x, y, w, h) not in gt_boxes:
                     break
             out.append((x, y, w, h))
-            scores.append(_clamped_score(normal, fp_mean, score_std))
+            scores.append(score(fp_mean, standard_normal()))
         owners.extend([image_id] * (len(scores) - first))
     detections = Detections.build(owners, out, scores, [None] * len(scores), [None] * len(scores))
     if not detections.valid():

@@ -447,6 +447,27 @@ def test_rig_whose_steering_phases_overflow_names_the_file(tmp_path, capsys, fie
     assert not (tmp_path / "estimates.json").exists()
 
 
+@pytest.mark.parametrize("synth, code", [
+    ({"jitter_std": 1e308}, 2),
+    ({"duplicate_jitter_std": 1e308, "duplicate_rate": 1.0}, 2),
+    ({"score_model": [0.8, 0.4, 1e308]}, 0),
+], ids=["jitter", "duplicate-jitter", "score-std"])
+def test_emulator_spreads_at_the_overflow_bound(tmp_path, capsys, synth, code):
+    """A corner jitter of 1e308 overflows to an infinite corner, which the
+    detection rule refuses; a score spread of 1e308 is clamped to [0, 1].
+    Neither leaks a numpy warning."""
+    assert main(["synth", "--num-images", "3", "--seed", "5", "--output-dir", str(tmp_path)]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"synth": synth}))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(config), "--annotations",
+                     str(tmp_path / "annotations.json"), "--output-dir", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: detection corners must be finite") if code else err == ""
+
+
 def test_overflowing_csi_spectrum_exit_code(tmp_path, capsys):
     """Finite samples whose response overflows end in exit 2 naming the spectrum."""
     paths = []

@@ -489,6 +489,35 @@ def test_plain_files_take_the_template_path(tmp_path, monkeypatch):
     fileio.write_estimates(tmp_path / "e.json", {"a": [RadioEstimate(90.0, 90.0, 1e-8, 1.0, "p")]})
 
 
+def test_a_plain_region_table_builds_no_record(tmp_path, monkeypatch):
+    """A ``Regions`` table, its rows out of image order and an image without
+    rows in its id table, is written from its columns with its records' bytes."""
+    table = Regions.build(["c", "b", "c"], [1.0, 4.0, -0.0], [2.0, 5.0, 8.0], [3.0, 6.0, 9.0],
+                          ["r", "s", "\u00e9"], table=["a"])
+    expected = _written(fileio.write_regions, tmp_path / "records.json", table.records())
+    monkeypatch.setattr(Regions, "records", lambda self: pytest.fail("record path"))
+    monkeypatch.setattr(RadioRegion, "__post_init__", lambda self: pytest.fail("record built"))
+    assert _written(fileio.write_regions, tmp_path / "table.json", table) == expected
+
+
+@pytest.mark.parametrize("edge, identifier, error", [
+    (-3.0, "r", InvalidInputError), (math.inf, "r", InvalidInputError), (3.0, None, None),
+], ids=["negative-edge", "infinite-edge", "no-id"])
+def test_a_region_table_off_the_template_goes_through_its_records(tmp_path, edge, identifier,
+                                                                   error):
+    """A refused row is named by its record, and an id no slot spells is
+    written as the record writes it."""
+    table = Regions.build(["a", "a"], [1.0, 1.0], [2.0, 2.0], [3.0, edge], ["q", identifier])
+    path = tmp_path / "regions.json"
+    if error is not None:
+        with pytest.raises(error):
+            fileio.write_regions(path, table)
+    else:
+        fileio.write_regions(path, table)
+        assert path.read_bytes() == _stdlib_bytes(
+            _map_doc(fileio.REGIONS_SCHEMA, table.records()))
+
+
 _PLAIN = RadioRegion(1.0, 2.0, 3.0, "r")
 
 

@@ -249,6 +249,40 @@ def test_repeated_image_id_raises(tmp_path):
         fileio.read_annotations(path)
 
 
+@pytest.mark.parametrize("size", [None, (1280.0, 720.0)], ids=["no-size", "size"])
+def test_plain_annotation_file_is_read_as_columns(tmp_path, monkeypatch, size):
+    """Image entries and annotations of the exact JSON types are read as whole
+    columns: no record is read field by field."""
+    path = tmp_path / "ann.json"
+    fileio.write_annotations(path, ["a", "b"], [Annotation("a", (0.0, 1.0, 2.0, 3.0))], size)
+    monkeypatch.setattr(fileio, "_read_fields", lambda *args: pytest.fail("record path"))
+    image_ids, annotations = fileio.read_annotations(path)
+    assert image_ids == ["a", "b"] and len(annotations) == 1
+
+
+@pytest.mark.parametrize("image, message", [
+    ({"id": "a", "width": 0}, "images: width: expected a finite number > 0, got 0"),
+    ({"id": "a", "width": 0.0}, "images: width: expected a finite number > 0, got 0.0"),
+    ({"id": "a", "width": -1.0}, "images: width: expected a finite number > 0, got -1.0"),
+    ({"id": "a", "height": True}, "images: height: expected a finite number, got True"),
+    ({"width": 1.0}, "images: missing required field 'id'"),
+], ids=["zero-int-width", "zero-width", "negative-width", "bool-height", "missing-id"])
+def test_refused_image_entry_names_its_field(tmp_path, image, message):
+    path = tmp_path / "ann.json"
+    path.write_text(json.dumps({"schema": fileio.ANNOTATIONS_SCHEMA,
+                                "images": [{"id": "b", "width": 9.0}, image]}))
+    with pytest.raises(SchemaError) as caught:
+        fileio.read_annotations(path)
+    assert str(caught.value) == f"{path}: {message}"
+
+
+def test_integer_image_id_reads_as_its_decimal_string(tmp_path):
+    path = tmp_path / "ann.json"
+    path.write_text(json.dumps({"schema": fileio.ANNOTATIONS_SCHEMA,
+                                "images": [{"id": "b", "width": 9.0}, {"id": 7}]}))
+    assert fileio.read_annotations(path)[0] == ["b", "7"]
+
+
 @pytest.mark.parametrize("field", [
     {"occlusion": 5.0}, {"occlusion": -1.0}, {"height": 0.0}, {"height": -3.0},
 ], ids=["occlusion-above-1", "occlusion-below-0", "zero-height", "negative-height"])

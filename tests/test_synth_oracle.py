@@ -13,6 +13,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -207,3 +208,18 @@ def test_generate_without_false_positives_on_narrow_frames(gts, params, image_id
     oracle = generate(gts, params, image_ids, image_size=(width, 720.0))
     assert exact(synth.generate(gts, params, image_ids, image_size=(width, 720.0)).records()) \
         == exact(oracle)
+
+
+@pytest.mark.parametrize("num_images, max_people, params", [
+    (600, 3, SynthParams(seed=1235)),
+    (200, 16, SynthParams(fn_rate=0.0, duplicate_rate=1.0, fp_per_image=5.0, seed=1235)),
+], ids=["eval-sparse-world", "dense"])
+def test_generate_equals_the_scalar_oracle_on_fixed_worlds(num_images, max_people, params):
+    """Thousands of five-normal runs, so the ziggurat's rejection and tail
+    branches are drawn too: the generated examples above draw a few hundred
+    normals each."""
+    ids, gts = synth.make_world(num_images, max_people=max_people, seed=1234)
+    detections = synth.generate(gts, params, ids)
+    oracle = generate(gts, params, ids)
+    assert len(oracle) > 1000
+    assert exact(detections.records()) == exact(oracle)
