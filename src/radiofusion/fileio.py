@@ -19,12 +19,14 @@ value but one kind: a list of records is written from one row template per
 record type, derived from ``_SPECS``, by one format call per chunk of
 ``CHUNK_ROWS`` rows, each chunk written as soon as it is made; so are the
 rows of CSI samples and of a report's miss-rate curve. These templates are
-the only JSON the package spells itself. A value fills a template only
-where ``json`` would spell it the same way, and every value is checked and
-every string escaped before the file opens, so nothing can fail once it is
-open. Any other list goes to ``json`` as it is, a list of records as one
-dict per record, and ``dump_json`` encodes everything but the row runs
-before it opens the file.
+the only JSON the package spells itself, and the only way a writer spells
+a record. A column of finite floats or of strings fills its slots as it
+is; any other goes through the value reader its ``_SPECS`` entry names, so
+a number is written as the float, and an id or map key as the string, that
+its reader reads back, and a value the reader refuses raises
+``InvalidInputError``. Every value is checked and every string escaped
+before the file opens, and ``dump_json`` encodes everything but the row
+runs before it opens the file, so nothing can fail once it is open.
 """
 
 from __future__ import annotations
@@ -248,7 +250,8 @@ def _from_record(record, cls: type, context: str):
         raise type(exc)(f"{context}: {exc}") from None
 
 
-# The JSON type of the values each reader takes as they are on the column path.
+# The JSON type of the values each reader takes as they are on the column
+# path, and that its template slots spell as they are (a box as four floats).
 _EXACT = {_float: float, _positive: float, _text: str, _as_bbox: list, _flag: bool}
 
 
@@ -295,80 +298,82 @@ def _columns(records: list, spec: tuple) -> list[list] | None:
 # nothing, under its key in sorted order, at the indent of its line.
 
 CHUNK_ROWS = 256  # rows per format call; each chunk is written before the next is made
-_KINDS = {_float: float, _positive: float, _text: str, _as_bbox: 4}  # an int n: n floats in a list
 
 
 def _value(kind, newline: str) -> str:
-    """The template of one value of ``kind`` on the line that ``newline`` starts."""
+    """The template of one value of JSON type ``kind`` on the line that
+    ``newline`` starts; a list is a box of four floats, an int ``n`` a list
+    of ``n`` floats."""
     if kind is float:
         return "%r"
     if kind is str:
         return "%s"
     inner = newline + " "
-    return "[" + inner + ("," + inner).join(["%r"] * kind) + newline + "]"
+    return "[" + inner + ("," + inner).join(["%r"] * (4 if kind is list else kind)) + newline + "]"
 
 
 @cache
 def _row_format(spec: tuple, newline: str) -> tuple[str, tuple]:
     """The template of one record of ``spec`` whose brace starts ``newline``
-    and, per entry in key order, its (field name, kind, item template of an
-    optional field, else None). An optional item ends in its comma before
-    the first required one and starts with it after."""
+    and, per entry in key order, its (file key, value reader, item template
+    of an optional field, else None). An optional item ends in its comma
+    before the first required one and starts with it after."""
     inner = newline + " "
-    entries = sorted((key, name, _KINDS[read], default is None)
-                     for name, key, read, default in spec)
+    entries = sorted((key, read, default is None) for _, key, read, default in spec)
     first = [optional for *_, optional in entries].index(False)
     template, layout = "{", []
-    for i, (key, name, kind, optional) in enumerate(entries):
-        item = _escape(key) + ": " + _value(kind, inner)
+    for i, (key, read, optional) in enumerate(entries):
+        item = _escape(key) + ": " + _value(_EXACT[read], inner)
         if optional:
             template += "%s"
-            layout.append((name, kind, inner + item + "," if i < first else "," + inner + item))
+            layout.append((key, read, inner + item + "," if i < first else "," + inner + item))
         else:
             template += ("," if i > first else "") + inner + item
-            layout.append((name, kind, None))
+            layout.append((key, read, None))
     return template + newline + "}", tuple(layout)
 
 
-def _spellable(kind, column) -> list | None:
-    """The slot lists of ``_value(kind)`` for ``column``, when ``json``
-    spells each value as its slot does: a ``str`` (escaped) or a finite
-    ``float``; a box column comes as one sequence per coordinate. Else
-    None; a sum that overflows only sends the values to the record path."""
-    if kind is str:
-        return [list(map(_escape, column))] if set(map(type, column)) <= {str} else None
-    slots = [column] if kind is float else list(column)
-    if all(set(map(type, slot)) <= {float} and math.isfinite(sum(slot)) for slot in slots):
-        return slots
-    return None
+def _spellable(read, column, context: str) -> list:
+    """The slot lists of ``read``'s template for ``column``; a box column
+    comes as one sequence per coordinate. A slot of ``str`` (escaped), or of
+    ``float`` whose sum is finite, fills its slots as it is. Any other is
+    first read by ``read`` (a box's coordinates by ``_float``), which gives
+    each value as its reader reads it back, so a ``float`` slot whose sum
+    overflows comes back unchanged. A value the reader refuses raises
+    ``InvalidInputError`` after ``context``."""
+    try:
+        if read is _text:
+            return [list(map(_escape, column if set(map(type, column)) <= {str}
+                             else map(_text, column)))]
+        value, slots = (_float, list(column)) if read is _as_bbox else (read, [column])
+        return [slot if set(map(type, slot)) <= {float} and math.isfinite(sum(slot))
+                else list(map(value, slot)) for slot in slots]
+    except SchemaError as exc:
+        raise InvalidInputError(f"{context}: {exc}") from None
 
 
-def _row_slots(spec: tuple, newline: str, columns: dict,
-               lead: tuple = ()) -> tuple[str, list, int] | None:
+def _row_slots(spec: tuple, newline: str, columns: dict, context: str,
+               lead: tuple = ()) -> tuple[str, list, int]:
     """The row template of ``spec`` after a ``%s`` per list of strings in
     ``lead``, its values row by row, flat, from ``lead`` and ``columns``
-    (field name to values, a box's as one sequence per coordinate, None
+    (file key to values, a box's as one sequence per coordinate, None
     where an optional field is absent, for a box in its first coordinate),
-    and their number per row; None if a value is not spellable. Every
-    column is a list of scalars, so no row holds a container of its own."""
+    and their number per row. A refused value is named by ``context`` and
+    its key. Every column is a list of scalars, so no row holds a container
+    of its own."""
     template, layout = _row_format(spec, newline)
     slots = list(lead)
-    for name, kind, item in layout:
-        column = columns[name]
+    for key, read, item in layout:
+        column, where = columns[key], f"{context}: {key}"
         if item is None:
-            values = _spellable(kind, column)
-            if values is None:
-                return None
-            slots += values
+            slots += _spellable(read, column, where)
             continue
-        scalar = kind is float or kind is str
+        scalar = read is not _as_bbox
         marks = column if scalar else column[0]
         present = [mark is not None for mark in marks]
-        values = _spellable(kind, list(compress(column, present)) if scalar else
-                            [list(compress(coordinate, present)) for coordinate in column])
-        if values is None:
-            return None
-        spelled = map(item.__mod__, zip(*values))
+        spelled = map(item.__mod__, zip(*_spellable(
+            read, list(compress(column, present)) if scalar else
+            [list(compress(coordinate, present)) for coordinate in column], where)))
         slots.append([next(spelled) if kept else "" for kept in present])
     flat = [None] * (len(slots) * len(slots[0]))  # the slots' values, row by row
     for j, slot in enumerate(slots):
@@ -399,41 +404,35 @@ class _Rows(NamedTuple):
 
 
 def _list_rows(template: str, values: list, width: int, newline: str) -> _Rows:
-    """A JSON list of rows of ``template`` whose items start ``newline``."""
+    """A JSON list of rows of ``template`` whose items start ``newline``;
+    ``[]`` when there are none."""
+    if not values:
+        return _Rows("[]")
     return _Rows("[" + newline, template, values, width, "," + newline, newline[:-1] + "]")
 
 
-def _pair_rows(values: list, newline: str) -> _Rows | None:
+def _pair_rows(values: list, newline: str, context: str) -> _Rows:
     """The flat ``values`` as a JSON list of ``[a, b]`` rows whose items start
-    ``newline``, when there are some and each is a finite ``float``."""
-    if values and _spellable(float, values):
-        return _list_rows(_value(2, newline), values, 2, newline)
-    return None
+    ``newline``, each value as ``_float`` reads it."""
+    return _list_rows(_value(2, newline), _spellable(_float, values, context)[0], 2, newline)
 
 
-def _fields(cls: type, records: list) -> dict | None:
-    """Per field of ``cls``, its values in ``records`` (a box's per
-    coordinate), when each record is a ``cls`` and each box a row of four."""
-    if set(map(type, records)) - {cls}:
-        return None
+def _fields(cls: type, records: list) -> dict:
+    """Per field of ``cls``, under its file key, its values in ``records`` (a
+    box's per coordinate); a record that is not a ``cls`` raises ``TypeError``."""
+    if stray := set(map(type, records)) - {cls}:
+        raise TypeError(f"expected {cls.__name__} records, got {stray.pop().__name__}")
     columns = {}
-    for name, _, read, _ in _SPECS[cls]:
+    for name, key, read, _ in _SPECS[cls]:
         column = list(map(attrgetter(name), records))
-        if read is _as_bbox:  # types checked before ``len``
-            if set(map(type, column)) - {list, tuple} or set(map(len, column)) - {4}:
-                return None
-            column = list(zip(*column))
-        columns[name] = column
+        columns[key] = list(zip(*column)) if read is _as_bbox else column
     return columns
 
 
-def _records(spec: tuple, newline: str, columns: dict | None, count: int) -> _Rows | None:
-    """``count`` rows of ``spec`` from ``columns`` as a JSON list whose items
-    start ``newline``; None if a value is not spellable."""
-    if not count:
-        return _Rows("[]")
-    rows = None if columns is None else _row_slots(spec, newline, columns)
-    return None if rows is None else _list_rows(*rows, newline)
+def _records(spec: tuple, newline: str, columns: dict, context: str) -> _Rows:
+    """The rows of ``spec`` from ``columns`` as a JSON list whose items start
+    ``newline``; a refused value is named by ``context``."""
+    return _list_rows(*_row_slots(spec, newline, columns, context), newline)
 
 
 # -- CSI frames ---------------------------------------------------------
@@ -441,12 +440,11 @@ def _records(spec: tuple, newline: str, columns: dict | None, count: int) -> _Ro
 def write_csi_frame(path: str | Path, frame: CsiFrame, image_id: str | None = None) -> None:
     """The samples' flat float64 values fill the ``[real, imag]`` row template."""
     pairs = np.ascontiguousarray(frame.samples).view(np.float64)
-    values = pairs.ravel().tolist()
     dump_json(path, {
         "schema": CSI_SCHEMA,
         "geometry": _to_record(frame.geometry),
         "timestamp": frame.timestamp,
-        "samples": _pair_rows(values, "\n  ") or pairs.reshape(-1, 2).tolist(),
+        "samples": _pair_rows(pairs.ravel().tolist(), "\n  ", f"{path}: samples"),
         **({} if image_id is None else {"image_id": str(image_id)}),
     })
 
@@ -489,15 +487,14 @@ _IGNORE = (("ignore", "ignore", _flag, False),)
 def write_annotations(path: str | Path, image_ids: list[str],
                       annotations: list[Annotation],
                       image_size: tuple[float, float] | None = None) -> None:
-    size = {} if image_size is None else dict(zip(("width", "height"), image_size))
+    width, height = (None, None) if image_size is None else image_size
     count = len(image_ids)
-    images = None if None in size.values() else _records(_IMAGE, "\n  ", {
-        "id": image_ids, **{key: [size.get(key)] * count for key in ("width", "height")}}, count)
-    rows = _records(_SPECS[Annotation], "\n  ", _fields(Annotation, annotations), len(annotations))
+    images = {"id": image_ids, "width": [width] * count, "height": [height] * count}
     dump_json(path, {
         "schema": ANNOTATIONS_SCHEMA,
-        "images": images or [{"id": str(image_id), **size} for image_id in image_ids],
-        "annotations": rows or [_to_record(ann) for ann in annotations]})
+        "images": _records(_IMAGE, "\n  ", images, f"{path}: images"),
+        "annotations": _records(_SPECS[Annotation], "\n  ", _fields(Annotation, annotations),
+                                f"{path}: annotations")})
 
 
 def read_annotations(path: str | Path) -> tuple[list[str], Annotations]:
@@ -540,21 +537,22 @@ def _repeat(ids: list[str]) -> str | None:
 # -- Detections ---------------------------------------------------------
 
 def write_detections(path: str | Path, detections: Detections) -> None:
-    """``Detections`` columns as rows. A table holding a value that no slot
-    spells is written through its records, and one holding a value that no
+    """``Detections`` columns as rows; a table holding a value that no
     ``Detection`` holds is refused."""
     cells = detections.cells
     cells = np.where(cells[:, 0] == cells[:, 0], cells.T, None).tolist()  # NaN first: no cell
-    rows = _records(_SPECS[Detection], "\n  ", {
-        "image_id": list(map(detections.ids.__getitem__, detections.image.tolist())),
-        "bbox": detections.boxes.T.tolist(), "score": detections.scores.tolist(),
-        "region_id": detections.region_ids.tolist(), "cell": cells,
-    }, len(detections))
-    if rows is None and not detections.valid():
+    try:
+        rows = _records(_SPECS[Detection], "\n  ", {
+            "image_id": list(map(detections.ids.__getitem__, detections.image.tolist())),
+            "bbox": detections.boxes.T.tolist(), "score": detections.scores.tolist(),
+            "region_id": detections.region_ids.tolist(), "cell": cells,
+        }, f"{path}: detections")
+    except InvalidInputError:
+        if detections.valid():  # an id that no text reader takes
+            raise
         raise InvalidInputError(f"{path}: detections hold a score outside [0, 1] or a box "
-                                "outside the box domain")
-    dump_json(path, {"schema": DETECTIONS_SCHEMA, "detections": rows or [
-        _to_record(detection) for detection in detections.records()]})
+                                "outside the box domain") from None
+    dump_json(path, {"schema": DETECTIONS_SCHEMA, "detections": rows})
 
 
 def read_detections(path: str | Path) -> Detections:
@@ -571,39 +569,29 @@ def read_detections(path: str | Path) -> Detections:
 
 # -- Per-image maps: regions and estimates ------------------------------
 
-def _write_by_image(path: str | Path, schema: str, cls: type, by_image: dict | Regions) -> None:
-    images = _image_map(cls, by_image) or {
-        str(key): list(map(_to_record, items)) for key, items in
-        (by_image.records() if isinstance(by_image, Regions) else by_image).items()}
-    dump_json(path, {"schema": schema, "images": images})
-
-
-def _image_map(cls: type, by_image: dict[str, list] | Regions) -> _Rows | None:
+def _image_map(cls: type, by_image: dict[str, list] | Regions, context: str) -> _Rows:
     """``by_image`` (or a ``Regions`` table's columns) as an ``images`` map of
     rows of ``cls`` in one run of chunks: each row's first slot holds what
-    comes before it, keys and brackets included. None unless every key is a
-    ``str`` and every row spellable (and for a table, held by ``cls``)."""
+    comes before it, keys and brackets included. A key is spelled as its
+    ``str``, and the keys are sorted as strings."""
     if isinstance(by_image, Regions):
-        t = by_image.grouped(by_image.ids)
+        t = by_image.grouped(sorted(by_image.ids, key=str))
         keys, counts = t.ids, np.bincount(t.image, minlength=len(t.ids)).tolist()
-        columns = {name: column.tolist() for (name, *_), column in zip(
-            _SPECS[cls], (t.center_x, t.center_y, t.edge, t.region_ids))} if t.valid() else None
+        columns = {key: column.tolist() for (_, key, *_), column in zip(
+            _SPECS[cls], (t.center_x, t.center_y, t.edge, t.region_ids))}
     else:
-        keys = sorted(by_image, key=str)  # a key that is not a str is refused below
+        keys = sorted(by_image, key=str)
         counts = [len(by_image[key]) for key in keys]
         columns = _fields(cls, list(chain.from_iterable(map(by_image.__getitem__, keys))))
-    if set(map(type, keys)) - {str}:
-        return None
     heads, pending = [], "{\n  "
-    for name, count in zip(map(_escape, keys), counts):
+    for name, count in zip(map(_escape, map(str, keys)), counts):
         if count:
             heads += [pending + name + ": [\n   "] + [",\n   "] * (count - 1)
             pending = "\n  ],\n  "
         else:
             pending += name + ": [],\n  "
     tail = pending[:-4] + "\n }" if keys else "{}"
-    rows = None if columns is None else _row_slots(_SPECS[cls], "\n   ", columns, (heads,))
-    return None if rows is None else _Rows("", *rows, "", tail)
+    return _Rows("", *_row_slots(_SPECS[cls], "\n   ", columns, context, (heads,)), "", tail)
 
 
 def _images(path: str | Path, schema: str) -> dict:
@@ -625,8 +613,13 @@ def _by_image(path: str | Path, images: dict, record_type: type) -> dict[str, li
 
 
 def write_regions(path: str | Path, regions: Regions | dict[str, list[RadioRegion]]) -> None:
-    """Regions per image or as a ``Regions`` table, written by ``_image_map``."""
-    _write_by_image(path, REGIONS_SCHEMA, RadioRegion, regions)
+    """Regions per image or as a ``Regions`` table, written by ``_image_map``;
+    a table holding a row that no ``RadioRegion`` holds is refused."""
+    if isinstance(regions, Regions) and not regions.valid():
+        raise InvalidInputError(f"{path}: regions hold an edge not > 0 or a square or anchor "
+                                "outside the box domain")
+    dump_json(path, {"schema": REGIONS_SCHEMA,
+                     "images": _image_map(RadioRegion, regions, f"{path}: images")})
 
 
 def read_regions(path: str | Path) -> Regions:
@@ -644,7 +637,8 @@ def read_regions(path: str | Path) -> Regions:
 
 def write_estimates(path: str | Path,
                     estimates_by_image: dict[str, list[RadioEstimate]]) -> None:
-    _write_by_image(path, ESTIMATES_SCHEMA, RadioEstimate, estimates_by_image)
+    dump_json(path, {"schema": ESTIMATES_SCHEMA,
+                     "images": _image_map(RadioEstimate, estimates_by_image, f"{path}: images")})
 
 
 def read_estimates(path: str | Path) -> dict[str, list[RadioEstimate]]:
@@ -669,12 +663,11 @@ def write_sweep_csv(path: str | Path, rows: list[dict]) -> None:
 
 
 def write_report(path: str | Path, report_dict: dict) -> None:
-    """The miss-rate curve under ``metrics`` is written from the ``[fppi,
-    miss]`` row template when every point is a pair of finite floats."""
+    """The miss-rate curve under ``metrics``, ``[fppi, miss]`` points, is
+    written from the ``[a, b]`` row template."""
     metrics = report_dict.get("metrics")
-    curve = metrics.get("mr_fppi_curve") if isinstance(metrics, dict) else None
-    if (isinstance(curve, (list, tuple)) and not set(map(type, curve)) - {list, tuple}
-            and not set(map(len, curve)) - {2}
-            and (rows := _pair_rows(list(chain.from_iterable(curve)), "\n   "))):
+    if isinstance(metrics, dict) and "mr_fppi_curve" in metrics:
+        values = [value for fppi, miss in metrics["mr_fppi_curve"] for value in (fppi, miss)]
+        rows = _pair_rows(values, "\n   ", f"{path}: mr_fppi_curve")
         report_dict = {**report_dict, "metrics": {**metrics, "mr_fppi_curve": rows}}
     dump_json(path, report_dict)

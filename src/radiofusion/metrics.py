@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .geometry import iou_arrays, rect_areas
-from .world import Annotations, Detections, score_order
+from .world import Annotations, Detections, image_score_order, score_order
 
 COCO_IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 SMALL_AREA_MAX = 32.0 ** 2
@@ -207,7 +207,7 @@ def _match(det_boxes: np.ndarray, scores: np.ndarray, det_counts: np.ndarray,
     det_starts, gt_starts = np.cumsum(det_counts) - det_counts, np.cumsum(gt_counts) - gt_counts
     visit = np.arange(scores.size)
     if by_score:
-        visit = np.lexsort((-scores, np.repeat(np.arange(det_counts.size), det_counts)))
+        visit = image_score_order(np.repeat(np.arange(det_counts.size), det_counts), scores)
     det_in = _in_buckets(rect_areas(det_boxes), buckets)
     gt_in = _in_buckets(rect_areas(gt_boxes), buckets)
     limits = np.asarray(thresholds, dtype=float)
@@ -337,8 +337,7 @@ def truncate_to_gt_count(detections: Detections, gts: Annotations) -> Detections
     budget = dict(zip(gts.ids, np.bincount(gts.image, minlength=len(gts.ids)).tolist()))
     caps = np.array([budget.get(key, 0) for key in detections.ids], dtype=np.intp)
     # Each image's walk in score order; a row survives within its image's cap.
-    order = score_order(detections.scores)
-    order = order[np.argsort(detections.image[order], kind="stable")]
+    order = image_score_order(detections.image, detections.scores)
     image = detections.image[order]
     counts = np.bincount(image, minlength=len(detections.ids))
     keep = np.zeros(len(detections), dtype=bool)

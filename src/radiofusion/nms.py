@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .geometry import iou_arrays
-from .world import Detections, Regions, pairs, score_order, split
+from .world import Detections, Regions, image_score_order, pairs, split
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,7 @@ def _greedy(dets: Detections, threshold: float, known: list[set[str]],
     sizes = np.bincount(dets.image, minlength=len(dets.ids))
     starts = np.cumsum(sizes) - sizes
     suppressed = np.zeros(len(dets), dtype=bool)
-    # The world's score order, stably regrouped: each image's walk.
-    ranked = score_order(dets.scores)
-    ranked = ranked[np.argsort(dets.image[ranked], kind="stable")].tolist()
+    ranked = image_score_order(dets.image, dets.scores).tolist()  # each image's walk
     orders = [iter(ranked[a:a + n]) for a, n in zip(starts.tolist(), sizes.tolist())]
     region_ids = dets.region_ids.tolist()
     kept: list[list[int]] = [[] for _ in dets.ids]

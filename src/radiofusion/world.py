@@ -37,6 +37,11 @@ def score_order(scores: Sequence[float] | np.ndarray) -> np.ndarray:
     return np.argsort(-np.asarray(scores, dtype=float), kind="stable")
 
 
+def image_score_order(image: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Indices by image, then as ``score_order`` within it: each image's walk."""
+    return np.lexsort((-scores, image))
+
+
 def anchor_reach(edge):
     """The edge of the square that holds a region's tallest proposal anchor."""
     return _TALLEST[0] * edge * _TALLEST[1]
@@ -269,8 +274,9 @@ class Regions(Table):
         return cls.build(*(zip(*rows) if rows else [()] * 5), table=by_image)
 
     def records(self) -> dict[str, list[RadioRegion]]:
+        """The regions per image; a NaN reaches ``RadioRegion``, which refuses it."""
         by_image: dict[str, list[RadioRegion]] = {key: [] for key in self.ids}
-        for i, *row in zip(self.image.tolist(), *map(_values, self._columns()[1:])):
+        for i, *row in zip(self.image.tolist(), *(c.tolist() for c in self._columns()[1:])):
             by_image[self.ids[i]].append(RadioRegion(*row))
         return by_image
 

@@ -11,6 +11,7 @@ for any JSON object.
 
 import json
 import math
+import re
 from dataclasses import MISSING, fields
 from functools import partial
 from json.encoder import encode_basestring_ascii as _escape
@@ -347,16 +348,25 @@ def test_detection_writer_bytes_equal_the_writer_it_replaced(tmp_path_factory, d
 
 
 # -- Annotation, region and estimate files: templates against the stdlib ---
-# Each file must equal ``json.dumps`` of its records, whichever path a list
-# takes. Half the examples draw plain values, whose lists fill the row
-# templates; the other half mix in ints, numpy floats and booleans where a
-# float goes and ints where text goes, which send a list to the record
-# path, as does a float column whose sum passes the largest float.
+# Each file must equal ``json.dumps`` of its records after each value goes
+# through its reader, the value the file reads back as. Half the examples
+# draw plain values, which fill the row templates as they are; the other
+# half mix in ints and numpy floats where a float goes and ints where text
+# goes, which go through their readers first, as does a float column whose
+# sum passes the largest float. Every list takes the template path.
 
 
 def _record(obj) -> dict:
-    return {_KEYS.get(key, key): list(value) if isinstance(value, tuple) else value
-            for key, value in vars(obj).items() if value is not None}
+    """``obj``'s JSON object, each value as its reader reads it back."""
+    return {key: list(read(value)) if read is _as_bbox else read(value)
+            for name, key, read, _ in _SPECS[type(obj)]
+            if (value := getattr(obj, name)) is not None}
+
+
+def _read_back(obj):
+    """``obj`` as its file reads back: each value through its reader."""
+    return type(obj)(*(None if (value := getattr(obj, name)) is None else read(value)
+                       for name, _, read, _ in _SPECS[type(obj)]))
 
 
 def _stdlib_bytes(doc) -> bytes:
@@ -365,19 +375,24 @@ def _stdlib_bytes(doc) -> bytes:
 
 def _written(write, path, *args) -> bytes:
     """The bytes ``write`` puts at ``path``, the same at one row per format
-    call, which splits every file of two or more rows, as at the default."""
+    call, which splits every file of two or more rows, as at the default.
+    No record dict is built and no table is turned into records."""
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fileio, "_to_record", lambda obj: pytest.fail("record path"))
+        for table in (Detections, Regions):
+            patch.setattr(table, "records", lambda self: pytest.fail("record path"))
         patch.setattr(fileio, "CHUNK_ROWS", 1)
         write(path, *args)
         small = path.read_bytes()
-    write(path, *args)
+        patch.setattr(fileio, "CHUNK_ROWS", 256)
+        write(path, *args)
     assert path.read_bytes() == small
     return small
 
 
 def _numbers(plain, odd: bool):
-    """``plain`` floats; when ``odd``, also values that only the record path spells."""
-    return plain | plain.map(np.float64) | st.sampled_from([1, True]) if odd else plain
+    """``plain`` floats; when ``odd``, also numpy floats and the int 1."""
+    return plain | plain.map(np.float64) | st.just(1) if odd else plain
 
 
 def _texts(odd: bool):
@@ -426,6 +441,11 @@ def _map_doc(schema, by_image) -> dict:
                                          for image_id, items in by_image.items()}}
 
 
+def _image_doc(image_ids, image_size) -> list:
+    size = {} if image_size is None else dict(zip(("width", "height"), map(_size, image_size)))
+    return [{"id": _text(image_id), **size} for image_id in image_ids]
+
+
 _oracle = settings(max_examples=100, deadline=None)
 
 
@@ -434,14 +454,13 @@ _oracle = settings(max_examples=100, deadline=None)
 @example(([], [], None))
 @example((["\ud800", "a\x00é"], [], (1280.0, 720.0)))
 @example((["a"], [Annotation("a", (0.0, 0.0, 1.0, 1.0), height_px=1e308)] * 2, None))
+@example(([7, "b"], [Annotation("a", (0, np.float64(0.5), 1, 1e149), 3, 1e308)] * 2, (640, 1)))
 def test_annotation_writer_bytes_equal_the_stdlib_encoder(tmp_path_factory, file):
     image_ids, anns, image_size = file
     path = tmp_path_factory.mktemp("anns") / "anns.json"
     written = _written(fileio.write_annotations, path, image_ids, anns, image_size)
-    size = {} if image_size is None else dict(zip(("width", "height"), image_size))
-    doc = {"schema": fileio.ANNOTATIONS_SCHEMA, "images": [
-        {"id": str(image_id), **size} for image_id in image_ids],
-        "annotations": [_record(ann) for ann in anns]}
+    doc = {"schema": fileio.ANNOTATIONS_SCHEMA, "images": _image_doc(image_ids, image_size),
+           "annotations": [_record(ann) for ann in anns]}
     assert written == _stdlib_bytes(doc)
 
 
@@ -449,6 +468,7 @@ def test_annotation_writer_bytes_equal_the_stdlib_encoder(tmp_path_factory, file
 @given(st.booleans().flatmap(partial(_maps, _regions)))
 @example({})
 @example({"b": [], "a": [RadioRegion(1.0, 2.0, 3.0, "r")], "c": []})
+@example({10: [RadioRegion(1, np.float64(2.0), 3.0, 5)], 2: [], "a": []})
 def test_region_writer_bytes_equal_the_stdlib_encoder(tmp_path_factory, by_image):
     path = tmp_path_factory.mktemp("regions") / "regions.json"
     written = _written(fileio.write_regions, path, by_image)
@@ -469,24 +489,85 @@ def test_region_table_writer_bytes_equal_the_stdlib_encoder(tmp_path_factory, by
 @_oracle
 @given(st.booleans().flatmap(partial(_maps, _estimates)))
 @example({"e": [], "p": [RadioEstimate(90.0, 0.0, 1e-8, -0.0, "p0")]})
+@example({3: [RadioEstimate(90, np.float64(0.5), 1e-8, 1e308, 0),
+              RadioEstimate(0.0, 0.0, 1e-8, 1e308, 1)]})
 def test_estimate_writer_bytes_equal_the_stdlib_encoder(tmp_path_factory, by_image):
     path = tmp_path_factory.mktemp("estimates") / "estimates.json"
     written = _written(fileio.write_estimates, path, by_image)
     assert written == _stdlib_bytes(_map_doc(fileio.ESTIMATES_SCHEMA, by_image))
 
 
-def test_plain_files_take_the_template_path(tmp_path, monkeypatch):
+def test_plain_files_take_the_template_path(tmp_path):
     """Finite floats and strings, a detection cell or none, an image size or
     none: no writer builds a record dict."""
-    monkeypatch.setattr(fileio, "_to_record", lambda obj: pytest.fail("record path"))
-    monkeypatch.setattr(Detections, "records", lambda self: pytest.fail("record path"))
     box = (0.0, 1.0, 2.0, 3.0)
-    fileio.write_detections(tmp_path / "d.json", Detections.from_records([
+    _written(fileio.write_detections, tmp_path / "d.json", Detections.from_records([
         Detection("a", box, 0.5), Detection("b", box, 0.25, "r", box)]))
     for size in (None, (1280.0, 720.0)):
-        fileio.write_annotations(tmp_path / "a.json", ["a", "b"], [Annotation("a", box)], size)
-    fileio.write_regions(tmp_path / "r.json", {"a": [RadioRegion(1.0, 2.0, 3.0, "r")], "b": []})
-    fileio.write_estimates(tmp_path / "e.json", {"a": [RadioEstimate(90.0, 90.0, 1e-8, 1.0, "p")]})
+        _written(fileio.write_annotations, tmp_path / "a.json", ["a", "b"],
+                 [Annotation("a", box)], size)
+    _written(fileio.write_regions, tmp_path / "r.json",
+             {"a": [RadioRegion(1.0, 2.0, 3.0, "r")], "b": []})
+    _written(fileio.write_estimates, tmp_path / "e.json",
+             {"a": [RadioEstimate(90.0, 90.0, 1e-8, 1.0, "p")]})
+
+
+# Loose inputs per writer: ints and numpy floats where a float goes, int ids
+# and int map keys. A detection table's image ids are all ints or all strings.
+_loose_detections = st.lists(st.builds(
+    Detection, image_id=st.integers(0, 3), bbox=st.tuples(*[_numbers(_coords, True)] * 2,
+                                                           *[_numbers(_extents, True)] * 2),
+    score=_numbers(st.floats(0.0, 1.0), True) | st.just(0), region_id=st.none() | _texts(True),
+    cell=st.none() | st.tuples(*[_numbers(_coords, True)] * 2, *[_numbers(_extents, True)] * 2)),
+    max_size=4)
+
+
+@st.composite
+def loose_writes(draw):
+    """(a writer's kind, its arguments, what the file must read back as)."""
+    kind = draw(st.sampled_from(["detections", "annotations", "regions", "table", "estimates"]))
+    if kind == "detections":
+        dets = draw(_loose_detections)
+        return kind, (Detections.from_records(dets),), [_read_back(det) for det in dets]
+    if kind == "annotations":
+        _, anns, size = draw(_annotation_files(True))
+        named = draw(st.lists(st.integers(0, 9), unique=True))
+        image_ids = list({str(key): key for key in named + [ann.image_id for ann in anns]}.values())
+        back = [str(key) for key in image_ids], [_read_back(ann) for ann in anns]
+        return kind, (image_ids, anns, size), back
+    keys = st.integers(0, 20) if kind == "table" else _texts(True)
+    records = _estimates if kind == "estimates" else _regions
+    # One record per image: a reader refuses an id that an image repeats.
+    by_image = {key: items[:1] for key, items in draw(_maps(records, True, lambda _: keys)).items()}
+    back = {str(key): list(map(_read_back, items)) for key, items in by_image.items()}
+    return kind, (Regions.from_records(by_image) if kind == "table" else by_image,), back
+
+
+_WRITE = {"detections": fileio.write_detections, "annotations": fileio.write_annotations,
+          "regions": fileio.write_regions, "table": fileio.write_regions,
+          "estimates": fileio.write_estimates}
+
+
+def _read(kind, path):
+    if kind == "detections":
+        return fileio.read_detections(path).records()
+    if kind == "annotations":
+        image_ids, annotations = fileio.read_annotations(path)
+        return image_ids, annotations.records()
+    if kind == "estimates":
+        return fileio.read_estimates(path)
+    return fileio.read_regions(path).records()
+
+
+@settings(max_examples=200, deadline=None)
+@given(loose_writes())
+def test_loose_values_take_the_template_path_and_read_back(tmp_path_factory, write):
+    """Ints, numpy floats, int ids and int map keys reach no record path,
+    and the file reads back equal to the input, ids and keys as strings."""
+    kind, args, back = write
+    path = tmp_path_factory.mktemp("loose") / "file.json"
+    _written(_WRITE[kind], path, *args)
+    assert _read(kind, path) == back
 
 
 def test_a_plain_region_table_builds_no_record(tmp_path, monkeypatch):
@@ -495,44 +576,104 @@ def test_a_plain_region_table_builds_no_record(tmp_path, monkeypatch):
     table = Regions.build(["c", "b", "c"], [1.0, 4.0, -0.0], [2.0, 5.0, 8.0], [3.0, 6.0, 9.0],
                           ["r", "s", "\u00e9"], table=["a"])
     expected = _written(fileio.write_regions, tmp_path / "records.json", table.records())
-    monkeypatch.setattr(Regions, "records", lambda self: pytest.fail("record path"))
     monkeypatch.setattr(RadioRegion, "__post_init__", lambda self: pytest.fail("record built"))
     assert _written(fileio.write_regions, tmp_path / "table.json", table) == expected
 
 
-@pytest.mark.parametrize("edge, identifier, error", [
-    (-3.0, "r", InvalidInputError), (math.inf, "r", InvalidInputError), (3.0, None, None),
-], ids=["negative-edge", "infinite-edge", "no-id"])
-def test_a_region_table_off_the_template_goes_through_its_records(tmp_path, edge, identifier,
-                                                                   error):
-    """A refused row is named by its record, and an id no slot spells is
-    written as the record writes it."""
-    table = Regions.build(["a", "a"], [1.0, 1.0], [2.0, 2.0], [3.0, edge], ["q", identifier])
-    path = tmp_path / "regions.json"
-    if error is not None:
-        with pytest.raises(error):
-            fileio.write_regions(path, table)
-    else:
+def test_a_region_table_with_int_ids_is_written_in_string_key_order(tmp_path):
+    table = Regions.build([10, 2, 10], [1.0, 4.0, -0.0], [2.0, 5.0, 8.0], [3.0, 6.0, 9.0],
+                          ["r", 7, "s"], table=[3])
+    written = _written(fileio.write_regions, tmp_path / "regions.json", table)
+    assert written == _stdlib_bytes(_map_doc(fileio.REGIONS_SCHEMA, table.records()))
+    assert list(json.loads(written)["images"]) == ["10", "2", "3"]
+
+
+@pytest.mark.parametrize("center, edge, identifier", [
+    (1.0, -3.0, "r"), (1.0, math.inf, "r"), (1.0, 3.0, None), (math.nan, 3.0, "r"),
+    (1.0, math.nan, "r"), (1.0, 3.0, True),
+], ids=["negative-edge", "infinite-edge", "no-id", "nan-center", "nan-edge", "bool-id"])
+def test_a_region_table_off_the_template_is_refused(tmp_path, center, edge, identifier):
+    """A row that a ``RadioRegion`` refuses, or an id that no text reader
+    takes, is refused before the file or its folder is made."""
+    table = Regions.build(["a", "a"], [1.0, center], [2.0, 2.0], [3.0, edge], ["q", identifier])
+    path = tmp_path / "out" / "regions.json"
+    with pytest.raises(InvalidInputError):
         fileio.write_regions(path, table)
-        assert path.read_bytes() == _stdlib_bytes(
-            _map_doc(fileio.REGIONS_SCHEMA, table.records()))
+    assert not path.parent.exists()
+
+
+@pytest.mark.parametrize("column", ["center_x", "center_y", "edge"])
+def test_a_nan_region_is_refused_by_its_record(tmp_path, column):
+    """No region field is optional, so ``records`` hands a NaN to
+    ``RadioRegion``, which refuses it with ``InvalidInputError``."""
+    values = {"center_x": [1.0], "center_y": [2.0], "edge": [3.0], column: [math.nan]}
+    table = Regions.build(["a"], values["center_x"], values["center_y"], values["edge"], ["r"])
+    with pytest.raises(InvalidInputError, match="region"):
+        table.records()
+    path = tmp_path / "regions.json"
+    with pytest.raises(InvalidInputError, match=re.escape(str(path))):
+        fileio.write_regions(path, table)
+    assert not path.exists()
 
 
 _PLAIN = RadioRegion(1.0, 2.0, 3.0, "r")
 
 
-@pytest.mark.parametrize("by_image, templated", [
-    ({"a": [_PLAIN], "b": []}, True),
-    ({"a": [RadioRegion(1.0, 2.0, 3.0, "\u00e9\x00")]}, True),
-    ({"a": [_PLAIN, RadioRegion(np.float64(1.0), 2.0, 3.0, "s")]}, False),
-    ({"a": [RadioRegion(1, 2.0, 3.0, "r")]}, False),
-    ({"a": [RadioRegion(1.0, 2.0, True, "r")]}, False),
-    ({"a": [RadioRegion(1.0, 2.0, 3.0, 5)]}, False),
-    ({5: [_PLAIN]}, False),
-    ({"a": [RadioEstimate(90.0, 90.0, 1e-8, 1.0, "p")]}, False),
+@pytest.mark.parametrize("by_image, error", [
+    ({"a": [_PLAIN], "b": []}, None),
+    ({"a": [RadioRegion(1.0, 2.0, 3.0, "\u00e9\x00")]}, None),
+    ({"a": [_PLAIN, RadioRegion(np.float64(1.0), 2.0, 3.0, "s")]}, None),
+    ({"a": [RadioRegion(1, 2.0, 3.0, "r")]}, None),
+    ({"a": [RadioRegion(1.0, 2.0, True, "r")]}, InvalidInputError),
+    ({"a": [RadioRegion(1.0, 2.0, 3.0, 5)]}, None),
+    ({5: [_PLAIN]}, None),
+    ({"a": [RadioEstimate(90.0, 90.0, 1e-8, 1.0, "p")]}, TypeError),
 ], ids=["plain", "escaped-id", "numpy-float", "int", "bool", "int-id", "int-key", "other-type"])
-def test_a_list_takes_the_template_path_only_when_every_value_spells_alike(by_image, templated):
-    assert (fileio._image_map(RadioRegion, by_image) is not None) == templated
+def test_a_list_takes_the_template_path_whatever_its_values(tmp_path, by_image, error):
+    """Every list is written from the row template and reads back as its
+    values do, or is refused before the file opens."""
+    path = tmp_path / "regions.json"
+    if error is not None:
+        with pytest.raises(error):
+            _written(fileio.write_regions, path, by_image)
+        assert not path.exists()
+    else:
+        _written(fileio.write_regions, path, by_image)
+        assert fileio.read_regions(path).records() == {
+            str(key): list(map(_read_back, items)) for key, items in by_image.items()}
+
+
+_RECT = (0.0, 1.0, 2.0, 3.0)
+
+
+@pytest.mark.parametrize("write, field", [
+    (lambda path: fileio.write_detections(path, Detections.build(
+        [None], [_RECT], [0.5], [None], [None])), "image_id"),
+    (lambda path: fileio.write_detections(path, Detections.build(
+        ["a"], [_RECT], [0.5], [True], [None])), "region_id"),
+    (lambda path: fileio.write_annotations(path, ["a"], [], (math.nan, 1.0)), "width"),
+    (lambda path: fileio.write_annotations(path, ["a"], [], (1.0, math.inf)), "height"),
+    (lambda path: fileio.write_annotations(path, ["a"], [], (True, 1.0)), "width"),
+    (lambda path: fileio.write_annotations(path, [None], [], None), "id"),
+    (lambda path: fileio.write_annotations(
+        path, ["a"], [Annotation("a", (True, 0.0, 1.0, 1.0))]), "bbox"),
+    (lambda path: fileio.write_regions(path, {"a": [RadioRegion(1.0, 2.0, 3.0, None)]}), "id"),
+    (lambda path: fileio.write_estimates(
+        path, {"a": [RadioEstimate(True, 90.0, 1e-8, 1.0, "p")]}), "aoa_h"),
+    (lambda path: fileio.write_estimates(
+        path, {"a": [RadioEstimate(90.0, 90.0, 1e-8, 1.0, None)]}), "id"),
+    (lambda path: fileio.write_report(
+        path, {"metrics": {"mr_fppi_curve": [[0.0, 1.0], [0.5, math.nan]]}}), "mr_fppi_curve"),
+    (lambda path: fileio.write_report(
+        path, {"metrics": {"mr_fppi_curve": [[math.inf, 0.0]]}}), "mr_fppi_curve"),
+], ids=["detection-none-id", "detection-bool-region-id", "nan-width", "inf-height", "bool-width",
+        "none-image-id", "bool-box", "none-region-id", "bool-angle", "none-estimate-id",
+        "nan-curve", "inf-curve"])
+def test_a_refused_value_names_its_field_and_makes_no_file(tmp_path, write, field):
+    path = tmp_path / "out" / "file.json"
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(str(path))}: .*{field}: expected"):
+        write(path)
+    assert not path.parent.exists()
 
 
 # -- Annotation and region files: the column readers against the per-record path

@@ -11,7 +11,8 @@ regions draws them from the ground-truth columns, so it builds no
 package is used by the package or by ``perfbench``: a helper that only tests
 call lives in ``tests/``. Every error class the package defines is one
 that ``cli.main`` turns into exit 2. Only ``fileio`` opens a file for
-writing, and it does so in one place.
+writing, and it does so in one place; it spells every record from its row
+templates, building a record dict only for a CSI frame's geometry.
 """
 
 import ast
@@ -123,6 +124,20 @@ def test_only_fileio_opens_a_file_for_writing():
     opens = {path.name: _write_opens(_tree(path.name)) for path in sorted(PACKAGE.glob("*.py"))}
     assert len(opens.pop("fileio.py")) == 1
     assert {name: lines for name, lines in opens.items() if lines} == {}
+
+
+def test_fileio_spells_records_only_from_the_row_templates():
+    """``_to_record`` is named in one place, its call on a CSI frame's
+    ``geometry``, and no ``records`` attribute is read, so no writer
+    can hand ``json`` a list of record dicts."""
+    tree = _tree("fileio.py")
+    uses = [node for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "_to_record"]
+    calls = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "_to_record"]
+    assert len(uses) == 1 and calls == ["_to_record(frame.geometry)"]
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "records"] == []
 
 
 def test_the_write_probe_sees_each_kind_of_open():

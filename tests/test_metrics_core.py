@@ -26,7 +26,7 @@ from radiofusion import metrics
 from radiofusion.metrics import COCO_IOU_THRESHOLDS
 from radiofusion.sim_regions import Annotation
 from radiofusion.synth import SynthParams, generate, make_world
-from radiofusion.world import Annotations, Detection, score_order
+from radiofusion.world import Annotations, Detection, image_score_order, score_order
 
 coco_map, mr_fppi, visual_metrics = map(on_records, (
     metrics.coco_map, metrics.mr_fppi, metrics.visual_metrics))
@@ -172,3 +172,17 @@ def test_coco_map_memory_on_the_north_star_world():
     finally:
         tracemalloc.stop()
     assert peak <= 6_000_000
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.sampled_from([0.0, -0.0, 0.25, 1.0, np.nan])
+                          | st.floats(0.0, 1.0)), max_size=40))
+def test_image_score_order_is_the_score_order_stably_regrouped(rows):
+    """The one per-image walk that nms, the matcher and the count cap share
+    equals the world's score order regrouped by a second stable argsort,
+    ties, ``-0.0`` and NaN included."""
+    image = np.array([i for i, _ in rows], dtype=np.intp)
+    scores = np.array([score for _, score in rows], dtype=float)
+    order = score_order(scores)
+    regrouped = order[np.argsort(image[order], kind="stable")]
+    assert image_score_order(image, scores).tolist() == regrouped.tolist()

@@ -127,8 +127,7 @@ def docs_with_runs(draw, depth=0):
             pairs = draw(st.lists(st.tuples(_plain, _plain), min_size=1, max_size=3))
             values = [value for pair in pairs for value in pair]
             plain[key] = [list(pair) for pair in pairs]
-            # A float sum that overflows keeps the list, as the writers do.
-            payload[key] = fileio._pair_rows(values, "\n" + " " * (depth + 2)) or plain[key]
+            payload[key] = fileio._pair_rows(values, "\n" + " " * (depth + 2), "run")
         elif kind == "dict":
             payload[key], plain[key] = draw(docs_with_runs(depth + 1))
         else:
@@ -138,7 +137,7 @@ def docs_with_runs(draw, depth=0):
 
 @settings(max_examples=200, deadline=None)
 @given(docs_with_runs())
-@example(({"a": {"null": fileio._pair_rows([1.0, 2.0], "\n   "), "a": None}, "null": None},
+@example(({"a": {"null": fileio._pair_rows([1.0, 2.0], "\n   ", "run"), "a": None}, "null": None},
           {"a": {"null": [[1.0, 2.0]], "a": None}, "null": None}))
 def test_runs_at_any_depth_of_dicts_match_stdlib(tmp_path_factory, docs):
     payload, plain = docs
