@@ -336,17 +336,19 @@ def _row_format(spec: tuple, newline: str) -> tuple[str, tuple]:
 def _spellable(read, column, context: str) -> list:
     """The slot lists of ``read``'s template for ``column``; a box column
     comes as one sequence per coordinate. A slot of ``str`` (escaped), or of
-    ``float`` whose sum is finite, fills its slots as it is. Any other is
-    first read by ``read`` (a box's coordinates by ``_float``), which gives
-    each value as its reader reads it back, so a ``float`` slot whose sum
-    overflows comes back unchanged. A value the reader refuses raises
-    ``InvalidInputError`` after ``context``."""
+    ``float`` whose sum is finite (and, for ``_positive``, whose minimum is
+    above 0), fills its slots as it is. Any other is first read by ``read``
+    (a box's coordinates by ``_float``), which gives each value as its
+    reader reads it back, so a ``float`` slot whose sum overflows comes back
+    unchanged. A value the reader refuses raises ``InvalidInputError`` after
+    ``context``."""
     try:
         if read is _text:
             return [list(map(_escape, column if set(map(type, column)) <= {str}
                              else map(_text, column)))]
         value, slots = (_float, list(column)) if read is _as_bbox else (read, [column])
         return [slot if set(map(type, slot)) <= {float} and math.isfinite(sum(slot))
+                and (read is not _positive or min(slot, default=1.0) > 0.0)
                 else list(map(value, slot)) for slot in slots]
     except SchemaError as exc:
         raise InvalidInputError(f"{context}: {exc}") from None
@@ -539,19 +541,16 @@ def _repeat(ids: list[str]) -> str | None:
 def write_detections(path: str | Path, detections: Detections) -> None:
     """``Detections`` columns as rows; a table holding a value that no
     ``Detection`` holds is refused."""
+    if not detections.valid():
+        raise InvalidInputError(f"{path}: detections hold a score outside [0, 1] or a box "
+                                "outside the box domain")
     cells = detections.cells
     cells = np.where(cells[:, 0] == cells[:, 0], cells.T, None).tolist()  # NaN first: no cell
-    try:
-        rows = _records(_SPECS[Detection], "\n  ", {
-            "image_id": list(map(detections.ids.__getitem__, detections.image.tolist())),
-            "bbox": detections.boxes.T.tolist(), "score": detections.scores.tolist(),
-            "region_id": detections.region_ids.tolist(), "cell": cells,
-        }, f"{path}: detections")
-    except InvalidInputError:
-        if detections.valid():  # an id that no text reader takes
-            raise
-        raise InvalidInputError(f"{path}: detections hold a score outside [0, 1] or a box "
-                                "outside the box domain") from None
+    rows = _records(_SPECS[Detection], "\n  ", {
+        "image_id": list(map(detections.ids.__getitem__, detections.image.tolist())),
+        "bbox": detections.boxes.T.tolist(), "score": detections.scores.tolist(),
+        "region_id": detections.region_ids.tolist(), "cell": cells,
+    }, f"{path}: detections")
     dump_json(path, {"schema": DETECTIONS_SCHEMA, "detections": rows})
 
 
@@ -573,7 +572,8 @@ def _image_map(cls: type, by_image: dict[str, list] | Regions, context: str) -> 
     """``by_image`` (or a ``Regions`` table's columns) as an ``images`` map of
     rows of ``cls`` in one run of chunks: each row's first slot holds what
     comes before it, keys and brackets included. A key is spelled as its
-    ``str``, and the keys are sorted as strings."""
+    ``str``, and the keys are sorted as strings; two keys that spell alike
+    are refused."""
     if isinstance(by_image, Regions):
         t = by_image.grouped(sorted(by_image.ids, key=str))
         keys, counts = t.ids, np.bincount(t.image, minlength=len(t.ids)).tolist()
@@ -583,8 +583,13 @@ def _image_map(cls: type, by_image: dict[str, list] | Regions, context: str) -> 
         keys = sorted(by_image, key=str)
         counts = [len(by_image[key]) for key in keys]
         columns = _fields(cls, list(chain.from_iterable(map(by_image.__getitem__, keys))))
+    names = list(map(str, keys))
+    if len(set(names)) < len(names):  # sorted as strings, so keys that spell alike are neighbours
+        i = next(i for i in range(1, len(names)) if names[i] == names[i - 1])
+        raise InvalidInputError(f"{context}: keys {keys[i - 1]!r} and {keys[i]!r} are both "
+                                f"written as {names[i]!r}")
     heads, pending = [], "{\n  "
-    for name, count in zip(map(_escape, map(str, keys)), counts):
+    for name, count in zip(map(_escape, names), counts):
         if count:
             heads += [pending + name + ": [\n   "] + [",\n   "] * (count - 1)
             pending = "\n  ],\n  "

@@ -70,7 +70,12 @@ class Detection:
 
 @dataclass(frozen=True)
 class Annotation:
-    """Ground-truth person box for one image."""
+    """Ground-truth person box for one image. One comparison chain accepts
+    the records ``make_world`` builds: a tuple box in the box domain with
+    positive extents, and no height or occlusion. The ordered checks run only
+    for any other record, and to name the first rule that a refused one
+    breaks; a value the chain cannot compare falls through to them, so every
+    input gets their verdict."""
 
     image_id: str
     bbox: Rect
@@ -79,6 +84,15 @@ class Annotation:
     occlusion_fraction: float | None = None
 
     def __post_init__(self) -> None:
+        box, hi, lo = self.bbox, MAX_COORD, -MAX_COORD
+        if type(box) is tuple and self.height_px is None and self.occlusion_fraction is None:
+            try:  # x and y are bounded before any sum, and x + w >= x >= lo as w > 0
+                x, y, w, h = box
+                if (lo <= x <= hi and lo <= y <= hi and w > 0 and h > 0
+                        and x + w <= hi and y + h <= hi):
+                    return
+            except Exception:  # not a number, or a numpy warning raised as an error
+                pass
         require_box("annotation", self.bbox)
         require_finite("annotation", self.height_px, self.occlusion_fraction)
         _, _, w, h = self.bbox
@@ -250,7 +264,7 @@ class Annotations(Table):
 
     def valid(self) -> bool:
         return bool(in_box_domain(self.boxes).all() and (self.boxes[:, 2:] > 0.0).all()
-                    and not (self.heights <= 0.0).any()
+                    and not ((self.heights <= 0.0) | (self.heights == math.inf)).any()
                     and not ((self.occlusions < 0.0) | (self.occlusions > 1.0)).any())
 
 
@@ -285,9 +299,10 @@ class Regions(Table):
         return np.stack(square(self.center_x, self.center_y, self.edge), axis=-1)
 
     def valid(self) -> bool:
-        with np.errstate(over="ignore", invalid="ignore"):  # a huge edge's reach may overflow
-            anchors = square(self.center_x, self.center_y, anchor_reach(self.edge))
-        return bool((self.edge > 0.0).all() and in_box_domain(self.boxes()).all()
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge edge or its reach may overflow
+            squares, anchors = self.boxes(), square(self.center_x, self.center_y,
+                                                    anchor_reach(self.edge))
+        return bool((self.edge > 0.0).all() and in_box_domain(squares).all()
                     and in_box_domain(np.stack(anchors, axis=-1)).all())
 
 

@@ -643,6 +643,22 @@ def test_a_list_takes_the_template_path_whatever_its_values(tmp_path, by_image, 
             str(key): list(map(_read_back, items)) for key, items in by_image.items()}
 
 
+@pytest.mark.parametrize("write, by_image", [
+    (fileio.write_regions, {5: [_PLAIN], "5": [RadioRegion(4.0, 5.0, 6.0, "s")]}),
+    (fileio.write_regions, Regions((5, "5"), np.array([0, 1]), np.array([1.0, 4.0]),
+                                   np.array([2.0, 5.0]), np.array([3.0, 6.0]),
+                                   np.array(["r", "s"], dtype=object))),
+    (fileio.write_estimates, {"a": [], 5: [], "5": []}),
+], ids=["regions", "region-table", "estimates"])
+def test_keys_that_spell_alike_are_refused(tmp_path, write, by_image):
+    """Two map keys written as one string would leave one image of the two
+    in the file, so the map is refused before the file or its folder is made."""
+    path = tmp_path / "out" / "file.json"
+    with pytest.raises(InvalidInputError, match="keys 5 and '5' are both written as '5'"):
+        write(path, by_image)
+    assert not path.parent.exists()
+
+
 _RECT = (0.0, 1.0, 2.0, 3.0)
 
 
@@ -654,6 +670,8 @@ _RECT = (0.0, 1.0, 2.0, 3.0)
     (lambda path: fileio.write_annotations(path, ["a"], [], (math.nan, 1.0)), "width"),
     (lambda path: fileio.write_annotations(path, ["a"], [], (1.0, math.inf)), "height"),
     (lambda path: fileio.write_annotations(path, ["a"], [], (True, 1.0)), "width"),
+    (lambda path: fileio.write_annotations(path, ["a"], [], (0.0, 720.0)), "width"),
+    (lambda path: fileio.write_annotations(path, ["a", "b"], [], (1280.0, -1.0)), "height"),
     (lambda path: fileio.write_annotations(path, [None], [], None), "id"),
     (lambda path: fileio.write_annotations(
         path, ["a"], [Annotation("a", (True, 0.0, 1.0, 1.0))]), "bbox"),
@@ -667,7 +685,7 @@ _RECT = (0.0, 1.0, 2.0, 3.0)
     (lambda path: fileio.write_report(
         path, {"metrics": {"mr_fppi_curve": [[math.inf, 0.0]]}}), "mr_fppi_curve"),
 ], ids=["detection-none-id", "detection-bool-region-id", "nan-width", "inf-height", "bool-width",
-        "none-image-id", "bool-box", "none-region-id", "bool-angle", "none-estimate-id",
+        "zero-width", "negative-height", "none-image-id", "bool-box", "none-region-id", "bool-angle", "none-estimate-id",
         "nan-curve", "inf-curve"])
 def test_a_refused_value_names_its_field_and_makes_no_file(tmp_path, write, field):
     path = tmp_path / "out" / "file.json"

@@ -117,6 +117,22 @@ def test_non_finite_detection_tables_are_refused(tmp_path, column, index, value)
     assert not path.exists()
 
 
+@pytest.mark.parametrize("column, index, value", [
+    ("scores", 0, 1.5), ("scores", 0, -0.5), ("boxes", (0, 2), -1.0),
+    ("boxes", (0, 0), 2 * MAX_COORD), ("cells", (0, 3), 2 * MAX_COORD),
+], ids=["score-above-1", "score-below-0", "negative-width", "box-far-left", "cell-far-bottom"])
+def test_detection_tables_out_of_range_are_refused(tmp_path, column, index, value):
+    """A finite value that no ``Detection`` holds is refused, not written for
+    ``read_detections`` to refuse."""
+    table = Detections.from_records([Detection("a", (0.0, 0.0, 1.0, 1.0), 0.5, "r",
+                                               (0.0, 0.0, 1.0, 1.0))])
+    getattr(table, column)[index] = value
+    path = tmp_path / "out" / "dets.json"
+    with pytest.raises(InvalidInputError, match="detections hold a score outside"):
+        fileio.write_detections(path, table)
+    assert not path.parent.exists()
+
+
 def test_estimates_round_trip(tmp_path):
     estimates = {
         "img0": [RadioEstimate(aoa_h=91.0, aoa_v=88.5, tof=42e-9, magnitude=12.5,

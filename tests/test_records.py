@@ -1,6 +1,7 @@
 """Record constructors reject non-finite numbers, whoever builds them."""
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import regions_in, to_bbox
+from radiofusion import world
 from radiofusion.config import RadioParams
 from radiofusion.errors import InvalidInputError, require_finite
 from radiofusion.fusion import anchor_boxes, coverage
@@ -17,7 +19,9 @@ from radiofusion.geometry import (MAX_COORD, Rect, in_box_domain, iou_arrays, re
 from radiofusion.imaging import RadioRegion
 from radiofusion.radio import ArrayGeometry, CsiFrame, RadioEstimate
 from radiofusion.sim_regions import Annotation
-from radiofusion.world import ANCHOR_RATIOS, ANCHOR_SCALES, Detection
+from radiofusion.synth import make_world
+from radiofusion.world import (ANCHOR_RATIOS, ANCHOR_SCALES, Annotations, Detection, Detections,
+                               Regions)
 
 NAN, INF = math.nan, math.inf
 GEO = ArrayGeometry(num_antennas=2, element_spacing=0.0258, num_subcarriers=2,
@@ -286,3 +290,135 @@ def test_numpy_scalar_regions_get_the_float_verdict(args):
     """Accepted or refused as the same numbers as Python floats are."""
     floats = tuple(map(float, args))
     assert _verdict(lambda: RadioRegion(*args, "r")) == _verdict(lambda: RadioRegion(*floats, "r"))
+
+
+# -- The annotation check against the ordered checks it replaced -------------
+
+@dataclass(frozen=True)
+class OracleAnnotation:
+    """``Annotation`` with its ordered checks, verbatim: the oracle of the
+    comparison chain that now accepts the records ``make_world`` builds."""
+
+    image_id: str
+    bbox: Rect
+    category: str = "person"
+    height_px: float | None = None
+    occlusion_fraction: float | None = None
+
+    def __post_init__(self) -> None:
+        require_box("annotation", self.bbox)
+        require_finite("annotation", self.height_px, self.occlusion_fraction)
+        _, _, w, h = self.bbox
+        if w <= 0 or h <= 0:
+            raise InvalidInputError(f"annotation bbox must have positive extents, got {self.bbox}")
+        if self.height_px is not None and self.height_px <= 0:
+            raise InvalidInputError(f"annotation height must be > 0, got {self.height_px}")
+        if self.occlusion_fraction is not None and not 0.0 <= self.occlusion_fraction <= 1.0:
+            raise InvalidInputError(
+                f"annotation occlusion must be in [0, 1], got {self.occlusion_fraction}")
+
+
+# Floats at the box domain's rim and beyond, and values of other types: bools,
+# ints (one too large for a float), numpy floats, a string and None.
+_annotation_value = (_region_any | _region_rim | st.booleans() | st.integers(-5, 5)
+                     | st.sampled_from([10**400, -(10**400), "1", None])
+                     | _region_any.map(np.float64)
+                     | st.floats(width=32).map(np.float32))
+_annotation_box = (st.tuples(*[_annotation_value] * 4)
+                   | st.tuples(_region_rim, _region_rim, _region_tiny, _region_tiny)
+                   | st.lists(_annotation_value, min_size=3, max_size=5).map(tuple)
+                   | st.lists(_annotation_value, min_size=4, max_size=4) | st.none())
+_annotation_extra = st.none() | st.none() | _annotation_value  # the chain needs both None
+
+
+@settings(max_examples=800, deadline=None)
+@given(_annotation_box, _annotation_extra, _annotation_extra)
+@example((0.0, 0.0, 1.0, 1.0), None, None)
+@example((MAX_COORD, -MAX_COORD, 5e-324, 2 * MAX_COORD), None, None)
+@example((_PAST, 0.0, 1.0, 1.0), None, None)
+@example((-MAX_COORD, 0.0, -0.0, 1.0), None, None)
+@example((0.0, 0.0, 1.0, NAN), None, None)
+@example((0.0, 0.0, INF, 1.0), None, None)
+@example((True, False, True, True), None, None)
+@example((np.float64(1e308), 0.0, np.float64(1e308), 1.0), None, None)
+@example((np.float64(MAX_COORD), 0.0, np.float64(1.7e308), 1.0), None, None)
+@example((np.float32(3e38), 0.0, np.float32(3e38), 1.0), None, None)
+@example((0.0, 0.0, 10**400, 1.0), None, None)
+@example((0.0, "0", 1.0, 1.0), None, None)
+@example((0.0, 0.0, "1", 1.0), None, None)
+@example((0.0, 0.0, 1.0, None), None, None)
+@example((0.0, 0.0, 1.0), None, None)
+@example([0.0, 0.0, 1.0, 1.0], None, None)
+@example((0.0, 0.0, 1.0, 1.0), 0.0, None)
+@example((0.0, 0.0, 1.0, 1.0), None, -0.0)
+@example((0.0, 0.0, 1.0, 1.0), INF, 1.0)
+@example((0.0, 0.0, 1.0, 1.0), "1", None)
+def test_annotation_check_accepts_exactly_what_the_ordered_checks_accept(box, height, occlusion):
+    """The one comparison chain accepts an annotation iff the ordered checks
+    do, and a refused one raises their error type and message."""
+    verdict = _verdict(lambda: OracleAnnotation("a", box, "person", height, occlusion))
+    assert _verdict(lambda: Annotation("a", box, "person", height, occlusion)) == verdict
+
+
+@pytest.mark.parametrize("box", [(0.0, 0.0, 1.0, 1.0), (0.0, 0.0, -1.0, 1.0)])
+def test_a_one_pass_box_gets_the_ordered_verdict(box):
+    """A box that can be read only once is read by the ordered checks alone."""
+    verdict = _verdict(lambda: OracleAnnotation("a", iter(box)))
+    assert _verdict(lambda: Annotation("a", iter(box))) == verdict
+
+
+@pytest.mark.parametrize("box", [(np.float64(1e308), 0.0, np.float64(1e308), 1.0),
+                                 (0.0, np.float64(-1.7e308), 1.0, np.float64(-1.7e308))])
+def test_numpy_scalar_annotations_are_refused_without_a_numpy_warning(box):
+    """The chain bounds x and y before any sum, as ``require_box`` does, so a
+    numpy pair beyond the domain is refused before its sum can overflow."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InvalidInputError, match="corners must be finite"):
+            Annotation("a", box)
+    assert not caught
+
+
+def test_make_world_records_take_the_comparison_chain(monkeypatch):
+    """Every record ``make_world`` builds is accepted without the ordered checks."""
+    monkeypatch.setattr(world, "require_box", lambda *args: pytest.fail("ordered checks ran"))
+    _, annotations = make_world(40, max_people=16, seed=3)
+    assert annotations
+
+
+# -- Each table's rule against its record's rule -----------------------------
+
+_cell_value = _region_specials | st.floats() | st.floats(-1e3, 1e3) | st.sampled_from([0.5, 1.5])
+
+
+@st.composite
+def tables(draw):
+    """A ``Detections``, ``Annotations`` or ``Regions`` table of up to three
+    rows, built from any floats, with None where a field is optional."""
+    kind = draw(st.sampled_from([Detections, Annotations, Regions]))
+    n = draw(st.integers(0, 3))
+
+    def column(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    box = st.tuples(*[_cell_value] * 4) | st.tuples(_region_rim, _region_rim, _region_tiny,
+                                                    _region_tiny)
+    ids = column(st.sampled_from(["a", "b"]))
+    if kind is Detections:
+        return Detections.build(ids, column(box), column(_cell_value),
+                                column(st.none() | st.just("r")), column(st.none() | box))
+    if kind is Annotations:
+        return Annotations.build(ids, column(box), column(st.just("person")),
+                                 column(st.none() | _cell_value), column(st.none() | _cell_value))
+    return Regions.build(ids, column(_cell_value | _region_rim), column(_cell_value | _region_rim),
+                         column(_cell_value | _region_tiny), column(st.just("r")))
+
+
+@settings(max_examples=600, deadline=None)
+@given(tables())
+@example(Annotations.build(["a"], [(0.0, 0.0, 10.0, 10.0)], ["person"], [INF], [None]))
+@example(Regions.build(["a"], [-1e308], [0.0], [1.7e308], ["r"]))
+def test_a_table_is_valid_exactly_when_its_records_are_accepted(table):
+    """``valid()`` is True iff ``records()`` raises nothing, so a table that
+    a reader or writer checks as whole columns holds only what its records hold."""
+    assert table.valid() == (_verdict(table.records) is None)
