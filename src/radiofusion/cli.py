@@ -5,7 +5,7 @@ Subcommands:
   simulate-regions  build noisy radio regions from ground-truth boxes
   localize          CSI frames -> per-image people estimates
   project           estimates -> image-plane regions via the camera model
-  run               execute one method end to end and write metrics
+  run               execute one or more methods end to end and write metrics
   sweep             re-run a method across a localization-error parameter
 
 Every subcommand accepts ``--config config.json`` plus a few common
@@ -113,13 +113,14 @@ def cmd_project(args) -> int:
 
 def cmd_run(args) -> int:
     config = _load_config(args)
-    report, display = pipeline.run(config)
-    print(f"method={config.method} output_dir={config.paths.output_dir}")
-    print(f"  AP={report.ap:.4f} AP50={report.ap50:.4f} AP75={report.ap75:.4f}")
-    print(f"  log-avg miss rate={report.log_avg_miss_rate:.4f}")
-    print(f"  FP&FN per image={report.fp_fn_per_image:.4f} "
-          f"true detection ratio={report.true_detection_ratio:.4f}")
-    print(f"  detections shown={len(display)} runtime={report.runtime_s:.2f}s")
+    methods = args.methods or [config.method]
+    for method, (report, display) in zip(methods, pipeline.run_methods(config, methods)):
+        print(f"method={method} output_dir={config.paths.output_dir}")
+        print(f"  AP={report.ap:.4f} AP50={report.ap50:.4f} AP75={report.ap75:.4f}")
+        print(f"  log-avg miss rate={report.log_avg_miss_rate:.4f}")
+        print(f"  FP&FN per image={report.fp_fn_per_image:.4f} "
+              f"true detection ratio={report.true_detection_ratio:.4f}")
+        print(f"  detections shown={len(display)} runtime={report.runtime_s:.2f}s")
     return 0
 
 
@@ -167,12 +168,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output regions file")
     p.set_defaults(func=cmd_project)
 
-    p = sub.add_parser("run", help="run one method end to end")
+    p = sub.add_parser("run", help="run one or more methods end to end")
     _add_common(p)
     p.add_argument("--annotations", help="annotation file (overrides config)")
-    p.add_argument("--detections", help="detections file (overrides config)")
-    p.add_argument("--regions", help="regions file (overrides config)")
-    p.add_argument("--method", choices=METHODS, help="pipeline method")
+    p.add_argument("--detections", help="detections file (overrides config); "
+                   "read by baseline and the method1 variants only")
+    p.add_argument("--regions", help="regions file (overrides config); "
+                   "read by every method but baseline")
+    p.add_argument("--method", dest="methods", nargs="+", choices=METHODS,
+                   help="pipeline methods, each at most once; the inputs are read once")
     p.add_argument("--lam", type=float, help="radio trust weight in [0, 1]")
     p.add_argument("--sigma", type=float, help="edge scale noise std")
     p.add_argument("--k", type=float, help="center shift noise factor (k1 = k2)")
@@ -185,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="sweep a localization-error parameter")
     _add_common(p)
     p.add_argument("--annotations", help="annotation file (overrides config)")
-    p.add_argument("--detections", help="detections file (overrides config)")
+    p.add_argument("--detections", help="detections file (overrides config); "
+                   "read by baseline and the method1 variants only")
     p.add_argument("--method", choices=METHODS, help="pipeline method")
     p.add_argument("--param", required=True, choices=pipeline.SWEEP_PARAMS)
     p.add_argument("--values", nargs="+", type=float, required=True)

@@ -34,6 +34,9 @@ METHOD_STEPS: dict[str, tuple[str, str | None]] = {
     "method2+cnms": ("proposals", "two_stage"),
 }
 METHODS = tuple(METHOD_STEPS)
+# Per method: whether it reads the detections, and whether it reads the regions.
+METHOD_READS = {method: (source != "proposals", source != "detector" or cnms is not None)
+                for method, (source, cnms) in METHOD_STEPS.items()}
 
 
 MAX_GRID_CELLS = 1_000_000  # angle x delay cells of one spectrum (default 181 x 64)

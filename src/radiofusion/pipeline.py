@@ -30,12 +30,13 @@ full run is byte-reproducible.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import replace
 
 import numpy as np
 
 from . import fileio
-from .config import METHOD_STEPS, RunConfig
+from .config import METHOD_READS, METHOD_STEPS, RunConfig
 from .errors import InvalidInputError
 from .fusion import proposals_to_detections, revise_detections
 from .imaging import CameraModel, RadioRegion, batch_project
@@ -135,33 +136,61 @@ def evaluate(config: RunConfig, image_ids: list[str], gts: Annotations,
     return report, display
 
 
-def run(config: RunConfig) -> tuple[MetricsReport, Detections]:
-    """Full file-driven run: load inputs, evaluate, write outputs."""
+def evaluate_each(config: RunConfig, configs: list[RunConfig]) -> Iterator[tuple]:
+    """Evaluate each of ``configs`` (``config`` but for method, lambda or
+    region noise) on inputs loaded once: yields the config, image ids, ground
+    truth, report and display set. An input no method reads is not opened,
+    emulated or simulated, and a method gets an empty table for one it does
+    not read; regions are built again only when their noise changes."""
     image_ids, gts = load_world(config)
-    regions = build_regions(config, gts)
-    detections = build_detections(config, gts, image_ids)
-    report, display = evaluate(config, image_ids, gts, detections, regions)
-
-    out = config.paths.output_dir
-    fileio.write_detections(f"{out}/detections_{config.method.replace('+', '_')}.json", display)
-    fileio.write_report(f"{out}/report_{config.method.replace('+', '_')}.json", {
-        "method": config.method,
-        "metrics": report.to_dict(),
-        "num_images": len(image_ids),
-        "num_gts": len(gts),
-        "num_detections": len(display),
-    })
-    fileio.write_curve_csv(f"{out}/mr_fppi_{config.method.replace('+', '_')}.csv",
-                           report.mr_fppi_curve)
-    return report, display
+    needs = [METHOD_READS[cfg.method] for cfg in configs]
+    no_detections, no_regions = Detections.from_records(()), Regions.from_records({})
+    detections = (build_detections(config, gts, image_ids) if any(d for d, _ in needs)
+                  else no_detections)
+    regions, built_for = no_regions, None
+    for cfg, (uses_detections, uses_regions) in zip(configs, needs):
+        if uses_regions and built_for != cfg.noise:
+            regions, built_for = build_regions(cfg, gts), cfg.noise
+        report, display = evaluate(cfg, image_ids, gts,
+                                   detections if uses_detections else no_detections,
+                                   regions if uses_regions else no_regions)
+        yield cfg, image_ids, gts, report, display
 
 
-# Per sweep parameter: the config keys one value sets.
+def run_methods(config: RunConfig, methods: list[str]) -> list[tuple[MetricsReport, Detections]]:
+    """Full file-driven run of each method: load the inputs once, then
+    evaluate and write each method in turn."""
+    if len(set(methods)) < len(methods):
+        raise InvalidInputError(f"a method may run once per call, got {methods}")
+    out, results = config.paths.output_dir, []
+    for cfg, image_ids, gts, report, display in evaluate_each(
+            config, [config.merge({"method": method}) for method in methods]):
+        tag = cfg.method.replace("+", "_")
+        fileio.write_detections(f"{out}/detections_{tag}.json", display)
+        fileio.write_report(f"{out}/report_{tag}.json", {
+            "method": cfg.method,
+            "metrics": report.to_dict(),
+            "num_images": len(image_ids),
+            "num_gts": len(gts),
+            "num_detections": len(display),
+        })
+        fileio.write_curve_csv(f"{out}/mr_fppi_{tag}.csv", report.mr_fppi_curve)
+        results.append((report, display))
+    return results
+
+
+def run(config: RunConfig) -> tuple[MetricsReport, Detections]:
+    """Full file-driven run of the configured method."""
+    return run_methods(config, [config.method])[0]
+
+
+# Per sweep parameter: the config keys one value sets. A noise value also
+# drops the regions file, so each value simulates its own regions.
 SWEEP_PATCHES = {
-    "sigma": lambda v: {"noise": {"sigma": v}},
-    "k": lambda v: {"noise": {"k1": v, "k2": v}},
-    "k1": lambda v: {"noise": {"k1": v}},
-    "k2": lambda v: {"noise": {"k2": v}},
+    "sigma": lambda v: {"noise": {"sigma": v}, "paths": {"regions": None}},
+    "k": lambda v: {"noise": {"k1": v, "k2": v}, "paths": {"regions": None}},
+    "k1": lambda v: {"noise": {"k1": v}, "paths": {"regions": None}},
+    "k2": lambda v: {"noise": {"k2": v}, "paths": {"regions": None}},
     "lambda": lambda v: {"lambda": v},
 }
 SWEEP_PARAMS = tuple(SWEEP_PATCHES)
@@ -174,19 +203,17 @@ def sweep(
 ) -> list[dict]:
     """Re-run the configured method across one localization-error parameter.
 
-    Inputs are loaded once; the region noise substream is re-seeded
+    Inputs are loaded once. A noise sweep always simulates its regions, as
+    ``simulate-regions`` does, and re-seeds the region noise substream
     identically for every value (common random numbers), so metric changes
     reflect the parameter alone. Returns one row of metrics per value.
     """
     if param not in SWEEP_PARAMS:
         raise InvalidInputError(f"sweep param must be one of {SWEEP_PARAMS}")
-    image_ids, gts = load_world(config)
-    detections = build_detections(config, gts, image_ids)
+    configs = [config.merge(SWEEP_PATCHES[param](value)) for value in values]
 
     rows = []
-    for value in values:
-        cfg = config.merge(SWEEP_PATCHES[param](value))
-        report, _ = evaluate(cfg, image_ids, gts, detections, build_regions(cfg, gts))
+    for value, (_, _, _, report, _) in zip(values, evaluate_each(config, configs)):
         row = {"param": param, "value": value}
         row.update({k: v for k, v in report.to_dict().items() if k != "mr_fppi_curve"})
         rows.append(row)

@@ -1,5 +1,6 @@
 """CLI subcommand tests, invoked in process."""
 
+import csv
 import json
 import warnings
 
@@ -51,6 +52,30 @@ def test_sweep_writes_csv(tmp_path):
     rows = (tmp_path / "sweep.csv").read_text().strip().splitlines()
     assert rows[0].startswith("param,value,ap")
     assert len(rows) == 3
+
+
+@pytest.mark.parametrize("param", ["sigma", "k", "k1", "k2"])
+def test_a_noise_sweep_simulates_its_regions_even_when_the_config_names_a_file(tmp_path, param):
+    """Each noise value draws its own regions, as without a regions file:
+    a regions file in the config is not read."""
+    out = str(tmp_path)
+    assert main(["synth", "--num-images", "20", "--seed", "3", "--output-dir", out]) == 0
+    assert main(["simulate-regions", "--seed", "3", "--annotations",
+                 str(tmp_path / "annotations.json"), "--output-dir", out]) == 0
+    config = tmp_path / "config.json"
+    RunConfig(paths=RunPaths(regions=str(tmp_path / "regions.json"))).save(config)
+    sweep = ["sweep", "--seed", "3", "--method", "method1+cnms", "--param", param,
+             "--annotations", str(tmp_path / "annotations.json"),
+             "--values", "0.05", "0.5", "2.0", "--output-dir", out]
+    assert main([*sweep, "--config", str(config), "--out", str(tmp_path / "file.csv")]) == 0
+    assert main([*sweep, "--out", str(tmp_path / "none.csv")]) == 0
+
+    def rows(name):
+        table = list(csv.DictReader((tmp_path / name).read_text().splitlines()))
+        return [{k: v for k, v in row.items() if k != "runtime_s"} for row in table]
+
+    assert rows("file.csv") == rows("none.csv")
+    assert len({row["ap"] for row in rows("file.csv")}) > 1
 
 
 def test_one_parser_serves_every_call(tmp_path, monkeypatch):

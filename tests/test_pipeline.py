@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import read_curve_csv, reasonable, visible
-from radiofusion import fileio, metrics
-from radiofusion.config import METHODS, RadioParams, RunConfig, RunPaths
+from radiofusion import fileio, metrics, pipeline
+from radiofusion.config import METHOD_READS, METHODS, RadioParams, RunConfig, RunPaths
 from radiofusion.errors import InvalidInputError
 from radiofusion.imaging import CameraModel
 from radiofusion.pipeline import build_detections, build_regions, evaluate, load_world, \
@@ -189,6 +189,28 @@ class TestRun:
             assert columns(table) == columns(remapped(table, list(table.ids)))
             shuffled = table.take(np.random.default_rng(3).permutation(len(table)))
             assert columns(shuffled.grouped(table.ids)) == columns(remapped(shuffled, table.ids))
+
+    def test_each_method_reads_the_inputs_its_steps_use(self):
+        """The detector's boxes feed baseline and revision; regions feed
+        revision, proposals and every constrained NMS."""
+        assert METHOD_READS == {
+            "baseline": (True, False), "method1": (True, True), "method2": (False, True),
+            "method1+cnms": (True, True), "method2+cnms": (False, True)}
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_run_emulates_and_simulates_only_what_its_method_reads(self, tmp_path,
+                                                                      monkeypatch, method):
+        built = []
+        for name in ("synth_generate", "build_simulative_set"):
+            def counted(*args, _name=name, _build=getattr(pipeline, name), **kwargs):
+                built.append(_name)
+                return _build(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline, name, counted)
+        run(replace(small_world(tmp_path, num_images=10), method=method))
+        uses_detections, uses_regions = METHOD_READS[method]
+        assert built == (["synth_generate"] * uses_detections
+                         + ["build_simulative_set"] * uses_regions)
 
 
 class TestSweep:

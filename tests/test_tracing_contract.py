@@ -16,7 +16,7 @@ import pytest
 
 from radiofusion import fileio
 from radiofusion.cli import main
-from radiofusion.config import METHODS, RadioParams
+from radiofusion.config import METHODS, RadioParams, RunConfig, RunPaths
 from radiofusion.radio import ArrayGeometry, default_aoa_grid, synthesize_csi
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -103,3 +103,112 @@ def test_every_command_runs_clean_under_the_tracer(tmp_path, tracing):
                 "metrics.ranked", "metrics.gts", "radio.frames", "radio.estimates",
                 "imaging.regions"):
         assert tracer.counts.get(key, 0) > 0, key
+
+
+# The input flag a method does not read; the method1 variants read both.
+UNREAD = {"baseline": "--regions", "method2": "--detections", "method2+cnms": "--detections"}
+
+
+def _inputs(tmp_path) -> dict[str, str]:
+    """A tiny world's three input files, by the ``run`` flag that names each."""
+    out = str(tmp_path)
+    assert main(["synth", "--num-images", "8", "--seed", "3", "--output-dir", out]) == 0
+    assert main(["simulate-regions", "--seed", "3", "--annotations",
+                 str(tmp_path / "annotations.json"), "--output-dir", out]) == 0
+    return {f"--{name}": str(tmp_path / f"{name}.json")
+            for name in ("annotations", "detections", "regions")}
+
+
+def _run(flags: dict[str, str], out, *methods: str) -> int:
+    argv = [arg for flag, path in flags.items() for arg in (flag, path)]
+    return main(["run", "--method", *methods, *argv, "--seed", "3", "--output-dir", str(out)])
+
+
+def _outputs(out, method: str) -> tuple:
+    """A method's written files: detections and curve bytes, and the report
+    without ``runtime_s``, its one field that is not byte-stable."""
+    tag = method.replace("+", "_")
+    report = json.loads((out / f"report_{tag}.json").read_text(encoding="utf-8"))
+    report["metrics"].pop("runtime_s")
+    return ((out / f"detections_{tag}.json").read_bytes(),
+            (out / f"mr_fppi_{tag}.csv").read_bytes(), report)
+
+
+def test_a_call_opens_only_the_inputs_its_methods_read(tmp_path, tracing):
+    """Given all three files, baseline opens no regions file and the method2
+    variants no detections file; a call of several methods opens each file
+    once, a noise sweep simulates its regions and a lambda sweep reads the
+    regions file once."""
+    flags, out = _inputs(tmp_path), tmp_path / "out"
+    config = tmp_path / "config.json"
+    RunConfig(paths=RunPaths(regions=flags["--regions"])).save(config)
+    tracer = tracing.Tracer()
+
+    def opened(first):
+        """Annotation, detection and region files read, then region sets
+        simulated, since span ``first``."""
+        names = [span.name for span in tracer.spans[first:]]
+        return (*(names.count(f"fileio.read_{name}")
+                  for name in ("annotations", "detections", "regions")),
+                names.count("sim_regions.build_simulative_set"))
+
+    with tracing.installed(tracer):
+        for method in METHODS:
+            first = len(tracer.spans)
+            assert _run(flags, out, method) == 0
+            unread = UNREAD.get(method)
+            assert opened(first) == (1, unread != "--detections", unread != "--regions", 0), method
+        first = len(tracer.spans)
+        assert _run(flags, out, *METHODS) == 0
+        assert opened(first) == (1, 1, 1, 0)
+        sweep = ["sweep", "--config", str(config), "--method", "method1+cnms",
+                 "--annotations", flags["--annotations"], "--detections", flags["--detections"],
+                 "--values", "0.05", "0.4", "--output-dir", str(out)]
+        for param, expected in (("k", (1, 1, 0, 2)), ("lambda", (1, 1, 1, 0))):
+            first = len(tracer.spans)
+            assert main([*sweep, "--param", param]) == 0
+            assert opened(first) == expected, param
+
+    assert tracer.violations == []
+    assert tracer.nesting_errors() == []
+
+
+@pytest.mark.parametrize("method", sorted(UNREAD))
+def test_an_unread_input_changes_no_output(tmp_path, method):
+    """A method's outputs are the same with its unread flag, without it, and
+    with it naming a file that is not JSON or is not there."""
+    flags = _inputs(tmp_path)
+    unread = UNREAD[method]
+    (tmp_path / "bad.json").write_text("{not json", encoding="utf-8")
+    variants = {
+        "given": flags,
+        "left out": {flag: path for flag, path in flags.items() if flag != unread},
+        "malformed": {**flags, unread: str(tmp_path / "bad.json")},
+        "absent": {**flags, unread: str(tmp_path / "absent.json")},
+    }
+    outputs = {}
+    for name, given in variants.items():
+        assert _run(given, tmp_path / name, method) == 0, name
+        outputs[name] = _outputs(tmp_path / name, method)
+    assert all(files == outputs["given"] for files in outputs.values())
+
+
+@pytest.mark.parametrize("given", ["annotations", "all"])
+def test_one_call_of_every_method_writes_what_each_methods_own_call_writes(tmp_path, given):
+    """Whether the inputs are read, or emulated and simulated from the
+    annotations, one multi-method call equals the single-method calls."""
+    flags = _inputs(tmp_path)
+    if given == "annotations":
+        flags = {"--annotations": flags["--annotations"]}
+    assert _run(flags, tmp_path / "together", *METHODS) == 0
+    for method in METHODS:
+        assert _run(flags, tmp_path / "alone", method) == 0
+        assert _outputs(tmp_path / "together", method) == _outputs(tmp_path / "alone", method)
+
+
+def test_a_repeated_method_exits_2_before_writing(tmp_path, capsys):
+    flags = _inputs(tmp_path)
+    capsys.readouterr()
+    assert _run(flags, tmp_path / "out", "method1", "baseline", "method1") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
