@@ -91,7 +91,8 @@ def cmd_simulate_regions(args) -> int:
 
 def cmd_localize(args) -> int:
     config = _load_config(args)
-    frames = [fileio.read_csi_frame(path) for path in args.csi]
+    # Read lazily: localize_frames holds each frame only until its pair is computed.
+    frames = (fileio.read_csi_frame(path) for path in args.csi)
     estimates = pipeline.localize_frames(frames, config.radio)
     out = args.out or str(Path(config.paths.output_dir) / "estimates.json")
     fileio.write_estimates(out, estimates)

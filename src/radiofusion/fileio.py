@@ -476,7 +476,8 @@ def _as_samples(geometry: ArrayGeometry, value) -> np.ndarray:
         valid = bool not in set(map(type, chain.from_iterable(value)))
     if not valid:
         raise SchemaError(f"expected {count} [real, imag] pairs of finite numbers")
-    return pairs.astype(np.float64).view(np.complex128).reshape(geometry.num_antennas, -1)
+    samples = pairs.astype(np.float64, copy=False)  # integer input converts; float64 is kept
+    return samples.view(np.complex128).reshape(geometry.num_antennas, -1)
 
 
 # -- Annotations --------------------------------------------------------

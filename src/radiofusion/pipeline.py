@@ -30,14 +30,14 @@ full run is byte-reproducible.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import replace
 
 import numpy as np
 
 from . import fileio
 from .config import METHOD_READS, METHOD_STEPS, RunConfig
-from .errors import InvalidInputError
+from .errors import InvalidInputError, SchemaError
 from .fusion import proposals_to_detections, revise_detections
 from .imaging import CameraModel, RadioRegion, batch_project
 from .metrics import (
@@ -158,13 +158,14 @@ def evaluate_each(config: RunConfig, configs: list[RunConfig]) -> Iterator[tuple
 
 
 def run_methods(config: RunConfig, methods: list[str]) -> list[tuple[MetricsReport, Detections]]:
-    """Full file-driven run of each method: load the inputs once, then
-    evaluate and write each method in turn."""
+    """Full file-driven run of each method: load the inputs once, evaluate
+    every method, then write each method's files, so a method that fails
+    leaves no file of the call behind."""
     if len(set(methods)) < len(methods):
         raise InvalidInputError(f"a method may run once per call, got {methods}")
     out, results = config.paths.output_dir, []
-    for cfg, image_ids, gts, report, display in evaluate_each(
-            config, [config.merge({"method": method}) for method in methods]):
+    for cfg, image_ids, gts, report, display in list(evaluate_each(
+            config, [config.merge({"method": method}) for method in methods])):
         tag = cfg.method.replace("+", "_")
         fileio.write_detections(f"{out}/detections_{tag}.json", display)
         fileio.write_report(f"{out}/report_{tag}.json", {
@@ -228,8 +229,15 @@ def _time_key(timestamp: float) -> str:
     return f"t{short}" if float(short) == timestamp else f"t{timestamp!r}"
 
 
+# Complete image pairs whose spectra are computed together. A call holds one
+# chunk's frames plus those waiting for a partner. On localize-csi, 32 pairs
+# cut the call's traced heap peak from 1.82 to 0.75 MB at the batch's speed;
+# one pair at a time took 12% longer.
+CHUNK_PAIRS = 32
+
+
 def localize_frames(
-    frames: list[tuple[CsiFrame, str | None]],
+    frames: Iterable[tuple[CsiFrame, str | None]],
     radio_params,
 ) -> dict[str, list[RadioEstimate]]:
     """Estimate people per image from paired horizontal/vertical CSI frames.
@@ -237,36 +245,61 @@ def localize_frames(
     Frames are grouped by image id (falling back to the frame timestamp);
     each group must contain exactly one frame per orientation. Peaks above
     the configured fraction of the strongest response are paired across the
-    two axes by time-of-flight agreement.
+    two axes by time-of-flight agreement. ``frames`` is consumed once, in
+    order: a frame is held until its image has both orientations, and the
+    spectra of complete pairs are computed ``CHUNK_PAIRS`` pairs at a time,
+    keeping only their peaks. A pair's spectra are due at its second frame,
+    so of two faults the first met in ``frames`` order is raised, whatever
+    the chunk.
     """
-    groups: dict[str, dict[str, CsiFrame]] = {}
-    for frame, image_id in frames:
-        key = image_id if image_id is not None else _time_key(frame.timestamp)
-        slot = groups.setdefault(key, {})
-        orientation = frame.geometry.orientation
-        if orientation in slot:
-            raise InvalidInputError(
-                f"image {key!r} has more than one {orientation} frame"
-            )
-        slot[orientation] = frame
-
     aoa_grid = default_aoa_grid(radio_params.aoa_step_deg)
+    waiting: dict[str, CsiFrame] = {}  # an image's first frame, until its partner comes
+    pairs: dict[str, tuple] = {}  # an image's two frames, then its peaks and interval
+    chunk: list[str] = []
+
+    def settle() -> None:
+        due = chunk.copy()
+        chunk.clear()  # first, so that a fault raised here is not settled again
+        for key in due:
+            peaks = {}
+            for frame in pairs[key]:
+                geometry = frame.geometry
+                tof_grid = default_tof_grid(geometry, radio_params.num_tof_bins)
+                spectrum = compute_spectrum(frame, aoa_grid, tof_grid)
+                peaks[geometry.orientation] = pick_peaks(spectrum, radio_params.peak_threshold)
+                if geometry.orientation == "horizontal":
+                    interval = geometry.frequency_interval
+            pairs[key] = peaks["horizontal"], peaks["vertical"], interval
+
+    try:
+        for frame, image_id in frames:
+            key = image_id if image_id is not None else _time_key(frame.timestamp)
+            orientation = frame.geometry.orientation
+            first = waiting.pop(key, None)
+            if key in pairs or (first is not None and first.geometry.orientation == orientation):
+                raise InvalidInputError(f"image {key!r} has more than one {orientation} frame")
+            if first is None:
+                waiting[key] = frame
+                continue
+            pairs[key] = first, frame
+            chunk.append(key)
+            if len(chunk) == CHUNK_PAIRS:
+                settle()
+    except (InvalidInputError, SchemaError, OSError):  # a frame refused, read or grouped
+        settle()  # a fault in a pair completed earlier is met first
+        raise
+    settle()
+
     estimates: dict[str, list[RadioEstimate]] = {}
-    for key in sorted(groups):
-        slot = groups[key]
-        if "horizontal" not in slot or "vertical" not in slot:
+    for key in sorted(pairs.keys() | waiting.keys()):
+        if key in waiting:
             estimates[key] = []
             continue
-        peaks = {}
-        for orientation, frame in slot.items():
-            tof_grid = default_tof_grid(frame.geometry, radio_params.num_tof_bins)
-            spectrum = compute_spectrum(frame, aoa_grid, tof_grid)
-            peaks[orientation] = pick_peaks(spectrum, radio_params.peak_threshold)
+        horizontal, vertical, interval = pairs[key]
         tolerance = radio_params.tof_tolerance
         if tolerance is None:
-            interval = slot["horizontal"].geometry.frequency_interval
             tolerance = 2.0 / (radio_params.num_tof_bins * interval)
-        estimates[key] = fuse_axes(peaks["horizontal"], peaks["vertical"], tolerance)
+        estimates[key] = fuse_axes(horizontal, vertical, tolerance)
     return estimates
 
 

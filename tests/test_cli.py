@@ -39,6 +39,22 @@ def test_synth_then_regions_then_run(tmp_path):
     assert fused["metrics"]["fp_fn_per_image"] < base["metrics"]["fp_fn_per_image"]
 
 
+def test_a_method_that_fails_leaves_no_file_of_its_call(tmp_path, capsys):
+    """Every method of a call is evaluated before any file is written: when
+    method1 refuses the cell-less detections, baseline's files are not left."""
+    out = tmp_path / "out"
+    assert main(["synth", "--num-images", "6", "--seed", "3", "--output-dir", str(tmp_path)]) == 0
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"mode": "one_stage"}), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["run", "--config", str(config), "--method", "baseline", "method1",
+                 "--annotations", str(tmp_path / "annotations.json"),
+                 "--detections", str(tmp_path / "detections.json"),
+                 "--output-dir", str(out)]) == 2
+    assert "one_stage revision requires a cell on every detection" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_writes_csv(tmp_path):
     out = str(tmp_path)
     assert main(["synth", "--num-images", "30", "--seed", "3", "--output-dir", out]) == 0

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from radiofusion import fileio
+from radiofusion import fileio, pipeline
 from radiofusion.cli import main
 from radiofusion.config import METHODS, RadioParams, RunConfig, RunPaths
 from radiofusion.radio import ArrayGeometry, default_aoa_grid, synthesize_csi
@@ -103,6 +103,42 @@ def test_every_command_runs_clean_under_the_tracer(tmp_path, tracing):
                 "metrics.ranked", "metrics.gts", "radio.frames", "radio.estimates",
                 "imaging.regions"):
         assert tracer.counts.get(key, 0) > 0, key
+
+
+def test_a_localize_call_of_several_chunks_runs_clean_under_the_tracer(tmp_path, tracing,
+                                                                       monkeypatch):
+    """Frames are read as the call needs them, pairs split across chunks,
+    and each frame still gets one spectrum span and one peak span."""
+    monkeypatch.setattr(pipeline, "CHUNK_PAIRS", 2)
+    order = [(0, "horizontal"), (1, "horizontal"), (0, "vertical"), (2, "horizontal"),
+             (1, "vertical"), (2, "vertical"), (3, "horizontal"), (4, "horizontal"),
+             (3, "vertical"), (4, "vertical")]
+    frames = []
+    for pair, orientation in order:
+        geo = ArrayGeometry(num_antennas=4, element_spacing=0.0258, num_subcarriers=8,
+                            base_frequency=5.8e9, frequency_interval=312.5e3,
+                            orientation=orientation)
+        path = tmp_path / f"{pair}{orientation[0]}.json"
+        fileio.write_csi_frame(path, synthesize_csi([(80.0 + pair, 40e-9, 1.0)], geo),
+                               image_id=f"f{pair}")
+        frames.append(str(path))
+
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        assert main(["localize", "--csi", *frames, "--output-dir", str(tmp_path)]) == 0
+
+    names = [span.name for span in tracer.spans]
+    assert names.count("fileio.read_csi_frame") == len(frames)
+    assert names.count("radio.compute_spectrum") == len(frames)
+    assert names.count("radio.pick_peaks") == len(frames)
+    assert names.count("radio.fuse_axes") == 5
+    # The first chunk is computed before the last frame is read.
+    last_read = max(i for i, name in enumerate(names) if name == "fileio.read_csi_frame")
+    assert names.index("radio.compute_spectrum") < last_read
+    assert tracer.violations == []
+    assert tracer.nesting_errors() == []
+    estimates = fileio.load_json(tmp_path / "estimates.json")["images"]
+    assert len(estimates) == 5
 
 
 # The input flag a method does not read; the method1 variants read both.
