@@ -120,7 +120,7 @@ def associate_regions(detections: Detections, regions: Regions,
         raise InvalidInputError(f"unknown mode {mode!r}")
     dets, regs = split(detections, regions)
     if mode == "two_stage":
-        if any(rid is None for rid in dets.region_ids.tolist()):
+        if None in dets.region_ids.tolist():
             raise InvalidInputError("two_stage association requires region provenance")
         return dets
 

@@ -70,7 +70,7 @@ def build_regions(config: RunConfig, gts: Annotations) -> Regions:
     if config.paths.regions is not None:
         return fileio.read_regions(config.paths.regions)
     noise = replace(config.noise, seed=config.substream_seed("regions"))
-    return Regions.from_records(build_simulative_set(gts, noise))
+    return build_simulative_set(gts, noise)
 
 
 def build_detections(config: RunConfig, gts: Annotations, image_ids: list[str]) -> Detections:

@@ -254,12 +254,14 @@ def compute_spectrum(csi: CsiFrame, aoa_grid, tof_grid) -> AoaTofSpectrum:
     tof_grid = _validate_grid(tof_grid, "tof_grid")
     # Collapse antennas per angle first, then apply delay phases: O(I*M*K + I*K*J).
     aoa_basis, tof_basis = _steering_bases(csi.geometry, aoa_grid, tof_grid)
+    # A modulus may overflow in ``np.abs`` with no floating-point error raised;
+    # then ``AoaTofSpectrum`` refuses the infinite magnitude.
     try:
         with np.errstate(over="raise", invalid="raise"):
             magnitudes = np.abs(np.einsum("mk,ikm->ik", csi.samples, aoa_basis) @ tof_basis)
-    except FloatingPointError:
+        return AoaTofSpectrum(magnitudes, aoa_grid, tof_grid)
+    except (FloatingPointError, InvalidInputError):
         raise InvalidInputError(f"spectrum of CSI frame t={csi.timestamp} overflows") from None
-    return AoaTofSpectrum(magnitudes, aoa_grid, tof_grid)
 
 
 def pick_peaks(spectrum: AoaTofSpectrum, relative_threshold: float = 0.5) -> list[Peak]:

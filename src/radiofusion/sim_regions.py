@@ -10,8 +10,9 @@ touching the shift model. One kernel, ``draw_region_noise``, draws every
 person of a call at once: one standard normal row (scale, x shift, y shift)
 per person, people in ascending image id and input order, which consumes
 the generator exactly as three scalar ``rng.normal`` calls per person would.
-The Caltech ground-truth filters are masks over ``world.Annotations``
-columns.
+``build_simulative_set`` returns the regions as one ``world.Regions`` table
+built from the draw's arrays, with no per-region record. The Caltech
+ground-truth filters are masks over ``world.Annotations`` columns.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .world import Annotation, Annotations, RadioRegion
+from .world import Annotation, Annotations, RadioRegion, Regions
 
 MIN_EDGE_SCALE = 0.05
 
@@ -80,24 +81,29 @@ def draw_region_noise(noise: NoiseParams, side: float | np.ndarray,
 
 
 def build_simulative_set(annotations: Annotations | Iterable[Annotation],
-                         noise: NoiseParams) -> dict[str, list[RadioRegion]]:
-    """Build per-image region lists from the people among annotations
-    (columns, or records converted on entry); other categories get none.
+                         noise: NoiseParams) -> Regions:
+    """The regions of the people among annotations (columns, or records
+    converted on entry) as one ``Regions`` table, rows grouped by image; the
+    id table names only the images that have a person.
 
     Every person is drawn in one pass, in ascending image_id order and input
     order within each image, so a fixed ``noise.seed`` reproduces the exact
-    same regions. Region identifiers are unique within each image.
+    same regions. Region identifiers ``r0``, ``r1``, ... are unique within
+    each image. A region that no ``RadioRegion`` would hold is refused with
+    the first such record's error.
     """
     gts = annotations if isinstance(annotations, Annotations) \
         else Annotations.from_records(annotations)
-    gts = gts.take(gts.categories == "person").grouped(gts.ids)
+    gts = gts.take(gts.categories == "person")
+    gts = gts.grouped(gts.named_ids())
     x, y, w, h = gts.boxes.T
     draw = draw_region_noise(noise, np.minimum(w, h), np.random.default_rng(noise.seed))
-    rank = (np.arange(len(gts)) - np.searchsorted(gts.image, gts.image)).tolist()  # in the image
-    centers = (x + w / 2.0 + draw.dx).tolist(), (y + h / 2.0 + draw.dy).tolist()
-    records = list(map(RadioRegion, *centers, draw.edge.tolist(), map("r{}".format, rank)))
-    bounds = [i for i, r in enumerate(rank) if r == 0] + [len(rank)]
-    return {gts.ids[gts.image[a]]: records[a:b] for a, b in zip(bounds, bounds[1:])}
+    rank = np.arange(len(gts)) - np.searchsorted(gts.image, gts.image)  # in the image
+    regions = Regions(gts.ids, gts.image, x + w / 2.0 + draw.dx, y + h / 2.0 + draw.dy,
+                      draw.edge, np.array(list(map("r{}".format, rank.tolist())), dtype=object))
+    if not regions.valid():
+        regions.records()  # raises the first refused row's ``RadioRegion`` error
+    return regions
 
 
 # Ground-truth filters: a mask over ``Annotations`` columns.

@@ -294,6 +294,13 @@ class Regions(Table):
             by_image[self.ids[i]].append(RadioRegion(*row))
         return by_image
 
+    # The per-image record map's views, for callers that still read a map.
+    def items(self):
+        return self.records().items()
+
+    def values(self):
+        return self.records().values()
+
     def boxes(self) -> np.ndarray:
         """Each region's square, ``(n, 4)``."""
         return np.stack(square(self.center_x, self.center_y, self.edge), axis=-1)

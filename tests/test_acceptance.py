@@ -28,7 +28,7 @@ from radiofusion.radio import (
 from radiofusion.sim_regions import Annotation, NoiseParams, build_simulative_set, \
     draw_region_noise
 from radiofusion.synth import make_world
-from radiofusion.world import Annotations, Detection, Regions
+from radiofusion.world import Annotations, Detection
 
 coco_map, mr_fppi, visual_metrics = map(on_records, (
     metrics.coco_map, metrics.mr_fppi, metrics.visual_metrics))
@@ -277,7 +277,7 @@ def test_criterion_5_directional_trend(tmp_path):
     detections = build_detections(config, gts, image_ids)
 
     noise = replace(config.noise, seed=config.substream_seed("regions"))
-    regions = Regions.from_records(build_simulative_set(records, noise))
+    regions = build_simulative_set(records, noise)
     base, _ = evaluate(replace(config, method="baseline"),
                        image_ids, gts, detections, regions)
     fused, _ = evaluate(replace(config, method="method1+cnms"),
@@ -285,7 +285,7 @@ def test_criterion_5_directional_trend(tmp_path):
 
     zero_noise = replace(config.noise, sigma=0.0, k1=0.0, k2=0.0,
                          seed=config.substream_seed("regions"))
-    exact_regions = Regions.from_records(build_simulative_set(records, zero_noise))
+    exact_regions = build_simulative_set(records, zero_noise)
     proposals, _ = evaluate(replace(config, method="method2+cnms"),
                             image_ids, gts, detections, exact_regions)
 
@@ -315,7 +315,7 @@ def test_criterion_6_error_sensitivity_shape():
     def ap_for(sigma, k1, k2):
         noise = NoiseParams(sigma=sigma, k1=k1, k2=k2,
                             seed=config.substream_seed("regions"))
-        regions = Regions.from_records(build_simulative_set(records, noise))
+        regions = build_simulative_set(records, noise)
         result, _ = evaluate(config, image_ids, gts, detections, regions)
         return result.ap
 

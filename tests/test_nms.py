@@ -118,6 +118,20 @@ class TestAssociateRegions:
         with pytest.raises(InvalidInputError):
             associate_regions([det(0, 0, 10, 10, 0.9)], self.REGIONS, mode="two_stage")
 
+    @settings(max_examples=100, deadline=None)
+    @given(ids=st.lists(st.none() | st.sampled_from(["None", "", "rA", "0"]) | st.text(max_size=3),
+                        max_size=6),
+           images=st.lists(st.sampled_from(["i", "j"]), min_size=6, max_size=6))
+    def test_two_stage_refuses_exactly_when_an_id_is_none(self, ids, images):
+        dets = [det(i, 0, 10, 10, 0.5, image_id=image, region_id=rid)
+                for i, (rid, image) in enumerate(zip(ids, images))]
+        if None in ids:
+            with pytest.raises(InvalidInputError, match="^two_stage association requires"):
+                associate_regions(dets, self.REGIONS, mode="two_stage")
+        else:
+            kept = associate_regions(dets, self.REGIONS, mode="two_stage")
+            assert sorted(map(repr, kept)) == sorted(map(repr, dets))
+
 
 class TestConstrainedNms:
     def test_one_region_three_boxes_keeps_best(self):

@@ -322,6 +322,18 @@ class TestComputeSpectrum:
                 compute_spectrum(frame, aoa_grid, tof_grid)
         assert caught == []
 
+    def test_a_modulus_that_overflows_past_a_finite_product_names_the_frame(self):
+        """Every component of the product stays finite, so no floating-point
+        error is raised, but a modulus overflows in ``np.abs``."""
+        geometry = ArrayGeometry(4, 0.0258, 8, 5.8e9, 312.5e3)
+        frame = synthesize_csi([(109.0, 9e-7, 1e307)], geometry, noise_std=5e305, seed=7)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InvalidInputError,
+                               match=r"^spectrum of CSI frame t=0\.0 overflows$"):
+                compute_spectrum(frame, default_aoa_grid(), default_tof_grid(geometry))
+        assert caught == []
+
     def test_large_finite_frame_still_scales(self):
         # Far from overflow, a huge frame is scaled exactly like a unit one.
         rng = np.random.default_rng(4)

@@ -6,13 +6,16 @@ person three ``rng.normal`` calls, bit for bit.
 """
 
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radiofusion import fileio
 from radiofusion.errors import InvalidInputError
 from radiofusion.sim_regions import (
     MIN_EDGE_SCALE,
@@ -25,7 +28,7 @@ from radiofusion.sim_regions import (
     reasonable_filter,
 )
 from conftest import group_by_image, gt_to_region, reasonable, visible
-from radiofusion.world import Annotations
+from radiofusion.world import Annotations, Regions
 
 BBOX = Annotation(image_id="img0", bbox=(0.0, 0.0, 100.0, 200.0))
 
@@ -62,8 +65,11 @@ def exact(regions):
 
 
 def outcome(build, *args):
+    """``build``'s regions as ``exact`` reads them (a table through its
+    ``records``), or the message of the error it raises."""
     try:
-        return "ok", exact(build(*args))
+        regions = build(*args)
+        return "ok", exact(regions.records() if isinstance(regions, Regions) else regions)
     except InvalidInputError as exc:
         return "error", str(exc)
 
@@ -178,34 +184,34 @@ class TestBuildSimulativeSet:
         ]
 
     def test_empty(self):
-        assert build_simulative_set([], NoiseParams()) == {}
+        assert build_simulative_set([], NoiseParams()).records() == {}
 
     def test_cardinality_and_unique_ids(self):
-        regions = build_simulative_set(self._annotations(), NoiseParams(seed=5))
+        regions = build_simulative_set(self._annotations(), NoiseParams(seed=5)).records()
         assert set(regions) == {"a", "b"}
         assert len(regions["a"]) == 3
         assert len({r.identifier for r in regions["a"]}) == 3
 
     def test_same_seed_bit_identical(self):
-        first = build_simulative_set(self._annotations(), NoiseParams(seed=7))
-        second = build_simulative_set(self._annotations(), NoiseParams(seed=7))
+        first = build_simulative_set(self._annotations(), NoiseParams(seed=7)).records()
+        second = build_simulative_set(self._annotations(), NoiseParams(seed=7)).records()
         assert first == second
-        third = build_simulative_set(self._annotations(), NoiseParams(seed=8))
+        third = build_simulative_set(self._annotations(), NoiseParams(seed=8)).records()
         assert first != third
 
     def test_non_person_annotations_skipped(self):
         anns = self._annotations() + [
             Annotation(image_id="a", bbox=(0, 0, 10, 10), category="dog")
         ]
-        regions = build_simulative_set(anns, NoiseParams(seed=5))
+        regions = build_simulative_set(anns, NoiseParams(seed=5)).records()
         assert len(regions["a"]) == 3
 
     def test_columns_and_records_give_the_scalar_loops_regions(self):
         noise = NoiseParams(seed=5)
         expected = exact(oracle_simulative_set(self._annotations(), noise))
-        assert exact(build_simulative_set(self._annotations(), noise)) == expected
+        assert exact(build_simulative_set(self._annotations(), noise).records()) == expected
         gts = Annotations.from_records(self._annotations())
-        assert exact(build_simulative_set(gts, noise)) == expected
+        assert exact(build_simulative_set(gts, noise).records()) == expected
 
     @settings(max_examples=150, deadline=None)
     @given(anns=st.lists(st.builds(
@@ -221,7 +227,7 @@ class TestBuildSimulativeSet:
         noise = NoiseParams(sigma=sigma, k1=k1, k2=k2, seed=seed)
         expected = oracle_simulative_set(anns, noise)
         for given_world in (anns, Annotations.from_records(anns)):
-            got = build_simulative_set(given_world, noise)
+            got = build_simulative_set(given_world, noise).records()
             assert got == expected
             assert exact(got) == exact(expected)
 
@@ -237,6 +243,45 @@ class TestBuildSimulativeSet:
         expected = outcome(oracle_simulative_set, anns, noise)
         assert outcome(build_simulative_set, anns, noise) == expected
         assert outcome(build_simulative_set, Annotations.from_records(anns), noise) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(anns=st.lists(st.builds(
+        Annotation, image_id=st.sampled_from(["c", "a", "b10", "b2", "0"]),
+        bbox=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e149, 1e149),
+                       st.floats(0.5, 1e3) | st.floats(1e148, 9e149),
+                       st.floats(0.5, 1e3) | st.floats(1e148, 9e149)),
+        category=st.sampled_from(["person", "person", "dog"])), max_size=10),
+        empty=st.sets(st.sampled_from(["d", "a", "b3", "z"])),
+        sigma=st.floats(0.0, 5.0), k1=st.floats(0.0, 1.0), seed=st.integers(0, 2**32))
+    def test_the_table_is_the_record_maps_table(self, anns, empty, sigma, k1, seed):
+        """Over an id table that names images without annotations, and
+        images with only other categories: the table names the images that
+        have a person, writes the bytes its records write, reads as their map,
+        and a refused region raises the record path's error."""
+        gts = Annotations.from_records(anns)
+        gts = gts.grouped(sorted(set(gts.ids) | empty))
+        noise = NoiseParams(sigma=sigma, k1=k1, k2=k1, seed=seed)
+        try:
+            expected = oracle_simulative_set(anns, noise)
+        except Exception as exc:
+            with pytest.raises(type(exc)) as refused:
+                build_simulative_set(gts, noise)
+            assert str(refused.value) == str(exc)
+            return
+        table = build_simulative_set(gts, noise)
+        records = table.records()
+        assert table.ids == tuple(expected) == tuple(sorted(
+            {a.image_id for a in anns if a.category == "person"}))
+        assert exact(records) == exact(expected)
+        assert list(table.items()) == list(records.items())
+        assert list(table.values()) == list(records.values())
+        with tempfile.TemporaryDirectory() as tmp:
+            written = []
+            for name, regions in (("table", table), ("records", Regions.from_records(records)),
+                                  ("map", records)):
+                fileio.write_regions(Path(tmp, name), regions)
+                written.append(Path(tmp, name).read_bytes())
+        assert written[0] == written[1] == written[2]
 
     def test_the_first_region_out_of_the_domain_is_named(self):
         anns = [Annotation(image_id="b", bbox=(0.0, 0.0, 9e149, 9e149)),
