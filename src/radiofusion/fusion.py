@@ -12,8 +12,9 @@ classification / regression head that a full detector would apply to them.
 Both stages take a whole world in one call: ``world.Detections`` and
 ``world.Regions`` columns whose rows name their image. Revision scores
 every (detection, region) pair of an image (``world.pairs``) in one
-``geometry.intersect_arrays`` call; proposals build and score every anchor
-of the world at once and return them as columns.
+``geometry.intersect_arrays`` call, the box-array entry to the corner
+kernel that NMS and matching run; proposals build and score every anchor of
+the world at once and return them as columns.
 Every float equals the scalar formula's bit for bit.
 """
 

@@ -3,12 +3,14 @@
 Rectangles are ``(x, y, w, h)`` tuples with a top-left pixel origin, the
 convention used by all detection and region records in this package.
 ``require_box`` is the one domain rule every record box passes, and
-``in_box_domain`` its array form.
+``in_box_domain`` its array form. Overlap and IoU have one array kernel,
+on the corner columns that ``corners`` works out once per box.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,21 +53,60 @@ def rect_areas(boxes: np.ndarray) -> np.ndarray:
     return np.maximum(boxes[..., 2], 0.0) * np.maximum(boxes[..., 3], 0.0)
 
 
-def intersect_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Overlap area (0 when disjoint) of broadcast ``(..., 4)`` box arrays.
+# Column k of the corners of ``(..., 4)`` boxes: x, y, x + w, y + h and the area.
+_CORNER_COLUMNS = (lambda b: b[..., 0], lambda b: b[..., 1], lambda b: b[..., 0] + b[..., 2],
+                   lambda b: b[..., 1] + b[..., 3], rect_areas)
 
-    Every min, max, subtraction and product runs in the order of the scalar
-    ``intersect_area`` in ``tests/conftest.py`` on the same float64 values,
-    so each entry is the same float.
+
+@dataclass(frozen=True)
+class BoxCorners:
+    """The corner columns of ``(..., 4)`` boxes, each worked out when it is read."""
+
+    boxes: np.ndarray
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        return _CORNER_COLUMNS[k](self.boxes)
+
+
+def corners(boxes: np.ndarray) -> np.ndarray:
+    """``(5, ...)`` array of the ``BoxCorners`` columns of ``(..., 4)`` boxes."""
+    return np.stack(list(BoxCorners(boxes)))
+
+
+def intersect_corners(a: Sequence[np.ndarray], b: Sequence[np.ndarray],
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """Overlap area (0 when disjoint) of two broadcast boxes' corner columns
+    (``a[k]`` is column k of ``corners``, as in a ``BoxCorners``), in ``out``.
+
+    Each column is read once. Every min, max, subtraction and product runs
+    in the order of the scalar ``intersect_area`` in ``tests/conftest.py``
+    on the same float64 values, so each entry is the same float.
     """
-    w = np.minimum(a[..., 0] + a[..., 2], b[..., 0] + b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
-    h = np.minimum(a[..., 1] + a[..., 3], b[..., 1] + b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
-    return np.where((w > 0.0) & (h > 0.0), w * h, 0.0)
+    w = np.asarray(np.minimum(a[2], b[2], out=out))  # 0-d as an array, to work in place
+    w -= np.maximum(a[0], b[0])
+    h = np.minimum(a[3], b[3])
+    h -= np.maximum(a[1], b[1])
+    empty = (w <= 0.0) | (h <= 0.0)
+    w *= h
+    np.copyto(w, 0.0, where=empty)
+    return w
+
+
+def iou_corners(a: Sequence[np.ndarray], b: Sequence[np.ndarray],
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Intersection over union of ``intersect_corners``' operands (0 where the
+    union is empty), in ``out``; bit-equal to the scalar ``iou`` in ``tests/conftest.py``."""
+    inter = intersect_corners(a, b, out)
+    union = a[4] + b[4] - inter
+    np.copyto(inter, 0.0, where=union <= 0.0)
+    return np.divide(inter, union, out=inter, where=union > 0.0)
+
+
+def intersect_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``intersect_corners`` of broadcast ``(..., 4)`` box arrays."""
+    return intersect_corners(BoxCorners(a), BoxCorners(b))
 
 
 def iou_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Intersection over union of broadcast ``(..., 4)`` box arrays (0 where the
-    union is empty), bit-equal to the scalar ``iou`` in ``tests/conftest.py``."""
-    inter = intersect_arrays(a, b)
-    union = rect_areas(a) + rect_areas(b) - inter
-    return np.divide(inter, union, out=np.zeros(union.shape), where=union > 0.0)
+    """``iou_corners`` of broadcast ``(..., 4)`` box arrays."""
+    return iou_corners(BoxCorners(a), BoxCorners(b))

@@ -27,15 +27,14 @@ and people can match; sorted by those two counts, they are padded with
 zero boxes ``CHUNK_IMAGES`` at a time to (image, detection, 4) and (image,
 person, 4), detections in visiting order, so memory grows with the chunk,
 not the world. Each image is walked once with all its people real, and
-again for each size bucket that holds some but not all of them. At each
-detection rank one IoU kernel call (``geometry.iou_arrays``, bit-equal to
-the scalar ``iou`` in ``tests/conftest.py``) gives the rank's IoUs, and
-each walk at each IoU threshold takes, in one masked argmax, the free real
-person of highest IoU if that IoU is above 0 and reaches the threshold; in
-a bucket's own walk a detection that took none tries the ignored people
-the same way.
-Of equal IoUs the argmax takes the first, as a scalar scan with a strict >
-does. The flags go back to image-id-then-input order, where AP, the
+again for each size bucket that holds some but not all of them. One IoU
+kernel call per chunk (``geometry.iou_corners``, bit-equal to the scalar
+``iou`` in ``tests/conftest.py``) gives every rank's IoUs; at each rank each
+walk at each IoU threshold takes, in one masked argmax, the free real person
+of highest IoU if that IoU is above 0 and reaches the threshold; in a
+bucket's own walk a detection that took none tries the ignored people the
+same way. Of equal IoUs the argmax takes the first, as a scalar scan with a
+strict > does. The flags go back to image-id-then-input order, where AP, the
 miss-rate curve and the visual counts read them.
 """
 
@@ -48,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import iou_arrays, rect_areas
+from .geometry import corners, iou_corners, rect_areas
 from .world import Annotations, Detections, image_score_order, score_order
 
 COCO_IOU_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
@@ -184,8 +183,8 @@ def _greedy(dets: np.ndarray, gts: np.ndarray, real: np.ndarray, ignore: np.ndar
     limit = np.maximum(thresholds, np.nextafter(0.0, 1.0))[None].repeat(len(walks), axis=0).ravel()
     hit = np.zeros((len(walks), thresholds.size, depth), bool)
     absorbed = np.zeros((split_image.size * thresholds.size, depth), bool)
-    for rank in range(depth):
-        row = iou_arrays(dets[:, rank, None], gts)[:, None]
+    ious = iou_corners(corners(dets.swapaxes(0, 1))[..., None], corners(gts)[:, None])
+    for rank, row in enumerate(ious[:, :, None]):  # (image, 1, gt) at each rank
         if split_image.size:  # a split walk reuses its image's IoUs
             row = np.concatenate([row, row[split_image]])
         hit.reshape(limit.size, depth)[:, rank] = won = _claim(free_real, row, limit)

@@ -13,9 +13,10 @@ pins down the deterministic output.
 Every function takes a whole world in one call, as ``world.Detections``
 and ``world.Regions`` columns whose rows name their image, and works image
 by image in image-id order (``world.split``). Suppression walks every
-image's greedy order in lockstep: each round keeps at most one more box per image, and one
-``geometry.iou_arrays`` call on the (box, newly kept box) pairs of the world
-marks what those boxes suppress, so memory stays linear in the detections.
+image's greedy order in lockstep: each round keeps at most one more box per
+image, and one ``geometry.iou_corners`` call on the (box, newly kept box)
+pairs of the world, on corners worked out once per call, marks what those
+boxes suppress, so memory stays linear in the detections.
 Association scores every (detection, region) pair of an image in one call
 (``world.pairs``). The skip order, the tie rules and the fallback pass run
 in Python; every output is a selection of input rows and region squares.
@@ -28,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import iou_arrays
+from .geometry import corners, iou_arrays, iou_corners
 from .world import Detections, Regions, image_score_order, pairs, split
 
 
@@ -51,6 +52,17 @@ class NmsConfig:
             raise InvalidInputError("fallback_floor_score must be in [0, 1]")
 
 
+@dataclass(frozen=True)
+class _Rows:
+    """The ``rows`` of corner columns, each column gathered as the kernel reads it."""
+
+    columns: np.ndarray
+    rows: np.ndarray
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        return self.columns[k].take(self.rows)
+
+
 def _greedy(dets: Detections, threshold: float, known: list[set[str]],
             require_region: bool) -> tuple[list[list[int]], list[set[str]]]:
     """Pass one on every image of ``dets`` (rows in image-id order) in
@@ -67,6 +79,7 @@ def _greedy(dets: Detections, threshold: float, known: list[set[str]],
     kept: list[list[int]] = [[] for _ in dets.ids]
     used: list[set[str]] = [set() for _ in dets.ids]
     walking = np.flatnonzero(sizes).tolist()
+    box_corners, overlap = corners(dets.boxes), np.empty(len(dets))
     while walking:
         fresh = []
         for m in walking:
@@ -90,8 +103,8 @@ def _greedy(dets: Detections, threshold: float, known: list[set[str]],
             shift = np.repeat(first + counts - np.cumsum(counts), counts)
             targets = np.arange(shift.size) + shift
             new = np.repeat([kept[m][-1] for m in fresh], counts)
-            overlap = iou_arrays(dets.boxes[targets], dets.boxes[new])
-            suppressed[targets[overlap >= threshold]] = True
+            pair = _Rows(box_corners, targets), _Rows(box_corners, new)
+            suppressed[targets[iou_corners(*pair, overlap[:targets.size]) >= threshold]] = True
         walking = fresh
     return kept, used
 

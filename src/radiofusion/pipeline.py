@@ -216,7 +216,7 @@ def sweep(
     rows = []
     for value, (_, _, _, report, _) in zip(values, evaluate_each(config, configs)):
         row = {"param": param, "value": value}
-        row.update({k: v for k, v in report.to_dict().items() if k != "mr_fppi_curve"})
+        row.update({k: v for k, v in vars(report).items() if k != "mr_fppi_curve"})
         rows.append(row)
     return rows
 

@@ -493,6 +493,17 @@ _COVERING = [
 ]
 
 
+# Crowded images: more than 16 ranks and more than 16 people, of every size
+# bucket, so the chunk's IoUs span many ranks and most buckets split.
+_crowd_image = st.tuples(
+    st.lists(_grid_box, min_size=17, max_size=24),
+    st.lists(st.tuples(_grid_box, st.sampled_from(TIED_SCORES)), min_size=17, max_size=28))
+# One such image: 20 people, 22 detections.
+_SIDES = [(8.0, 8.0), (32.0, 32.0), (40.0, 40.0), (96.0, 96.0), (104.0, 96.0), (120.0, 120.0)]
+_CROWD = ([(8.0 * (k % 6), 8.0 * (k // 6), *_SIDES[k % 6]) for k in range(20)],
+          [((8.0 * (k % 5), 8.0 * (k // 5), *_SIDES[k % 4]), TIED_SCORES[k % 3]) for k in range(22)])
+
+
 def _padded(images, by_score):
     """Every image of ``images`` as one chunk for the core, people or not."""
     depth = max(1, max(len(dets) for _, dets in images))
@@ -511,14 +522,17 @@ def _padded(images, by_score):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(_flag_image, min_size=1, max_size=7), st.sampled_from([1, 2, 3, 128]),
-       st.booleans())
+@given(st.lists(_flag_image | _crowd_image, min_size=1, max_size=7),
+       st.sampled_from([1, 2, 3, 128]), st.booleans())
 @example(_COVERING, 2, True)
 @example(_COVERING, 128, False)
+@example([_CROWD, _COVERING[0], _CROWD], 128, True)
+@example([_CROWD], 1, False)
 def test_shared_walks_give_the_dense_flags(images, chunk, by_score):
     """The core walks an image once for every bucket that holds all or none
     of its people; its (bucket, threshold, image, rank) flags are the dense
-    core's, per chunk of a run and on a chunk holding images without people."""
+    core's, per chunk of a run and on a chunk holding images without people,
+    and on crowded chunks deeper than 16 ranks whose buckets split."""
     dets, gts, real, ignore = _padded(images, by_score)
     for rows in ([0, 1, 2, 3], [0]):  # every bucket, then "all" alone
         args = (dets, gts, real[rows], ignore[rows], np.asarray(COCO_IOU_THRESHOLDS))

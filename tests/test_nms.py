@@ -2,15 +2,16 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import iou, on_records, regions_in, to_bbox
 from radiofusion import nms
 from radiofusion.errors import InvalidInputError
+from radiofusion.geometry import MAX_COORD, iou_arrays
 from radiofusion.imaging import RadioRegion
 from radiofusion.nms import NmsConfig
-from radiofusion.world import Detection
+from radiofusion.world import Detection, Detections, image_score_order
 
 standard_nms = on_records(nms.standard_nms)
 associate_regions = on_records(nms.associate_regions)
@@ -328,3 +329,93 @@ def test_two_stage_fallback_keeps_exactly_one_box_per_region(scene, iou_threshol
     cfg = NmsConfig(iou_threshold=iou_threshold, mode="two_stage", enable_fallback_loop=True)
     kept = constrained_nms(detections, regions, cfg)
     assert sorted(d.region_id for d in kept) == sorted(r.identifier for r in regions)
+
+
+# -- The lockstep walk on (n, 4) gathers, kept as the oracle of nms._greedy --
+
+def oracle_greedy(dets: Detections, threshold: float, known: list[set[str]],
+                  require_region: bool) -> tuple[list[list[int]], list[set[str]]]:
+    """``nms._greedy`` before the corner kernel, verbatim: each round takes
+    one ``iou_arrays`` call on ``dets.boxes`` gathers of the (box, newly
+    kept box) pairs."""
+    sizes = np.bincount(dets.image, minlength=len(dets.ids))
+    starts = np.cumsum(sizes) - sizes
+    suppressed = np.zeros(len(dets), dtype=bool)
+    ranked = image_score_order(dets.image, dets.scores).tolist()  # each image's walk
+    orders = [iter(ranked[a:a + n]) for a, n in zip(starts.tolist(), sizes.tolist())]
+    region_ids = dets.region_ids.tolist()
+    kept: list[list[int]] = [[] for _ in dets.ids]
+    used: list[set[str]] = [set() for _ in dets.ids]
+    walking = np.flatnonzero(sizes).tolist()
+    while walking:
+        fresh = []
+        for m in walking:
+            for i in orders[m]:
+                if suppressed[i]:
+                    continue
+                # An id that names no region in this image constrains nothing.
+                rid = region_ids[i] if region_ids[i] in known[m] else None
+                if rid is not None and rid in used[m]:
+                    continue
+                if rid is None and require_region:
+                    continue
+                kept[m].append(i)
+                if rid is not None:
+                    used[m].add(rid)
+                fresh.append(m)
+                break
+        if fresh:
+            # Every box of each image that kept one this round, against that box.
+            first, counts = starts[fresh], sizes[fresh]
+            shift = np.repeat(first + counts - np.cumsum(counts), counts)
+            targets = np.arange(shift.size) + shift
+            new = np.repeat([kept[m][-1] for m in fresh], counts)
+            overlap = iou_arrays(dets.boxes[targets], dets.boxes[new])
+            suppressed[targets[overlap >= threshold]] = True
+        walking = fresh
+    return kept, used
+
+
+# Duplicates (a box drawn twice), zero-extent boxes, a box whose rounded
+# corners make its union with itself negative, and boxes at +-MAX_COORD.
+_WALK_BOXES = [(0.0, 0.0, 10.0, 10.0), (5.0, 0.0, 10.0, 10.0), (0.0, 5.0, 10.0, 20.0),
+               (2.0, 2.0, 0.0, 6.0), (2.0, 2.0, 6.0, 0.0), (3.0, 3.0, 0.0, 0.0),
+               (0.1, 0.1, 7e-18, 7e-18), (-MAX_COORD, -MAX_COORD, MAX_COORD, MAX_COORD),
+               (0.0, 0.0, MAX_COORD, MAX_COORD), (-MAX_COORD, 0.0, 2 * MAX_COORD, 10.0),
+               (MAX_COORD, MAX_COORD, 0.0, 0.0), (-MAX_COORD, -MAX_COORD, 0.0, 0.0)]
+_WALK_IMAGES = ("a", "b", "c")
+_WALK_REGIONS = ("r0", "r1", "r2")
+
+
+@st.composite
+def _walk_worlds(draw):
+    """Detections on up to three images, with tied scores and region ids
+    that name a region of their image, of another image only, or none; and
+    each image's known region ids."""
+    coord = st.integers(-2, 30).map(float)
+    box = st.sampled_from(_WALK_BOXES) | st.tuples(coord, coord, st.integers(0, 20).map(float),
+                                                   st.integers(0, 20).map(float))
+    records = draw(st.lists(st.builds(
+        Detection, st.sampled_from(_WALK_IMAGES), box,
+        st.sampled_from([0.25, 0.5, 0.75]) | st.floats(0.0, 1.0),
+        st.sampled_from([None, "ghost", *_WALK_REGIONS])), max_size=14))
+    dets = Detections.from_records(records)
+    dets = dets.grouped(dets.ids)
+    known = [set(draw(st.lists(st.sampled_from(_WALK_REGIONS), unique=True))) for _ in dets.ids]
+    return dets, known
+
+
+@settings(max_examples=300, deadline=None)
+@given(_walk_worlds(), st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0), st.booleans())
+@example((Detections.from_records([Detection("a", box, 0.5, "r0") for box in _WALK_BOXES * 2]),
+          [{"r0"}]), 0.5, True)
+@example((Detections.from_records([Detection("a", box, 0.5) for box in _WALK_BOXES * 2]),
+          [set()]), 1.0, False)
+@example((Detections.from_records([Detection("a", box, 0.5) for box in _WALK_BOXES]),
+          [set()]), 0.0, False)
+def test_corner_walk_keeps_the_rows_of_the_gather_walk(world, threshold, require_region):
+    """The walk on corner columns keeps the rows and claims the regions of
+    the walk that gathers ``(n, 4)`` boxes every round."""
+    dets, known = world
+    assert nms._greedy(dets, threshold, known, require_region) == oracle_greedy(
+        dets, threshold, known, require_region)
