@@ -34,6 +34,6 @@ from .sim_regions import (
     reasonable_filter,
 )
 from .synth import SynthParams, generate, make_world
-from .world import Annotation, Annotations, Detection, Detections, RadioRegion, Regions
+from .world import Annotation, Annotations, Detection, Detections, Estimates, RadioRegion, Regions
 
 __version__ = "0.1.0"

@@ -96,19 +96,18 @@ def cmd_localize(args) -> int:
     estimates = pipeline.localize_frames(frames, config.radio)
     out = args.out or str(Path(config.paths.output_dir) / "estimates.json")
     fileio.write_estimates(out, estimates)
-    total = sum(len(v) for v in estimates.values())
-    print(f"wrote {out} ({total} estimates over {len(estimates)} images)")
+    print(f"wrote {out} ({len(estimates)} estimates over {len(estimates.ids)} images)")
     return 0
 
 
 def cmd_project(args) -> int:
     config = _load_config(args)
     estimates = fileio.read_estimates(args.estimates)
-    regions = pipeline.project_estimates(estimates, config.camera, config.radio)
+    regions = pipeline.batch_project(estimates, config.camera, config.radio.person_extent_m,
+                                     config.radio.round_trip_factor)
     out = args.out or str(Path(config.paths.output_dir) / "regions.json")
     fileio.write_regions(out, regions)
-    total = sum(len(v) for v in regions.values())
-    print(f"wrote {out} ({total} regions over {len(regions)} images)")
+    print(f"wrote {out} ({len(regions)} regions over {len(regions.ids)} images)")
     return 0
 
 

@@ -6,12 +6,14 @@ record dataclasses, reads and writes every record. A text field takes a
 JSON string or an integer, read as its decimal string so map keys
 round-trip.
 
-Detection, annotation and region files are read into ``world`` columns by
-one whole-column reader (``_columns``): it takes each key's values when
-every value has the exact JSON type, and the record rules are checked on
-whole columns. Any other list is read again record by record, which gives
-the same records or the error that names the record; a record
-constructor's error keeps its type and names the file.
+Detection, annotation, region and estimate files are read into ``world``
+columns by one whole-column reader (``_columns``): it takes each key's
+values when every value has the exact JSON type, and the record rules are
+checked on whole columns. Any other list is read again record by record,
+which gives the same records or the error that names the record; a record
+constructor's error keeps its type and names the file. A region or estimate
+file maps each image id to its records; one reader (``_read_map``) and one
+writer (``_write_map``) serve both of those tables.
 
 Every JSON file is spelled as ``json.dumps(payload, indent=1,
 sort_keys=True)`` plus a newline, and that encoder itself spells every
@@ -47,14 +49,16 @@ import numpy as np
 
 from .errors import InvalidInputError, SchemaError
 from .geometry import Rect
-from .radio import ArrayGeometry, CsiFrame, RadioEstimate
-from .world import Annotation, Annotations, Detection, Detections, RadioRegion, Regions
+from .radio import ArrayGeometry, CsiFrame
+from .world import Annotation, Annotations, Detection, Detections, Estimates, RadioEstimate, \
+    RadioRegion, Regions
 
 CSI_SCHEMA = "csi-frame/1"
 ANNOTATIONS_SCHEMA = "annotations/1"
 REGIONS_SCHEMA = "regions/1"
 DETECTIONS_SCHEMA = "detections/1"
 ESTIMATES_SCHEMA = "estimates/1"
+_MAP_SCHEMAS = {Regions: REGIONS_SCHEMA, Estimates: ESTIMATES_SCHEMA}
 
 
 def load_json(path: str | Path, expected_schema: str | None = None) -> dict:
@@ -567,23 +571,17 @@ def read_detections(path: str | Path) -> Detections:
     return Detections.from_records(_from_record(record, Detection, str(path)) for record in records)
 
 
-# -- Per-image maps: regions and estimates ------------------------------
+# -- Radio tables: regions and estimates, as maps from image id ---------
 
-def _image_map(cls: type, by_image: dict[str, list] | Regions, context: str) -> _Rows:
-    """``by_image`` (or a ``Regions`` table's columns) as an ``images`` map of
-    rows of ``cls`` in one run of chunks: each row's first slot holds what
-    comes before it, keys and brackets included. A key is spelled as its
-    ``str``, and the keys are sorted as strings; two keys that spell alike
-    are refused."""
-    if isinstance(by_image, Regions):
-        t = by_image.grouped(sorted(by_image.ids, key=str))
-        keys, counts = t.ids, np.bincount(t.image, minlength=len(t.ids)).tolist()
-        columns = {key: column.tolist() for (_, key, *_), column in zip(
-            _SPECS[cls], (t.center_x, t.center_y, t.edge, t.region_ids))}
-    else:
-        keys = sorted(by_image, key=str)
-        counts = [len(by_image[key]) for key in keys]
-        columns = _fields(cls, list(chain.from_iterable(map(by_image.__getitem__, keys))))
+def _image_map(table: Regions | Estimates, context: str) -> _Rows:
+    """A radio table's columns, in ``_SPECS`` order, as an ``images`` map of
+    rows in one run of chunks: each row's first slot holds what comes before
+    it, keys and brackets included. A key is spelled as its ``str``, and the
+    keys are sorted as strings; two keys that spell alike are refused."""
+    t = table.grouped(sorted(table.ids, key=str))
+    keys, counts = t.ids, np.bincount(t.image, minlength=len(t.ids)).tolist()
+    columns = {key: column.tolist()
+               for (_, key, *_), column in zip(_SPECS[t.record], t.columns()[1:])}
     names = list(map(str, keys))
     if len(set(names)) < len(names):  # sorted as strings, so keys that spell alike are neighbours
         i = next(i for i in range(1, len(names)) if names[i] == names[i - 1])
@@ -597,16 +595,37 @@ def _image_map(cls: type, by_image: dict[str, list] | Regions, context: str) -> 
         else:
             pending += name + ": [],\n  "
     tail = pending[:-4] + "\n }" if keys else "{}"
-    return _Rows("", *_row_slots(_SPECS[cls], "\n   ", columns, context, (heads,)), "", tail)
+    return _Rows("", *_row_slots(_SPECS[t.record], "\n   ", columns, context, (heads,)), "", tail)
 
 
-def _images(path: str | Path, schema: str) -> dict:
-    data = load_json(path, schema)
-    return _expect(_require(data, "images", str(path)), dict, f"{path}: images")
+def _write_map(path: str | Path, kind: type, table: Regions | Estimates) -> None:
+    """A ``kind`` table by ``_image_map``; an invalid table or another kind is refused."""
+    if type(table) is not kind:
+        raise TypeError(f"expected a {kind.__name__} table, got {type(table).__name__}")
+    if not table.valid():
+        raise InvalidInputError(f"{path}: {kind.__name__.lower()} hold a row that no "
+                                f"{kind.record.__name__} holds")
+    dump_json(path, {"schema": _MAP_SCHEMAS[kind],
+                     "images": _image_map(table, f"{path}: images")})
+
+
+def _read_map(path: str | Path, kind: type):
+    """A ``kind`` table read as whole columns, else record by record, image
+    by image, which names the bad record."""
+    images = _expect(_require(load_json(path, _MAP_SCHEMAS[kind]), "images", str(path)), dict,
+                     f"{path}: images")
+    if not set(map(type, images.values())) - {list}:
+        columns = _columns(list(chain.from_iterable(images.values())), _SPECS[kind.record])
+        if columns is not None:
+            owners = [image_id for image_id, records in images.items() for _ in records]
+            table = kind.build(owners, *columns, table=images)
+            if table.valid() and len(set(zip(owners, columns[-1]))) == len(owners):
+                return table
+    return kind.from_records(_by_image(path, images, kind.record))
 
 
 def _by_image(path: str | Path, images: dict, record_type: type) -> dict[str, list]:
-    """A per-image map of records whose ``identifier`` is unique per image."""
+    """``images`` read record by record, naming a bad record; an id is unique per image."""
     by_image: dict[str, list] = {}
     for image_id, records in images.items():
         context = f"{path}: image {image_id!r}"
@@ -618,37 +637,20 @@ def _by_image(path: str | Path, images: dict, record_type: type) -> dict[str, li
     return by_image
 
 
-def write_regions(path: str | Path, regions: Regions | dict[str, list[RadioRegion]]) -> None:
-    """Regions per image or as a ``Regions`` table, written by ``_image_map``;
-    a table holding a row that no ``RadioRegion`` holds is refused."""
-    if isinstance(regions, Regions) and not regions.valid():
-        raise InvalidInputError(f"{path}: regions hold an edge not > 0 or a square or anchor "
-                                "outside the box domain")
-    dump_json(path, {"schema": REGIONS_SCHEMA,
-                     "images": _image_map(RadioRegion, regions, f"{path}: images")})
+def write_regions(path: str | Path, regions: Regions) -> None:
+    _write_map(path, Regions, regions)
 
 
 def read_regions(path: str | Path) -> Regions:
-    """Regions read as whole columns, else record by record, image by image."""
-    images = _images(path, REGIONS_SCHEMA)
-    if not set(map(type, images.values())) - {list}:
-        columns = _columns(list(chain.from_iterable(images.values())), _SPECS[RadioRegion])
-        if columns is not None:
-            owners = [image_id for image_id, records in images.items() for _ in records]
-            regions = Regions.build(owners, *columns, table=images)
-            if regions.valid() and len(set(zip(owners, columns[-1]))) == len(owners):
-                return regions
-    return Regions.from_records(_by_image(path, images, RadioRegion))
+    return _read_map(path, Regions)
 
 
-def write_estimates(path: str | Path,
-                    estimates_by_image: dict[str, list[RadioEstimate]]) -> None:
-    dump_json(path, {"schema": ESTIMATES_SCHEMA,
-                     "images": _image_map(RadioEstimate, estimates_by_image, f"{path}: images")})
+def write_estimates(path: str | Path, estimates: Estimates) -> None:
+    _write_map(path, Estimates, estimates)
 
 
-def read_estimates(path: str | Path) -> dict[str, list[RadioEstimate]]:
-    return _by_image(path, _images(path, ESTIMATES_SCHEMA), RadioEstimate)
+def read_estimates(path: str | Path) -> Estimates:
+    return _read_map(path, Estimates)
 
 
 # -- Curves and reports --------------------------------------------------

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, require_finite
-from .world import score_order
+from .world import RadioEstimate, score_order
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -121,25 +121,6 @@ class AoaTofSpectrum:
             )
         if mags.size == 0 or not 0.0 <= mags.min() <= mags.max() < np.inf:  # NaN fails
             raise InvalidInputError("spectrum magnitudes must be non-empty, finite and >= 0")
-
-
-@dataclass(frozen=True)
-class RadioEstimate:
-    """One localized emitter: horizontal/vertical arrival angles plus delay."""
-
-    aoa_h: float
-    aoa_v: float
-    tof: float
-    magnitude: float
-    identifier: str
-
-    def __post_init__(self) -> None:
-        require_finite("estimate", self.aoa_h, self.aoa_v, self.tof, self.magnitude)
-        if self.tof <= 0:
-            raise InvalidInputError(f"time of flight must be > 0, got {self.tof}")
-        for name, angle in (("aoa_h", self.aoa_h), ("aoa_v", self.aoa_v)):
-            if not 0.0 <= angle <= 180.0:
-                raise InvalidInputError(f"{name}={angle} outside [0, 180] degrees")
 
 
 def default_aoa_grid(step_deg: float = 1.0) -> np.ndarray:

@@ -1,13 +1,14 @@
 """The world's records, their columnar tables and the score order.
 
-A world is the records of many images. ``Detection``, ``Annotation`` and
-``RadioRegion`` are the public one-item records; ``Detections``,
-``Annotations`` and ``Regions`` hold a world's items as columns, with each
-row's image as an index into one sorted id table, computed once when the
-columns are built, so stages, metrics and the file readers never group by
-id strings again. ``from_records`` and ``records`` are the library edge
-between the two. The module is a leaf: it imports no package module but
-``geometry`` and ``errors``.
+A world is the records of many images. ``Detection``, ``Annotation``,
+``RadioRegion`` and ``RadioEstimate`` are the public one-item records;
+``Detections``, ``Annotations``, ``Regions`` and ``Estimates`` hold a
+world's items as columns, with each row's image as an index into one sorted
+id table, computed once when the columns are built, so stages, metrics and
+the file readers never group by id strings again. ``from_records`` and
+``records`` are the library edge between the two (for a radio table, a map
+from image id to records). The module is a leaf: it imports no package
+module but ``geometry`` and ``errors``.
 """
 
 from __future__ import annotations
@@ -134,9 +135,29 @@ class RadioRegion:
             raise InvalidInputError(f"region edge must be > 0, got {self.edge}")
 
 
+@dataclass(frozen=True)
+class RadioEstimate:
+    """One localized emitter: horizontal/vertical arrival angles plus delay."""
+
+    aoa_h: float
+    aoa_v: float
+    tof: float
+    magnitude: float
+    identifier: str
+
+    def __post_init__(self) -> None:
+        require_finite("estimate", self.aoa_h, self.aoa_v, self.tof, self.magnitude)
+        if self.tof <= 0:
+            raise InvalidInputError(f"time of flight must be > 0, got {self.tof}")
+        for name, angle in (("aoa_h", self.aoa_h), ("aoa_v", self.aoa_v)):
+            if not 0.0 <= angle <= 180.0:
+                raise InvalidInputError(f"{name}={angle} outside [0, 180] degrees")
+
+
 def _indexed(image_ids: Sequence[str], table: Iterable[str] = ()) -> tuple[tuple, np.ndarray]:
-    """The sorted id table of ``image_ids`` and ``table``, and each id's index in it."""
-    table = tuple(sorted(set(image_ids).union(table)))
+    """The id table of ``image_ids`` and ``table``, sorted as strings so that
+    ids of mixed types sort, and each id's index in it."""
+    table = tuple(sorted(set(image_ids).union(table), key=str))
     index = {key: i for i, key in enumerate(table)}
     return table, np.fromiter(map(index.__getitem__, image_ids), np.intp, len(image_ids))
 
@@ -158,7 +179,7 @@ def _values(column: np.ndarray) -> list:
 @dataclass(frozen=True, eq=False)
 class Table:
     """A world's items as columns, one row per item in the order given.
-    ``ids`` is a sorted image-id table, which may name images without rows,
+    ``ids`` is an image-id table sorted as strings, which may name images without rows,
     and ``image`` each row's index in it. Every further field is the column
     of one field of ``record`` other than its image id, in order: ``(n, 4)``
     for a box, object for text, float for a number, and NaN where the record
@@ -194,7 +215,7 @@ class Table:
 
     def records(self) -> list:
         return [self.record(self.ids[i], *row) for i, *row in zip(
-            self.image.tolist(), *map(_values, self._columns()[1:]))]
+            self.image.tolist(), *map(_values, self.columns()[1:]))]
 
     def named_ids(self) -> list[str]:
         """The ids of the images some row names (np.unique would cost 1.6 MB of RSS)."""
@@ -204,7 +225,7 @@ class Table:
         """The rows at ``rows`` (indices or a boolean mask), same id table."""
         if rows.dtype == bool and rows.all():  # no copy: no code writes to a column
             return self
-        return type(self)(self.ids, *(column[rows] for column in self._columns()))
+        return type(self)(self.ids, *(column[rows] for column in self.columns()))
 
     def grouped(self: Self, ids: Sequence[str]) -> Self:
         """The rows in image-id order, given order within an image, over the
@@ -218,7 +239,8 @@ class Table:
         in_order = (table.image[1:] >= table.image[:-1]).all()
         return table if in_order else table.take(np.argsort(table.image, kind="stable"))
 
-    def _columns(self) -> list[np.ndarray]:
+    def columns(self) -> list[np.ndarray]:
+        """``image``, then the column of each field of ``record`` in its order."""
         return [getattr(self, f.name) for f in fields(self)[1:]]
 
 
@@ -240,7 +262,7 @@ class Detections(Table):
 
     def join(self, other: Detections) -> Detections:
         """These rows, then ``other``'s over the same id table."""
-        return Detections(self.ids, *map(np.concatenate, zip(self._columns(), other._columns())))
+        return Detections(self.ids, *map(np.concatenate, zip(self.columns(), other.columns())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,10 +290,35 @@ class Annotations(Table):
                     and not ((self.occlusions < 0.0) | (self.occlusions > 1.0)).any())
 
 
+class ByImage:
+    """A radio table's record edge: a map from image id to that image's
+    records in row order, an empty list for an image without rows."""
+
+    @classmethod
+    def from_records(cls: type[Self], by_image: Mapping[str, Iterable]) -> Self:
+        """The records of each image in the given order; a boolean where a
+        record holds a number is refused, as the float column would hold 1.0."""
+        names = [f.name for f in fields(cls.record)]
+        get = attrgetter(*names)
+        rows = [(key, *get(item)) for key, items in by_image.items() for item in items]
+        columns = list(zip(*rows)) if rows else [()] * (1 + len(names))
+        for name, kind, column in zip(names, cls.kinds, columns[1:]):
+            if kind is float and not {bool, np.bool_}.isdisjoint(map(type, column)):
+                raise InvalidInputError(f"{name}: expected a number, got a boolean")
+        return cls.build(*columns, table=by_image)
+
+    def records(self) -> dict[str, list]:
+        """The records per image; a NaN reaches the record, which refuses it."""
+        by_image: dict[str, list] = {key: [] for key in self.ids}
+        for i, *row in zip(self.image.tolist(), *(c.tolist() for c in self.columns()[1:])):
+            by_image[self.ids[i]].append(self.record(*row))
+        return by_image
+
+
 @dataclass(frozen=True, eq=False)
-class Regions(Table):
+class Regions(ByImage, Table):
     """Radio regions, each the square of ``edge`` centered at (``center_x``,
-    ``center_y``). The record edge is a map from image id to regions."""
+    ``center_y``)."""
 
     center_x: np.ndarray
     center_y: np.ndarray
@@ -279,23 +326,7 @@ class Regions(Table):
     region_ids: np.ndarray
     record = RadioRegion
 
-    @classmethod
-    def from_records(cls, by_image: Mapping[str, Iterable[RadioRegion]]) -> Regions:
-        """The regions of each image in the given order; an image with an
-        empty list stays in the table."""
-        get = attrgetter(*(f.name for f in fields(RadioRegion)))
-        rows = [(key, *get(r)) for key, regions in by_image.items() for r in regions]
-        return cls.build(*(zip(*rows) if rows else [()] * 5), table=by_image)
-
-    def records(self) -> dict[str, list[RadioRegion]]:
-        """The regions per image; a NaN reaches ``RadioRegion``, which refuses it."""
-        by_image: dict[str, list[RadioRegion]] = {key: [] for key in self.ids}
-        for i, *row in zip(self.image.tolist(), *(c.tolist() for c in self._columns()[1:])):
-            by_image[self.ids[i]].append(RadioRegion(*row))
-        return by_image
-
-    # The per-image record map's views, for callers that still read a map.
-    def items(self):
+    def items(self):  # the map's views, for callers that still read a map
         return self.records().items()
 
     def values(self):
@@ -313,10 +344,28 @@ class Regions(Table):
                     and in_box_domain(np.stack(anchors, axis=-1)).all())
 
 
+@dataclass(frozen=True, eq=False)
+class Estimates(ByImage, Table):
+    """Radio estimates: arrival angles in degrees, delay and magnitude."""
+
+    aoa_h: np.ndarray
+    aoa_v: np.ndarray
+    tof: np.ndarray
+    magnitude: np.ndarray
+    identifier: np.ndarray
+    record = RadioEstimate
+
+    def valid(self) -> bool:
+        angles = np.concatenate([self.aoa_h, self.aoa_v])
+        return bool(((angles >= 0.0) & (angles <= 180.0)).all()
+                    and ((self.tof > 0.0) & (self.tof < math.inf)).all()
+                    and np.isfinite(self.magnitude).all())
+
+
 def split(detections: Detections, regions: Regions) -> tuple[Detections, Regions]:
     """A stage call's detections and regions in image-id order, given order
     within an image, over one table: the ids of either."""
-    table = sorted(set(detections.ids).union(regions.ids))
+    table = sorted(set(detections.ids).union(regions.ids), key=str)
     return detections.grouped(table), regions.grouped(table)
 
 

@@ -10,6 +10,7 @@ from radiofusion import cli, fileio
 from radiofusion.cli import main
 from radiofusion.config import RunConfig, RunPaths
 from radiofusion.radio import ArrayGeometry, synthesize_csi
+from radiofusion.world import Estimates
 
 
 def test_synth_then_regions_then_run(tmp_path):
@@ -130,7 +131,7 @@ def test_localize_and_project(tmp_path):
         "localize", "--csi", str(tmp_path / "h.json"), str(tmp_path / "v.json"),
         "--out", str(tmp_path / "estimates.json"), "--output-dir", str(tmp_path),
     ]) == 0
-    estimates = fileio.read_estimates(tmp_path / "estimates.json")
+    estimates = fileio.read_estimates(tmp_path / "estimates.json").records()
     assert len(estimates["f0"]) == 1
     assert estimates["f0"][0].aoa_h == 93.0
 
@@ -357,7 +358,7 @@ def _command_argv(tmp_path, command):
                         base_frequency=5.8e9, frequency_interval=312.5e3)
     fileio.write_csi_frame(tmp_path / "h.json", synthesize_csi([(93.0, 40e-9, 1.0)], geo),
                            image_id="f0")
-    fileio.write_estimates(tmp_path / "estimates.json", {"f0": []})
+    fileio.write_estimates(tmp_path / "estimates.json", Estimates.from_records({"f0": []}))
     annotations = str(tmp_path / "annotations.json")
     return {
         "synth": ["--num-images", "3"],

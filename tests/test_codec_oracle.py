@@ -29,7 +29,7 @@ from radiofusion.geometry import MAX_COORD, Rect
 from radiofusion.imaging import RadioRegion
 from radiofusion.radio import ArrayGeometry, CsiFrame, RadioEstimate
 from radiofusion.sim_regions import Annotation
-from radiofusion.world import Detection, Detections, Regions
+from radiofusion.world import Detection, Detections, Estimates, Regions
 
 
 # -- Oracle: the per-value codec -------------------------------------------
@@ -379,7 +379,7 @@ def _written(write, path, *args) -> bytes:
     No record dict is built and no table is turned into records."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fileio, "_to_record", lambda obj: pytest.fail("record path"))
-        for table in (Detections, Regions):
+        for table in (Detections, Regions, Estimates):
             patch.setattr(table, "records", lambda self: pytest.fail("record path"))
         patch.setattr(fileio, "CHUNK_ROWS", 1)
         write(path, *args)
@@ -470,16 +470,18 @@ def test_annotation_writer_bytes_equal_the_stdlib_encoder(tmp_path_factory, file
 @example({"b": [], "a": [RadioRegion(1.0, 2.0, 3.0, "r")], "c": []})
 @example({10: [RadioRegion(1, np.float64(2.0), 3.0, 5)], 2: [], "a": []})
 def test_region_writer_bytes_equal_the_stdlib_encoder(tmp_path_factory, by_image):
+    """A table built from a map writes each value as its reader reads it back."""
     path = tmp_path_factory.mktemp("regions") / "regions.json"
-    written = _written(fileio.write_regions, path, by_image)
+    written = _written(fileio.write_regions, path, Regions.from_records(by_image))
     assert written == _stdlib_bytes(_map_doc(fileio.REGIONS_SCHEMA, by_image))
 
 
 @_oracle
 @given(st.booleans().flatmap(partial(_maps, _regions, keys=lambda odd: _ids)))
-@example({"b": [], "a": [], "\x7f": [RadioRegion(1, True, 3.0, "\ud800")]})
+@example({"b": [], "a": [], "\x7f": [RadioRegion(1, np.float64(2.0), 3.0, "\ud800")]})
 def test_region_table_writer_bytes_equal_the_stdlib_encoder(tmp_path_factory, by_image):
-    """A ``Regions`` table is written as its records, every number a float."""
+    """A ``Regions`` table is written as its records, every number a float
+    (a boolean one is refused by ``from_records``, see below)."""
     path = tmp_path_factory.mktemp("regions") / "regions.json"
     table = Regions.from_records(by_image)
     written = _written(fileio.write_regions, path, table)
@@ -493,7 +495,7 @@ def test_region_table_writer_bytes_equal_the_stdlib_encoder(tmp_path_factory, by
               RadioEstimate(0.0, 0.0, 1e-8, 1e308, 1)]})
 def test_estimate_writer_bytes_equal_the_stdlib_encoder(tmp_path_factory, by_image):
     path = tmp_path_factory.mktemp("estimates") / "estimates.json"
-    written = _written(fileio.write_estimates, path, by_image)
+    written = _written(fileio.write_estimates, path, Estimates.from_records(by_image))
     assert written == _stdlib_bytes(_map_doc(fileio.ESTIMATES_SCHEMA, by_image))
 
 
@@ -507,9 +509,9 @@ def test_plain_files_take_the_template_path(tmp_path):
         _written(fileio.write_annotations, tmp_path / "a.json", ["a", "b"],
                  [Annotation("a", box)], size)
     _written(fileio.write_regions, tmp_path / "r.json",
-             {"a": [RadioRegion(1.0, 2.0, 3.0, "r")], "b": []})
+             Regions.from_records({"a": [RadioRegion(1.0, 2.0, 3.0, "r")], "b": []}))
     _written(fileio.write_estimates, tmp_path / "e.json",
-             {"a": [RadioEstimate(90.0, 90.0, 1e-8, 1.0, "p")]})
+             Estimates.from_records({"a": [RadioEstimate(90.0, 90.0, 1e-8, 1.0, "p")]}))
 
 
 # Loose inputs per writer: ints and numpy floats where a float goes, int ids
@@ -536,11 +538,11 @@ def loose_writes(draw):
         back = [str(key) for key in image_ids], [_read_back(ann) for ann in anns]
         return kind, (image_ids, anns, size), back
     keys = st.integers(0, 20) if kind == "table" else _texts(True)
-    records = _estimates if kind == "estimates" else _regions
+    records, table = (_estimates, Estimates) if kind == "estimates" else (_regions, Regions)
     # One record per image: a reader refuses an id that an image repeats.
     by_image = {key: items[:1] for key, items in draw(_maps(records, True, lambda _: keys)).items()}
     back = {str(key): list(map(_read_back, items)) for key, items in by_image.items()}
-    return kind, (Regions.from_records(by_image) if kind == "table" else by_image,), back
+    return kind, (table.from_records(by_image),), back
 
 
 _WRITE = {"detections": fileio.write_detections, "annotations": fileio.write_annotations,
@@ -555,7 +557,7 @@ def _read(kind, path):
         image_ids, annotations = fileio.read_annotations(path)
         return image_ids, annotations.records()
     if kind == "estimates":
-        return fileio.read_estimates(path)
+        return fileio.read_estimates(path).records()
     return fileio.read_regions(path).records()
 
 
@@ -575,7 +577,7 @@ def test_a_plain_region_table_builds_no_record(tmp_path, monkeypatch):
     rows in its id table, is written from its columns with its records' bytes."""
     table = Regions.build(["c", "b", "c"], [1.0, 4.0, -0.0], [2.0, 5.0, 8.0], [3.0, 6.0, 9.0],
                           ["r", "s", "\u00e9"], table=["a"])
-    expected = _written(fileio.write_regions, tmp_path / "records.json", table.records())
+    expected = _stdlib_bytes(_map_doc(fileio.REGIONS_SCHEMA, table.records()))
     monkeypatch.setattr(RadioRegion, "__post_init__", lambda self: pytest.fail("record built"))
     assert _written(fileio.write_regions, tmp_path / "table.json", table) == expected
 
@@ -625,37 +627,64 @@ _PLAIN = RadioRegion(1.0, 2.0, 3.0, "r")
     ({"a": [_PLAIN, RadioRegion(np.float64(1.0), 2.0, 3.0, "s")]}, None),
     ({"a": [RadioRegion(1, 2.0, 3.0, "r")]}, None),
     ({"a": [RadioRegion(1.0, 2.0, True, "r")]}, InvalidInputError),
+    ({"a": [RadioRegion(1.0, 2.0, 3.0, True)]}, InvalidInputError),
     ({"a": [RadioRegion(1.0, 2.0, 3.0, 5)]}, None),
-    ({5: [_PLAIN]}, None),
+    ({5: [_PLAIN], "a": []}, None),
     ({"a": [RadioEstimate(90.0, 90.0, 1e-8, 1.0, "p")]}, TypeError),
-], ids=["plain", "escaped-id", "numpy-float", "int", "bool", "int-id", "int-key", "other-type"])
+], ids=["plain", "escaped-id", "numpy-float", "int", "bool", "bool-id", "int-id", "int-key",
+        "other-type"])
 def test_a_list_takes_the_template_path_whatever_its_values(tmp_path, by_image, error):
-    """Every list is written from the row template and reads back as its
-    values do, or is refused before the file opens."""
+    """Every table built from a map is written from the row template and
+    reads back as its values do, or is refused before the file opens: a
+    boolean number or id, or a table of another record type."""
     path = tmp_path / "regions.json"
+    kind = Estimates if error is TypeError else Regions
     if error is not None:
         with pytest.raises(error):
-            _written(fileio.write_regions, path, by_image)
+            _written(fileio.write_regions, path, kind.from_records(by_image))
         assert not path.exists()
     else:
-        _written(fileio.write_regions, path, by_image)
+        _written(fileio.write_regions, path, kind.from_records(by_image))
         assert fileio.read_regions(path).records() == {
             str(key): list(map(_read_back, items)) for key, items in by_image.items()}
 
 
-@pytest.mark.parametrize("write, by_image", [
-    (fileio.write_regions, {5: [_PLAIN], "5": [RadioRegion(4.0, 5.0, 6.0, "s")]}),
+def _no_rows(kind, ids):
+    """A table of ``kind`` over ``ids`` as they are, unsorted, with no rows."""
+    return kind(ids, np.zeros(0, np.intp), *[np.zeros(0)] * (len(kind.kinds) - 1),
+                np.zeros(0, object))
+
+
+@pytest.mark.parametrize("write, table", [
+    (fileio.write_regions, _no_rows(Regions, (5, "5"))),
     (fileio.write_regions, Regions((5, "5"), np.array([0, 1]), np.array([1.0, 4.0]),
                                    np.array([2.0, 5.0]), np.array([3.0, 6.0]),
                                    np.array(["r", "s"], dtype=object))),
-    (fileio.write_estimates, {"a": [], 5: [], "5": []}),
+    (fileio.write_estimates, _no_rows(Estimates, ("a", 5, "5"))),
 ], ids=["regions", "region-table", "estimates"])
-def test_keys_that_spell_alike_are_refused(tmp_path, write, by_image):
-    """Two map keys written as one string would leave one image of the two
-    in the file, so the map is refused before the file or its folder is made."""
+def test_keys_that_spell_alike_are_refused(tmp_path, write, table):
+    """Two ids of a directly built table written as one string would leave
+    one image of the two in the file, so the table is refused before the
+    file or its folder is made."""
     path = tmp_path / "out" / "file.json"
     with pytest.raises(InvalidInputError, match="keys 5 and '5' are both written as '5'"):
-        write(path, by_image)
+        write(path, table)
+    assert not path.parent.exists()
+
+
+@pytest.mark.parametrize("column, value", [
+    ("aoa_h", math.nan), ("aoa_v", -1.0), ("aoa_h", 180.5), ("tof", 0.0), ("tof", -1e-8),
+    ("tof", math.inf), ("magnitude", math.nan), ("magnitude", -math.inf),
+], ids=["nan-angle", "negative-angle", "angle-past-180", "zero-tof", "negative-tof",
+        "infinite-tof", "nan-magnitude", "infinite-magnitude"])
+def test_an_estimate_table_off_the_template_is_refused(tmp_path, column, value):
+    """A row that a ``RadioEstimate`` refuses is refused before the file or
+    its folder is made."""
+    table = Estimates.from_records({"a": [RadioEstimate(90.0, 90.0, 1e-8, 1.0, "p")]})
+    getattr(table, column)[0] = value
+    path = tmp_path / "out" / "estimates.json"
+    with pytest.raises(InvalidInputError, match="estimates hold a row that no RadioEstimate"):
+        fileio.write_estimates(path, table)
     assert not path.parent.exists()
 
 
@@ -675,23 +704,38 @@ _RECT = (0.0, 1.0, 2.0, 3.0)
     (lambda path: fileio.write_annotations(path, [None], [], None), "id"),
     (lambda path: fileio.write_annotations(
         path, ["a"], [Annotation("a", (True, 0.0, 1.0, 1.0))]), "bbox"),
-    (lambda path: fileio.write_regions(path, {"a": [RadioRegion(1.0, 2.0, 3.0, None)]}), "id"),
-    (lambda path: fileio.write_estimates(
-        path, {"a": [RadioEstimate(True, 90.0, 1e-8, 1.0, "p")]}), "aoa_h"),
-    (lambda path: fileio.write_estimates(
-        path, {"a": [RadioEstimate(90.0, 90.0, 1e-8, 1.0, None)]}), "id"),
+    (lambda path: fileio.write_regions(path, Regions.from_records(
+        {"a": [RadioRegion(1.0, 2.0, 3.0, None)]})), "id"),
+    (lambda path: fileio.write_estimates(path, Estimates.from_records(
+        {"a": [RadioEstimate(90.0, 90.0, 1e-8, 1.0, True)]})), "id"),
+    (lambda path: fileio.write_estimates(path, Estimates.from_records(
+        {"a": [RadioEstimate(90.0, 90.0, 1e-8, 1.0, None)]})), "id"),
     (lambda path: fileio.write_report(
         path, {"metrics": {"mr_fppi_curve": [[0.0, 1.0], [0.5, math.nan]]}}), "mr_fppi_curve"),
     (lambda path: fileio.write_report(
         path, {"metrics": {"mr_fppi_curve": [[math.inf, 0.0]]}}), "mr_fppi_curve"),
 ], ids=["detection-none-id", "detection-bool-region-id", "nan-width", "inf-height", "bool-width",
-        "zero-width", "negative-height", "none-image-id", "bool-box", "none-region-id", "bool-angle", "none-estimate-id",
+        "zero-width", "negative-height", "none-image-id", "bool-box", "none-region-id",
+        "bool-estimate-id", "none-estimate-id",
         "nan-curve", "inf-curve"])
 def test_a_refused_value_names_its_field_and_makes_no_file(tmp_path, write, field):
     path = tmp_path / "out" / "file.json"
     with pytest.raises(InvalidInputError, match=f"^{re.escape(str(path))}: .*{field}: expected"):
         write(path)
     assert not path.parent.exists()
+
+
+@pytest.mark.parametrize("kind, by_image, field", [
+    (Regions, {"a": [RadioRegion(1.0, 2.0, True, "r")]}, "edge"),
+    (Regions, {"b": [], "a": [], "\x7f": [RadioRegion(1, True, 3.0, "\ud800")]}, "center_y"),
+    (Estimates, {"a": [RadioEstimate(True, 90.0, 1e-8, 1.0, "p")]}, "aoa_h"),
+    (Estimates, {"a": [RadioEstimate(90.0, 90.0, 1e-8, np.True_, "p")]}, "magnitude"),
+], ids=["bool-edge", "bool-center", "bool-angle", "numpy-bool-magnitude"])
+def test_a_boolean_number_in_a_map_is_refused_by_its_field(kind, by_image, field):
+    """A float column would hold a boolean as 1.0, so a record map holding
+    one is refused at the table's edge, before any writer sees it."""
+    with pytest.raises(InvalidInputError, match=f"^{field}: expected a number, got "):
+        kind.from_records(by_image)
 
 
 # -- Annotation and region files: the column readers against the per-record path
@@ -735,15 +779,16 @@ def _read_annotation_records(path):
     return image_ids, annotations
 
 
-def _read_region_records(path):
-    """The per-record region reader: image by image, one ``_from_record`` per
-    record, and the first id an image repeats named."""
-    data = fileio.load_json(path, fileio.REGIONS_SCHEMA)
+def _read_map_records(path, cls=RadioRegion):
+    """The per-record region or estimate reader: image by image, one
+    ``_from_record`` per record, and the first id an image repeats named."""
+    schema = fileio.REGIONS_SCHEMA if cls is RadioRegion else fileio.ESTIMATES_SCHEMA
+    data = fileio.load_json(path, schema)
     images = _expect(_require(data, "images", str(path)), dict, f"{path}: images")
     by_image = {}
     for image_id, records in images.items():
         context = f"{path}: image {image_id!r}"
-        items = [_from_record(record, RadioRegion, context)
+        items = [_from_record(record, cls, context)
                  for record in _expect(records, list, context)]
         ids = [item.identifier for item in items]
         if repeated := [key for key in ids if ids.count(key) > 1]:
@@ -863,7 +908,7 @@ def test_region_column_reader_matches_the_per_record_reader(tmp_path, record, fi
     records = [record, other] if first else [other, record]
     _alike(tmp_path, {"schema": fileio.REGIONS_SCHEMA,
                       "images": {"b": [{**_REG, "id": "r1"}], "a": records, "c": []}},
-           _read_region_columns, _read_region_records)
+           _read_region_columns, _read_map_records)
 
 
 _flags = st.none() | st.booleans() | _anything
@@ -915,4 +960,43 @@ def region_records(draw):
                        max_size=3))
 def test_region_files_read_alike(tmp_path_factory, images):
     _alike(tmp_path_factory.mktemp("reg"), {"schema": fileio.REGIONS_SCHEMA, "images": images},
-           _read_region_columns, _read_region_records)
+           _read_region_columns, _read_map_records)
+
+
+_estimate_values = {
+    "aoa_h": st.floats(0.0, 180.0) | st.sampled_from([-5e-324, -0.0, 180.0,
+                                                      math.nextafter(180.0, math.inf)]),
+    "tof": st.floats(1e-9, 1e-6) | st.sampled_from([0.0, -0.0, 5e-324, -1e-8, 1e300]),
+    "magnitude": st.floats(-1e3, 1e3) | st.sampled_from([0.0, 1e308, -1e308]),
+}
+_estimate_values["aoa_v"] = _estimate_values["aoa_h"]
+
+
+@st.composite
+def estimate_records(draw):
+    """An estimate record, each key absent, plausible or anything."""
+    record = draw(objects(RadioEstimate))
+    for key, values in _estimate_values.items():
+        if draw(st.booleans()):
+            record[key] = draw(values)
+    if draw(st.booleans()):
+        record["id"] = draw(st.sampled_from(["p0", "p1", "p2"]))
+    return record
+
+
+def _read_estimate_columns(path):
+    return fileio.read_estimates(path).records()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(["a", "b", "c"]),
+                       st.lists(estimate_records() | _anything, max_size=4) | _anything,
+                       max_size=3))
+@example({"b": [{"id": "p0", "aoa_h": 90.0, "aoa_v": 90.0, "tof": 1e-8}], "a": []})
+@example({"a": [{"id": "p0", "aoa_h": 90.0, "aoa_v": 90.0, "tof": 1e-8, "magnitude": 1e308},
+                {"id": 7, "aoa_h": 90.0, "aoa_v": 90.0, "tof": 1e-8, "magnitude": 1e308}]})
+def test_estimate_files_read_alike(tmp_path_factory, images):
+    """The column path of ``read_estimates`` against the record-by-record
+    reader it replaced, the region reader's twin."""
+    _alike(tmp_path_factory.mktemp("est"), {"schema": fileio.ESTIMATES_SCHEMA, "images": images},
+           _read_estimate_columns, partial(_read_map_records, cls=RadioEstimate))

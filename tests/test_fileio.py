@@ -17,7 +17,7 @@ from radiofusion.geometry import MAX_COORD
 from radiofusion.imaging import RadioRegion
 from radiofusion.radio import ArrayGeometry, CsiFrame, RadioEstimate, synthesize_csi
 from radiofusion.sim_regions import Annotation
-from radiofusion.world import Detection, Detections
+from radiofusion.world import Detection, Detections, Estimates, Regions
 
 GEO = ArrayGeometry(num_antennas=4, element_spacing=0.0258, num_subcarriers=8,
                     base_frequency=5.8e9, frequency_interval=312.5e3)
@@ -85,7 +85,7 @@ def test_regions_round_trip(tmp_path):
         ],
     }
     path = tmp_path / "regions.json"
-    fileio.write_regions(path, regions)
+    fileio.write_regions(path, Regions.from_records(regions))
     assert fileio.read_regions(path).records() == regions
     fileio.write_regions(tmp_path / "columns.json", fileio.read_regions(path))
     assert (tmp_path / "columns.json").read_bytes() == path.read_bytes()
@@ -139,8 +139,8 @@ def test_estimates_round_trip(tmp_path):
                                identifier="p0")],
     }
     path = tmp_path / "est.json"
-    fileio.write_estimates(path, estimates)
-    assert fileio.read_estimates(path) == estimates
+    fileio.write_estimates(path, Estimates.from_records(estimates))
+    assert fileio.read_estimates(path).records() == estimates
 
 
 def test_curve_round_trip(tmp_path):
@@ -211,7 +211,7 @@ def test_estimate_magnitude_defaults_to_zero(tmp_path):
         "schema": fileio.ESTIMATES_SCHEMA,
         "images": {"a": [{"id": 1, "aoa_h": 90, "aoa_v": 90, "tof": 1e-8}]},
     }))
-    assert fileio.read_estimates(path) == {
+    assert fileio.read_estimates(path).records() == {
         "a": [RadioEstimate(aoa_h=90.0, aoa_v=90.0, tof=1e-8, magnitude=0.0, identifier="1")]}
 
 
@@ -466,7 +466,7 @@ def test_annotations_read_write_property(tmp_path_factory, world):
 @given(regions)
 def test_regions_read_write_property(tmp_path_factory, regions_by_image):
     path = tmp_path_factory.mktemp("prop") / "regions.json"
-    fileio.write_regions(path, regions_by_image)
+    fileio.write_regions(path, Regions.from_records(regions_by_image))
     assert fileio.read_regions(path).records() == regions_by_image
 
 
@@ -474,8 +474,8 @@ def test_regions_read_write_property(tmp_path_factory, regions_by_image):
 @given(estimates)
 def test_estimates_read_write_property(tmp_path_factory, estimates_by_image):
     path = tmp_path_factory.mktemp("prop") / "est.json"
-    fileio.write_estimates(path, estimates_by_image)
-    assert fileio.read_estimates(path) == estimates_by_image
+    fileio.write_estimates(path, Estimates.from_records(estimates_by_image))
+    assert fileio.read_estimates(path).records() == estimates_by_image
 
 
 @_round_trip

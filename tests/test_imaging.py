@@ -11,6 +11,7 @@ from conftest import regions_in, to_bbox
 from radiofusion.errors import InvalidInputError
 from radiofusion.imaging import CameraModel, RadioRegion, batch_project, project
 from radiofusion.radio import SPEED_OF_LIGHT, RadioEstimate
+from radiofusion.world import Estimates, Regions
 
 CAMERA = CameraModel(focal_length_px=3000.0, image_width=1280.0, image_height=720.0)
 # Short focal length widens the frame to atan(640 / 500) = 52.0 degrees off
@@ -105,31 +106,53 @@ class TestProject:
             assert 0.0 <= region.center_y <= WIDE.image_height
 
 
+def _world(*estimates):
+    return Estimates.from_records({"i": list(estimates)})
+
+
 class TestBatchProject:
     def test_empty(self):
-        assert batch_project([], CAMERA) == []
+        regions = batch_project(Estimates.from_records({}), CAMERA)
+        assert isinstance(regions, Regions) and regions.records() == {}
+
+    def test_an_image_without_regions_keeps_its_empty_list(self):
+        regions = batch_project(_world(estimate(aoa_h=150.0)), WIDE)
+        assert regions.records() == {"i": []}
 
     def test_drops_out_of_fov(self):
-        estimates = [estimate(identifier="in"), estimate(aoa_h=150.0, identifier="out")]
-        regions = batch_project(estimates, WIDE)
-        assert [r.identifier for r in regions] == ["in"]
+        regions = batch_project(_world(estimate(identifier="in"),
+                                       estimate(aoa_h=150.0, identifier="out")), WIDE)
+        assert regions.region_ids.tolist() == ["in"]
 
     def test_drops_behind_camera_without_raising(self):
-        estimates = [estimate(identifier="a"), estimate(aoa_h=180.0, identifier="b")]
-        regions = batch_project(estimates, WIDE)
-        assert [r.identifier for r in regions] == ["a"]
+        regions = batch_project(_world(estimate(identifier="a"),
+                                       estimate(aoa_h=180.0, identifier="b")), WIDE)
+        assert regions.region_ids.tolist() == ["a"]
 
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("factor", ["person_extent_m", "range_factor"])
     def test_refuses_a_factor_that_is_not_finite_and_positive(self, factor, value):
         factors = {"person_extent_m": 1.0, "range_factor": 1.0, factor: value}
         with pytest.raises(InvalidInputError, match="person_extent_m and range_factor"):
-            batch_project([estimate()], CAMERA, **factors)
+            batch_project(_world(estimate()), CAMERA, **factors)
 
     def test_duplicate_estimates_keep_identifiers(self):
-        estimates = [estimate(identifier="a"), estimate(identifier="b")]
-        regions = batch_project(estimates, CAMERA)
-        assert [r.identifier for r in regions] == ["a", "b"]
+        regions = batch_project(_world(estimate(identifier="a"), estimate(identifier="b")),
+                                CAMERA)
+        assert regions.region_ids.tolist() == ["a", "b"]
+
+    @pytest.mark.parametrize("column, value, message", [
+        ("aoa_h", math.nan, "estimate values must be finite"), ("tof", -1e-8, "time of flight"),
+        ("aoa_h", math.inf, "estimate values must be finite"),
+        ("aoa_v", -math.inf, "estimate values must be finite"),
+    ], ids=["nan-angle", "negative-tof", "inf-angle", "minus-inf-angle"])
+    def test_a_row_no_estimate_holds_is_refused(self, column, value, message):
+        """A NaN angle would otherwise land out of frame and be dropped
+        unseen, and an infinite one has no cosine."""
+        table = _world(estimate(identifier="a"), estimate(identifier="b"))
+        getattr(table, column)[1] = value
+        with pytest.raises(InvalidInputError, match=f"^image 'i': {message}"):
+            batch_project(table, WIDE)
 
 
 class TestRadioRegion:

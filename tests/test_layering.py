@@ -5,11 +5,13 @@ Every import statement of ``radiofusion`` sits at module level, and
 ``geometry`` and ``errors``. A file-driven run keeps its detections, ground
 truth and regions in ``world`` columns from read to write: it builds no
 ``Detection``, ``Annotation`` or ``RadioRegion``. A sweep that simulates its
-regions draws them from the ground-truth columns, so it builds no
-``Detection`` or ``Annotation`` (the simulated regions are still
-``RadioRegion`` records). Every module-level ``def`` and ``class`` of the
-package is used by the package or by ``perfbench``: a helper that only tests
-call lives in ``tests/``. Every error class the package defines is one
+regions draws them as columns from the ground-truth columns, so it builds
+none either. Reading a well-formed estimates or regions file, and projecting
+the one to the other, builds no ``RadioEstimate`` or ``RadioRegion``;
+``imaging`` imports no numpy, so the projection stays scalar ``math`` per
+row. Every module-level ``def`` and ``class`` of the package is used by the
+package or by ``perfbench``: a helper that only tests call lives in
+``tests/``. Every error class the package defines is one
 that ``cli.main`` turns into exit 2. Only ``fileio`` opens a file for
 writing, and it does so in one place; it spells every record from its row
 templates, building a record dict only for a CSI frame's geometry.
@@ -21,10 +23,10 @@ from pathlib import Path
 import pytest
 
 import radiofusion
-from radiofusion import errors
+from radiofusion import errors, fileio
 from radiofusion.cli import main
 from radiofusion.config import METHODS
-from radiofusion.world import Annotation, Detection, RadioRegion
+from radiofusion.world import Annotation, Detection, Estimates, RadioEstimate, RadioRegion
 
 PACKAGE = Path(radiofusion.__file__).parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -55,6 +57,19 @@ def test_world_is_a_leaf():
         elif isinstance(node, ast.Import):
             imported |= {a.name for a in node.names if a.name.split(".")[0] == "radiofusion"}
     assert imported <= {"geometry", "errors"}
+
+
+def test_imaging_imports_no_numpy():
+    """``np.tan`` is SIMD-dispatched and differs from ``math.tan`` in the last
+    bit for some angles, so a vectorised projection would tie the regions to
+    the CPU: ``imaging`` projects row by row in ``math``."""
+    imported = set()
+    for node in ast.walk(_tree("imaging.py")):
+        if isinstance(node, ast.Import):
+            imported |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            imported.add(node.module.split(".")[0])
+    assert imported and "numpy" not in imported
 
 
 def _used_names(tree) -> set[str]:
@@ -180,7 +195,7 @@ def test_file_driven_runs_build_no_record(world, monkeypatch, record):
     assert built == []
 
 
-@pytest.mark.parametrize("record", [Detection, Annotation])
+@pytest.mark.parametrize("record", [Detection, Annotation, RadioRegion])
 def test_a_sweep_that_simulates_its_regions_builds_no_record(world, monkeypatch, record):
     built = _built(monkeypatch, record)
     for method in ("method1+cnms", "method2+cnms"):
@@ -189,4 +204,18 @@ def test_a_sweep_that_simulates_its_regions_builds_no_record(world, monkeypatch,
                      "--detections", str(world / "detections.json"), "--param", "sigma",
                      "--values", "0.1", "0.5", "--out", out]) == 0
         assert len(Path(out).read_text().splitlines()) == 3
+    assert built == []
+
+
+@pytest.mark.parametrize("record", [RadioEstimate, RadioRegion])
+def test_reading_and_projecting_radio_files_builds_no_record(tmp_path, monkeypatch, record):
+    estimates, regions = tmp_path / "estimates.json", tmp_path / "regions.json"
+    fileio.write_estimates(estimates, Estimates.from_records({
+        "f0": [RadioEstimate(92.0, 88.0, 2e-8, 1.0, "p0"),
+               RadioEstimate(150.0, 90.0, 2e-8, 1.0, "p1")],
+        "f1": [RadioEstimate(90.0, 91.0, 3e-8, 0.5, "p0")], "f2": []}))
+    built = _built(monkeypatch, record)
+    assert main(["project", "--estimates", str(estimates), "--out", str(regions),
+                 "--output-dir", str(tmp_path)]) == 0
+    assert len(fileio.read_estimates(estimates)) == 3 and len(fileio.read_regions(regions)) == 2
     assert built == []

@@ -5,9 +5,9 @@ orientations and computes the spectra of complete pairs ``CHUNK_PAIRS``
 pairs at a time. ``localize_frames`` below is the batch version it
 replaced, kept verbatim as the oracle: it groups every frame before it
 computes any spectrum. On any stream with at most one fault the two return
-equal estimates (``==`` on every record, every float bit for bit) or raise
-the same exception; with more faults the stream raises the first met in
-argument order, whatever its chunk.
+equal estimates (``==`` on every record of the stream's table, every float
+bit for bit) or raise the same exception; with more faults the stream
+raises the first met in argument order, whatever its chunk.
 """
 
 import weakref
@@ -142,7 +142,8 @@ def _outcome(localize, items, chunk=None):
     """What ``localize`` returns or raises on a stream of ``items``."""
     with mock.patch.object(pipeline, "CHUNK_PAIRS", chunk or pipeline.CHUNK_PAIRS):
         try:
-            return localize(_stream(items), RADIO)
+            estimates = localize(_stream(items), RADIO)
+            return estimates if isinstance(estimates, dict) else estimates.records()
         except (InvalidInputError, SchemaError) as exc:
             return type(exc), str(exc)
 
@@ -222,5 +223,5 @@ def test_a_stream_holds_one_chunk_and_the_frames_waiting_for_a_partner(lone):
     assert 2 * chunk <= peak[0] <= 2 * chunk + 1 + lone
     assert live[0] == 0
     peak[0] = 0
-    assert streamed == localize_frames(counted(items), RADIO)
+    assert streamed.records() == localize_frames(counted(items), RADIO)
     assert peak[0] == len(items)

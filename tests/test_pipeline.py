@@ -10,8 +10,8 @@ from radiofusion import fileio, metrics, pipeline
 from radiofusion.config import METHOD_READS, METHODS, RadioParams, RunConfig, RunPaths
 from radiofusion.errors import InvalidInputError
 from radiofusion.imaging import CameraModel
-from radiofusion.pipeline import build_detections, build_regions, evaluate, load_world, \
-    localize_frames, project_estimates, run, sweep
+from radiofusion.pipeline import batch_project, build_detections, build_regions, evaluate, \
+    load_world, localize_frames, run, sweep
 from radiofusion.radio import ArrayGeometry, synthesize_csi, default_tof_grid
 from radiofusion.synth import make_world
 from radiofusion.world import Annotations, Detection, Detections, Regions
@@ -252,14 +252,14 @@ class TestRadioPipeline:
         frame_h = synthesize_csi([(92.0, tof, 1.0)], self.GEO_H, noise_std=0.0)
         frame_v = synthesize_csi([(91.0, tof, 1.0)], self.GEO_V, noise_std=0.0)
         estimates = localize_frames([(frame_h, "img0"), (frame_v, "img0")], radio)
-        assert list(estimates) == ["img0"]
-        (est,) = estimates["img0"]
+        assert estimates.ids == ("img0",)
+        (est,) = estimates.records()["img0"]
         assert est.aoa_h == 92.0 and est.aoa_v == 91.0
         assert est.tof == pytest.approx(tof)
 
         camera = CameraModel(focal_length_px=3000.0, image_width=1280.0, image_height=720.0)
-        regions = project_estimates(estimates, camera, radio)
-        (region,) = regions["img0"]
+        regions = batch_project(estimates, camera, radio.person_extent_m, radio.round_trip_factor)
+        (region,) = regions.records()["img0"]
         expected_x = 640.0 + 3000.0 * np.tan(np.radians(2.0))
         expected_y = 360.0 + 3000.0 * np.tan(np.radians(1.0))
         assert region.center_x == pytest.approx(expected_x)
@@ -271,7 +271,7 @@ class TestRadioPipeline:
         radio = RadioParams()
         frame_h = synthesize_csi([(92.0, 5e-7, 1.0)], self.GEO_H, noise_std=0.0)
         estimates = localize_frames([(frame_h, "img0")], radio)
-        assert estimates == {"img0": []}
+        assert estimates.records() == {"img0": []}
 
     def test_duplicate_orientation_rejected(self):
         radio = RadioParams()
@@ -289,13 +289,13 @@ class TestRadioPipeline:
             for geo, sign in ((self.GEO_H, 1.0), (self.GEO_V, -1.0)):
                 frames.append((synthesize_csi([(92.0, 2e-7, 1.0)], geo, noise_std=0.0,
                                               timestamp=timestamp or sign * 0.0), None))
-        estimates = localize_frames(frames, radio)
+        estimates = localize_frames(frames, radio).records()
         assert sorted(estimates) == ["t0", "t1.5", "t1697000000.5", "t1697000100.0"]
         assert all(len(found) == 1 for found in estimates.values())
         # A lone horizontal and a lone vertical frame from different moments
         # are two incomplete images, not one pair.
         lone = localize_frames([frames[0], frames[3]], radio)
-        assert lone == {"t1697000000.5": [], "t1697000100.0": []}
+        assert lone.records() == {"t1697000000.5": [], "t1697000100.0": []}
 
 
 class TestOneStageFlow:

@@ -21,7 +21,7 @@ from radiofusion.radio import ArrayGeometry, CsiFrame, RadioEstimate
 from radiofusion.sim_regions import Annotation
 from radiofusion.synth import make_world
 from radiofusion.world import (ANCHOR_RATIOS, ANCHOR_SCALES, Annotations, Detection, Detections,
-                               Regions)
+                               Estimates, Regions)
 
 NAN, INF = math.nan, math.inf
 GEO = ArrayGeometry(num_antennas=2, element_spacing=0.0258, num_subcarriers=2,
@@ -389,13 +389,17 @@ def test_make_world_records_take_the_comparison_chain(monkeypatch):
 # -- Each table's rule against its record's rule -----------------------------
 
 _cell_value = _region_specials | st.floats() | st.floats(-1e3, 1e3) | st.sampled_from([0.5, 1.5])
+# An estimate's angles at and just past the ends of [0, 180], and delays at and around 0.
+_angle_rim = st.sampled_from([0.0, -0.0, -5e-324, 90.0, 180.0, math.nextafter(180.0, INF)])
+_tof_rim = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-8, 1.7e308])
 
 
 @st.composite
 def tables(draw):
-    """A ``Detections``, ``Annotations`` or ``Regions`` table of up to three
-    rows, built from any floats, with None where a field is optional."""
-    kind = draw(st.sampled_from([Detections, Annotations, Regions]))
+    """A ``Detections``, ``Annotations``, ``Regions`` or ``Estimates`` table
+    of up to three rows, built from any floats, with None where a field is
+    optional."""
+    kind = draw(st.sampled_from([Detections, Annotations, Regions, Estimates]))
     n = draw(st.integers(0, 3))
 
     def column(values):
@@ -410,6 +414,10 @@ def tables(draw):
     if kind is Annotations:
         return Annotations.build(ids, column(box), column(st.just("person")),
                                  column(st.none() | _cell_value), column(st.none() | _cell_value))
+    if kind is Estimates:
+        angle = _cell_value | _angle_rim
+        return Estimates.build(ids, column(angle), column(angle), column(_cell_value | _tof_rim),
+                               column(_cell_value), column(st.just("p")))
     return Regions.build(ids, column(_cell_value | _region_rim), column(_cell_value | _region_rim),
                          column(_cell_value | _region_tiny), column(st.just("r")))
 
@@ -418,7 +426,22 @@ def tables(draw):
 @given(tables())
 @example(Annotations.build(["a"], [(0.0, 0.0, 10.0, 10.0)], ["person"], [INF], [None]))
 @example(Regions.build(["a"], [-1e308], [0.0], [1.7e308], ["r"]))
+@example(Estimates.build(["a", "b"], [90.0, NAN], [90.0, 90.0], [1e-8, 1e-8], [1.0, 1.0],
+                         ["p", "p"]))
+@example(Estimates.build(["a"], [90.0], [90.0], [0.0], [1.0], ["p"]))
 def test_a_table_is_valid_exactly_when_its_records_are_accepted(table):
     """``valid()`` is True iff ``records()`` raises nothing, so a table that
     a reader or writer checks as whole columns holds only what its records hold."""
     assert table.valid() == (_verdict(table.records) is None)
+
+
+def test_integer_and_string_ids_share_one_table_sorted_as_strings():
+    """A map may mix integer and string image ids, and a stage call groups
+    both sides over one table of them, in the order the writers spell them."""
+    regions = Regions.from_records({10: [], "a": [RadioRegion(1.0, 2.0, 3.0, "r")], 2: []})
+    detections = Detections.build([2, "a"], [(0.0, 0.0, 1.0, 1.0)] * 2, [0.5, 0.6],
+                                  [None, None], [None, None])
+    assert regions.ids == (10, 2, "a") and detections.ids == (2, "a")
+    dets, regs = world.split(detections, regions)
+    assert dets.ids == regs.ids == (10, 2, "a")
+    assert dets.image.tolist() == [1, 2] and regs.image.tolist() == [2]

@@ -277,11 +277,10 @@ class TestBuildSimulativeSet:
         assert list(table.values()) == list(records.values())
         with tempfile.TemporaryDirectory() as tmp:
             written = []
-            for name, regions in (("table", table), ("records", Regions.from_records(records)),
-                                  ("map", records)):
+            for name, regions in (("table", table), ("records", Regions.from_records(records))):
                 fileio.write_regions(Path(tmp, name), regions)
                 written.append(Path(tmp, name).read_bytes())
-        assert written[0] == written[1] == written[2]
+        assert written[0] == written[1]
 
     def test_the_first_region_out_of_the_domain_is_named(self):
         anns = [Annotation(image_id="b", bbox=(0.0, 0.0, 9e149, 9e149)),
